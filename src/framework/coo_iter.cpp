@@ -33,7 +33,9 @@ PartitionedCoo build_partitioned_coo(const Graph& g,
   for (const Edge& e : g.coo().edges())
     out.edges[cursor[part.owner(e.dst)]++] = e;
 
-  // Order edges within each partition.
+  // Order edges within each partition. The scatter above is stable and
+  // the COO is sorted by (src, dst), so every partition is already in CSR
+  // order.
   const int k = order::hilbert_order_for(g.num_vertices());
   for (std::size_t p = 0; p < P; ++p) {
     auto lo = out.edges.begin() + static_cast<std::ptrdiff_t>(out.offsets[p]);
@@ -41,7 +43,7 @@ PartitionedCoo build_partitioned_coo(const Graph& g,
         out.edges.begin() + static_cast<std::ptrdiff_t>(out.offsets[p + 1]);
     switch (order) {
       case EdgeOrder::Csr:
-        std::sort(lo, hi);
+        VEBO_ASSERT(std::is_sorted(lo, hi));
         break;
       case EdgeOrder::Csc:
         std::sort(lo, hi, [](const Edge& a, const Edge& b) {

@@ -2,41 +2,26 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
-
 namespace vebo {
-
-Csr Csr::build(const EdgeList& el, bool by_destination) {
-  const VertexId n = el.num_vertices();
-  const auto edges = el.edges();
-
-  std::vector<EdgeId> counts(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : edges) {
-    const VertexId row = by_destination ? e.dst : e.src;
-    ++counts[row + 1];
-  }
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t i = 1; i <= n; ++i) offsets[i] = offsets[i - 1] + counts[i];
-
-  std::vector<VertexId> neighbors(edges.size());
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : edges) {
-    const VertexId row = by_destination ? e.dst : e.src;
-    const VertexId val = by_destination ? e.src : e.dst;
-    neighbors[cursor[row]++] = val;
-  }
-  // Sort each row for deterministic traversal and binary-searchable rows.
-  for (VertexId v = 0; v < n; ++v)
-    std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-  return Csr(std::move(offsets), std::move(neighbors));
-}
 
 Csr::Csr(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors)
     : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
   VEBO_CHECK(!offsets_.empty(), "CSR offsets must have at least one entry");
   VEBO_CHECK(offsets_.back() == neighbors_.size(),
              "CSR offsets/neighbors size mismatch");
+}
+
+Csr Csr::transpose() const {
+  const VertexId n = num_vertices();
+  std::vector<EdgeId> sizes(n, 0);
+  for (VertexId c : neighbors_) {
+    VEBO_CHECK(c < n, "transpose: neighbor id out of range");
+    ++sizes[c];
+  }
+  return scatter(sizes, [&](auto&& put) {
+    for (VertexId r = 0; r < n; ++r)
+      for (VertexId c : neighbors(r)) put(c, r);
+  });
 }
 
 bool Csr::valid() const {

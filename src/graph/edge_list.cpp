@@ -6,6 +6,14 @@
 
 namespace vebo {
 
+namespace {
+/// kInvalidVertex is a sentinel, and n = id + 1 must not wrap to 0.
+void check_vertex_id(VertexId id) {
+  VEBO_CHECK(id < kInvalidVertex,
+             "vertex id 4294967295 is the reserved invalid-vertex sentinel");
+}
+}  // namespace
+
 EdgeList::EdgeList(VertexId num_vertices, std::vector<Edge> edges,
                    bool directed)
     : n_(num_vertices), edges_(std::move(edges)), directed_(directed) {
@@ -13,6 +21,7 @@ EdgeList::EdgeList(VertexId num_vertices, std::vector<Edge> edges,
 }
 
 void EdgeList::add(VertexId src, VertexId dst) {
+  check_vertex_id(std::max(src, dst));
   edges_.push_back({src, dst});
   if (src >= n_) n_ = src + 1;
   if (dst >= n_) n_ = dst + 1;
@@ -22,6 +31,7 @@ void EdgeList::validate(bool grow) {
   for (const Edge& e : edges_) {
     if (e.src >= n_ || e.dst >= n_) {
       VEBO_CHECK(grow, "edge endpoint out of range");
+      check_vertex_id(std::max(e.src, e.dst));
       n_ = std::max(n_, std::max(e.src, e.dst) + 1);
     }
   }
@@ -54,10 +64,6 @@ void EdgeList::sort_by_destination() {
     if (a.dst != b.dst) return a.dst < b.dst;
     return a.src < b.src;
   });
-}
-
-bool EdgeList::is_sorted_by_source() const {
-  return std::is_sorted(edges_.begin(), edges_.end());
 }
 
 }  // namespace vebo

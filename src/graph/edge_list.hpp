@@ -44,8 +44,6 @@ class EdgeList {
   /// Sorts edges by (dst, src).
   void sort_by_destination();
 
-  bool is_sorted_by_source() const;
-
  private:
   VertexId n_ = 0;
   std::vector<Edge> edges_;

@@ -2,39 +2,50 @@
 
 #include <sstream>
 
+#include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
 
 Graph Graph::from_edges(EdgeList el) {
-  Graph g;
-  el.sort_by_source();
-  g.n_ = el.num_vertices();
-  g.m_ = el.num_edges();
-  g.directed_ = el.directed();
-  g.out_ = Csr::build(el, /*by_destination=*/false);
-  g.in_ = Csr::build(el, /*by_destination=*/true);
-  g.coo_ = std::move(el);
-  return g;
+  const VertexId n = el.num_vertices();
+  const bool directed = el.directed();
+  Csr out;
+  {
+    // Rows = destinations, sources in input order; transposing scans the
+    // destinations in order, so the out-CSR rows come out sorted.
+    std::vector<EdgeId> in_deg(n, 0);
+    for (const Edge& e : el.edges()) ++in_deg[e.dst];
+    const Csr by_dst = Csr::scatter(in_deg, [&](auto&& put) {
+      for (const Edge& e : el.edges()) put(e.dst, e.src);
+    });
+    el = EdgeList();  // release the input early: it is the largest array
+    out = by_dst.transpose();
+  }
+  Csr in = out.transpose();
+  return from_parts(std::move(out), std::move(in), directed);
 }
 
-Graph Graph::from_parts(Csr out, Csr in, EdgeList coo, bool directed) {
+Graph Graph::from_parts(Csr out, Csr in, bool directed) {
   VEBO_CHECK(out.num_vertices() == in.num_vertices(),
              "from_parts: CSR/CSC vertex counts disagree");
-  VEBO_CHECK(out.num_vertices() == coo.num_vertices(),
-             "from_parts: COO vertex count disagrees with CSR");
   VEBO_CHECK(out.num_edges() == in.num_edges(),
              "from_parts: CSR/CSC edge counts disagree");
-  VEBO_CHECK(out.num_edges() == coo.num_edges(),
-             "from_parts: COO edge count disagrees with CSR");
-  VEBO_CHECK(coo.is_sorted_by_source(), "from_parts: COO not sorted by source");
+  const VertexId n = out.num_vertices();
+  std::vector<Edge> edges(out.num_edges());
+  const auto offsets = out.offsets();
+  parallel_for(0, n, [&](std::size_t v) {
+    EdgeId e = offsets[v];
+    for (VertexId w : out.neighbors(static_cast<VertexId>(v)))
+      edges[e++] = {static_cast<VertexId>(v), w};
+  });
   Graph g;
-  g.n_ = out.num_vertices();
+  g.n_ = n;
   g.m_ = out.num_edges();
   g.directed_ = directed;
   g.out_ = std::move(out);
   g.in_ = std::move(in);
-  g.coo_ = std::move(coo);
+  g.coo_ = EdgeList(n, std::move(edges), directed);
   return g;
 }
 

@@ -1,6 +1,6 @@
-// The Graph type: dual CSR/CSC adjacency plus the original COO, which is
-// what the frontier-based framework traverses (push uses out-edges, pull
-// uses in-edges) and what the GraphGrind COO path iterates.
+// The Graph type: dual CSR/CSC adjacency, which the frontier-based
+// framework traverses (push uses out-edges, pull uses in-edges), plus the
+// COO sorted by source, which the GraphGrind COO path iterates.
 #pragma once
 
 #include <span>
@@ -16,17 +16,17 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds CSR (out) and CSC (in) from an edge list. The edge list is
-  /// retained (sorted by source) for COO traversal.
+  /// Builds CSR (out), CSC (in) and COO from an edge list (duplicates
+  /// and self loops kept): the edges are bucketed by destination, then
+  /// transposed twice with Csr::transpose, so no comparison sort runs.
   static Graph from_edges(EdgeList el);
 
-  /// Builds a Graph from already-compacted parts without re-sorting: an
-  /// out-CSR, the matching in-CSC, and the COO (sorted by source). This is
-  /// the streaming snapshot hook — DeltaGraph::snapshot() merges its delta
-  /// blocks directly into CSR/CSC rows and hands them over here. Checks
-  /// cheap structural consistency (vertex counts, edge counts, COO sort
-  /// order); full row-content agreement is the caller's contract.
-  static Graph from_parts(Csr out, Csr in, EdgeList coo, bool directed);
+  /// Builds a Graph from an out-CSR and the matching in-CSC, both with
+  /// sorted rows; the COO (sorted by source) is derived from the out-CSR
+  /// here, its one home. from_edges, permute and DeltaGraph::snapshot all
+  /// finish through this. Checks cheap structural consistency (vertex
+  /// and edge counts); row-content agreement is the caller's contract.
+  static Graph from_parts(Csr out, Csr in, bool directed);
 
   VertexId num_vertices() const { return n_; }
   EdgeId num_edges() const { return m_; }

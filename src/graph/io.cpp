@@ -124,8 +124,10 @@ EdgeList read_edge_list(std::istream& is, VertexId n) {
     std::istringstream ls(line);
     std::uint64_t s = 0, d = 0;
     if (!(ls >> s >> d)) continue;
-    VEBO_CHECK(s <= kInvalidVertex && d <= kInvalidVertex,
-               "vertex id exceeds 32-bit range");
+    VEBO_CHECK(s < kInvalidVertex && d < kInvalidVertex,
+               "vertex id " + std::to_string(std::max(s, d)) +
+                   " out of range (ids must be below 4294967295, the "
+                   "reserved invalid-vertex sentinel)");
     edges.push_back({static_cast<VertexId>(s), static_cast<VertexId>(d)});
     max_id = std::max({max_id, static_cast<VertexId>(s),
                        static_cast<VertexId>(d)});

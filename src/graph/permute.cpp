@@ -46,18 +46,14 @@ Permutation identity_permutation(VertexId n) {
   return p;
 }
 
-EdgeList permute(const EdgeList& el, std::span<const VertexId> perm) {
-  VEBO_CHECK(perm.size() == el.num_vertices(),
-             "permute: permutation size != vertex count");
-  std::vector<Edge> edges;
-  edges.reserve(el.num_edges());
-  for (const Edge& e : el.edges())
-    edges.push_back({perm[e.src], perm[e.dst]});
-  return EdgeList(el.num_vertices(), std::move(edges), el.directed());
-}
-
 Graph permute(const Graph& g, std::span<const VertexId> perm) {
-  return Graph::from_edges(permute(g.coo(), perm));
+  VEBO_CHECK(perm.size() == g.num_vertices(),
+             "permute: permutation size != vertex count");
+  return permute_rows(
+      perm, g.directed(), [&](VertexId v) { return g.in_degree(v); },
+      [&](VertexId u, auto&& emit) {
+        for (VertexId w : g.out_neighbors(u)) emit(w);
+      });
 }
 
 std::uint64_t structural_hash(const Graph& g) {
@@ -76,9 +72,14 @@ bool is_isomorphic_under(const Graph& g, const Graph& h,
   if (g.num_vertices() != h.num_vertices()) return false;
   if (g.num_edges() != h.num_edges()) return false;
   if (!is_permutation(perm)) return false;
-  Graph relabelled = permute(g, perm);
-  // Compare CSRs: both builders sort rows, so equality is canonical.
-  return relabelled.out_csr() == h.out_csr();
+  // Oracle independent of the construction kernel: relabel g's COO and
+  // sort it into h's canonical (src, dst) order.
+  std::vector<Edge> relabelled;
+  relabelled.reserve(g.num_edges());
+  for (const Edge& e : g.coo().edges())
+    relabelled.push_back({perm[e.src], perm[e.dst]});
+  std::sort(relabelled.begin(), relabelled.end());
+  return std::ranges::equal(relabelled, h.coo().edges());
 }
 
 }  // namespace vebo

@@ -31,11 +31,30 @@ Permutation compose(std::span<const VertexId> outer,
 /// Identity permutation of size n.
 Permutation identity_permutation(VertexId n);
 
-/// Relabels every edge endpoint: (u,v) -> (perm[u], perm[v]).
-EdgeList permute(const EdgeList& el, std::span<const VertexId> perm);
-
-/// Relabels and rebuilds the graph (CSR + CSC + COO).
+/// Relabels the graph: (u,v) -> (perm[u], perm[v]), CSR + CSC + COO.
 Graph permute(const Graph& g, std::span<const VertexId> perm);
+
+/// The relabelling core behind permute() and DeltaGraph::snapshot(perm),
+/// for a graph given row by row: `for_each_out(u, emit)` calls emit(w)
+/// for every out-neighbor w of old vertex u, and `in_degree(v)` is v's
+/// in-degree. Old vertices are visited in ascending new id and each
+/// out-row is scattered once into the relabelled CSC, whose rows thereby
+/// come out sorted; Csr::transpose then gives the relabelled CSR. No
+/// comparison sort runs, and a wrong `in_degree` throws (Csr::scatter).
+template <typename InDegree, typename ForEachOut>
+Graph permute_rows(std::span<const VertexId> perm, bool directed,
+                   InDegree&& in_degree, ForEachOut&& for_each_out) {
+  const Permutation inv = invert(perm);
+  const auto n = static_cast<VertexId>(perm.size());
+  std::vector<EdgeId> sizes(n);
+  for (VertexId v = 0; v < n; ++v) sizes[perm[v]] = in_degree(v);
+  Csr in = Csr::scatter(sizes, [&](auto&& put) {
+    for (VertexId r = 0; r < n; ++r)
+      for_each_out(inv[r], [&](VertexId w) { put(perm[w], r); });
+  });
+  Csr out = in.transpose();
+  return Graph::from_parts(std::move(out), std::move(in), directed);
+}
 
 /// Order-independent structural fingerprint of a graph: a hash over the
 /// multiset of canonicalized edges under the identity labelling. Two

@@ -13,6 +13,7 @@ Permutation original(const Graph& g) {
 
 Permutation random_order(VertexId n, std::uint64_t seed) {
   Permutation perm = identity_permutation(n);
+  if (n == 0) return perm;
   Xoshiro256 rng(seed);
   for (VertexId v = n - 1; v > 0; --v) {
     const VertexId j = static_cast<VertexId>(rng.next_below(v + 1));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/permute.hpp"
 #include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 
@@ -273,22 +274,15 @@ Csr DeltaGraph::merged_csr(const Csr& base, const std::vector<Block>& blocks,
   return Csr(std::move(offsets), std::move(neighbors));
 }
 
-Graph DeltaGraph::snapshot() const {
-  const VertexId n = n_;
-  Csr out = merged_csr(base_out_, out_blocks_, out_deg_);
-  Csr in = merged_csr(base_in_, in_blocks_, in_deg_);
+Graph DeltaGraph::snapshot(std::span<const VertexId> perm) const {
+  VEBO_CHECK(perm.size() == n_, "snapshot: permutation size != vertex count");
+  return permute_rows(
+      perm, directed_, [&](VertexId v) { return in_deg_[v]; },
+      [&](VertexId u, auto&& emit) { for_each_out(u, emit); });
+}
 
-  // COO straight from the out-CSR rows: already sorted by (src, dst).
-  std::vector<Edge> edges(out.num_edges());
-  const auto offsets = out.offsets();
-  parallel_for(0, n, [&](std::size_t v) {
-    EdgeId e = offsets[v];
-    for (VertexId w : out.neighbors(static_cast<VertexId>(v)))
-      edges[e++] = {static_cast<VertexId>(v), w};
-  });
-  return Graph::from_parts(std::move(out), std::move(in),
-                           EdgeList(n, std::move(edges), directed_),
-                           directed_);
+Graph DeltaGraph::snapshot() const {
+  return snapshot(identity_permutation(n_));
 }
 
 void DeltaGraph::compact() {

@@ -9,10 +9,11 @@
 //
 // `apply_batch` ingests a span of EdgeUpdates in O(B log B) for the batch
 // dedup sort plus O(touched-vertex delta blocks) for the parallel
-// per-vertex merges — it never rebuilds the base. `snapshot()` compacts
-// base+deltas into an immutable `Graph` (CSR + CSC + COO via
-// Graph::from_parts) in O(n + m) with per-vertex parallel merges, so every
-// engine and algorithm runs unchanged on any version of the graph.
+// per-vertex merges — it never rebuilds the base. `snapshot(perm)` turns
+// base+deltas into an immutable, relabelled `Graph` (CSR + CSC + COO) in
+// O(n + m) without a comparison sort (permute_rows: one scatter of the
+// live out-rows, one transpose), so every engine and algorithm runs
+// unchanged on any version of the graph.
 #pragma once
 
 #include <span>
@@ -55,7 +56,12 @@ class DeltaGraph {
   /// including the per-vertex in-degree deltas the rebalancer consumes.
   ApplyResult apply_batch(std::span<const EdgeUpdate> batch);
 
-  /// Compacts base + deltas into an immutable Graph (CSR, CSC, COO).
+  /// The live graph relabelled by `perm` (new_id = perm[old_id]) as an
+  /// immutable Graph (CSR, CSC, COO): byte-identical to
+  /// permute(Graph::from_edges(live edges), perm), but each live out-row
+  /// is read once and no original-id graph is built.
+  Graph snapshot(std::span<const VertexId> perm) const;
+  /// The live graph in original ids: snapshot(identity).
   Graph snapshot() const;
 
   /// Folds all delta blocks into a fresh base (equivalent to rebuilding
@@ -112,7 +118,7 @@ class DeltaGraph {
 
   void grow_to(VertexId n);
   /// Compacts one direction's base + delta blocks into a fresh Csr
-  /// (parallel per-vertex merges). Shared by snapshot() and compact().
+  /// (parallel per-vertex merges) for compact().
   Csr merged_csr(const Csr& base, const std::vector<Block>& blocks,
                  const std::vector<EdgeId>& deg) const;
 

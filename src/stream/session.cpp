@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/permute.hpp"
 #include "obs/recorder.hpp"
 #include "support/error.hpp"
 
@@ -74,10 +73,10 @@ void StreamSession::refresh() {
   // mutation's first query pays. a stays 0 — the session itself is
   // unversioned (the SnapshotStore mints epoch versions at publish).
   obs::StageScope span(obs::SpanKind::Snapshot);
-  // Snapshot in original ids, then relabel by the maintained ordering so
-  // the engine sees VEBO-contiguous partitions.
+  // Relabelled by the maintained ordering so the engine sees
+  // VEBO-contiguous partitions.
   snap_ = std::make_shared<const Graph>(
-      permute(delta_.snapshot(), maintainer_.ordering().perm));
+      delta_.snapshot(maintainer_.ordering().perm));
   ++stats_.snapshots;
   const order::Partitioning* part =
       opts_.model == SystemModel::Ligra ? nullptr

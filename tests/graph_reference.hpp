@@ -1,0 +1,68 @@
+// Serial, sort-based graph construction: the oracle that the counting-
+// transpose kernel (Csr::scatter / Csr::transpose behind
+// Graph::from_edges, permute and DeltaGraph::snapshot) is checked
+// against. It shares no code with the kernel: edges are comparison-sorted
+// and rows are cut from the sorted runs.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "graph/graph.hpp"
+
+namespace vebo::oracle {
+
+struct ReferenceGraph {
+  Csr out;                ///< rows = sources, sorted
+  Csr in;                 ///< rows = destinations, sorted
+  std::vector<Edge> coo;  ///< sorted by (src, dst)
+};
+
+/// Rows keyed by `key(e)` holding `value(e)`, cut from `edges`, which is
+/// sorted by (key, value).
+template <typename Key, typename Value>
+Csr reference_rows(VertexId n, const std::vector<Edge>& edges, Key key,
+                   Value value) {
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> values;
+  values.reserve(edges.size());
+  for (const Edge& e : edges) {
+    ++offsets[key(e) + 1];
+    values.push_back(value(e));
+  }
+  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
+  return Csr(std::move(offsets), std::move(values));
+}
+
+/// The graph over `edges` (a multiset), relabelled by `perm` when given.
+inline ReferenceGraph reference_build(VertexId n, std::vector<Edge> edges,
+                                      std::span<const VertexId> perm = {}) {
+  if (!perm.empty())
+    for (Edge& e : edges) e = {perm[e.src], perm[e.dst]};
+  ReferenceGraph r;
+  std::sort(edges.begin(), edges.end());
+  r.out = reference_rows(n, edges, [](const Edge& e) { return e.src; },
+                         [](const Edge& e) { return e.dst; });
+  r.coo = edges;
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+  });
+  r.in = reference_rows(n, edges, [](const Edge& e) { return e.dst; },
+                        [](const Edge& e) { return e.src; });
+  return r;
+}
+
+/// Byte equality with the reference: both CSRs and the COO.
+inline void expect_same_graph(const Graph& g, const ReferenceGraph& ref) {
+  ASSERT_EQ(g.num_vertices(), ref.out.num_vertices());
+  ASSERT_EQ(g.num_edges(), ref.out.num_edges());
+  EXPECT_EQ(g.out_csr(), ref.out);
+  EXPECT_EQ(g.in_csr(), ref.in);
+  EXPECT_TRUE(std::ranges::equal(g.coo().edges(), ref.coo));
+  EXPECT_EQ(g.coo().num_vertices(), g.num_vertices());
+}
+
+}  // namespace vebo::oracle

@@ -1,11 +1,16 @@
 // Tests for the graph core: edge lists, CSR/CSC construction, Graph,
-// degree statistics, permutation machinery, and I/O round trips.
+// degree statistics, permutation machinery, and I/O round trips. The
+// construction kernel (from_edges, permute, DeltaGraph::snapshot) is
+// checked byte for byte against the sort-based oracle in
+// graph_reference.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 
 #include "gen/synthetic.hpp"
@@ -13,7 +18,12 @@
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
+#include "order/sort_order.hpp"
+#include "order/vebo.hpp"
+#include "stream/delta_graph.hpp"
 #include "support/error.hpp"
+#include "support/prng.hpp"
 
 namespace vebo {
 namespace {
@@ -43,6 +53,19 @@ TEST(EdgeList, ValidateRejectsOutOfRange) {
   EXPECT_THROW(EdgeList(2, {{0, 5}}, true), Error);
 }
 
+TEST(EdgeList, RejectsTheSentinelId) {
+  // n = id + 1 would wrap to 0 and leave n below an endpoint.
+  EdgeList el;
+  EXPECT_THROW(el.add(kInvalidVertex, 0), Error);
+  EXPECT_THROW(el.add(0, kInvalidVertex), Error);
+  EXPECT_EQ(el.num_edges(), 0u);
+  EdgeList grow(1, {}, true);
+  grow.add(0, 0);
+  grow.mutable_edges()[0] = {kInvalidVertex, 0};
+  EXPECT_THROW(grow.validate(/*grow=*/true), Error);
+  EXPECT_EQ(grow.num_vertices(), 1u);
+}
+
 TEST(EdgeList, RemoveSelfLoops) {
   EdgeList el(3, {{0, 0}, {0, 1}, {2, 2}}, true);
   el.remove_self_loops();
@@ -66,7 +89,7 @@ TEST(EdgeList, SymmetrizeAddsReverses) {
 TEST(EdgeList, SortOrders) {
   EdgeList el(3, {{2, 0}, {0, 2}, {1, 1}, {0, 1}}, true);
   el.sort_by_source();
-  EXPECT_TRUE(el.is_sorted_by_source());
+  EXPECT_TRUE(std::is_sorted(el.edges().begin(), el.edges().end()));
   el.sort_by_destination();
   auto e = el.edges();
   for (std::size_t i = 1; i < e.size(); ++i) EXPECT_LE(e[i - 1].dst, e[i].dst);
@@ -74,8 +97,8 @@ TEST(EdgeList, SortOrders) {
 
 // ------------------------------------------------------------------ Csr
 
-TEST(Csr, BuildBySource) {
-  const Csr csr = Csr::build(small_list(), /*by_destination=*/false);
+TEST(Csr, OutRowsFromEdges) {
+  const Csr csr = Graph::from_edges(small_list()).out_csr();
   EXPECT_EQ(csr.num_vertices(), 4u);
   EXPECT_EQ(csr.num_edges(), 4u);
   EXPECT_EQ(csr.degree(0), 2u);
@@ -88,13 +111,45 @@ TEST(Csr, BuildBySource) {
   EXPECT_TRUE(csr.valid());
 }
 
-TEST(Csr, BuildByDestinationIsCsc) {
-  const Csr csc = Csr::build(small_list(), /*by_destination=*/true);
+TEST(Csr, InRowsAreCsc) {
+  const Csr csc = Graph::from_edges(small_list()).in_csr();
   EXPECT_EQ(csc.degree(0), 1u);  // in-edges of 0: from 3
   EXPECT_EQ(csc.degree(2), 2u);
   auto in2 = csc.neighbors(2);
   EXPECT_EQ(std::vector<VertexId>(in2.begin(), in2.end()),
             (std::vector<VertexId>{0, 1}));
+}
+
+TEST(Csr, TransposeSortsRowsWithoutASort) {
+  // Unsorted rows with a duplicate: 0 -> {2, 0, 2}, 1 -> {1}, 2 -> {}.
+  const Csr a({0, 3, 4, 4}, {2, 0, 2, 1});
+  const Csr t = a.transpose();
+  EXPECT_EQ(t, Csr({0, 1, 2, 4}, {0, 1, 0, 0}));
+  EXPECT_EQ(t.transpose(), Csr({0, 3, 4, 4}, {0, 2, 2, 1}));
+  EXPECT_TRUE(t.transpose().valid());
+  EXPECT_THROW(Csr({0, 1}, {1}).transpose(), Error);  // neighbor >= n
+}
+
+TEST(Csr, ScatterRejectsSizesThatDisagreeWithTheFill) {
+  const std::vector<EdgeId> sizes = {1, 1};
+  auto put_twice_into_row = [](VertexId row) {
+    return [row](auto&& put) {
+      put(row, 7);
+      put(row, 8);
+    };
+  };
+  // Row 0 overflows into row 1: caught by the exact-fill check.
+  EXPECT_THROW(Csr::scatter(sizes, put_twice_into_row(0)), Error);
+  // The last row overflows past the array: caught before the write.
+  EXPECT_THROW(Csr::scatter(sizes, put_twice_into_row(1)), Error);
+  // Too few entries, and a row id past the end.
+  EXPECT_THROW(Csr::scatter(sizes, [](auto&& put) { put(0, 7); }), Error);
+  EXPECT_THROW(Csr::scatter(sizes, [](auto&& put) { put(2, 7); }), Error);
+  const Csr ok = Csr::scatter(sizes, [](auto&& put) {
+    put(1, 8);
+    put(0, 7);
+  });
+  EXPECT_EQ(ok, Csr({0, 1, 2}, {7, 8}));
 }
 
 TEST(Csr, RawConstructorValidates) {
@@ -104,7 +159,7 @@ TEST(Csr, RawConstructorValidates) {
 }
 
 TEST(Csr, EmptyGraph) {
-  const Csr csr = Csr::build(EdgeList(3, {}, true), false);
+  const Csr csr = Graph::from_edges(EdgeList(3, {}, true)).out_csr();
   EXPECT_EQ(csr.num_vertices(), 3u);
   EXPECT_EQ(csr.num_edges(), 0u);
   EXPECT_TRUE(csr.valid());
@@ -123,26 +178,26 @@ TEST(Graph, FromEdgesBuildsBothDirections) {
   EXPECT_EQ(g.count_zero_out_degree(), 1u); // vertex 2
 }
 
-TEST(Graph, FromPartsMatchesFromEdges) {
+TEST(Graph, FromPartsDerivesTheCoo) {
   const Graph g = Graph::from_edges(small_list());
-  const Graph h = Graph::from_parts(g.out_csr(), g.in_csr(),
-                                    g.coo(), g.directed());
+  const Graph h = Graph::from_parts(g.out_csr(), g.in_csr(), g.directed());
   EXPECT_EQ(g.out_csr(), h.out_csr());
   EXPECT_EQ(g.in_csr(), h.in_csr());
   EXPECT_EQ(g.num_vertices(), h.num_vertices());
   EXPECT_EQ(g.num_edges(), h.num_edges());
+  EXPECT_TRUE(std::ranges::equal(
+      h.coo().edges(), std::vector<Edge>{{0, 1}, {0, 2}, {1, 2}, {3, 0}}));
   EXPECT_EQ(structural_hash(g), structural_hash(h));
 }
 
 TEST(Graph, FromPartsRejectsInconsistentParts) {
   const Graph g = Graph::from_edges(small_list());
   // CSC with the wrong edge count.
-  EXPECT_THROW(Graph::from_parts(g.out_csr(), Csr({0, 0, 0, 0, 0}, {}),
-                                 g.coo(), true),
-               Error);
-  // COO with the wrong vertex count.
-  EXPECT_THROW(Graph::from_parts(g.out_csr(), g.in_csr(),
-                                 EdgeList(5, {}, true), true),
+  EXPECT_THROW(
+      Graph::from_parts(g.out_csr(), Csr({0, 0, 0, 0, 0}, {}), true), Error);
+  // CSC with the wrong vertex count.
+  EXPECT_THROW(Graph::from_parts(g.out_csr(), Csr({0, 4, 4, 4}, {0, 0, 1, 3}),
+                                 true),
                Error);
 }
 
@@ -237,11 +292,131 @@ TEST(Permute, IsomorphismFailsForWrongWitness) {
   const Graph g = Graph::from_edges(small_list());
   const Graph h = permute(g, Permutation{3, 1, 0, 2});
   EXPECT_FALSE(is_isomorphic_under(g, h, identity_permutation(4)));
+  EXPECT_FALSE(is_isomorphic_under(g, h, Permutation{3, 1, 0, 0}));
 }
 
 TEST(Permute, RejectsSizeMismatch) {
   const Graph g = Graph::from_edges(small_list());
   EXPECT_THROW(permute(g, Permutation{0, 1}), Error);
+}
+
+// ------------------------------------- construction vs the sort oracle
+
+using oracle::expect_same_graph;
+using oracle::reference_build;
+
+/// Seeded multigraph: duplicate edges, self loops, and the top quarter of
+/// the ids left isolated.
+std::vector<Edge> random_multigraph(VertexId n, std::size_t m,
+                                    std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const VertexId live = std::max<VertexId>(1, n - n / 4);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto s = static_cast<VertexId>(rng.next_below(live));
+    const auto d = static_cast<VertexId>(rng.next_below(live));
+    edges.push_back({s, d});
+    if (rng.next_below(8) == 0) edges.push_back({s, d});  // duplicate
+    if (rng.next_below(16) == 0) edges.push_back({s, s});  // self loop
+  }
+  return edges;
+}
+
+std::vector<Permutation> test_perms(const Graph& g, std::uint64_t seed) {
+  const VertexId n = g.num_vertices();
+  std::vector<Permutation> perms = {identity_permutation(n),
+                                    order::random_order(n, seed)};
+  if (n > 0) perms.push_back(order::vebo(g, 4).perm);
+  return perms;
+}
+
+struct Input {
+  const char* name;
+  VertexId n;
+  std::vector<Edge> edges;
+  bool directed;
+};
+
+std::vector<Input> oracle_inputs() {
+  std::vector<Input> in;
+  in.push_back({"empty", 0, {}, true});
+  in.push_back({"one vertex, looped twice", 1, {{0, 0}, {0, 0}}, true});
+  in.push_back({"one isolated vertex", 1, {}, true});
+  in.push_back({"multigraph 64", 64, random_multigraph(64, 300, 1), true});
+  in.push_back(
+      {"multigraph 1000", 1000, random_multigraph(1000, 6000, 2), true});
+  EdgeList sym(200, random_multigraph(200, 900, 3), true);
+  sym.symmetrize();
+  in.push_back({"symmetrized", 200,
+                std::vector<Edge>(sym.edges().begin(), sym.edges().end()),
+                false});
+  return in;
+}
+
+TEST(Construction, FromEdgesAndPermuteMatchTheSortOracle) {
+  for (const Input& in : oracle_inputs()) {
+    SCOPED_TRACE(in.name);
+    const Graph g = Graph::from_edges(EdgeList(in.n, in.edges, in.directed));
+    expect_same_graph(g, reference_build(in.n, in.edges));
+    EXPECT_EQ(g.directed(), in.directed);
+    for (const Permutation& p : test_perms(g, 7)) {
+      const Graph h = permute(g, p);
+      expect_same_graph(h, reference_build(in.n, in.edges, p));
+      EXPECT_EQ(h.directed(), in.directed);
+      EXPECT_TRUE(is_isomorphic_under(g, h, p));
+    }
+  }
+}
+
+TEST(Construction, DeltaSnapshotMatchesTheSortOracle) {
+  for (const Input& in : oracle_inputs()) {
+    SCOPED_TRACE(in.name);
+    // Base only: the snapshot reproduces the base multigraph.
+    const Graph g = Graph::from_edges(EdgeList(in.n, in.edges, in.directed));
+    const stream::DeltaGraph base_only(g);
+    for (const Permutation& p : test_perms(g, 11))
+      expect_same_graph(base_only.snapshot(p),
+                        reference_build(in.n, in.edges, p));
+    if (!in.directed) continue;
+
+    // Base plus deltas, including batches that grow the vertex set: model
+    // the live edge set, then compare every relabelling of it.
+    EdgeList simple(in.n, in.edges, true);
+    simple.remove_duplicates();
+    stream::DeltaGraph dg(Graph::from_edges(simple));
+    std::set<Edge> live(simple.edges().begin(), simple.edges().end());
+    Xoshiro256 rng(in.n + 5);
+    for (int b = 0; b < 4; ++b) {
+      const VertexId span = dg.num_vertices() + 3;  // ids past n grow it
+      std::vector<stream::EdgeUpdate> batch;
+      for (int i = 0; i < 40; ++i) {
+        const auto s = static_cast<VertexId>(rng.next_below(span));
+        const auto d = rng.next_below(6) == 0
+                           ? s
+                           : static_cast<VertexId>(rng.next_below(span));
+        if (rng.next_below(4) == 0) {
+          batch.push_back(stream::EdgeUpdate::remove(s, d));
+          live.erase({s, d});
+        } else {
+          batch.push_back(stream::EdgeUpdate::insert(s, d));
+          live.insert({s, d});
+        }
+      }
+      dg.apply_batch(batch);
+      const std::vector<Edge> edges(live.begin(), live.end());
+      const Graph now =
+          Graph::from_edges(EdgeList(dg.num_vertices(), edges, true));
+      for (const Permutation& p : test_perms(now, 13 + b))
+        expect_same_graph(dg.snapshot(p),
+                          reference_build(dg.num_vertices(), edges, p));
+    }
+  }
+}
+
+TEST(Construction, DeltaSnapshotRejectsWrongPermutationSize) {
+  const stream::DeltaGraph dg(Graph::from_edges(small_list()));
+  EXPECT_THROW(dg.snapshot(Permutation{0, 1}), Error);
+  EXPECT_THROW(dg.snapshot(Permutation{0, 0, 1, 2}), Error);
 }
 
 // ------------------------------------------------------------------- io
@@ -450,6 +625,25 @@ TEST(Io, AdjacencyRejectsAbsurdCounts) {
   EXPECT_THROW(io::read_adjacency(big_n, true), Error);
   std::stringstream big_m("AdjacencyGraph\n2\n900000000000\n0\n1\n");
   EXPECT_THROW(io::read_adjacency(big_m, true), Error);
+}
+
+TEST(Io, EdgeListRejectsTheSentinelId) {
+  // 4294967295 fits in 32 bits but is kInvalidVertex: max_id + 1 would
+  // wrap the vertex count to 0. It must fail with a message naming the
+  // id, not as "edge endpoint out of range".
+  for (const char* text : {"0 4294967295\n", "4294967295 0\n",
+                           "0 1\n4294967295 4294967295\n"}) {
+    std::stringstream ss(text);
+    try {
+      io::read_edge_list(ss);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("4294967295"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream largest("4294967294 0\n");
+  EXPECT_EQ(io::read_edge_list(largest).num_vertices(), kInvalidVertex);
 }
 
 TEST(Io, AdjacencyRejectsNonMonotoneOffsets) {

@@ -13,8 +13,10 @@
 #include "algorithms/registry.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "metrics/balance.hpp"
 #include "order/partition.hpp"
+#include "order/sort_order.hpp"
 #include "order/vebo.hpp"
 #include "stream/delta_graph.hpp"
 #include "stream/rebalance.hpp"
@@ -35,23 +37,32 @@ using stream::VeboMaintainer;
 
 using EdgeSet = std::set<std::pair<VertexId, VertexId>>;
 
-Graph reference_graph(VertexId n, const EdgeSet& edges, bool directed = true) {
+std::vector<Edge> edge_vector(const EdgeSet& edges) {
   std::vector<Edge> es;
   es.reserve(edges.size());
   for (const auto& [s, d] : edges) es.push_back({s, d});
-  return Graph::from_edges(EdgeList(n, std::move(es), directed));
+  return es;
 }
 
-void expect_snapshot_equals(const DeltaGraph& dg, const Graph& ref) {
-  const Graph snap = dg.snapshot();
-  ASSERT_EQ(snap.num_vertices(), ref.num_vertices());
-  ASSERT_EQ(snap.num_edges(), ref.num_edges());
-  EXPECT_EQ(snap.out_csr(), ref.out_csr());
-  EXPECT_EQ(snap.in_csr(), ref.in_csr());
-  EXPECT_EQ(structural_hash(snap), structural_hash(ref));
-  for (VertexId v = 0; v < ref.num_vertices(); ++v) {
-    ASSERT_EQ(dg.out_degree(v), ref.out_degree(v)) << "v=" << v;
-    ASSERT_EQ(dg.in_degree(v), ref.in_degree(v)) << "v=" << v;
+Graph reference_graph(VertexId n, const EdgeSet& edges, bool directed = true) {
+  return Graph::from_edges(EdgeList(n, edge_vector(edges), directed));
+}
+
+/// The snapshot, in original ids and relabelled by a random permutation,
+/// is byte-identical to the sort-based oracle over the live edge set, and
+/// the maintained degrees match it.
+void expect_snapshot_equals(const DeltaGraph& dg, VertexId n,
+                            const EdgeSet& live) {
+  ASSERT_EQ(dg.num_vertices(), n);
+  const std::vector<Edge> edges = edge_vector(live);
+  const oracle::ReferenceGraph ref = oracle::reference_build(n, edges);
+  oracle::expect_same_graph(dg.snapshot(), ref);
+  const Permutation shuffle = order::random_order(n, live.size());
+  oracle::expect_same_graph(dg.snapshot(shuffle),
+                            oracle::reference_build(n, edges, shuffle));
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(dg.out_degree(v), ref.out.degree(v)) << "v=" << v;
+    ASSERT_EQ(dg.in_degree(v), ref.in.degree(v)) << "v=" << v;
   }
 }
 
@@ -157,8 +168,7 @@ TEST(DeltaGraph, SnapshotMatchesFromEdges) {
   dg.apply_batch(std::vector<EdgeUpdate>{
       EdgeUpdate::insert(2, 3), EdgeUpdate::remove(1, 2),
       EdgeUpdate::insert(3, 0), EdgeUpdate::insert(0, 4)});
-  expect_snapshot_equals(
-      dg, reference_graph(5, {{0, 1}, {4, 0}, {2, 3}, {3, 0}, {0, 4}}));
+  expect_snapshot_equals(dg, 5, {{0, 1}, {4, 0}, {2, 3}, {3, 0}, {0, 4}});
 }
 
 TEST(DeltaGraph, CompactPreservesGraphAndClearsDeltas) {
@@ -204,30 +214,36 @@ TEST(DeltaGraph, UndirectedUpdatesMirrorBothOrientations) {
     EXPECT_EQ(snap.out_degree(v), snap.in_degree(v)) << "v=" << v;
   EdgeList want(4, {{1, 2}, {2, 3}}, true);
   want.symmetrize();
-  EXPECT_EQ(snap.out_csr(), Graph::from_edges(want).out_csr());
+  oracle::expect_same_graph(
+      snap, oracle::reference_build(4, std::vector<Edge>(want.edges().begin(),
+                                                        want.edges().end())));
 }
 
-// Property: after N random insert/delete batches the snapshot is
-// vertex-for-vertex identical to Graph::from_edges over the final edge
-// set (the ISSUE-2 acceptance property).
+// Property: after N random insert/delete batches, some of which grow the
+// vertex set, every snapshot is byte-identical to the sort-based oracle
+// over the live edge set (the streaming acceptance property).
 TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
-  const VertexId n = 160;
+  const VertexId n0 = 120;
   const int kBatches = 25, kBatchSize = 60;
   Xoshiro256 rng(1234);
-  DeltaGraph dg(n);
+  DeltaGraph dg(n0);
   EdgeSet ref;
+  VertexId n = n0;
 
   for (int b = 0; b < kBatches; ++b) {
+    // Every third batch reaches a few ids past the current vertex count.
+    const VertexId span = n + (b % 3 == 2 ? 4 : 0);
     std::vector<EdgeUpdate> batch;
     batch.reserve(kBatchSize);
     for (int i = 0; i < kBatchSize; ++i) {
       // Skewed endpoints so some vertices become hubs (degree drift).
-      const VertexId s = static_cast<VertexId>(rng.next_below(n));
+      const VertexId s = static_cast<VertexId>(rng.next_below(span));
       const VertexId d = static_cast<VertexId>(
-          rng.next_below(static_cast<std::uint64_t>(n) / (1 + b % 4)));
+          rng.next_below(static_cast<std::uint64_t>(span) / (1 + b % 4)));
       const bool ins = rng.next_below(10) < 7;  // 70% inserts
       batch.push_back(ins ? EdgeUpdate::insert(s, d)
                           : EdgeUpdate::remove(s, d));
+      n = std::max({n, s + 1, d + 1});
       if (ins)
         ref.insert({s, d});
       else
@@ -235,8 +251,10 @@ TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
     }
     dg.apply_batch(batch);
     ASSERT_EQ(dg.num_edges(), ref.size()) << "batch " << b;
+    if (b % 5 == 4) expect_snapshot_equals(dg, n, ref);
   }
-  expect_snapshot_equals(dg, reference_graph(n, ref));
+  EXPECT_GT(n, n0);
+  expect_snapshot_equals(dg, n, ref);
 }
 
 // bfs/cc/pagerank agree on the streamed snapshot across all three
@@ -271,8 +289,8 @@ TEST(DeltaGraph, AlgorithmsAgreeOnSnapshotAcrossEngines) {
   if (!batch.empty()) dg.apply_batch(batch);
 
   const Graph snap = dg.snapshot();
+  expect_snapshot_equals(dg, full.num_vertices(), ref);
   const Graph rebuilt = reference_graph(full.num_vertices(), ref);
-  EXPECT_EQ(snap.out_csr(), rebuilt.out_csr());
 
   const VertexId src = 1;
   for (const char* code : {"BFS", "CC", "PR"}) {
@@ -448,7 +466,7 @@ TEST(Maintainer, DriftTriggersIncrementalAndRestoresBounds) {
 
   // The maintained loads must match a from-scratch profile of the
   // reordered snapshot under the maintained partitioning.
-  const Graph reordered = permute(dg.snapshot(), m.ordering().perm);
+  const Graph reordered = dg.snapshot(m.ordering().perm);
   const auto prof = metrics::profile_partitions(reordered, m.partitioning());
   EXPECT_EQ(prof.edges, m.ordering().part_edges);
   EXPECT_LE(prof.edge_imbalance(), m.edge_bound(dg));
@@ -521,6 +539,12 @@ TEST(Session, InterleavedUpdatesAndQueriesMatchStaticRebuild) {
       ref.insert({all[cursor].src, all[cursor].dst});
     }
     session.apply(batch);
+    // The published snapshot is the oracle graph under the maintained
+    // VEBO ordering.
+    oracle::expect_same_graph(
+        session.snapshot(),
+        oracle::reference_build(full.num_vertices(), edge_vector(ref),
+                                 session.maintainer().ordering().perm));
 
     const Graph rebuilt = reference_graph(full.num_vertices(), ref);
     Engine ref_eng(rebuilt, SystemModel::Polymer);
