@@ -59,7 +59,7 @@ int main() {
     Table t("speedup vs Original — " + std::string(name));
     t.set_header({"Algo", "Original", "VEBO", "Random", "Random+VEBO"});
     for (const char* code : {"PRD", "PR", "CC", "BFS"}) {
-      const auto& a = algo::algorithm(code);
+      const auto& a = algo::spec(code);
       std::map<std::string, double> secs;
       for (auto& v : variants) {
         EngineOptions opts;
@@ -68,7 +68,8 @@ int main() {
         else
           opts.partitions = bench::kPaperPartitions;
         Engine eng(v.graph, SystemModel::GraphGrind, opts);
-        secs[v.name] = bench::time_median([&] { a.run(eng, 0); }, 3);
+        secs[v.name] =
+            bench::time_median([&] { a.checksum(a.invoke(eng)); }, 3);
       }
       const double base = secs["Original"];
       t.add_row({code, "1.000",

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "algorithms/query.hpp"
+#include "algorithms/registry.hpp"
 #include "order/vebo.hpp"
 #include "serve/graph_service.hpp"
 #include "serve/snapshot_store.hpp"
@@ -65,8 +65,7 @@ struct IncrAlgo {
 
 struct IncrSection {
   std::size_t batch_size = 0;
-  double first_query_ms = 0;          ///< after publish, no pre-warm
-  double first_query_prewarm_ms = 0;  ///< after publish, prewarm_on_publish
+  double first_query_ms = 0;  ///< first query after a publish
   std::vector<IncrAlgo> algos;
 };
 
@@ -195,10 +194,9 @@ Point run_point(const Graph& full, std::size_t batch_size,
   const Graph rebuilt = rebuild_from_live();
 
   Engine reb_eng(rebuilt, SystemModel::Polymer);
-  p.rebuild_query_ms = bench::time_median([&] {
-                         algo::algorithm("PR").run(reb_eng, 0);
-                       }) *
-                       1e3;
+  const algo::AlgorithmSpec& pr = algo::spec("PR");
+  p.rebuild_query_ms =
+      bench::time_median([&] { pr.checksum(pr.invoke(reb_eng)); }) * 1e3;
   return p;
 }
 
@@ -209,7 +207,7 @@ Point run_point(const Graph& full, std::size_t batch_size,
 // includes both payload translations, like the recompute side includes
 // its translation), recompute_ms from a timed from-scratch query_typed
 // on the same version. Also measures the first-query-after-publish
-// engine-rebind spike with and without prewarm_on_publish.
+// engine-rebind spike.
 IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
   const auto all = full.coo().edges();
   EdgeList el(full.num_vertices(), std::vector<Edge>(all.begin(), all.end()),
@@ -287,16 +285,14 @@ IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
   }
 
   // First-query-after-publish: cache off so the measured query is the
-  // engine rebind + lazy dense-structure build (what prewarm moves onto
-  // the publishing thread) plus one PR run.
-  for (const bool prewarm : {false, true}) {
+  // engine rebind + lazy dense-structure build plus one PR run.
+  {
     stream::StreamSession session(seed);
     serve::SnapshotStore store;
     serve::GraphServiceOptions o;
     o.workers = 1;
     o.enable_cache = false;
     o.engine.model = SystemModel::Polymer;
-    o.prewarm_on_publish = prewarm;
     serve::GraphService service(store, o);
     service.publish_session(session);
     (void)service.query({"PR", 0});  // create the pool's engine once
@@ -309,8 +305,7 @@ IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
       lat.push_back(t.elapsed_ms());
     }
     std::sort(lat.begin(), lat.end());
-    (prewarm ? sec.first_query_prewarm_ms : sec.first_query_ms) =
-        lat[lat.size() / 2];
+    sec.first_query_ms = lat[lat.size() / 2];
   }
   return sec;
 }
@@ -363,7 +358,6 @@ int main() {
       std::cout << " " << a.code << " " << a.refresh_ms << "/"
                 << a.recompute_ms << "ms (" << a.speedup << "x)";
     std::cout << "\n  first query after publish: " << run.inc.first_query_ms
-              << "ms, with prewarm " << run.inc.first_query_prewarm_ms
               << "ms" << std::endl;
     runs.push_back(run);
   }
@@ -395,8 +389,7 @@ int main() {
     json << "    ],\n     \"incremental\": {\"batch_size\": "
          << run.inc.batch_size
          << ", \"first_query_after_publish_ms\": " << run.inc.first_query_ms
-         << ", \"first_query_after_publish_prewarm_ms\": "
-         << run.inc.first_query_prewarm_ms << ", \"algos\": [\n";
+         << ", \"algos\": [\n";
     for (std::size_t i = 0; i < run.inc.algos.size(); ++i) {
       const IncrAlgo& a = run.inc.algos[i];
       json << "       {\"algo\": \"" << a.code

@@ -29,12 +29,12 @@ struct SystemSpec {
   VertexId vebo_partitions;  // paper: 4 for Polymer, 384 otherwise
 };
 
-double run_algo(const algo::AlgorithmInfo& a, const Graph& g,
+double run_algo(const algo::AlgorithmSpec& a, const Graph& g,
                 SystemModel model, const order::Partitioning* explicit_part) {
   EngineOptions opts;
   opts.explicit_partitioning = explicit_part;
   Engine eng(g, model, opts);
-  return bench::time_median([&] { a.run(eng, 0); }, 3);
+  return bench::time_median([&] { a.checksum(a.invoke(eng)); }, 3);
 }
 
 }  // namespace
@@ -77,7 +77,7 @@ int main() {
       Table t(to_string(sys.model) + " — " + spec.name +
               "  (seconds, * = fastest)");
       t.set_header({"Algo", "Orig.", "RCM", "Gorder", "VEBO"});
-      for (const auto& a : algo::algorithms()) {
+      for (const auto& a : algo::specs()) {
         // The paper omits BC on Polymer (no implementation there).
         if (a.code == "BC" && sys.model == SystemModel::Polymer) continue;
         std::map<std::string, double> secs;

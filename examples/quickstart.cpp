@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "algorithms/registry.hpp"
+#include "framework/engine.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
 #include "metrics/balance.hpp"

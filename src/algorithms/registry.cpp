@@ -41,42 +41,6 @@ const AlgorithmSpec& spec(const std::string& code) {
   throw Error("unknown algorithm code: " + code);
 }
 
-const std::vector<AlgorithmInfo>& algorithms() {
-  static const std::vector<AlgorithmInfo> algos = [] {
-    std::vector<AlgorithmInfo> v;
-    for (const AlgorithmSpec& s : specs()) {
-      // &s is stable: specs() is a function-local static.
-      v.push_back({s.code, s.description, s.edge_oriented, s.dense_frontier,
-                   [sp = &s](const Engine& eng, VertexId source) {
-                     QueryParams p;
-                     if (sp->params.find("source") != nullptr)
-                       p.set("source", source);
-                     // invoke() binds the (unbounded) context so the
-                     // framework poll points stay a no-op pointer test.
-                     return sp->checksum(sp->invoke(eng, p));
-                   }});
-    }
-    return v;
-  }();
-  return algos;
-}
-
-const AlgorithmInfo* find_algorithm(std::string_view code) {
-  static const std::unordered_map<std::string_view, const AlgorithmInfo*>
-      index = [] {
-        std::unordered_map<std::string_view, const AlgorithmInfo*> m;
-        for (const auto& a : algorithms()) m.emplace(a.code, &a);
-        return m;
-      }();
-  const auto it = index.find(code);
-  return it == index.end() ? nullptr : it->second;
-}
-
-const AlgorithmInfo& algorithm(const std::string& code) {
-  if (const AlgorithmInfo* a = find_algorithm(code)) return *a;
-  throw Error("unknown algorithm code: " + code);
-}
-
 const std::vector<std::string>& algorithm_codes() {
   static const std::vector<std::string> codes = [] {
     std::vector<std::string> c;

@@ -2,16 +2,11 @@
 // the typed query protocol (algorithms/query.hpp): each entry is an
 // AlgorithmSpec with a ParamSchema, a run() returning a typed
 // QueryPayload (distances, component labels, rank vectors, top-k lists),
-// and the deterministic checksum fold of that payload.
-//
-// Two surfaces over the same specs:
-//  * specs()/find_spec()/spec(): the typed protocol — what the serving
-//    layer and parameterized clients use;
-//  * algorithms()/find_algorithm()/algorithm(): the legacy checksum
-//    surface (Table III benches sweeping "all algorithms x all graphs x
-//    all orderings") — a thin adapter running each spec with default
-//    params (plus the given source) and folding the payload to the
-//    pre-protocol checksum value.
+// and the deterministic checksum fold of that payload. Every caller goes
+// through the spec: the serving layer and parameterized clients run
+// validated params, and checksum callers (the Table III benches sweeping
+// "all algorithms x all graphs x all orderings") fold the payload with
+// `s.checksum(s.invoke(eng, params))`.
 //
 // Thread-safety: the tables are immutable after their C++11 magic-static
 // initialization, so every accessor below may be called concurrently with
@@ -19,13 +14,11 @@
 // query hot path.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
@@ -40,28 +33,6 @@ const AlgorithmSpec* find_spec(std::string_view code);
 
 /// Spec lookup by code; throws vebo::Error on unknown code.
 const AlgorithmSpec& spec(const std::string& code);
-
-// ------------------------------------------- legacy checksum surface
-
-struct AlgorithmInfo {
-  std::string code;         ///< paper's code: BC, CC, PR, BFS, PRD, SPMV, BF, BP
-  std::string description;  ///< one-liner from Table II
-  bool edge_oriented;       ///< E vs V orientation (Table II)
-  bool dense_frontier;      ///< predominantly dense frontiers (Table II)
-  /// Runs the spec with Table II's default parameters (source forwarded
-  /// when the schema takes one) and returns the checksum fold of the
-  /// payload — byte-identical to the pre-protocol checksum closures.
-  std::function<double(const Engine&, VertexId source)> run;
-};
-
-/// All 8 algorithms in the paper's order (adapters over specs()).
-const std::vector<AlgorithmInfo>& algorithms();
-
-/// Lookup by code; returns nullptr on unknown code.
-const AlgorithmInfo* find_algorithm(std::string_view code);
-
-/// Lookup by code; throws vebo::Error on unknown code.
-const AlgorithmInfo& algorithm(const std::string& code);
 
 /// The registered codes, in the paper's order (for demos and services
 /// enumerating their query surface).

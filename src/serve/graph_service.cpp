@@ -57,9 +57,6 @@ GraphService::GraphService(SnapshotStore& store, GraphServiceOptions opts)
   VEBO_CHECK(!opts_.enable_cache || opts_.cache_capacity >= 1,
              "GraphService: cache_capacity must be >= 1 "
              "(set enable_cache = false to serve uncached)");
-  VEBO_CHECK(!opts_.serve_stale || opts_.enable_cache,
-             "GraphService: serve_stale requires enable_cache "
-             "(stale answers come from the retired cache generation)");
   workers_.reserve(opts_.workers);
   worker_state_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)
@@ -80,11 +77,19 @@ Submission GraphService::submit(Query q) {
   Item item;
   // The deadline is made absolute at admission: queue wait counts
   // against the budget, and the shed check / superstep polls compare
-  // against one fixed time point.
-  if (q.deadline_ms > 0)
-    item.ctx.set_deadline(QueryContext::Clock::now() +
-                          std::chrono::microseconds(static_cast<std::int64_t>(
-                              q.deadline_ms * 1000.0)));
+  // against one fixed time point. A budget past the clock's range (or
+  // +inf) has no time point to name: it runs without a deadline. The
+  // min() absorbs the rounding of `room` in the double comparison.
+  if (q.deadline_ms > 0) {
+    using Clock = QueryContext::Clock;
+    const Clock::time_point now = Clock::now();
+    const Clock::duration room = Clock::time_point::max() - now;
+    const std::chrono::duration<double, std::milli> budget(q.deadline_ms);
+    if (budget < room)
+      item.ctx.set_deadline(
+          now + std::min(room, std::chrono::duration_cast<Clock::duration>(
+                                   budget)));
+  }
   if (q.cancel.can_be_cancelled()) item.ctx.set_cancel_token(q.cancel);
   // The enqueue stamp reuses the admission Timer's start (same steady
   // epoch) — no clock read, so it is unconditional. Whether anything
@@ -117,76 +122,40 @@ Submission GraphService::submit(Query q) {
       queue_.push_back(std::move(item));
     }
   }
-  // Graceful degradation: a backpressure rejection may instead be
-  // answered from the previous-epoch generation (stale-serve mode only;
-  // the result carries stale=true). The submission then counts as
-  // accepted + completed, never as rejected. The query is entered as
-  // in-flight BEFORE the stale lookup and settled after, so the ledger
-  // invariant holds for observers during the lookup too.
-  if (sub.status == SubmitStatus::QueueFull && opts_.serve_stale) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.submitted;
-      ++stats_.in_flight;
-    }
-    if (try_serve_stale(item, /*ws=*/nullptr)) {
-      sub.status = SubmitStatus::Accepted;
-      return sub;
-    }
-    {
-      MutexLock lk(stats_mutex_);
-      --stats_.in_flight;
-      ++stats_.rejected;
-      ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
-    }
-    // Rejections count toward the windowed error rate (they ARE client-
-    // visible failures) but carry no latency sample.
-    observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
-    sub.result = {};  // rejected submissions carry no future
-    return sub;
-  }
   if (sub.status == SubmitStatus::Accepted) {
     queue_cv_.notify_one();
-  } else {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.submitted;
-      ++stats_.rejected;
-      // Rejections carry no future, so the code lands in the counter
-      // only (nothing to attach a ServiceError to).
-      ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
-    }
-    observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
-    sub.result = {};  // rejected submissions carry no future
     return sub;
   }
+  {
+    MutexLock lk(stats_mutex_);
+    ++stats_.submitted;
+    ++stats_.rejected;
+    // Rejections carry no future, so the code lands in the counter only
+    // (nothing to attach a ServiceError to).
+    ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
+  }
+  // Rejections count toward the windowed error rate (they ARE client-
+  // visible failures) but carry no latency sample.
+  observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
+  sub.result = {};  // rejected submissions carry no future
   return sub;
 }
 
-QueryResult GraphService::query(Query q, RetryPolicy retry) {
-  double backoff_ms = retry.initial_backoff_ms;
-  for (int attempt = 1;; ++attempt) {
-    Submission sub = submit(q);  // keep q for a possible retry
-    if (sub.accepted()) return sub.result.get();
-    // Stopped is terminal; QueueFull is the retryable overload signal.
-    if (sub.status == SubmitStatus::Stopped || attempt >= retry.max_attempts)
-      throw ServiceError(ErrorCode::Overloaded,
-                         std::string("GraphService: query rejected (") +
-                             to_string(sub.status) + ")");
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        std::max(0.0, backoff_ms)));
-    backoff_ms = std::min(backoff_ms * retry.multiplier,
-                          retry.max_backoff_ms);
-  }
+QueryResult GraphService::query(Query q) {
+  Submission sub = submit(std::move(q));
+  if (!sub.accepted())
+    throw ServiceError(ErrorCode::Overloaded,
+                       std::string("GraphService: query rejected (") +
+                           to_string(sub.status) + ")");
+  return sub.result.get();
 }
 
 std::uint64_t GraphService::publish(
     std::shared_ptr<const Graph> graph, order::Partitioning partitioning,
     std::shared_ptr<const Permutation> perm, const algo::EdgeDelta* delta) {
   // Stream-path stage span (writer thread): covers the store publish
-  // AND the cache invalidation/rotation/refresh that makes the epoch
-  // visible. StageScope, not SpanScope: the flight recorder sees
-  // publishes too.
+  // AND the cache invalidation/refresh that makes the epoch visible.
+  // StageScope, not SpanScope: the flight recorder sees publishes too.
   Timer wall;
   std::uint64_t v = 0;
   // Keep a handle on the new permutation past the moves below: the
@@ -201,12 +170,8 @@ std::uint64_t GraphService::publish(
     if (opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr)
       refresh_cache(prev_v, v, *delta, perm_copy);
     else
-      invalidate_cache(v);
+      invalidate_cache();
   }
-  // Pre-warm AFTER the epoch is visible (readers never wait on it): the
-  // lease forces the engine rebind and the lazy structure builds onto
-  // this thread, so the first query of the epoch skips them.
-  if (opts_.prewarm_on_publish) prewarm_engines();
   // Anomaly trigger: a stalled publish means readers are pinned to an
   // aging epoch — exactly the moment to freeze the black box.
   if (wall.elapsed_ms() >= opts_.telemetry.anomaly_publish_stall_ms) {
@@ -276,10 +241,9 @@ void GraphService::worker_loop(std::size_t worker_idx) {
   }
 }
 
-void GraphService::settle_heartbeat(WorkerState* ws) {
-  if (ws == nullptr) return;
-  ws->processed.fetch_add(1, std::memory_order_relaxed);
-  ws->busy_since_us.store(-1, std::memory_order_release);
+void GraphService::settle_heartbeat(WorkerState& ws) {
+  ws.processed.fetch_add(1, std::memory_order_relaxed);
+  ws.busy_since_us.store(-1, std::memory_order_release);
 }
 
 void GraphService::process(Item& item, WorkerState& ws) {
@@ -325,7 +289,7 @@ void GraphService::process(Item& item, WorkerState& ws) {
       ++stats_.shed_cancelled;
     }
     fail(item, ErrorCode::Cancelled, "query cancelled while queued", sampling,
-         &ws);
+         ws);
     return;
   }
   if (item.ctx.deadline_expired()) {
@@ -333,19 +297,9 @@ void GraphService::process(Item& item, WorkerState& ws) {
       MutexLock lk(stats_mutex_);
       ++stats_.shed_deadline;
     }
-    // Deadline pressure is exactly what stale-serve degrades under: a
-    // previous-epoch answer now beats a typed failure.
-    if (try_serve_stale(item, &ws)) {
-      // Served after all: settle the sample as a success (the stale
-      // answer was fast; the shed wait is what the window already saw).
-      if (sampling)
-        settle_sample(item, item.submitted.elapsed_ms(), /*ok=*/true,
-                      ErrorCode::DeadlineExceeded, 0);
-      return;
-    }
     fail(item, ErrorCode::DeadlineExceeded,
          "query deadline expired while queued (shed before execution)",
-         sampling, &ws);
+         sampling, ws);
     return;
   }
   try {
@@ -505,18 +459,11 @@ void GraphService::process(Item& item, WorkerState& ws) {
             // cached — snap.version() < cache_version_ must never
             // resurrect entries for a superseded graph.
             if (cache_version_ < snap.version()) {
-              if (opts_.serve_stale) {
-                // A publish bypassed this service's publish() (straight
-                // into the store): rotate here so the superseded
-                // generation stays servable, same as the publish path.
-                cache_.rotate();
-                stale_version_ = cache_version_;
-              } else {
-                cache_.clear();
-              }
+              cache_.clear();
               cache_version_ = snap.version();
-              // The bypassing publish told us nothing about its
-              // permutation; a later refresh must assume it changed.
+              // Whatever opened this epoch (a wipe, or a publish straight
+              // into the store) recorded no permutation for it; a later
+              // refresh must assume it changed.
               cache_perm_known_ = false;
               cache_.insert(key, {r.value, shared, spec->code, norm});
             }
@@ -549,7 +496,7 @@ void GraphService::process(Item& item, WorkerState& ws) {
       s.a = 1;
       obs::record_stage(s);
     }
-    record(r.latency_ms, &ws);
+    record(r.latency_ms, ws);
     {
       MutexLock lk(stats_mutex_);
       ++stats_.completed;
@@ -565,7 +512,7 @@ void GraphService::process(Item& item, WorkerState& ws) {
                     r.version);
     observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk,
                     settled_ns);
-    settle_heartbeat(&ws);
+    settle_heartbeat(ws);
     item.promise.set_value(r);
   } catch (const ServiceError& e) {
     // Already typed: count the code and hand the original object on.
@@ -578,26 +525,26 @@ void GraphService::process(Item& item, WorkerState& ws) {
     const double lat_ms = item.submitted.elapsed_ms();
     if (sampling) settle_sample(item, lat_ms, /*ok=*/false, e.code(), 0);
     observe_settled(item.q.algo, lat_ms, code_index(e.code()));
-    settle_heartbeat(&ws);
+    settle_heartbeat(ws);
     item.promise.set_exception(std::current_exception());
   } catch (const CancelledError& e) {
     // Cooperative checkpoint fired mid-run (within one superstep of the
     // cancel); retype so clients branch on code().
-    fail(item, ErrorCode::Cancelled, e.what(), sampling, &ws);
+    fail(item, ErrorCode::Cancelled, e.what(), sampling, ws);
   } catch (const DeadlineExceededError& e) {
-    fail(item, ErrorCode::DeadlineExceeded, e.what(), sampling, &ws);
+    fail(item, ErrorCode::DeadlineExceeded, e.what(), sampling, ws);
   } catch (const std::exception& e) {
     // Algorithm throw, translation failure, allocation failure, injected
     // fault — anything that escaped the run. The engine lease and the
     // snapshot pin were released by RAII on the unwind.
-    fail(item, ErrorCode::Internal, e.what(), sampling, &ws);
+    fail(item, ErrorCode::Internal, e.what(), sampling, ws);
   } catch (...) {
-    fail(item, ErrorCode::Internal, "unknown exception", sampling, &ws);
+    fail(item, ErrorCode::Internal, "unknown exception", sampling, ws);
   }
 }
 
 void GraphService::fail(Item& item, ErrorCode code, const std::string& what,
-                        bool sampled, WorkerState* ws) {
+                        bool sampled, WorkerState& ws) {
   {
     MutexLock lk(stats_mutex_);
     ++stats_.failed;
@@ -712,71 +659,14 @@ double GraphService::oldest_running_ms_now() const {
   return oldest;
 }
 
-bool GraphService::try_serve_stale(Item& item, WorkerState* ws) {
-  if (!opts_.serve_stale) return false;
-  // The stale key is the same canonical identity a live lookup would
-  // use; anything that fails here (unknown code, bad params) just means
-  // "no stale answer" — the caller produces the real typed error.
-  const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
-  if (spec == nullptr) return false;
-  algo::QueryParams norm;
-  try {
-    algo::QueryParams raw = item.q.params;
-    if (spec->params.find("source") != nullptr && !raw.has("source"))
-      raw.set("source", item.q.source);
-    norm = spec->params.validate(raw);
-  } catch (...) {
-    return false;
-  }
-  const CacheKey key = CacheKey::make(spec->code, norm);
-  QueryResult r;
-  {
-    MutexLock lk(cache_mutex_);
-    const ResultCache::Value* v = cache_.find_stale(key);
-    if (v == nullptr) return false;
-    r.value = v->checksum;
-    if (item.q.result == ResultKind::Payload) r.payload = v->payload;
-    // The epoch the retired generation was computed on — the client can
-    // see exactly how stale the answer is.
-    r.version = stale_version_;
-  }
-  r.stale = true;
-  r.cache_hit = true;
-  r.latency_ms = item.submitted.elapsed_ms();
-  record(r.latency_ms, ws);
-  {
-    MutexLock lk(stats_mutex_);
-    ++stats_.completed;
-    ++stats_.stale_served;
-    --stats_.in_flight;
-  }
-  // A stale answer is a success to the client; the window sees it as one.
-  observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk);
-  settle_heartbeat(ws);
-  item.promise.set_value(r);
-  return true;
-}
-
-void GraphService::invalidate_cache(std::uint64_t published_version) {
+void GraphService::invalidate_cache() {
   bool wiped = false;
   {
     MutexLock lk(cache_mutex_);
     wiped = cache_.size() != 0;
-    if (opts_.serve_stale) {
-      // Rotate unconditionally: the retired generation must never lag
-      // more than one epoch (an empty live generation displacing an
-      // older stale one is correct — no stale answer beats an ancient
-      // one). Advance the version eagerly so the rotation and its epoch
-      // stamp stay consistent.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-      if (published_version > cache_version_)
-        cache_version_ = published_version;
-    } else {
-      if (wiped) cache_.clear();
-      // Leave cache_version_ behind the store version; the next miss
-      // brings the generation forward.
-    }
+    // Leave cache_version_ behind the store version; the next miss
+    // brings the generation forward.
+    if (wiped) cache_.clear();
     // This path records no permutation for the generation it opened.
     cache_perm_known_ = false;
   }
@@ -809,16 +699,7 @@ void GraphService::refresh_cache(
                   ((cache_perm_ == nullptr && perm == nullptr) ||
                    (cache_perm_ != nullptr && perm != nullptr &&
                     *cache_perm_ == *perm));
-    if (opts_.serve_stale) {
-      // Same rotation contract as invalidate_cache: the retired
-      // generation is the pre-publish one. Entries refreshed below are
-      // reinserted into the LIVE generation only — the stale one stays
-      // a faithful picture of the previous epoch.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-    } else {
-      cache_.clear();
-    }
+    cache_.clear();
     if (new_version > cache_version_) cache_version_ = new_version;
     cache_perm_ = perm;
     cache_perm_known_ = true;
@@ -943,18 +824,6 @@ void GraphService::refresh_cache(
   }
 }
 
-void GraphService::prewarm_engines() {
-  const SnapshotRef snap = store_.acquire();
-  if (!snap) return;
-  try {
-    EnginePool::Lease lease = pool_.lease(snap);
-    lease.engine().prewarm();
-  } catch (...) {
-    // Pre-warm is an optimization; a failure here must not fail the
-    // publish that requested it.
-  }
-}
-
 std::vector<GraphService::RefreshLatency> GraphService::refresh_latency()
     const {
   MutexLock lk(stats_mutex_);
@@ -1010,26 +879,18 @@ ServiceHealth GraphService::health() const {
   return h;
 }
 
-void GraphService::record(double latency_ms, WorkerState* ws) {
+void GraphService::record(double latency_ms, WorkerState& ws) {
   // Log-bucketed microseconds (~6% resolution, bounded bin count — a
   // one-off multi-second outlier must not balloon the histogram). 0
   // rounds up to 1us so the p50 of all-cache-hit workloads is not
   // reported as exactly zero.
   const auto us = static_cast<std::uint64_t>(
       std::max(1.0, latency_ms * 1000.0));
-  const std::uint64_t bucket = log_bucket(us);
-  if (ws != nullptr) {
-    // Worker completions land in the worker's own histogram: uncontended
-    // in steady state (latency() is the only other reader).
-    MutexLock lk(ws->lat_mutex);
-    ws->lat_buckets.add(bucket);
-    ws->lat_sum_ms += latency_ms;
-  } else {
-    // Off-worker samples (submit-thread stale serves).
-    MutexLock lk(stats_mutex_);
-    latency_buckets_.add(bucket);
-    latency_sum_ms_ += latency_ms;
-  }
+  // The worker's own histogram: uncontended in steady state (latency()
+  // is the only other reader).
+  MutexLock lk(ws.lat_mutex);
+  ws.lat_buckets.add(log_bucket(us));
+  ws.lat_sum_ms += latency_ms;
 }
 
 GraphServiceStats GraphService::stats() const {
@@ -1038,15 +899,10 @@ GraphServiceStats GraphService::stats() const {
 }
 
 LatencySummary GraphService::latency() const {
-  // Merge the per-worker histograms with the service-level one; locks
-  // are taken one at a time (no nesting), so workers keep recording.
+  // Merge the per-worker histograms; locks are taken one at a time (no
+  // nesting), so workers keep recording.
   Histogram merged;
   double sum_ms = 0;
-  {
-    MutexLock lk(stats_mutex_);
-    merged = latency_buckets_;
-    sum_ms = latency_sum_ms_;
-  }
   for (const auto& ws : worker_state_) {
     MutexLock lk(ws->lat_mutex);
     merged.merge(ws->lat_buckets);
@@ -1103,9 +959,6 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   emit(MetricType::Counter, "vebo_service_shed_total",
        "accepted queries shed before execution",
        static_cast<double>(st.shed_cancelled), {{"reason", "cancelled"}});
-  emit(MetricType::Counter, "vebo_service_stale_served_total",
-       "answers served from the retired cache generation",
-       static_cast<double>(st.stale_served));
   for (std::size_t i = 0; i < kNumErrorCodes; ++i)
     emit(MetricType::Counter, "vebo_service_errors_total",
          "failures by ServiceError code",
@@ -1118,7 +971,7 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
        "queries answered from the live cache generation",
        static_cast<double>(st.cache_hits));
   emit(MetricType::Counter, "vebo_cache_invalidations_total",
-       "cache generations wiped or rotated by publish",
+       "cache generations wiped by publish",
        static_cast<double>(st.invalidations));
   emit(MetricType::Counter, "vebo_cache_refreshes_total",
        "entries refreshed in place across a publish (refresh_on_publish)",
@@ -1139,9 +992,6 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
     emit(MetricType::Gauge, "vebo_cache_entries",
          "live-generation entries resident",
          static_cast<double>(cache_.size()));
-    emit(MetricType::Gauge, "vebo_cache_stale_entries",
-         "retired-generation entries resident",
-         static_cast<double>(cache_.stale_size()));
   }
 
   const EnginePoolStats ps = pool_.stats();

@@ -35,9 +35,11 @@
 // version-keyed result cache. The cache is keyed canonically on
 // (code, validated params) — spelling, ordering, and default-reliance
 // cannot split semantically identical queries — holds results for the
-// current epoch only, and is wiped on publish; within an epoch, overflow
-// evicts LRU entries (stats: `evictions`, distinct from `invalidations`).
-// A cached value can never outlive the graph state it was computed on.
+// current epoch only, and is wiped on publish (or, with
+// refresh_on_publish, refreshed in place for the new epoch); within an
+// epoch, overflow evicts LRU entries (stats: `evictions`, distinct from
+// `invalidations`). A cached value can never outlive the graph state it
+// was computed on.
 //
 // Query.source / params["source"] and every vertex id inside a returned
 // payload are in ORIGINAL vertex ids when the published snapshot carries
@@ -52,13 +54,8 @@
 // query observes cancellation/deadline at its next edge_map superstep
 // via the QueryContext bound to the leased engine. Every serve-path
 // failure is a ServiceError with a machine-readable code, counted
-// per-code in GraphServiceStats. In the opt-in stale-serve mode
-// (GraphServiceOptions::serve_stale) publish rotates the result cache
-// instead of wiping it, and overload/deadline-shed queries may be
-// answered from the retired previous-epoch generation — always marked
-// QueryResult::stale = true with the epoch the answer was computed on.
-// health() reports queue depth, in-flight count, the oldest running
-// query's age, and a per-worker heartbeat.
+// per-code in GraphServiceStats. health() reports queue depth, in-flight
+// count, the oldest running query's age, and a per-worker heartbeat.
 #pragma once
 
 #include <array>
@@ -148,34 +145,21 @@ struct GraphServiceOptions {
   /// overflow.
   bool enable_cache = true;
   std::size_t cache_capacity = 4096;
-  /// Opt-in graceful degradation: keep one previous-epoch cache
-  /// generation across publish and answer overload/deadline-shed queries
-  /// from it (marked stale) instead of rejecting. Requires enable_cache.
-  /// Off by default — default-mode behavior is identical to PR 5.
-  bool serve_stale = false;
   /// Opt-in incremental maintenance (PR 10): publishes that carry an
   /// edge delta (publish_session, or publish(..., delta)) refresh cache
   /// entries whose algorithm has an AlgorithmSpec::refresh hook — warm-
   /// started from the previous epoch's payload, re-keyed to the new
   /// epoch — instead of dropping them. Entries without a hook (or whose
   /// refresh preconditions fail) are invalidated exactly as before.
-  /// Refreshed answers are NOT stale: they are full-fidelity results for
-  /// the new epoch (refresh == recompute is the contract, see ROADMAP
-  /// "Incremental maintenance"). Off by default — default-mode behavior
-  /// is identical to PR 9.
+  /// Refreshed answers are full-fidelity results for the new epoch
+  /// (refresh == recompute is the contract, see ROADMAP "Incremental
+  /// maintenance"). Off by default: every publish then invalidates.
   bool refresh_on_publish = false;
   /// Refresh is only worthwhile for small deltas: when the net delta
   /// exceeds this fraction of the new snapshot's edges, the publish
   /// falls back to a plain invalidation (and each algorithm's hook
   /// additionally falls back to a full run past its own threshold).
   double refresh_max_delta_fraction = 0.05;
-  /// Opt-in publish-time engine pre-warm: after the epoch is visible,
-  /// the publishing thread leases an engine (forcing the rebind) and
-  /// builds the lazy traversal structures, so the first query of the new
-  /// epoch does not pay them. Runs on the writer thread, after readers
-  /// already see the new epoch — it adds publish latency, not query
-  /// latency.
-  bool prewarm_on_publish = false;
   /// Optional metrics plane: when set, the service registers one
   /// collector that exposes every GraphServiceStats field (including
   /// errors_by_code), the cache size/evictions, the engine-pool
@@ -212,8 +196,9 @@ struct Query {
   ResultKind result = ResultKind::Checksum;
   /// Relative deadline from submit; 0 = none. Expired-while-queued
   /// queries are shed before execution; expiry mid-run is observed at
-  /// the next superstep. Both fail with ErrorCode::DeadlineExceeded
-  /// (or are answered stale in stale-serve mode).
+  /// the next superstep. Both fail with ErrorCode::DeadlineExceeded. A
+  /// budget the steady clock cannot represent from now (~292 years, or
+  /// +inf) also means no deadline.
   double deadline_ms = 0;
   /// Cooperative cancel handle (CancelSource::token()). Default tokens
   /// can never fire. Cancellation is observed within one superstep and
@@ -235,10 +220,6 @@ struct QueryResult {
   std::uint64_t version = 0;   ///< epoch the query ran on
   bool cache_hit = false;
   double latency_ms = 0;       ///< submit -> completion, queue wait included
-  /// True iff the answer came from the previous-epoch cache generation
-  /// (stale-serve mode only; `version` is the epoch it was computed on).
-  /// Default-mode results are never stale.
-  bool stale = false;
   /// The execution trace; set iff the query asked for Query::trace and
   /// completed successfully. Export with obs::to_chrome_trace_json().
   std::shared_ptr<const obs::Trace> trace;
@@ -276,11 +257,9 @@ struct GraphServiceStats {
   std::uint64_t refreshes = 0;
   /// Accepted queries shed before execution (deadline lapsed / cancelled
   /// while queued). Every shed is also counted in `failed` (the future
-  /// resolves exceptionally) unless it was answered stale instead.
+  /// resolves exceptionally).
   std::uint64_t shed_deadline = 0;
   std::uint64_t shed_cancelled = 0;
-  /// Answers served from the previous-epoch generation (stale=true).
-  std::uint64_t stale_served = 0;
   /// Failures by ServiceError code; indexed by static_cast<ErrorCode>.
   /// Sums to `failed` plus the Overloaded count of rejected submits
   /// (which carry no future and are not in `failed`).
@@ -289,17 +268,6 @@ struct GraphServiceStats {
   std::uint64_t errors(ErrorCode c) const {
     return errors_by_code[static_cast<std::size_t>(c)];
   }
-};
-
-/// Backoff schedule for the convenience query() helper. Only rejected
-/// submits (QueueFull) are retried — failed futures rethrow immediately,
-/// and Stopped is terminal. The default makes one attempt: no behavior
-/// change for existing callers.
-struct RetryPolicy {
-  int max_attempts = 1;
-  double initial_backoff_ms = 1;
-  double multiplier = 2;
-  double max_backoff_ms = 100;
 };
 
 /// One worker's heartbeat: queries it has finished and what it is doing
@@ -350,20 +318,18 @@ class GraphService {
   GraphService(const GraphService&) = delete;
   GraphService& operator=(const GraphService&) = delete;
 
-  /// Non-blocking admission. Rejections carry no future. In stale-serve
-  /// mode a QueueFull submit may instead be accepted and answered
-  /// immediately from the previous-epoch generation (stale=true).
+  /// Non-blocking admission. Rejections carry no future.
   Submission submit(Query q) EXCLUDES(queue_mutex_, stats_mutex_);
 
   /// Convenience: submit and wait; throws ServiceError(Overloaded) when
-  /// every attempt is rejected and rethrows query failures. `retry`
-  /// controls backoff-retry of QueueFull rejections (default: one
-  /// attempt, no retry).
-  QueryResult query(Query q, RetryPolicy retry = {});
+  /// the submit is rejected and rethrows query failures. Backoff and
+  /// retry are the caller's policy.
+  QueryResult query(Query q);
 
-  /// Publishes a new epoch into the store and invalidates the result
-  /// cache. `perm` (optional) maps original ids -> snapshot positions so
-  /// clients keep addressing vertices by original id. `delta` (optional,
+  /// Publishes a new epoch into the store and invalidates (or, in
+  /// refresh mode, refreshes) the result cache. `perm` (optional) maps
+  /// original ids -> snapshot positions so clients keep addressing
+  /// vertices by original id. `delta` (optional,
   /// ORIGINAL id space, net across batches) enables the refresh-on-
   /// publish path when opts.refresh_on_publish is set; it is only read
   /// during the call.
@@ -448,24 +414,23 @@ class GraphService {
   /// (failures are always kept). Settles `ws`'s heartbeat before the
   /// promise resolves.
   void fail(Item& item, ErrorCode code, const std::string& what,
-            bool sampled = false, WorkerState* ws = nullptr)
-      EXCLUDES(stats_mutex_);
+            bool sampled, WorkerState& ws) EXCLUDES(stats_mutex_);
   /// Settles the worker heartbeat for one query: bumps `processed` and
   /// stamps idle. MUST run before the item's promise resolves (the same
   /// order the stats ledger settles in) — a client whose future::get()
   /// returned must observe itself gone from health(): in_flight 0, age
   /// 0. Settling after resolution leaves a window where the client sees
   /// its own finished query still running.
-  static void settle_heartbeat(WorkerState* ws);
+  static void settle_heartbeat(WorkerState& ws);
   /// Tail-sampling keep/drop decision at completion: failures and
   /// deadline hits always keep; successes keep iff over the rolling
   /// threshold. Ends the worker's reusable trace either way.
   void settle_sample(Item& item, double latency_ms, bool ok, ErrorCode code,
                      std::uint64_t version);
   /// Window bookkeeping for one settled query (completion, failure,
-  /// rejection, stale serve) + the rate-limited monitor pass. `code` is
-  /// an ErrorCode index or SlidingWindow::kOk. Pass now_ns when the
-  /// caller already holds a completion stamp (hot path); 0 reads it.
+  /// rejection) + the rate-limited monitor pass. `code` is an ErrorCode
+  /// index or SlidingWindow::kOk. Pass now_ns when the caller already
+  /// holds a completion stamp (hot path); 0 reads it.
   void observe_settled(const std::string& algo, double latency_ms,
                        std::size_t code, std::uint64_t now_ns = 0);
   /// Rate-limited (monitor_interval_ms) in steady state; while the keep
@@ -475,14 +440,7 @@ class GraphService {
   /// windowed p99 and fires the flight-recorder anomaly triggers.
   void maybe_monitor(std::uint64_t now_ns);
   double oldest_running_ms_now() const;
-  /// Stale-serve attempt for a query that would otherwise fail
-  /// (overload / deadline shed). Returns true iff the promise was
-  /// fulfilled from the previous-epoch generation. `ws` routes the
-  /// latency sample (null from the submit thread).
-  bool try_serve_stale(Item& item, WorkerState* ws)
-      EXCLUDES(cache_mutex_, stats_mutex_);
-  void invalidate_cache(std::uint64_t published_version)
-      EXCLUDES(cache_mutex_, stats_mutex_);
+  void invalidate_cache() EXCLUDES(cache_mutex_, stats_mutex_);
   /// The refresh-on-publish path (replaces invalidate_cache on a
   /// delta-carrying publish in refresh mode): drains the live generation,
   /// recomputes every refreshable entry against the new epoch via its
@@ -494,13 +452,8 @@ class GraphService {
                      const algo::EdgeDelta& delta,
                      const std::shared_ptr<const Permutation>& perm)
       EXCLUDES(cache_mutex_, stats_mutex_);
-  /// Publish-time engine pre-warm (opts_.prewarm_on_publish): leases an
-  /// engine against the freshly published epoch — forcing the
-  /// rebind + lazy structure builds onto this (writer) thread.
-  void prewarm_engines();
-  /// Records a completion latency into `ws`'s histogram, or the
-  /// service-level one when null (submit-thread stale serves).
-  void record(double latency_ms, WorkerState* ws) EXCLUDES(stats_mutex_);
+  /// Records a completion latency into `ws`'s histogram.
+  static void record(double latency_ms, WorkerState& ws);
   /// Emits every service/cache/pool/snapshot stat as metric samples
   /// (the collector registered when options.metrics is set).
   void collect_metrics(std::vector<obs::MetricSample>& out) const
@@ -523,13 +476,9 @@ class GraphService {
   /// Single-epoch result cache: entries are valid for `cache_version_`
   /// only. Lookups that observe a newer epoch clear it lazily, so even a
   /// publish bypassing this service (straight into the store) cannot
-  /// cause a stale hit. Within an epoch the cache LRU-evicts. In
-  /// stale-serve mode epoch changes rotate instead of wiping:
-  /// `stale_version_` names the epoch the retired generation was
-  /// computed on.
+  /// cause a stale hit. Within an epoch the cache LRU-evicts.
   mutable Mutex cache_mutex_;
   std::uint64_t cache_version_ GUARDED_BY(cache_mutex_) = 0;
-  std::uint64_t stale_version_ GUARDED_BY(cache_mutex_) = 0;
   ResultCache cache_ GUARDED_BY(cache_mutex_);
   /// The permutation the live generation's payloads were translated
   /// under, tracked so refresh can tell a perm-preserving publish from a
@@ -550,11 +499,6 @@ class GraphService {
   /// refresh_latency() and the vebo_cache_refresh_latency_ms_* metrics.
   std::map<std::string, std::pair<std::uint64_t, double>> refresh_lat_
       GUARDED_BY(stats_mutex_);
-  /// Service-level latency histogram: samples recorded off-worker
-  /// (submit-thread stale serves). Worker completions land in the
-  /// per-worker histograms; latency() merges all of them.
-  Histogram latency_buckets_ GUARDED_BY(stats_mutex_);
-  double latency_sum_ms_ GUARDED_BY(stats_mutex_) = 0;
 
   /// Always-on telemetry state. The window is null when telemetry.window
   /// is off; the trace store exists regardless (manual pushes possible).

@@ -37,18 +37,6 @@ void ResultCache::insert(const CacheKey& key, Value v) {
 void ResultCache::clear() {
   map_.clear();
   lru_.clear();
-  stale_.clear();
-}
-
-void ResultCache::rotate() {
-  stale_ = std::move(map_);
-  map_.clear();  // moved-from maps are valid but unspecified; make empty
-  lru_.clear();
-}
-
-const ResultCache::Value* ResultCache::find_stale(const CacheKey& key) const {
-  const auto it = stale_.find(key);
-  return it == stale_.end() ? nullptr : &it->second.value;
 }
 
 std::vector<std::pair<CacheKey, ResultCache::Value>> ResultCache::entries()

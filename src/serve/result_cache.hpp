@@ -17,18 +17,11 @@
 // OWNER's side: GraphService declares its instance
 // `ResultCache cache_ GUARDED_BY(cache_mutex_)` (annotated_mutex.hpp),
 // so every unlocked touch is a compile error there — this class itself
-// carries no lock and no capability on purpose. Within an epoch, overflow evicts the least-recently-used
-// entry — never the whole cache — and counts it separately from wipes.
-// A capacity of 0 keeps at most one entry (every insert evicts the
-// previous one); services that want no caching disable it instead.
-//
-// Stale-serve support: rotate() retires the live generation into a
-// frozen "stale" generation (replacing any previous one) instead of
-// dropping it. find_stale() reads that generation without touching
-// recency — stale entries are a last-resort answer under degradation,
-// never first-class cache residents, and the stale generation only ever
-// shrinks (no inserts, no refresh). The service that opts into
-// stale-serve tracks which epoch the stale generation belongs to.
+// carries no lock and no capability on purpose. Within an epoch,
+// overflow evicts the least-recently-used entry — never the whole cache —
+// and counts it separately from wipes. A capacity of 0 keeps at most one
+// entry (every insert evicts the previous one); services that want no
+// caching disable it instead.
 #pragma once
 
 #include <cstdint>
@@ -90,25 +83,13 @@ class ResultCache {
   /// Inserts (or refreshes) an entry, evicting the LRU entry when full.
   void insert(const CacheKey& key, Value v);
 
-  /// Wipe (epoch invalidation), both generations. Does not count as
-  /// eviction.
+  /// Wipe (epoch invalidation). Does not count as eviction.
   void clear();
 
-  /// Epoch rotation for stale-serve mode: the live generation becomes
-  /// the (sole) stale generation, the previous stale generation is
-  /// dropped, and the live map starts empty. Does not count as eviction.
-  void rotate();
-
-  /// Stale-generation lookup: nullptr on miss; hits do not affect
-  /// recency (the stale generation has no LRU — it is frozen). The
-  /// pointer is valid until the next non-const call.
-  const Value* find_stale(const CacheKey& key) const;
-
   std::size_t size() const { return map_.size(); }
-  std::size_t stale_size() const { return stale_.size(); }
   std::uint64_t evictions() const { return evictions_; }
 
-  /// Snapshot of the live generation in LRU -> MRU order (so reinserting
+  /// Snapshot of the entries in LRU -> MRU order (so reinserting
   /// in sequence reproduces today's recency). Refresh-on-publish drains
   /// this under the owner's lock, recomputes outside it, and reinserts.
   std::vector<std::pair<CacheKey, Value>> entries() const;
@@ -126,10 +107,6 @@ class ResultCache {
   std::size_t capacity_;
   LruList lru_;
   std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
-  /// Frozen previous generation (stale-serve). The Entry lru_pos
-  /// iterators in here are dangling by construction — rotate() clears
-  /// the recency list — and find_stale() never dereferences them.
-  std::unordered_map<CacheKey, Entry, CacheKeyHash> stale_;
   std::uint64_t evictions_ = 0;
 };
 

@@ -6,10 +6,10 @@
 // Code semantics (and what a client should do about each):
 //  * DeadlineExceeded — the query's deadline lapsed while queued (shed
 //    before running) or mid-run (cooperative checkpoint). Not retryable
-//    as-is; retry with a larger budget or accept a stale answer.
+//    as-is; retry with a larger budget.
 //  * Cancelled        — the client's CancelSource fired. Terminal.
 //  * Overloaded       — admission control rejected the submit (queue
-//    full / stopping). Retryable after backoff; see RetryPolicy.
+//    full / stopping). Retryable after a client-side backoff.
 //  * NoSnapshot       — no epoch published yet. Retryable once the
 //    writer publishes.
 //  * BadRequest       — unknown algorithm code, unknown/ill-typed params,

@@ -105,7 +105,11 @@ double StreamSession::query(const std::string& algo_code, VertexId source) {
   refresh();
   VEBO_CHECK(source < delta_.num_vertices(), "query: source out of range");
   ++stats_.queries;
-  return algo::algorithm(algo_code).run(*engine_, position_of(source));
+  const algo::AlgorithmSpec& s = algo::spec(algo_code);
+  algo::QueryParams params;
+  if (s.params.find("source") != nullptr)
+    params.set("source", position_of(source));
+  return s.checksum(s.invoke(*engine_, params));
 }
 
 algo::QueryPayload StreamSession::query_typed(const std::string& algo_code,

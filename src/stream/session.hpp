@@ -79,8 +79,8 @@ class StreamSession {
 
   /// Runs a registry algorithm (code per Table II: "BFS", "CC", "PR", ...)
   /// on the current graph version; `source` is in original vertex ids.
-  /// Legacy checksum surface — the checksum fold of query_typed's payload
-  /// under default params, byte-identical to the pre-protocol values.
+  /// Returns the spec's checksum fold of its payload under default
+  /// params, byte-identical to the pre-protocol values.
   double query(const std::string& algo_code, VertexId source = 0);
 
   /// Typed query protocol (algorithms/query.hpp): validates `params`

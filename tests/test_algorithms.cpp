@@ -330,7 +330,7 @@ TEST_P(ReorderInvariance, CcComponentCountStableUnderVebo) {
 // --------------------------------------------------------------- registry
 
 TEST(Registry, HasAllEightAlgorithms) {
-  const auto& algos = algo::algorithms();
+  const auto& algos = algo::specs();
   ASSERT_EQ(algos.size(), 8u);
   const char* expected[] = {"BC", "CC", "PR", "BFS",
                             "PRD", "SPMV", "BF", "BP"};
@@ -340,19 +340,19 @@ TEST(Registry, HasAllEightAlgorithms) {
 TEST(Registry, LookupAndRun) {
   const Graph g = gen::rmat(8, 4, 1);
   Engine eng(g, SystemModel::Ligra);
-  const auto& pr = algo::algorithm("PR");
+  const auto& pr = algo::spec("PR");
   EXPECT_TRUE(pr.edge_oriented);
-  const double mass = pr.run(eng, 0);
+  const double mass = pr.checksum(pr.invoke(eng));
   EXPECT_GT(mass, 0.0);
-  EXPECT_THROW(algo::algorithm("XX"), Error);
+  EXPECT_THROW(algo::spec("XX"), Error);
 }
 
 TEST(Registry, AllRunnersExecuteOnSmallGraph) {
   const Graph g = gen::rmat(8, 4, 5);
   Engine eng(g, SystemModel::GraphGrind, {.partitions = 8});
-  for (const auto& a : algo::algorithms()) {
+  for (const auto& a : algo::specs()) {
     SCOPED_TRACE(a.code);
-    const double checksum = a.run(eng, 0);
+    const double checksum = a.checksum(a.invoke(eng));
     EXPECT_TRUE(std::isfinite(checksum));
   }
 }

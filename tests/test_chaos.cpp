@@ -8,10 +8,9 @@
 //   1. every accepted future resolves — value or ServiceError, never a
 //      broken promise and never a hang (the ctest TIMEOUT is the hang
 //      detector);
-//   2. no wrong-epoch answer without the stale flag: a result with
-//      stale == false never names an epoch older than the store version
-//      observed before its submit, and non-stale versions are monotone
-//      per client;
+//   2. no stale answer: every answered query names an epoch no older
+//      than the store version observed before its submit, and versions
+//      are monotone per client;
 //   3. the stats ledger balances: submitted == completed + failed +
 //      rejected once the service stops;
 //   4. every engine lease comes back: pool outstanding() == 0 at the end.
@@ -82,7 +81,6 @@ TEST(Chaos, WriterAndClientsSurviveInjectedFaults) {
   GraphServiceOptions o;
   o.workers = 3;
   o.queue_capacity = 16;
-  o.serve_stale = true;  // degradation path is part of the storm
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -106,7 +104,7 @@ TEST(Chaos, WriterAndClientsSurviveInjectedFaults) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      std::uint64_t last_fresh_version = 0;
+      std::uint64_t last_version = 0;
       for (int i = 0; i < kQueriesPerClient; ++i) {
         Query q;
         q.algo = i % 3 == 0 ? "CC" : (i % 3 == 1 ? "BFS" : "PR");
@@ -125,18 +123,12 @@ TEST(Chaos, WriterAndClientsSurviveInjectedFaults) {
         try {
           const QueryResult r = sub.result.get();
           resolved_value.fetch_add(1);
-          if (r.stale) {
-            // A degraded answer must say so and name a real prior epoch.
-            if (r.version == 0 || r.version > service.store().version())
-              violations.fetch_add(1);
-          } else {
-            // Fresh answers never step back behind the submit-time epoch
-            // or behind this client's own history.
-            if (r.version < v_before || r.version < last_fresh_version)
-              violations.fetch_add(1);
-            last_fresh_version = r.version;
-            if (r.value <= 0.0) violations.fetch_add(1);
-          }
+          // Answers never step back behind the submit-time epoch or
+          // behind this client's own history.
+          if (r.version < v_before || r.version < last_version)
+            violations.fetch_add(1);
+          last_version = r.version;
+          if (r.value <= 0.0) violations.fetch_add(1);
         } catch (const serve::ServiceError&) {
           resolved_error.fetch_add(1);  // typed failure: acceptable chaos
         } catch (...) {
@@ -283,10 +275,10 @@ TEST(Chaos, HealthHeartbeatsAndStallVisibility) {
 }
 
 // Regression (PR 9): the per-worker heartbeat settles BEFORE the promise
-// resolves, on every path — success, served-stale, and failure alike. A
-// client whose future::get() has returned must never observe its own
-// finished query still in flight: the worker used to clear busy_since_us
-// only after process() returned, leaving a window where health() showed
+// resolves, on every path — success and failure alike. A client whose
+// future::get() has returned must never observe its own finished query
+// still in flight: the worker used to clear busy_since_us only after
+// process() returned, leaving a window where health() showed
 // in_flight == 1 and a nonzero age for an already-answered query.
 TEST(Chaos, HeartbeatSettlesBeforePromiseResolves) {
   DisarmGuard guard;

@@ -130,9 +130,9 @@ TEST(Pipeline, AllAlgorithmsAllModelsOnSmallDataset) {
   for (const auto model : {SystemModel::Ligra, SystemModel::Polymer,
                            SystemModel::GraphGrind}) {
     Engine eng(g, model, {.partitions = 8});
-    for (const auto& a : algo::algorithms()) {
+    for (const auto& a : algo::specs()) {
       SCOPED_TRACE(to_string(model) + "/" + a.code);
-      EXPECT_TRUE(std::isfinite(a.run(eng, 0)));
+      EXPECT_TRUE(std::isfinite(a.checksum(a.invoke(eng))));
     }
   }
 }

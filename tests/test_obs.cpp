@@ -703,13 +703,13 @@ TEST(MetricsPlane, EveryServiceStatIsExposed) {
   for (const char* name : {
            "vebo_service_submitted_total", "vebo_service_rejected_total",
            "vebo_service_completed_total", "vebo_service_failed_total",
-           "vebo_service_in_flight", "vebo_service_stale_served_total",
+           "vebo_service_in_flight",
            "vebo_service_shed_total{reason=\"deadline\"}",
            "vebo_service_shed_total{reason=\"cancelled\"}",
            "vebo_cache_hits_total", "vebo_cache_invalidations_total",
            "vebo_cache_refreshes_total",
            "vebo_cache_evictions_total", "vebo_cache_entries",
-           "vebo_cache_stale_entries", "vebo_pool_engines_created_total",
+           "vebo_pool_engines_created_total",
            "vebo_pool_leases_total", "vebo_pool_rebinds_total",
            "vebo_pool_waits_total", "vebo_snapshots_published_total",
            "vebo_snapshots_reclaimed_total", "vebo_snapshots_live",

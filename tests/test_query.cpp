@@ -249,68 +249,68 @@ TEST(QueryPayload, TranslationReindexesAndMapsIdValues) {
 
 // --------------------------------- adapter equivalence (all 8 algorithms)
 
-// The legacy AlgorithmInfo::run surface must reproduce the pre-protocol
-// checksums exactly: same algorithm entry points, same serial fold order.
+// A spec's checksum fold of its invoked payload must reproduce the
+// pre-protocol checksums exactly: same algorithm entry points, same serial
+// fold order.
 TEST(AdapterEquivalence, ChecksumFoldsMatchDirectCallsForAll8) {
   const Graph g = gen::rmat(8, 4, 5);
   const Engine eng(g, SystemModel::GraphGrind, {.partitions = 8});
   const VertexId src = 0;
+  const auto checksum = [&](const char* code) {
+    const AlgorithmSpec& s = algo::spec(code);
+    QueryParams p;
+    if (s.params.find("source") != nullptr) p.set("source", src);
+    return s.checksum(s.invoke(eng, p));
+  };
 
   {  // BC: serial dependency sum
     const auto r = algo::betweenness(eng, src);
     double sum = 0;
     for (double d : r.dependency) sum += d;
-    EXPECT_EQ(algo::algorithm("BC").run(eng, src), sum);
+    EXPECT_EQ(checksum("BC"), sum);
   }
   {  // CC: component count
     const auto r = algo::connected_components(eng);
-    EXPECT_EQ(algo::algorithm("CC").run(eng, src),
-              static_cast<double>(r.num_components));
+    EXPECT_EQ(checksum("CC"), static_cast<double>(r.num_components));
   }
   {  // PR: total mass at 10 iterations
-    EXPECT_EQ(algo::algorithm("PR").run(eng, src),
+    EXPECT_EQ(checksum("PR"),
               algo::pagerank(eng, {.iterations = 10}).total_mass);
   }
   {  // BFS: reached count
-    EXPECT_EQ(algo::algorithm("BFS").run(eng, src),
+    EXPECT_EQ(checksum("BFS"),
               static_cast<double>(algo::bfs(eng, src).reached));
   }
   {  // PRD: serial rank sum
     const auto r = algo::pagerank_delta(eng);
     double sum = 0;
     for (double x : r.rank) sum += x;
-    EXPECT_EQ(algo::algorithm("PRD").run(eng, src), sum);
+    EXPECT_EQ(checksum("PRD"), sum);
   }
   {  // SPMV: y-sum checksum
-    EXPECT_EQ(algo::algorithm("SPMV").run(eng, src),
-              algo::spmv(eng).checksum);
+    EXPECT_EQ(checksum("SPMV"), algo::spmv(eng).checksum);
   }
   {  // BF: reached count
-    EXPECT_EQ(algo::algorithm("BF").run(eng, src),
+    EXPECT_EQ(checksum("BF"),
               static_cast<double>(algo::bellman_ford(eng, src).reached));
   }
   {  // BP: last-iteration residual
-    EXPECT_EQ(algo::algorithm("BP").run(eng, src),
-              algo::belief_propagation(eng).residual);
+    EXPECT_EQ(checksum("BP"), algo::belief_propagation(eng).residual);
   }
 }
 
-TEST(AdapterEquivalence, LegacySurfaceForwardsTheSource) {
+TEST(AdapterEquivalence, InvokeForwardsTheSource) {
   const Graph g = gen::rmat(9, 6, 6);
   const Engine eng(g, SystemModel::Polymer);
   // Source-taking algorithms must not collapse onto source 0.
-  const auto reached = [&](VertexId s) {
-    return algo::algorithm("BFS").run(eng, s);
-  };
-  EXPECT_EQ(reached(7), static_cast<double>(algo::bfs(eng, 7).reached));
-  // Spec metadata survived the redesign.
-  EXPECT_EQ(algo::algorithms().size(), 8u);
-  EXPECT_EQ(algo::specs().size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(algo::algorithms()[i].code, algo::specs()[i].code);
-    EXPECT_EQ(algo::algorithms()[i].edge_oriented,
-              algo::specs()[i].edge_oriented);
-  }
+  const AlgorithmSpec& bfs = algo::spec("BFS");
+  EXPECT_EQ(bfs.checksum(bfs.invoke(eng, QueryParams().set("source", 7))),
+            static_cast<double>(algo::bfs(eng, 7).reached));
+  // The code list enumerates the specs, in the paper's order.
+  ASSERT_EQ(algo::specs().size(), 8u);
+  ASSERT_EQ(algo::algorithm_codes().size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(algo::algorithm_codes()[i], algo::specs()[i].code);
 }
 
 // -------------------------- permutation round-trip (quickstart workflow)

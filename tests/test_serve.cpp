@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -322,8 +323,10 @@ TEST(EnginePool, ParallelQueriesProduceSerialAnswers) {
   SnapshotStore store;
   const SnapshotRef snap = publish_and_acquire(store, make_graph(10, 6, 71));
   const Engine serial(snap.graph(), SystemModel::Polymer);
-  const double want_cc = algo::algorithm("CC").run(serial, 0);
-  const double want_bfs = algo::algorithm("BFS").run(serial, 0);
+  const algo::AlgorithmSpec& cc = algo::spec("CC");
+  const algo::AlgorithmSpec& bfs = algo::spec("BFS");
+  const double want_cc = cc.checksum(cc.invoke(serial));
+  const double want_bfs = bfs.checksum(bfs.invoke(serial));
 
   EnginePool pool({.model = SystemModel::Polymer, .max_engines = 4});
   std::vector<std::thread> threads;
@@ -332,8 +335,8 @@ TEST(EnginePool, ParallelQueriesProduceSerialAnswers) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 3; ++i) {
         EnginePool::Lease l = pool.lease(snap);
-        const char* code = (t + i) % 2 == 0 ? "CC" : "BFS";
-        const double got = algo::algorithm(code).run(l.engine(), 0);
+        const algo::AlgorithmSpec& s = (t + i) % 2 == 0 ? cc : bfs;
+        const double got = s.checksum(s.invoke(l.engine()));
         const double want = (t + i) % 2 == 0 ? want_cc : want_bfs;
         if (got != want) mismatches.fetch_add(1);
       }
@@ -373,17 +376,17 @@ TEST(Registry, ConcurrentLookupIsSafeAndConsistent) {
     threads.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
         for (const std::string& code : algo::algorithm_codes()) {
-          const algo::AlgorithmInfo* a = algo::find_algorithm(code);
-          if (a == nullptr || a->code != code) failures.fetch_add(1);
+          const algo::AlgorithmSpec* s = algo::find_spec(code);
+          if (s == nullptr || s->code != code) failures.fetch_add(1);
         }
-        if (algo::find_algorithm("NOPE") != nullptr) failures.fetch_add(1);
+        if (algo::find_spec("NOPE") != nullptr) failures.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(algo::algorithm_codes().size(), algo::algorithms().size());
-  EXPECT_THROW(algo::algorithm("NOPE"), Error);
+  EXPECT_EQ(algo::algorithm_codes().size(), algo::specs().size());
+  EXPECT_THROW(algo::spec("NOPE"), Error);
 }
 
 // ---------------------------------------------- Histogram (satellite)
@@ -943,6 +946,28 @@ TEST(GraphService, DeadlineExpiredQueuedQueriesAreShed) {
   EXPECT_EQ(service.engine_pool().outstanding(), 0u);
 }
 
+// A budget the steady clock cannot represent from now (~292 years) or
+// +inf has no absolute deadline to name: it must run as no deadline, not
+// overflow into one that lapsed before the query was even queued.
+TEST(GraphService, UnrepresentableDeadlineMeansNoDeadline) {
+  const Graph base = gen::rmat(8, 4, 210);
+  StreamSession session(base);
+  SnapshotStore store;
+  GraphServiceOptions o = small_service(1);
+  o.enable_cache = false;
+  GraphService service(store, o);
+  service.publish_session(session);
+
+  const double want = session.query("BFS", 0);
+  for (const double budget :
+       {1e13, 1e16, std::numeric_limits<double>::infinity()}) {
+    Query q{"BFS", 0};
+    q.deadline_ms = budget;
+    EXPECT_EQ(service.query(q).value, want) << "deadline_ms=" << budget;
+  }
+  EXPECT_EQ(service.stats().errors(serve::ErrorCode::DeadlineExceeded), 0u);
+}
+
 TEST(GraphService, CancellationStopsARunningTraversalPromptly) {
   const Graph base = gen::rmat(9, 6, 203);
   StreamSession session(base);
@@ -974,118 +999,6 @@ TEST(GraphService, CancellationStopsARunningTraversalPromptly) {
   // The worker survived and the engine lease came back.
   EXPECT_EQ(service.engine_pool().outstanding(), 0u);
   EXPECT_GT(service.query({"CC", 0}).value, 0.0);
-}
-
-TEST(GraphService, RetryWithBackoffRidesOutBackpressure) {
-  const Graph base = gen::rmat(8, 4, 204);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;
-  o.enable_cache = false;
-  GraphService service(store, o);
-  service.publish_session(session);
-
-  // Saturate: worker + the single queue slot.
-  std::vector<std::future<QueryResult>> busy;
-  for (int i = 0; i < 2; ++i) {
-    auto sub = service.submit({"PR", 0});
-    if (sub.accepted()) busy.push_back(std::move(sub.result));
-  }
-  // Default policy (one attempt) sees Overloaded under this flood
-  // eventually; with retries the same call rides it out.
-  serve::RetryPolicy retry;
-  retry.max_attempts = 200;
-  retry.initial_backoff_ms = 0.5;
-  const QueryResult r = service.query({"BFS", 0}, retry);
-  EXPECT_GT(r.value, 0.0);
-  for (auto& f : busy) f.get();
-}
-
-TEST(GraphService, StaleServeAnswersFromPreviousEpochMarked) {
-  const Graph base = gen::rmat(9, 6, 205);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;
-  o.serve_stale = true;
-  GraphService service(store, o);
-  service.publish_session(session);
-
-  // Warm the v1 cache, then publish v2: the v1 generation is retired,
-  // not wiped.
-  const double v1_cc = service.query({"CC", 0}).value;
-  const std::vector<EdgeUpdate> batch1 = {EdgeUpdate::insert(1, 2),
-                                          EdgeUpdate::insert(2, 3)};
-  session.apply(batch1);
-  service.publish_session(session);
-
-  // Saturate worker + queue so the next submit hits backpressure...
-  CancelSource stop_slow;
-  Query slow = slow_query();
-  slow.cancel = stop_slow.token();
-  auto running = service.submit(slow);
-  ASSERT_TRUE(running.accepted());
-  wait_until_running(service);
-  auto queued = service.submit(slow_query(1));
-  ASSERT_TRUE(queued.accepted());
-
-  // ...and the overloaded CC query is answered from the retired v1
-  // generation: explicit stale flag, the epoch it was computed on, and
-  // the v1 value.
-  auto sub = service.submit({"CC", 0});
-  ASSERT_TRUE(sub.accepted());
-  const QueryResult stale = sub.result.get();
-  EXPECT_TRUE(stale.stale);
-  EXPECT_EQ(stale.version, 1u);
-  EXPECT_EQ(stale.value, v1_cc);
-  EXPECT_GE(service.stats().stale_served, 1u);
-
-  // A miss in the stale generation still rejects (different key).
-  auto miss = service.submit({"BFS", 3});
-  EXPECT_EQ(miss.status, SubmitStatus::QueueFull);
-
-  stop_slow.cancel();
-  EXPECT_THROW(running.result.get(), serve::ServiceError);
-  queued.result.get();
-
-  // Once the queue drains, fresh queries run on v2 and are not stale.
-  const QueryResult fresh = service.query({"CC", 0});
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_EQ(fresh.version, 2u);
-}
-
-TEST(GraphService, DefaultModeNeverServesStale) {
-  const Graph base = gen::rmat(8, 4, 206);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;  // serve_stale stays default (off)
-  GraphService service(store, o);
-  service.publish_session(session);
-  service.query({"CC", 0});
-  const std::vector<EdgeUpdate> batch1 = {EdgeUpdate::insert(0, 1)};
-  session.apply(batch1);
-  service.publish_session(session);
-
-  CancelSource stop_slow;
-  Query slow = slow_query();
-  slow.cancel = stop_slow.token();
-  auto running = service.submit(slow);
-  ASSERT_TRUE(running.accepted());
-  wait_until_running(service);
-  auto queued = service.submit(slow_query(1));
-  ASSERT_TRUE(queued.accepted());
-
-  // Same overload shape as the stale-serve test — but off means off:
-  // plain QueueFull, no stale answer, flag never set.
-  auto sub = service.submit({"CC", 0});
-  EXPECT_EQ(sub.status, SubmitStatus::QueueFull);
-  EXPECT_EQ(service.stats().stale_served, 0u);
-
-  stop_slow.cancel();
-  EXPECT_THROW(running.result.get(), serve::ServiceError);
-  queued.result.get();
 }
 
 TEST(GraphService, WorkerCatchReleasesLeaseAndFailsExactlyOnce) {
