@@ -46,6 +46,15 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
 
   VertexSubset frontier = VertexSubset::single(n, source);
   BfFunctor f{dist.data()};
+  // One-thread engines push every round. Pull's case is VEBO's balanced
+  // split of dense rounds across threads, and one thread has nothing to
+  // balance; a BF pull can neither skip a destination (cond is always
+  // true) nor stop early, so it scans all m in-edges where a push scans
+  // only the frontier's out-edges. Multi-thread engines keep Auto.
+  const EdgeMapOptions opts{.direction = eng.pool().num_threads() == 1
+                                             ? Direction::Push
+                                             : Direction::Auto,
+                            .flags = kNoFlags};
   BellmanFordResult res;
   // Standard termination: at most n rounds (weights are positive so no
   // negative cycles; the frontier empties much earlier in practice).
@@ -56,7 +65,7 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
       iter.span().a = static_cast<std::uint64_t>(res.rounds);
       iter.span().b = frontier.size();
     }
-    frontier = edge_map(eng, frontier, f, {.flags = kNoFlags});
+    frontier = edge_map(eng, frontier, f, opts);
     ++res.rounds;
   }
 

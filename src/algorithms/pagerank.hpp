@@ -35,7 +35,8 @@ std::vector<double> pagerank_partition_times(const Engine& eng,
 /// Typed entry point. Params: iterations (int, 10), damping (float,
 /// 0.85), top_k (int, 0). Payload: full per-vertex rank vector, or the
 /// top_k highest-ranked (vertex, score) pairs when top_k > 0; aux =
-/// total mass. Checksum fold = serial rank sum (== legacy total_mass).
+/// total mass. Checksum fold = block_sum of the ranks, the same
+/// deterministic block fold as total_mass.
 AlgorithmSpec pagerank_spec();
 
 }  // namespace vebo::algo

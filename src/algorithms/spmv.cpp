@@ -2,15 +2,8 @@
 
 #include "framework/edgemap.hpp"
 #include "support/error.hpp"
-#include "support/prng.hpp"
 
 namespace vebo::algo {
-
-double edge_weight(VertexId u, VertexId v) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-  return 1.0 + static_cast<double>(mix64(key) % 32);
-}
 
 SpmvResult spmv(const Engine& eng, const std::vector<double>& x) {
   const Graph& g = eng.graph();

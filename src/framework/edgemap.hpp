@@ -287,8 +287,9 @@ VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
                                       : obs::kUnknownArg;
     s.c = eng.dense_threshold();
     s.direction = pull ? 2 : 1;
-    s.flags = static_cast<std::uint8_t>((opts.early_exit() ? 1 : 0) |
-                                        (opts.no_output() ? 2 : 0));
+    s.flags = static_cast<std::uint8_t>(
+        (opts.early_exit() ? 1 : 0) | (opts.no_output() ? 2 : 0) |
+        (opts.direction != Direction::Auto ? 4 : 0));
     if (pull) {
       s.rep = frontier.is_complete() ? 3 : 2;
       s.variant = frontier.is_complete() ? obs::KernelVariant::Complete

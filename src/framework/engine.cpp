@@ -122,11 +122,10 @@ std::span<const VertexId> Engine::dense_chunks() const
     if (!dense_chunks_built_.load(std::memory_order_relaxed)) {
       const VertexId n = graph_->num_vertices();
       const std::span<const EdgeId> off = graph_->in_csr().offsets();
-      ThreadPool& pool = opts_.pool ? *opts_.pool : ThreadPool::global();
       // Enough chunks for dynamic scheduling to absorb residual skew,
       // few enough that per-chunk overhead stays negligible.
       const VertexId T = static_cast<VertexId>(std::min<std::size_t>(
-          std::max<VertexId>(n, 1), pool.num_threads() * 8));
+          std::max<VertexId>(n, 1), pool().num_threads() * 8));
       std::vector<VertexId> b(T + 1);
       b[0] = 0;
       b[T] = n;

@@ -62,6 +62,11 @@ class Engine {
   const Graph& graph() const { return *graph_; }
   SystemModel model() const { return model_; }
   const EngineOptions& options() const { return opts_; }
+  /// The pool this engine's loops run on: the options' override, else
+  /// the global pool.
+  ThreadPool& pool() const {
+    return opts_.pool ? *opts_.pool : ThreadPool::global();
+  }
 
   /// Rebinds the engine to a new version of the graph (a streaming
   /// snapshot) without discarding the reusable edge_map scratch (the claim

@@ -114,7 +114,9 @@ struct Span {
   KernelVariant variant = KernelVariant::None;
   std::uint8_t direction = 0;  ///< 0 n/a, 1 push, 2 pull
   std::uint8_t rep = 0;        ///< frontier rep: 0 n/a, 1 sparse, 2 dense, 3 complete
-  std::uint8_t flags = 0;      ///< bit0 = early-exit, bit1 = no-output
+  /// bit0 = early-exit, bit1 = no-output, bit2 = forced (the caller
+  /// chose the direction, so the heuristic's inputs were not consulted)
+  std::uint8_t flags = 0;
 };
 
 /// A finished trace: spans in start order, plus ring accounting.

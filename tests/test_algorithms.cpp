@@ -23,6 +23,7 @@
 #include "gen/road.hpp"
 #include "gen/synthetic.hpp"
 #include "graph/permute.hpp"
+#include "obs/trace.hpp"
 #include "order/vebo.hpp"
 #include "support/error.hpp"
 
@@ -210,11 +211,13 @@ TEST(Spmv, EdgeWeightDeterministicAndBounded) {
 
 // ------------------------------------------------------------------- BF
 
+// Vertex 0 has no out-edges in rmat(9, 6, 4); source 1 reaches 347 of
+// the 512 vertices in 7 rounds, 5 of them dense enough for Auto to pull.
 TEST_P(AlgoModels, BellmanFordMatchesDijkstra) {
   const Graph g = gen::rmat(9, 6, 4);
   Engine eng = make_engine(g);
-  const auto res = algo::bellman_ford(eng, 0);
-  const auto ref = algo::ref::dijkstra(g, 0);
+  const auto res = algo::bellman_ford(eng, 1);
+  const auto ref = algo::ref::dijkstra(g, 1);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (ref[v] == algo::kUnreachable) {
       ASSERT_EQ(res.distance[v], algo::kUnreachable) << "v=" << v;
@@ -222,6 +225,47 @@ TEST_P(AlgoModels, BellmanFordMatchesDijkstra) {
       ASSERT_NEAR(res.distance[v], ref[v], 1e-9) << "v=" << v;
     }
   }
+}
+
+TEST_P(AlgoModels, BellmanFordOneThreadPushesAndMatchesFourThreads) {
+  const Graph g = gen::rmat(9, 6, 4);
+  ThreadPool one(1), four(4);
+  Engine eng1(g, GetParam(), {.partitions = 16, .pool = &one});
+  Engine eng4(g, GetParam(), {.partitions = 16, .pool = &four});
+  obs::ThreadTrace tt;
+  const auto res = algo::bellman_ford(eng1, 1);
+  const obs::Trace t = tt.finish();
+  const auto ref = algo::ref::dijkstra(g, 1);
+  ASSERT_GT(res.reached, g.num_vertices() / 2);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (ref[v] == algo::kUnreachable) {
+      ASSERT_EQ(res.distance[v], algo::kUnreachable) << "v=" << v;
+    } else {
+      ASSERT_NEAR(res.distance[v], ref[v], 1e-9) << "v=" << v;
+    }
+  }
+  std::size_t steps = 0;
+  for (const obs::Span& s : t.spans) {
+    if (s.kind != obs::SpanKind::EdgeMap) continue;
+    ++steps;
+    EXPECT_EQ(s.direction, 1) << "step " << steps;  // push
+    EXPECT_EQ(s.flags & 4, 4) << "step " << steps;  // forced
+  }
+  EXPECT_EQ(steps, static_cast<std::size_t>(res.rounds));
+
+  // Four threads keep the heuristic, which pulls the dense rounds; both
+  // runs converge to the same minimum over path sums.
+  obs::ThreadTrace tt4;
+  const auto res4 = algo::bellman_ford(eng4, 1);
+  const obs::Trace t4 = tt4.finish();
+  EXPECT_EQ(res.distance, res4.distance);
+  std::size_t pulls = 0;
+  for (const obs::Span& s : t4.spans) {
+    if (s.kind != obs::SpanKind::EdgeMap) continue;
+    EXPECT_EQ(s.flags & 4, 0);
+    pulls += s.direction == 2;
+  }
+  EXPECT_GT(pulls, 0u);
 }
 
 TEST(BellmanFord, RoadNetwork) {

@@ -413,8 +413,9 @@ TEST(Tracer, FrameworkStepsRecordHeuristicInputs) {
   edge_fold<double>(
       eng, [](VertexId, VertexId) { return 1.0; },
       [&](VertexId v, double a) { acc[v] = a; });
+  edge_map(eng, all, Fn{});
   const Trace t = tt.finish();
-  ASSERT_GE(t.spans.size(), 2u);
+  ASSERT_GE(t.spans.size(), 3u);
   const Span& em = t.spans[0];
   EXPECT_EQ(em.kind, SpanKind::EdgeMap);
   EXPECT_EQ(em.direction, 2);  // pull
@@ -424,10 +425,14 @@ TEST(Tracer, FrameworkStepsRecordHeuristicInputs) {
   EXPECT_EQ(em.b, g.num_edges());  // complete frontier: out-edges == m
   EXPECT_EQ(em.c, eng.dense_threshold());
   EXPECT_GT(em.d, 0u);  // dense chunk count
+  EXPECT_EQ(em.flags & 0x4, 0x4);  // forced: the caller chose Pull
   const Span& ef = t.spans[1];
   EXPECT_EQ(ef.kind, SpanKind::EdgeFold);
   EXPECT_EQ(ef.variant, obs::KernelVariant::Fold);
   EXPECT_EQ(ef.flags & 0x2, 0x2);  // no-output
+  const Span& auto_step = t.spans[2];
+  EXPECT_EQ(auto_step.kind, SpanKind::EdgeMap);
+  EXPECT_EQ(auto_step.flags & 0x4, 0);  // Auto: the heuristic chose
 }
 
 TEST(Tracer, ChromeExportValidatesAndNamesSpans) {
@@ -439,6 +444,7 @@ TEST(Tracer, ChromeExportValidatesAndNamesSpans) {
       s.span().b = obs::kUnknownArg;  // must be omitted, not serialized
       s.span().direction = 1;
       s.span().rep = 1;
+      s.span().flags = 4;  // forced
     }
   }
   {
@@ -452,6 +458,7 @@ TEST(Tracer, ChromeExportValidatesAndNamesSpans) {
   EXPECT_EQ(x_events, t.spans.size());
   EXPECT_NE(json.find("\"edge_map\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_probe\""), std::string::npos);
+  EXPECT_NE(json.find("\"forced\":1"), std::string::npos);
   // kUnknownArg (~0) must never leak into the export as a number.
   EXPECT_EQ(json.find("18446744073709551615"), std::string::npos);
 }
