@@ -20,6 +20,7 @@
 // can map them onto its typed error codes.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -97,6 +98,21 @@ class QueryContext {
   QueryContext& set_deadline(Clock::time_point d) {
     deadline_ = d;
     has_deadline_ = true;
+    return *this;
+  }
+
+  /// Relative deadline: `budget_ms` from now. A budget the clock cannot
+  /// represent from now (~292 years, or +inf) names no time point, so
+  /// the context stays without a deadline rather than overflow into one
+  /// that already lapsed. The min() absorbs the rounding of `room` in
+  /// the double comparison.
+  QueryContext& set_deadline_in(double budget_ms) {
+    const Clock::time_point now = Clock::now();
+    const Clock::duration room = Clock::time_point::max() - now;
+    const std::chrono::duration<double, std::milli> budget(budget_ms);
+    if (budget < room)
+      set_deadline(now + std::min(room, std::chrono::duration_cast<
+                                            Clock::duration>(budget)));
     return *this;
   }
 

@@ -40,12 +40,8 @@ void FlightRecorder::arm(RecorderOptions opts) {
   // effect without waiting for threads to re-register.
   for (auto& r : rings_) {
     MutexLock rlk(r->mutex);
-    if (r->spans.size() != opts_.ring_capacity) {
-      r->spans.assign(opts_.ring_capacity, RecordedSpan{});
-      r->spans.shrink_to_fit();
-      r->recorded = 0;
-      r->next = 0;
-    }
+    if (r->spans.capacity() != opts_.ring_capacity)
+      r->spans.reset(opts_.ring_capacity);
   }
   if (!armed_.load(std::memory_order_relaxed)) {
     // One bit in the packed word trace.hpp's sites poll: disarmed
@@ -70,7 +66,7 @@ FlightRecorder::Ring& FlightRecorder::local_ring() {
     {
       MutexLock lk(mutex_);
       ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-      ring->spans.assign(opts_.ring_capacity, RecordedSpan{});
+      ring->spans.reset(opts_.ring_capacity);
       rings_.push_back(ring);
     }
     t_recorder.ring = std::move(ring);
@@ -84,12 +80,7 @@ void FlightRecorder::record(const Span& s) {
   // Uncontended in steady state: only dump() (the freeze) ever takes
   // this mutex from another thread.
   MutexLock lk(r.mutex);
-  if (r.spans.empty()) return;
-  // Indexed wrap instead of %: the capacity is runtime-chosen, so a
-  // modulo is an integer divide on every recorded span.
-  r.spans[r.next] = {s, r.tid};
-  if (++r.next == r.spans.size()) r.next = 0;
-  ++r.recorded;
+  r.spans.push(s);
 }
 
 FlightDump FlightRecorder::take_dump(const std::string& reason) {
@@ -105,17 +96,12 @@ FlightDump FlightRecorder::take_dump(const std::string& reason) {
     bool contributed = false;
     {
       MutexLock rlk(r.mutex);
-      const std::size_t cap = r.spans.size();
-      const std::size_t kept =
-          static_cast<std::size_t>(std::min<std::uint64_t>(r.recorded, cap));
-      d.dropped += r.recorded - kept;
-      const std::size_t head = r.recorded > cap ? r.next : 0;
-      for (std::size_t i = 0; i < kept; ++i) {
-        const RecordedSpan& rs = r.spans[(head + i) % cap];
-        if (rs.span.start_ns + rs.span.dur_ns < horizon) continue;
-        d.spans.push_back(rs);
+      d.dropped += r.spans.dropped();
+      r.spans.for_each([&](const Span& s) {
+        if (s.start_ns + s.dur_ns < horizon) return;
+        d.spans.push_back({s, r.tid});
         contributed = true;
-      }
+      });
     }
     if (contributed) ++d.threads;
     // Prune rings whose thread exited AND whose spans all aged out —

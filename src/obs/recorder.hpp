@@ -21,12 +21,12 @@
 // microseconds-to-milliseconds long, so this stays far inside the <=3%
 // budget bench_obs_overhead enforces in the armed configuration.
 //
-// Threading: each recording thread owns a ring guarded by its own
-// mutex, registered process-wide on first record. The mutex is
-// uncontended on the record path (only dump() ever takes it from
-// another thread — that's the "freeze"); rings of exited threads stay
-// dumpable until their newest span ages out of the window, then are
-// pruned.
+// Threading: each recording thread owns a ring (the tracer's SpanRing
+// type) guarded by its own mutex, registered process-wide on first
+// record. The mutex is uncontended on the record path (only dump() ever
+// takes it from another thread — that's the "freeze"); rings of exited
+// threads stay dumpable until their newest span ages out of the window,
+// then are pruned.
 #pragma once
 
 #include <atomic>
@@ -123,9 +123,7 @@ class FlightRecorder {
  private:
   struct Ring {
     Mutex mutex;  ///< freeze lock: uncontended except during a dump
-    std::vector<RecordedSpan> spans GUARDED_BY(mutex);  ///< wraps at capacity
-    std::uint64_t recorded GUARDED_BY(mutex) = 0;  ///< spans ever recorded
-    std::size_t next GUARDED_BY(mutex) = 0;  ///< write index (recorded % cap)
+    SpanRing spans GUARDED_BY(mutex);
     std::uint32_t tid = 0;
     /// Steady stamp when the owning thread exited; 0 = alive. Retired
     /// rings are pruned once older than the window.

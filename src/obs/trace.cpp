@@ -10,13 +10,11 @@ namespace vebo::obs {
 
 namespace {
 
-/// The calling thread's ring. Single writer, single reader (the same
-/// thread), so no synchronization is needed anywhere on the record path.
+/// The calling thread's trace state. Single writer, single reader (the
+/// same thread), so no synchronization is needed on the record path.
 struct ThreadRing {
   std::uint64_t id = 0;  ///< 0 = not tracing
   std::uint64_t begin_ns = 0;
-  std::uint64_t recorded = 0;
-  std::size_t next = 0;  ///< ring write index (== recorded % capacity)
   /// Sticky begin_reusing() registration: once a thread tail-samples it
   /// holds ONE unit in the packed armed word until it exits, instead of
   /// a fetch_add/fetch_sub pair per query — at serving rates those two
@@ -29,7 +27,7 @@ struct ThreadRing {
   /// never touches that shared line either.
   std::uint64_t next_id = 0;
   std::uint64_t ids_left = 0;
-  std::vector<Span> spans;  ///< capacity fixed for the trace lifetime
+  SpanRing spans;
 
   ~ThreadRing() {
     if (counted)
@@ -54,20 +52,12 @@ std::uint64_t next_trace_id(ThreadRing& r) {
 }
 
 /// Ring -> Trace span collection shared by end() and end_reusing():
-/// rotate the wrap point out, then stable-sort by start.
-void collect_spans(const ThreadRing& r, Trace& t) {
-  const std::size_t cap = r.spans.size();
-  const std::size_t kept =
-      static_cast<std::size_t>(std::min<std::uint64_t>(r.recorded, cap));
-  t.dropped = r.recorded - kept;
-  t.spans.reserve(kept);
-  // Ring order is completion order. Unwrapped rings hold the survivors
-  // in [0, kept); a wrapped ring's oldest survivor sits at the next
-  // write position (recorded % cap). Rotate the wrap point out, then
-  // sort by start so nested steps read naturally in the export.
-  const std::size_t head = r.recorded > cap ? r.next : 0;
-  for (std::size_t i = 0; i < kept; ++i)
-    t.spans.push_back(r.spans[(head + i) % cap]);
+/// ring order is completion order; sort by start so nested steps read
+/// naturally in the export.
+void collect_spans(const SpanRing& ring, Trace& t) {
+  t.dropped = ring.dropped();
+  t.spans.reserve(ring.recorded() - ring.dropped());
+  ring.for_each([&t](const Span& s) { t.spans.push_back(s); });
   std::stable_sort(t.spans.begin(), t.spans.end(),
                    [](const Span& x, const Span& y) {
                      return x.start_ns < y.start_ns;
@@ -127,12 +117,7 @@ bool thread_tracing_slow() { return t_ring.id != 0; }
 
 void record(const Span& s) {
   ThreadRing& r = t_ring;
-  if (r.id == 0 || r.spans.empty()) return;
-  // Indexed wrap, not modulo: capacity is runtime-chosen, so % would be
-  // an integer divide on every span.
-  r.spans[r.next] = s;
-  if (++r.next == r.spans.size()) r.next = 0;
-  ++r.recorded;
+  if (r.id != 0) r.spans.push(s);
 }
 
 bool predict(double edges, double dests, double sources, double& out_ns) {
@@ -146,15 +131,23 @@ bool predict(double edges, double dests, double sources, double& out_ns) {
 
 }  // namespace detail
 
+void SpanRing::reset(std::size_t capacity) {
+  VEBO_CHECK(capacity >= 1, "SpanRing: capacity must be >= 1");
+  if (capacity != capacity_) {
+    release();
+    capacity_ = capacity;
+  }
+  spans_.clear();
+  next_ = 0;
+  recorded_ = 0;
+}
+
 std::uint64_t Tracer::begin(std::size_t capacity) {
   ThreadRing& r = t_ring;
   VEBO_CHECK(r.id == 0, "Tracer::begin: this thread is already tracing");
-  VEBO_CHECK(capacity >= 1, "Tracer::begin: capacity must be >= 1");
+  r.spans.reset(capacity);
   r.id = next_trace_id(r);
   r.begin_ns = detail::now_ns();
-  r.recorded = 0;
-  r.next = 0;
-  r.spans.assign(capacity, Span{});
   detail::g_active_traces.fetch_add(1, std::memory_order_relaxed);
   return r.id;
 }
@@ -168,10 +161,10 @@ Trace Tracer::end() {
   t.id = r.id;
   t.begin_ns = r.begin_ns;
   t.end_ns = detail::now_ns();
-  t.recorded = r.recorded;
-  collect_spans(r, t);
+  t.recorded = r.spans.recorded();
+  collect_spans(r.spans, t);
   r.id = 0;
-  r.spans = {};  // release the ring memory
+  r.spans.release();
   return t;
 }
 
@@ -180,14 +173,10 @@ std::uint64_t Tracer::begin_reusing(std::size_t capacity,
   ThreadRing& r = t_ring;
   VEBO_CHECK(r.id == 0,
              "Tracer::begin_reusing: this thread is already tracing");
-  VEBO_CHECK(capacity >= 1, "Tracer::begin_reusing: capacity must be >= 1");
-  // Reuse the previous round's allocation; stale spans past `recorded`
-  // are never read, so no per-query clear either.
-  if (r.spans.size() != capacity) r.spans.assign(capacity, Span{});
+  // Keeps the previous round's storage: no per-query allocation.
+  r.spans.reset(capacity);
   r.id = next_trace_id(r);
   r.begin_ns = begin_ns != 0 ? begin_ns : detail::now_ns();
-  r.recorded = 0;
-  r.next = 0;
   // Sticky registration (see ThreadRing): pay the shared-word RMW once
   // per thread, not once per query. The TLS destructor releases it.
   if (!r.counted) {
@@ -203,16 +192,16 @@ Trace Tracer::end_reusing(bool keep) {
   Trace t;
   t.id = r.id;
   t.begin_ns = r.begin_ns;
-  t.recorded = r.recorded;
+  t.recorded = r.spans.recorded();
   if (keep) {
     // Only the kept minority pays the end stamp and the copy-out; the
     // dropped trace carries id/begin/census only.
     t.end_ns = detail::now_ns();
-    collect_spans(r, t);
+    collect_spans(r.spans, t);
   } else {
     t.end_ns = r.begin_ns;
   }
-  r.id = 0;  // ring memory retained for the next begin_reusing
+  r.id = 0;  // ring storage retained for the next begin_reusing
   return t;
 }
 

@@ -30,11 +30,12 @@
 //    (parallel regions fan out below span granularity), so a traced
 //    query's spans are complete even while other threads run untraced —
 //    and concurrent traced queries on different workers never mix.
-//  * Recording is lock-free: each thread appends to its own fixed-size
-//    ring buffer (single writer, no atomics, no locks). When the ring
-//    wraps, the oldest spans are overwritten and counted as dropped.
+//  * Recording is lock-free: each thread appends to its own SpanRing
+//    (single writer, no atomics, no locks; the flight recorder's rings
+//    are the same type). When the ring wraps, the oldest spans are
+//    overwritten and counted as dropped.
 //  * Collection (Tracer::end()) runs on the recording thread, so no
-//    cross-thread ring reads exist anywhere.
+//    tracer ring is ever read from another thread.
 //
 // Export: to_chrome_trace_json() renders a Trace in the Chrome
 // trace-event format ("traceEvents" of "ph":"X" slices) — load the file
@@ -129,6 +130,51 @@ struct Trace {
   std::uint64_t dropped = 0;   ///< overwritten by ring wrap
 };
 
+/// A bounded span ring, the one ring type behind both the per-thread
+/// tracer and the flight recorder: appends until `capacity` spans, then
+/// overwrites the oldest (counted by dropped()). Storage grows as spans
+/// arrive instead of being filled up front, so arming a large ring costs
+/// nothing until spans land in it. Single writer; the owner synchronizes
+/// any other reader.
+class SpanRing {
+ public:
+  /// Empties the ring and sets its capacity (>= 1). The storage is kept
+  /// for reuse when the capacity is unchanged, released otherwise.
+  void reset(std::size_t capacity);
+  /// Empties the ring and frees its storage.
+  void release() { *this = SpanRing(); }
+
+  /// Requires a capacity: call reset() first.
+  void push(const Span& s) {
+    ++recorded_;
+    if (spans_.size() < capacity_) {
+      spans_.push_back(s);
+      return;
+    }
+    // Indexed wrap, not modulo: the capacity is runtime-chosen, so %
+    // would be an integer divide on every span.
+    spans_[next_] = s;
+    if (++next_ == capacity_) next_ = 0;
+  }
+
+  std::size_t capacity() const { return capacity_; }
+  std::uint64_t recorded() const { return recorded_; }
+  std::uint64_t dropped() const { return recorded_ - spans_.size(); }
+
+  /// Visits the surviving spans oldest first (completion order).
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t i = next_; i < spans_.size(); ++i) f(spans_[i]);
+    for (std::size_t i = 0; i < next_; ++i) f(spans_[i]);
+  }
+
+ private:
+  std::vector<Span> spans_;
+  std::size_t capacity_ = 0;
+  std::size_t next_ = 0;  ///< once full: the oldest span, overwritten next
+  std::uint64_t recorded_ = 0;
+};
+
 /// Linear cost-model coefficients in NANOSECONDS per unit (the
 /// metrics/cost_model fit is in seconds — scale by 1e9 when installing).
 struct CostCoefficients {
@@ -199,7 +245,7 @@ class Tracer {
   static Trace end();
 
   /// Tail-sampling variant of begin(): starts a trace but KEEPS the
-  /// thread's ring allocation from the previous begin_reusing() round —
+  /// thread's ring storage from the previous begin_reusing() round —
   /// no per-query allocation, and (unlike begin()) no per-query RMW on
   /// the shared armed word: the thread registers in the packed word
   /// once, on its first begin_reusing(), and stays registered until it
@@ -332,7 +378,6 @@ class TraceStore {
   void push(CapturedTrace t) EXCLUDES(mutex_);
   std::vector<CapturedTrace> recent() const EXCLUDES(mutex_);
   std::size_t size() const EXCLUDES(mutex_);
-  std::size_t capacity() const { return capacity_; }
   /// Traces ever pushed (monotonic; captured() - evicted() = size()).
   std::uint64_t captured() const EXCLUDES(mutex_);
   std::uint64_t evicted() const EXCLUDES(mutex_);

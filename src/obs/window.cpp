@@ -15,8 +15,10 @@ double quantile_ms(const Histogram& bucket_ids, double q) {
 
 }  // namespace
 
-SlidingWindow::SlidingWindow(WindowOptions opts)
-    : opts_(opts), latency_(std::max<std::size_t>(1, opts.buckets)) {
+SlidingWindow::SlidingWindow(WindowOptions opts, bool windowed)
+    : opts_(opts),
+      windowed_(windowed),
+      latency_(std::max<std::size_t>(1, opts.buckets)) {
   VEBO_CHECK(opts_.buckets >= 1, "SlidingWindow: buckets must be >= 1");
   VEBO_CHECK(opts_.bucket_ns >= 1, "SlidingWindow: bucket_ns must be >= 1");
   buckets_.resize(opts_.buckets);
@@ -57,7 +59,18 @@ void SlidingWindow::advance(std::uint64_t now_ns) const {
 
 void SlidingWindow::record(std::uint64_t now_ns, const std::string& algo,
                            double latency_ms, std::size_t code) {
+  const bool success = code == kOk && latency_ms >= 0;
+  if (!windowed_ && !success) return;
+  // Same encoding as the windowed histograms: log-bucketed
+  // microseconds, floored at 1us so an all-cache-hit p50 is not 0.
+  const std::uint64_t bucket = log_bucket(
+      static_cast<std::uint64_t>(std::max(1.0, latency_ms * 1000.0)));
   MutexLock lk(mutex_);
+  if (success) {
+    cumulative_.add(bucket);
+    cumulative_sum_ms_ += latency_ms;
+  }
+  if (!windowed_) return;
   advance(now_ns);
   // In-current-bucket stamps (the overwhelming majority) index the
   // cached slot directly; only a stamp lagging behind the current
@@ -72,11 +85,6 @@ void SlidingWindow::record(std::uint64_t now_ns, const std::string& algo,
     if (code < b.by_code.size()) ++b.by_code[code];
   }
   if (latency_ms < 0) return;  // no meaningful latency (rejections)
-  // Same encoding as the cumulative latency histograms: log-bucketed
-  // microseconds, floored at 1us.
-  const auto us =
-      static_cast<std::uint64_t>(std::max(1.0, latency_ms * 1000.0));
-  const std::uint64_t bucket = log_bucket(us);
   latency_.add(bucket);
   for (auto& [name, h] : per_algo_)
     if (name == algo) {
@@ -85,6 +93,18 @@ void SlidingWindow::record(std::uint64_t now_ns, const std::string& algo,
     }
   per_algo_.emplace_back(algo, WindowedHistogram(opts_.buckets));
   per_algo_.back().second.add(bucket);
+}
+
+LatencySummary SlidingWindow::cumulative() const {
+  MutexLock lk(mutex_);
+  LatencySummary s;
+  s.samples = cumulative_.total();
+  if (s.samples == 0) return s;
+  s.p50_ms = quantile_ms(cumulative_, 0.50);
+  s.p95_ms = quantile_ms(cumulative_, 0.95);
+  s.p99_ms = quantile_ms(cumulative_, 0.99);
+  s.mean_ms = cumulative_sum_ms_ / static_cast<double>(s.samples);
+  return s;
 }
 
 WindowSnapshot SlidingWindow::snapshot(std::uint64_t now_ns) const {

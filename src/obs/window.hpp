@@ -7,11 +7,17 @@
 // a ring of rotating sub-window buckets (default 10 x 1s): record()
 // lands a sample in the bucket its timestamp falls in, expired buckets
 // are cleared as time advances, and snapshot() merges the live buckets
-// into one consistent view. Latencies go through the same
-// log_bucket(us) encoding the cumulative histograms use (6% relative
-// resolution, bounded bins), per algorithm code and overall, via
-// WindowedHistogram so sub-window expiry and quantile math stay in
+// into one consistent view. Latencies are log_bucket(us) ids (6%
+// relative resolution, bounded bins), per algorithm code and overall,
+// via WindowedHistogram so sub-window expiry and quantile math stay in
 // support/histogram.
+//
+// The same record() also keeps the cumulative view: every success's
+// latency since construction, never aged out (cumulative()). That makes
+// the window the service's one latency sink — one lock per settled
+// query serves both the since-boot quantiles and the windowed ones. A
+// window constructed with windowed = false keeps only that cumulative
+// view.
 //
 // Time is always passed in by the caller (steady-clock nanoseconds,
 // obs::Tracer::now_ns()), never read internally — windows are exactly
@@ -47,6 +53,12 @@ struct AlgoWindowStats {
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
 };
 
+/// Latency quantiles over the samples recorded so far.
+struct LatencySummary {
+  std::uint64_t samples = 0;
+  double p50_ms = 0, p95_ms = 0, p99_ms = 0, mean_ms = 0;
+};
+
 /// One consistent view of the window (all fields from the same locked
 /// pass). `latency` is over log_bucket(us) ids — decode quantiles with
 /// log_bucket_floor, or use the pre-decoded p50/p95/p99 here.
@@ -68,19 +80,23 @@ class SlidingWindow {
   /// `code` value meaning "success" in record().
   static constexpr std::size_t kOk = ~std::size_t{0};
 
-  explicit SlidingWindow(WindowOptions opts = {});
+  /// `windowed` = false keeps only the cumulative view: record() then
+  /// books successes and ignores everything else, and snapshot() stays
+  /// empty.
+  explicit SlidingWindow(WindowOptions opts = {}, bool windowed = true);
 
   /// Records one settled query. `latency_ms` < 0 skips the latency
   /// histograms (rejections have no meaningful latency but must still
   /// count toward the error rate). `code` indexes errors_by_code, or
-  /// kOk for a success.
+  /// kOk for a success; only successes enter the cumulative view.
   void record(std::uint64_t now_ns, const std::string& algo,
               double latency_ms, std::size_t code = kOk) EXCLUDES(mutex_);
 
   /// Advances the window to `now_ns` and merges the live buckets.
   WindowSnapshot snapshot(std::uint64_t now_ns) const EXCLUDES(mutex_);
 
-  const WindowOptions& options() const { return opts_; }
+  /// Every success recorded since construction.
+  LatencySummary cumulative() const EXCLUDES(mutex_);
 
  private:
   struct Bucket {
@@ -94,7 +110,10 @@ class SlidingWindow {
   void advance(std::uint64_t now_ns) const REQUIRES(mutex_);
 
   WindowOptions opts_;
+  bool windowed_;
   mutable Mutex mutex_;
+  Histogram cumulative_ GUARDED_BY(mutex_);  ///< log_bucket(us) ids
+  double cumulative_sum_ms_ GUARDED_BY(mutex_) = 0;
   /// Ring slot for absolute bucket index i is buckets_[i % buckets].
   /// advance() eagerly clears every slot the window slides past, so all
   /// slots always hold in-window data and snapshot() just sums them.

@@ -41,9 +41,10 @@ void EnginePool::Lease::release() {
 
 const order::Partitioning* EnginePool::partitioning_for(
     const SnapshotRef& snap) const {
-  // The pointer targets the shared Snapshot object, which the entry's
-  // SnapshotRef pins for as long as the engine is bound to it.
-  if (!opts_.use_snapshot_partitioning) return nullptr;
+  // Non-Ligra engines run on the published VEBO partitioning (the point
+  // of serving reordered snapshots). The pointer targets the shared
+  // Snapshot object, which the entry's SnapshotRef pins for as long as
+  // the engine is bound to it.
   if (opts_.model == SystemModel::Ligra) return nullptr;
   if (snap.partitioning().num_partitions() == 0) return nullptr;
   return &snap.partitioning();

@@ -40,10 +40,6 @@ struct EnginePoolOptions {
   /// 1 = queries run their parallel regions serially on the serving
   /// worker; raise only when clients are fewer than cores.
   std::size_t threads_per_engine = 1;
-  /// Bind the published VEBO partitioning into non-Ligra engines (the
-  /// point of serving reordered snapshots). When false engines re-derive
-  /// their model default from the graph.
-  bool use_snapshot_partitioning = true;
 };
 
 struct EnginePoolStats {

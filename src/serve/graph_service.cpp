@@ -1,8 +1,8 @@
 #include "serve/graph_service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
+#include <tuple>
 
 #include "algorithms/registry.hpp"
 #include "support/error.hpp"
@@ -12,15 +12,163 @@ namespace vebo::serve {
 
 namespace {
 
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 std::size_t code_index(ErrorCode c) { return static_cast<std::size_t>(c); }
 
+/// Spans per worker tail-sampling ring.
+constexpr std::size_t kSampleRingCapacity = 4096;
+/// Keeper traces the trace store holds.
+constexpr std::size_t kTraceStoreCapacity = 32;
+/// The slow-keep threshold is the windowed p99 times this.
+constexpr double kKeepLatencyFactor = 3.0;
+/// Flight-recorder triggers: a query in flight this long, a publish
+/// this slow.
+constexpr double kAnomalyInFlightAgeMs = 1000;
+constexpr double kAnomalyPublishStallMs = 250;
+
+/// The shed stage: a queued query whose client already gave up (cancel
+/// fired, deadline lapsed) fails fast — no snapshot pin, no engine
+/// lease, no run.
+void shed_if_abandoned(const QueryContext& ctx) {
+  if (ctx.cancelled())
+    throw ServiceError(ErrorCode::Cancelled, "query cancelled while queued");
+  if (ctx.deadline_expired())
+    throw ServiceError(
+        ErrorCode::DeadlineExceeded,
+        "query deadline expired while queued (shed before execution)");
+}
+
+/// A source vertex (an original id in `params`) as a position in
+/// `snap`; throws vebo::Error when it names no vertex there.
+VertexId snapshot_source(const algo::QueryParams& params,
+                         const SnapshotRef& snap) {
+  VertexId source = params.get_vertex("source");
+  if (const Permutation* perm = snap.perm()) {
+    VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
+               "GraphService: source out of range");
+    source = (*perm)[source];
+  }
+  VEBO_CHECK(source < snap.graph().num_vertices(),
+             "GraphService: source out of range");
+  return source;
+}
+
+/// The translate stage's answer: the checksum folds in snapshot order —
+/// the order the legacy surface sums in — so checksums stay
+/// byte-identical across orderings; the payload is then translated to
+/// original ids once, outside any lock, when `keep` says someone reads
+/// it.
+ResultCache::Value translated(const algo::AlgorithmSpec& spec,
+                              algo::QueryPayload payload,
+                              const Permutation* perm, bool keep) {
+  ResultCache::Value v;
+  v.checksum = spec.checksum(payload);
+  if (keep)
+    v.payload = std::make_shared<const algo::QueryPayload>(
+        perm != nullptr ? algo::translate_to_original_ids(payload, *perm)
+                        : std::move(payload));
+  return v;
+}
+
+std::uint64_t payload_vertices(const algo::QueryPayload& p) {
+  switch (p.kind()) {
+    case algo::PayloadKind::VertexDoubles: return p.doubles().size();
+    case algo::PayloadKind::VertexIds: return p.ids().size();
+    default: return 0;
+  }
+}
+
+/// Whatever escaped a stage, as the ServiceError the client sees: a
+/// ServiceError passes through unchanged, a mid-run cancel or deadline
+/// keeps its meaning, and anything else — an algorithm throw, a failed
+/// allocation, an injected fault — is Internal.
+std::pair<std::exception_ptr, ErrorCode> as_service_error(
+    const std::exception_ptr& e) {
+  ErrorCode code = ErrorCode::Internal;
+  std::string what = "unknown exception";
+  try {
+    std::rethrow_exception(e);
+  } catch (const ServiceError& s) {
+    return {e, s.code()};
+  } catch (const CancelledError& c) {
+    code = ErrorCode::Cancelled;
+    what = c.what();
+  } catch (const DeadlineExceededError& d) {
+    code = ErrorCode::DeadlineExceeded;
+    what = d.what();
+  } catch (const std::exception& x) {
+    what = x.what();
+  } catch (...) {
+  }
+  return {std::make_exception_ptr(ServiceError(code, what)), code};
+}
+
 }  // namespace
+
+struct GraphService::Resolved {
+  SnapshotRef snap;
+  const algo::AlgorithmSpec* spec = nullptr;
+  /// Schema-validated, in ORIGINAL ids: the client-visible identity of
+  /// the query and what the cache keys on.
+  algo::QueryParams norm;
+  /// The source as a snapshot position, when the schema takes one.
+  std::optional<VertexId> source;
+  CacheKey key;
+};
+
+/// Each boundary stamp closes the open stage's span and opens the next
+/// there, so a query's serve-stage spans tile [enqueue, completion] with
+/// no gap: QueueWait, CacheProbe (resolve + probe), and on a miss
+/// EngineLease, Execute and Translate (which ends with the cache
+/// insert). The first boundary is the worker's pickup stamp and the
+/// last is the completion stamp that also yields the latency, so an
+/// armed cache hit reads the clock twice: at pickup and at completion.
+/// Spans go to the thread's trace and the flight recorder; when neither
+/// wants them, boundaries read no clock at all.
+class GraphService::StageClock {
+ public:
+  StageClock(std::uint64_t enqueued_ns, std::uint64_t pickup_ns)
+      : armed_(obs::stage_wanted()) {
+    span_.kind = obs::SpanKind::QueueWait;
+    span_.start_ns = enqueued_ns;
+    close(pickup_ns);
+  }
+
+  /// Opens `kind` at the last boundary. Before the first open only the
+  /// queue wait is recorded: a shed query's trace.
+  void open(obs::SpanKind kind, std::uint64_t arg = 0) {
+    span_.kind = kind;
+    span_.a = arg;
+    open_ = true;
+  }
+  /// The open stage's kind-specific argument (Span::a).
+  void arg(std::uint64_t a) { span_.a = a; }
+  /// Closes the open stage at a fresh stamp and opens `kind` there.
+  void advance(obs::SpanKind kind, std::uint64_t arg = 0) {
+    if (armed_) close(obs::Tracer::now_ns());
+    open(kind, arg);
+  }
+  /// Reads the completion stamp and closes the open stage there.
+  std::uint64_t complete() {
+    const std::uint64_t now = obs::Tracer::now_ns();
+    close(now);
+    return now;
+  }
+
+ private:
+  void close(std::uint64_t at) {
+    if (armed_ && open_) {
+      span_.dur_ns = at - span_.start_ns;
+      obs::record_stage(span_);
+    }
+    span_ = obs::Span{};
+    span_.start_ns = at;
+    open_ = false;
+  }
+
+  obs::Span span_;
+  bool armed_;
+  bool open_ = true;
+};
 
 const char* to_string(SubmitStatus s) {
   switch (s) {
@@ -42,15 +190,16 @@ GraphService::GraphService(SnapshotStore& store, GraphServiceOptions opts)
         return eopts;
       }()),
       cache_(opts.cache_capacity),
-      slo_(opts.telemetry.slo),
-      trace_store_(opts.telemetry.trace_store_capacity) {
-  if (opts_.telemetry.window) {
-    // The per-code dimension always matches this service's error codes;
-    // callers tune bucket count/width only.
-    obs::WindowOptions wopts = opts_.telemetry.window_opts;
-    wopts.error_codes = kNumErrorCodes;
-    window_ = std::make_unique<obs::SlidingWindow>(wopts);
-  }
+      latency_(
+          [&] {
+            // The per-code dimension always matches this service's error
+            // codes; callers tune bucket count/width only.
+            obs::WindowOptions wopts = opts.telemetry.window_opts;
+            wopts.error_codes = kNumErrorCodes;
+            return wopts;
+          }(),
+          opts.telemetry.window),
+      trace_store_(kTraceStoreCapacity) {
   VEBO_CHECK(opts_.workers >= 1, "GraphService: workers must be >= 1");
   VEBO_CHECK(opts_.queue_capacity >= 1,
              "GraphService: queue_capacity must be >= 1");
@@ -75,26 +224,12 @@ GraphService::~GraphService() { stop(); }
 Submission GraphService::submit(Query q) {
   Submission sub;
   Item item;
+  item.enqueued_ns = obs::Tracer::now_ns();
   // The deadline is made absolute at admission: queue wait counts
   // against the budget, and the shed check / superstep polls compare
-  // against one fixed time point. A budget past the clock's range (or
-  // +inf) has no time point to name: it runs without a deadline. The
-  // min() absorbs the rounding of `room` in the double comparison.
-  if (q.deadline_ms > 0) {
-    using Clock = QueryContext::Clock;
-    const Clock::time_point now = Clock::now();
-    const Clock::duration room = Clock::time_point::max() - now;
-    const std::chrono::duration<double, std::milli> budget(q.deadline_ms);
-    if (budget < room)
-      item.ctx.set_deadline(
-          now + std::min(room, std::chrono::duration_cast<Clock::duration>(
-                                   budget)));
-  }
+  // against one fixed time point.
+  if (q.deadline_ms > 0) item.ctx.set_deadline_in(q.deadline_ms);
   if (q.cancel.can_be_cancelled()) item.ctx.set_cancel_token(q.cancel);
-  // The enqueue stamp reuses the admission Timer's start (same steady
-  // epoch) — no clock read, so it is unconditional. Whether anything
-  // consumes it (queue-wait span, trace base) is decided at pickup.
-  item.enqueued_ns = item.submitted.start_ns();
   item.q = std::move(q);
   sub.result = item.promise.get_future();
   // Ledger discipline (see GraphServiceStats): a query enters the books
@@ -136,7 +271,8 @@ Submission GraphService::submit(Query q) {
   }
   // Rejections count toward the windowed error rate (they ARE client-
   // visible failures) but carry no latency sample.
-  observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
+  observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded),
+                  item.enqueued_ns);
   sub.result = {};  // rejected submissions carry no future
   return sub;
 }
@@ -174,7 +310,7 @@ std::uint64_t GraphService::publish(
   }
   // Anomaly trigger: a stalled publish means readers are pinned to an
   // aging epoch — exactly the moment to freeze the black box.
-  if (wall.elapsed_ms() >= opts_.telemetry.anomaly_publish_stall_ms) {
+  if (wall.elapsed_ms() >= kAnomalyPublishStallMs) {
     obs::FlightRecorder& rec = obs::FlightRecorder::instance();
     if (rec.armed()) rec.trigger("publish-stall");
   }
@@ -220,347 +356,201 @@ void GraphService::worker_loop(std::size_t worker_idx) {
       item = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Heartbeat: busy from pickup until settle_heartbeat() right before
-    // promise resolution, so health().oldest_running_ms sees queue-stall
-    // and run time alike, and a returned future::get() never observes
-    // its own query still in flight.
-    ws.pickup_us = steady_now_us();
-    ws.busy_since_us.store(ws.pickup_us, std::memory_order_release);
+    // Heartbeat: busy from pickup until settle() stamps it idle right
+    // before the promise resolves, so health().oldest_running_ms sees
+    // queue-stall and run time alike. The same stamp is the stage
+    // driver's first boundary (queue wait ends, the probe starts).
+    std::uint64_t pickup_ns = obs::Tracer::now_ns();
+    ws.busy_since_ns.store(pickup_ns, std::memory_order_release);
     // Chaos hook: a stalled worker between pickup and execution — the
     // window where deadlines lapse after the queue check would pass.
-    // The in-flight heartbeat keeps the pre-stall stamp (health must
-    // see the age grow), but the telemetry pickup stamp moves past the
-    // stall so the kept trace attributes it to queue-side wait.
+    // The heartbeat keeps the pre-stall stamp (health must see the age
+    // grow), but the stage boundary moves past the stall so a kept
+    // trace bills it to queue wait.
     if (FaultInjector::instance().delay_point(
             FaultInjector::Hook::WorkerStall))
-      ws.pickup_us = steady_now_us();
-    // Every process() path settles the heartbeat itself (see
-    // settle_heartbeat): it must happen BEFORE the promise resolves,
-    // which only process() can order.
-    process(item, ws);
+      pickup_ns = obs::Tracer::now_ns();
+    process(item, ws, pickup_ns);
   }
 }
 
-void GraphService::settle_heartbeat(WorkerState& ws) {
-  ws.processed.fetch_add(1, std::memory_order_relaxed);
-  ws.busy_since_us.store(-1, std::memory_order_release);
-}
-
-void GraphService::process(Item& item, WorkerState& ws) {
-  // Arm the worker's trace BEFORE the shed checks: a shed query's
-  // capture (queue-wait only) is still forensics — it shows the wait
-  // that killed it. Opt-in tracing (Query::trace) uses the full-size
-  // RAII trace and returns the spans on the result; tail sampling uses
-  // the thread's reusable ring and settles at completion (keep into
-  // trace_store_ or drop). Mutually exclusive by construction.
+void GraphService::process(Item& item, WorkerState& ws,
+                           std::uint64_t pickup_ns) {
+  // Arm before the first stage: a shed query's capture (its queue wait)
+  // is still forensics. Opt-in tracing (Query::trace) uses the full-size
+  // RAII trace and returns the spans on the result; tail sampling reuses
+  // the worker's ring from the enqueue stamp (no clock read) and decides
+  // keep or drop at settle. Mutually exclusive by construction.
   std::optional<obs::ThreadTrace> trace;
-  const bool sampling = !item.q.trace && opts_.telemetry.tail_sampling;
   if (item.q.trace)
     trace.emplace();
-  else if (sampling)
-    // Reuse the enqueue stamp as the trace base: saves a clock read per
-    // query and lines the queue-wait span up at t=0 in the export.
-    obs::Tracer::begin_reusing(opts_.telemetry.sample_ring_capacity,
-                               item.enqueued_ns);
-  // The armed path pays NO extra clock read here: the worker loop
-  // already stamped pickup for the in-flight heartbeat, so the
-  // queue-wait end (which doubles as the cache-probe start below; the
-  // probe's end on a hit is derived from the completion latency) is
-  // that same stamp, clamped against sub-microsecond truncation.
-  std::uint64_t pickup_ns = 0;
-  if (item.enqueued_ns != 0 && obs::stage_wanted()) {
-    // The wait already happened, so record it with explicit stamps (its
-    // start predates the trace; the exporter clamps). record_stage
-    // routes it to the thread's trace AND the flight recorder.
-    pickup_ns = std::max(
-        item.enqueued_ns, static_cast<std::uint64_t>(ws.pickup_us) * 1000);
-    obs::Span s;
-    s.kind = obs::SpanKind::QueueWait;
-    s.start_ns = item.enqueued_ns;
-    s.dur_ns = pickup_ns - item.enqueued_ns;
-    obs::record_stage(s);
-  }
-  // Shed before execution: a queued query whose client already gave up
-  // (cancel fired / deadline lapsed) must fail fast — no snapshot pin,
-  // no engine lease, no run.
-  if (item.ctx.cancelled()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_cancelled;
-    }
-    fail(item, ErrorCode::Cancelled, "query cancelled while queued", sampling,
-         ws);
-    return;
-  }
-  if (item.ctx.deadline_expired()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_deadline;
-    }
-    fail(item, ErrorCode::DeadlineExceeded,
-         "query deadline expired while queued (shed before execution)",
-         sampling, ws);
-    return;
-  }
+  else if (opts_.telemetry.tail_sampling)
+    obs::Tracer::begin_reusing(kSampleRingCapacity, item.enqueued_ns);
+  StageClock stages(item.enqueued_ns, pickup_ns);
+  const bool want_payload = item.q.result == ResultKind::Payload;
+  QueryResult r;
+  std::exception_ptr error;
+  bool shed = true;
   try {
-    QueryResult r;
-    const SnapshotRef snap = store_.acquire();
-    if (!snap)
-      throw ServiceError(ErrorCode::NoSnapshot,
-                         "GraphService: no snapshot published yet");
-    const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
-    if (spec == nullptr)
-      throw ServiceError(ErrorCode::BadRequest,
-                         "GraphService: unknown algorithm code: " +
-                             item.q.algo);
-
-    // Validate against the schema (throws on unknown/ill-typed params,
-    // fills defaults) with the legacy `source` field folded in. The
-    // normalized set stays in ORIGINAL ids — it is the client-visible
-    // identity of the query, and what the cache keys on. Validation
-    // failures are the client's fault: BadRequest, never Internal.
-    algo::QueryParams norm;
-    const bool takes_source = spec->params.find("source") != nullptr;
-    const Permutation* perm = snap.perm();
-    VertexId source = 0;
-    try {
-      algo::QueryParams raw = item.q.params;
-      if (takes_source && !raw.has("source"))
-        raw.set("source", item.q.source);
-      norm = spec->params.validate(raw);
-      if (takes_source) {
-        source = norm.get_vertex("source");
-        if (perm != nullptr) {
-          VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
-                     "GraphService: source out of range");
-          source = (*perm)[source];
-        }
-        VEBO_CHECK(source < snap.graph().num_vertices(),
-                   "GraphService: source out of range");
-      }
-    } catch (const Error& e) {
-      throw ServiceError(ErrorCode::BadRequest, e.what());
+    shed_if_abandoned(item.ctx);
+    shed = false;
+    stages.open(obs::SpanKind::CacheProbe);
+    const Resolved q = resolve(item.q);
+    r.version = q.snap.version();
+    r.cache_hit = probe(q, want_payload, r);
+    stages.arg(r.cache_hit ? 1 : 0);
+    if (!r.cache_hit) {
+      algo::QueryPayload payload = execute(q, item.ctx, stages);
+      stages.advance(obs::SpanKind::Translate, payload_vertices(payload));
+      translate(q, std::move(payload), want_payload, r);
     }
-    r.version = snap.version();
-
-    const CacheKey key = CacheKey::make(spec->code, norm);
-    const bool want_payload = item.q.result == ResultKind::Payload;
-    bool hit = false;
-    // Probe span stamps by hand, not StageScope: the start reuses the
-    // pickup read, and a HIT's end is derived from the completion
-    // latency (recorded below, once latency is known) — zero extra
-    // clock reads on the cache-hit hot path. A miss pays one read here,
-    // noise next to the execution that follows.
-    std::uint64_t probe_start = 0;
-    if (opts_.enable_cache) {
-      if (pickup_ns != 0)
-        probe_start = pickup_ns;
-      else if (obs::stage_wanted())
-        probe_start = obs::Tracer::now_ns();
-      {
-        MutexLock lk(cache_mutex_);
-        if (cache_version_ == snap.version()) {
-          if (const ResultCache::Value* v = cache_.find(key)) {
-            r.value = v->checksum;
-            if (want_payload) r.payload = v->payload;
-            hit = true;
-          }
-        }
-      }
-      if (probe_start != 0 && !hit) {
-        obs::Span s;
-        s.kind = obs::SpanKind::CacheProbe;
-        s.start_ns = probe_start;
-        const std::uint64_t now = obs::Tracer::now_ns();
-        s.dur_ns = now > probe_start ? now - probe_start : 0;
-        s.a = 0;
-        obs::record_stage(s);
-      }
-    }
-    if (!hit) {
-      // Execution-space params: the source translated to its snapshot
-      // position. Payload vertex ids come back in snapshot space and are
-      // translated once, here in the worker — never under the cache lock.
-      algo::QueryParams exec = norm;
-      if (takes_source) exec.set("source", source);
-      // Lease span with explicit stamps (a scoped span would have to
-      // outlive this statement or force a move of the lease).
-      const std::uint64_t lease_start =
-          obs::stage_wanted() ? obs::Tracer::now_ns() : 0;
-      EnginePool::Lease lease = pool_.lease(snap);
-      if (lease_start != 0) {
-        obs::Span s;
-        s.kind = obs::SpanKind::EngineLease;
-        s.start_ns = lease_start;
-        s.dur_ns = obs::Tracer::now_ns() - lease_start;
-        s.a = snap.version();
-        obs::record_stage(s);
-      }
-      // Chaos hook: a query that fails after the lease was taken — the
-      // lease must come back via RAII (invariant: outstanding() drains
-      // to zero whatever happens below).
-      FaultInjector::instance().failure_point(
-          FaultInjector::Hook::QueryThrow, "query execution");
-      algo::QueryPayload payload;
-      {
-        obs::StageScope run(obs::SpanKind::Execute);
-        if (run.live()) run.span().a = snap.version();
-        // Bind the query's context for the duration of the run: the
-        // framework entry points and the algorithms' hand-rolled loops
-        // poll it between supersteps, so cancellation / deadline expiry
-        // stops the traversal within one superstep. RAII unbind keeps a
-        // cancelled run from leaking its context into the engine's next
-        // lease.
-        Engine::ContextBinding bind(lease.engine(), item.ctx);
-        payload = spec->run(lease.engine(), exec, item.ctx);
-      }
-      lease.release();
-      std::shared_ptr<const algo::QueryPayload> shared;
-      {
-        obs::StageScope tr(obs::SpanKind::Translate);
-        if (tr.live()) {
-          std::uint64_t nvert = 0;
-          switch (payload.kind()) {
-            case algo::PayloadKind::VertexDoubles:
-              nvert = payload.doubles().size();
-              break;
-            case algo::PayloadKind::VertexIds:
-              nvert = payload.ids().size();
-              break;
-            default: break;
-          }
-          tr.span().a = nvert;
-        }
-        // The fold runs in snapshot order — the order the legacy surface
-        // sums in — so checksums stay byte-identical across orderings.
-        r.value = spec->checksum(payload);
-        // Translation is skipped entirely when nobody will see the
-        // payload (checksum-only query, cache off) — scalar answers stay
-        // cheap.
-        // Chaos hook: allocation failure at the one serve-path allocation
-        // that scales with the answer (per-vertex payload copy).
-        FaultInjector::instance().failure_point(
-            FaultInjector::Hook::AllocThrow, "payload allocation");
-        if (want_payload || opts_.enable_cache)
-          shared = std::make_shared<const algo::QueryPayload>(
-              perm != nullptr
-                  ? algo::translate_to_original_ids(payload, *perm)
-                  : std::move(payload));
-      }
-      if (want_payload) r.payload = shared;
-      if (opts_.enable_cache) {
-        std::uint64_t evicted_before = 0, evicted_after = 0;
-        {
-          MutexLock lk(cache_mutex_);
-          evicted_before = cache_.evictions();
-          if (cache_version_ != snap.version()) {
-            // First entry for a new epoch (or a publish raced us): start a
-            // fresh cache generation. An older-epoch result is simply not
-            // cached — snap.version() < cache_version_ must never
-            // resurrect entries for a superseded graph.
-            if (cache_version_ < snap.version()) {
-              cache_.clear();
-              cache_version_ = snap.version();
-              // Whatever opened this epoch (a wipe, or a publish straight
-              // into the store) recorded no permutation for it; a later
-              // refresh must assume it changed.
-              cache_perm_known_ = false;
-              cache_.insert(key, {r.value, shared, spec->code, norm});
-            }
-          } else {
-            cache_.insert(key, {r.value, shared, spec->code, norm});
-          }
-          evicted_after = cache_.evictions();
-        }
-        if (evicted_after != evicted_before) {
-          MutexLock slk(stats_mutex_);
-          stats_.evictions += evicted_after - evicted_before;
-        }
-      }
-    }
-    r.cache_hit = hit;
-    r.latency_ms = item.submitted.elapsed_ms();
-    // Completion stamp derived from the latency read above; the hit
-    // probe span and the window record reuse it rather than reading the
-    // clock twice more on the hot path.
-    const std::uint64_t settled_ns =
-        item.enqueued_ns +
-        static_cast<std::uint64_t>(r.latency_ms * 1e6);
-    if (hit && probe_start != 0) {
-      // The hit probe span closes at completion (lookup through the
-      // books); `a = 1` marks the hit.
-      obs::Span s;
-      s.kind = obs::SpanKind::CacheProbe;
-      s.start_ns = probe_start;
-      s.dur_ns = settled_ns > probe_start ? settled_ns - probe_start : 0;
-      s.a = 1;
-      obs::record_stage(s);
-    }
-    record(r.latency_ms, ws);
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.completed;
-      --stats_.in_flight;
-      if (hit) ++stats_.cache_hits;
-    }
-    // Close the trace before resolving the promise so the client's
-    // future carries the complete span set. Tail samples settle here
-    // too: keep iff over the rolling threshold, drop otherwise.
-    if (trace) r.trace = std::make_shared<const obs::Trace>(trace->finish());
-    if (sampling)
-      settle_sample(item, r.latency_ms, /*ok=*/true, ErrorCode::Internal,
-                    r.version);
-    observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk,
-                    settled_ns);
-    settle_heartbeat(ws);
-    item.promise.set_value(r);
-  } catch (const ServiceError& e) {
-    // Already typed: count the code and hand the original object on.
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.failed;
-      --stats_.in_flight;
-      ++stats_.errors_by_code[code_index(e.code())];
-    }
-    const double lat_ms = item.submitted.elapsed_ms();
-    if (sampling) settle_sample(item, lat_ms, /*ok=*/false, e.code(), 0);
-    observe_settled(item.q.algo, lat_ms, code_index(e.code()));
-    settle_heartbeat(ws);
-    item.promise.set_exception(std::current_exception());
-  } catch (const CancelledError& e) {
-    // Cooperative checkpoint fired mid-run (within one superstep of the
-    // cancel); retype so clients branch on code().
-    fail(item, ErrorCode::Cancelled, e.what(), sampling, ws);
-  } catch (const DeadlineExceededError& e) {
-    fail(item, ErrorCode::DeadlineExceeded, e.what(), sampling, ws);
-  } catch (const std::exception& e) {
-    // Algorithm throw, translation failure, allocation failure, injected
-    // fault — anything that escaped the run. The engine lease and the
-    // snapshot pin were released by RAII on the unwind.
-    fail(item, ErrorCode::Internal, e.what(), sampling, ws);
   } catch (...) {
-    fail(item, ErrorCode::Internal, "unknown exception", sampling, ws);
+    error = std::current_exception();
+  }
+  const std::uint64_t done_ns = stages.complete();
+  r.latency_ms = static_cast<double>(done_ns - item.enqueued_ns) / 1e6;
+  // Close the opt-in trace before the promise resolves so the client's
+  // future carries the complete span set.
+  if (trace && !error)
+    r.trace = std::make_shared<const obs::Trace>(trace->finish());
+  settle(item, ws, std::move(r), error, shed, done_ns);
+}
+
+GraphService::Resolved GraphService::resolve(const Query& q) const {
+  Resolved r;
+  r.snap = store_.acquire();
+  if (!r.snap)
+    throw ServiceError(ErrorCode::NoSnapshot,
+                       "GraphService: no snapshot published yet");
+  r.spec = algo::find_spec(q.algo);
+  if (r.spec == nullptr)
+    throw ServiceError(ErrorCode::BadRequest,
+                       "GraphService: unknown algorithm code: " + q.algo);
+  // Validate against the schema (throws on unknown/ill-typed params,
+  // fills defaults) with the legacy `source` field folded in.
+  // Validation failures are the client's fault: BadRequest, never
+  // Internal.
+  try {
+    algo::QueryParams raw = q.params;
+    const bool takes_source = r.spec->params.find("source") != nullptr;
+    if (takes_source && !raw.has("source")) raw.set("source", q.source);
+    r.norm = r.spec->params.validate(raw);
+    if (takes_source) r.source = snapshot_source(r.norm, r.snap);
+  } catch (const Error& e) {
+    throw ServiceError(ErrorCode::BadRequest, e.what());
+  }
+  r.key = CacheKey::make(r.spec->code, r.norm);
+  return r;
+}
+
+bool GraphService::probe(const Resolved& q, bool want_payload,
+                         QueryResult& r) {
+  if (!opts_.enable_cache) return false;
+  MutexLock lk(cache_mutex_);
+  if (cache_version_ != q.snap.version()) return false;
+  const ResultCache::Value* v = cache_.find(q.key);
+  if (v == nullptr) return false;
+  r.value = v->checksum;
+  if (want_payload) r.payload = v->payload;
+  return true;
+}
+
+algo::QueryPayload GraphService::execute(const Resolved& q,
+                                         const QueryContext& ctx,
+                                         StageClock& stages) {
+  stages.advance(obs::SpanKind::EngineLease, q.snap.version());
+  EnginePool::Lease lease = pool_.lease(q.snap);
+  // Chaos hook: a query that fails after the lease was taken — the
+  // lease must come back via RAII (invariant: outstanding() drains to
+  // zero whatever happens below).
+  FaultInjector::instance().failure_point(FaultInjector::Hook::QueryThrow,
+                                          "query execution");
+  stages.advance(obs::SpanKind::Execute, q.snap.version());
+  algo::QueryParams exec = q.norm;
+  if (q.source) exec.set("source", *q.source);
+  // Bind the query's context for the duration of the run: the framework
+  // entry points and the algorithms' hand-rolled loops poll it between
+  // supersteps, so cancellation / deadline expiry stops the traversal
+  // within one superstep. RAII unbind keeps a cancelled run from leaking
+  // its context into the engine's next lease.
+  Engine::ContextBinding bind(lease.engine(), ctx);
+  return q.spec->run(lease.engine(), exec, ctx);
+}
+
+void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
+                             bool want_payload, QueryResult& r) {
+  // Chaos hook: allocation failure at the one serve-path allocation that
+  // scales with the answer (the per-vertex payload copy).
+  FaultInjector::instance().failure_point(FaultInjector::Hook::AllocThrow,
+                                          "payload allocation");
+  // Nobody sees the payload of a checksum-only query with the cache
+  // off: translation is skipped and scalar answers stay cheap.
+  ResultCache::Value v = translated(*q.spec, std::move(payload),
+                                    q.snap.perm(),
+                                    want_payload || opts_.enable_cache);
+  r.value = v.checksum;
+  if (want_payload) r.payload = v.payload;
+  if (!opts_.enable_cache) return;
+  v.code = q.spec->code;
+  v.params = q.norm;
+  std::uint64_t evicted = 0;
+  {
+    MutexLock lk(cache_mutex_);
+    const std::uint64_t before = cache_.evictions();
+    if (cache_version_ < q.snap.version()) {
+      // First entry for a new epoch (or a publish raced us): start a
+      // fresh cache generation. Whatever opened this epoch (a wipe, or a
+      // publish straight into the store) recorded no permutation for it;
+      // a later refresh must assume it changed.
+      cache_.clear();
+      cache_version_ = q.snap.version();
+      cache_perm_known_ = false;
+    }
+    // An older-epoch result is simply not cached: it must never
+    // resurrect entries for a superseded graph.
+    if (cache_version_ == q.snap.version()) cache_.insert(q.key, std::move(v));
+    evicted = cache_.evictions() - before;
+  }
+  if (evicted != 0) {
+    MutexLock slk(stats_mutex_);
+    stats_.evictions += evicted;
   }
 }
 
-void GraphService::fail(Item& item, ErrorCode code, const std::string& what,
-                        bool sampled, WorkerState& ws) {
+void GraphService::settle(Item& item, WorkerState& ws, QueryResult r,
+                          std::exception_ptr error, bool shed,
+                          std::uint64_t done_ns) {
+  ErrorCode code = ErrorCode::Internal;
+  if (error) std::tie(error, code) = as_service_error(error);
   {
     MutexLock lk(stats_mutex_);
-    ++stats_.failed;
     --stats_.in_flight;
-    ++stats_.errors_by_code[code_index(code)];
+    if (!error) {
+      ++stats_.completed;
+      if (r.cache_hit) ++stats_.cache_hits;
+    } else {
+      ++stats_.failed;
+      ++stats_.errors_by_code[code_index(code)];
+      if (shed && code == ErrorCode::Cancelled) ++stats_.shed_cancelled;
+      if (shed && code == ErrorCode::DeadlineExceeded) ++stats_.shed_deadline;
+    }
   }
-  const double lat_ms = item.submitted.elapsed_ms();
-  // Failures always keep their tail sample — a failed query IS the
-  // forensic case tail sampling exists for.
-  if (sampled) settle_sample(item, lat_ms, /*ok=*/false, code, 0);
-  observe_settled(item.q.algo, lat_ms, code_index(code));
-  settle_heartbeat(ws);
-  // set_exception, not throw: the worker thread must survive the failure
-  // and the client must see it — exactly once each.
-  item.promise.set_exception(
-      std::make_exception_ptr(ServiceError(code, what)));
+  if (!item.q.trace)
+    settle_sample(item, r.latency_ms, !error, code, error ? 0 : r.version);
+  observe_settled(item.q.algo, r.latency_ms,
+                  error ? code_index(code) : obs::SlidingWindow::kOk,
+                  done_ns);
+  // The heartbeat settles BEFORE the promise resolves, like the ledger:
+  // a client whose future::get() returned observes in_flight 0 and age
+  // 0 for its own query.
+  ws.processed.fetch_add(1, std::memory_order_relaxed);
+  ws.busy_since_ns.store(WorkerState::kIdle, std::memory_order_release);
+  // set_exception, not throw: the worker survives the failure and the
+  // client sees it — exactly once each.
+  if (error)
+    item.promise.set_exception(error);
+  else
+    item.promise.set_value(std::move(r));
 }
 
 void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
@@ -569,6 +559,7 @@ void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
   bool keep = false;
   std::string reason;
   if (!ok) {
+    // A failed query IS the forensic case tail sampling exists for.
     keep = true;
     reason = code == ErrorCode::DeadlineExceeded
                  ? "deadline"
@@ -596,12 +587,8 @@ void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
 
 void GraphService::observe_settled(const std::string& algo, double latency_ms,
                                    std::size_t code, std::uint64_t now_ns) {
-  if (window_ == nullptr) return;
-  // Hot callers pass the stamp they already derived; rare paths
-  // (failures, rejections) let us read the clock here.
-  const std::uint64_t now = now_ns != 0 ? now_ns : obs::Tracer::now_ns();
-  window_->record(now, algo, latency_ms, code);
-  maybe_monitor(now);
+  latency_.record(now_ns, algo, latency_ms, code);
+  if (opts_.telemetry.window) maybe_monitor(now_ns);
 }
 
 void GraphService::maybe_monitor(std::uint64_t now_ns) {
@@ -622,13 +609,12 @@ void GraphService::maybe_monitor(std::uint64_t now_ns) {
   if (!last_monitor_us_.compare_exchange_strong(last, now_us,
                                                 std::memory_order_relaxed))
     return;
-  const obs::WindowSnapshot w = window_->snapshot(now_ns);
+  const obs::WindowSnapshot w = latency_.snapshot(now_ns);
   // Rolling tail-sampling keep threshold: windowed p99 x factor with an
   // absolute floor; "failures only" until the window has evidence.
   if (w.latency_samples >= opts_.telemetry.keep_min_samples) {
-    const double thr_ms =
-        std::max(w.p99_ms * opts_.telemetry.keep_latency_factor,
-                 opts_.telemetry.keep_min_ms);
+    const double thr_ms = std::max(w.p99_ms * kKeepLatencyFactor,
+                                   opts_.telemetry.keep_min_ms);
     keep_threshold_us_.store(static_cast<std::uint64_t>(thr_ms * 1000.0),
                              std::memory_order_relaxed);
   } else {
@@ -640,23 +626,8 @@ void GraphService::maybe_monitor(std::uint64_t now_ns) {
   if (w.total >= opts_.telemetry.anomaly_min_samples &&
       w.error_rate >= opts_.telemetry.anomaly_error_rate)
     rec.trigger("error-rate-spike");
-  if (oldest_running_ms_now() >= opts_.telemetry.anomaly_in_flight_age_ms)
+  if (health().oldest_running_ms >= kAnomalyInFlightAgeMs)
     rec.trigger("in-flight-age");
-}
-
-double GraphService::oldest_running_ms_now() const {
-  const std::int64_t now_us = steady_now_us();
-  double oldest = 0;
-  for (const auto& ws : worker_state_) {
-    const std::int64_t since =
-        ws->busy_since_us.load(std::memory_order_acquire);
-    if (since >= 0)
-      oldest = std::max(
-          oldest,
-          static_cast<double>(std::max<std::int64_t>(0, now_us - since)) /
-              1000.0);
-  }
-  return oldest;
 }
 
 void GraphService::invalidate_cache() {
@@ -729,8 +700,8 @@ void GraphService::refresh_cache(
     // match this perm — drop everything rather than refresh wrongly.
     algo::EdgeDelta snap_delta;
     if (usable && perm != nullptr) {
-      const auto translate = [&](const std::vector<Edge>& in,
-                                 std::vector<Edge>& out) {
+      const auto to_snapshot = [&](const std::vector<Edge>& in,
+                                   std::vector<Edge>& out) {
         out.reserve(in.size());
         for (const Edge& e : in) {
           if (e.src >= perm->size() || e.dst >= perm->size()) return false;
@@ -738,14 +709,13 @@ void GraphService::refresh_cache(
         }
         return true;
       };
-      usable = translate(delta.inserted, snap_delta.inserted) &&
-               translate(delta.removed, snap_delta.removed);
+      usable = to_snapshot(delta.inserted, snap_delta.inserted) &&
+               to_snapshot(delta.removed, snap_delta.removed);
     }
     if (usable) {
       const algo::EdgeDelta& eng_delta =
           perm != nullptr ? snap_delta : delta;
       EnginePool::Lease lease = pool_.lease(snap);
-      const VertexId n = snap.graph().num_vertices();
       for (auto& [key, val] : entries) {
         const algo::AlgorithmSpec* spec = algo::find_spec(val.code);
         if (spec == nullptr || !spec->refresh || val.payload == nullptr)
@@ -753,16 +723,11 @@ void GraphService::refresh_cache(
         if (spec->refresh_needs_stable_perm && !perm_stable) continue;
         try {
           Timer hook;
+          // The resolve stage's source mapping: an entry whose source
+          // names no vertex of this snapshot throws and is dropped.
           algo::QueryParams exec = val.params;
-          if (spec->params.find("source") != nullptr) {
-            VertexId src = exec.get_vertex("source");
-            if (perm != nullptr) {
-              if (src >= static_cast<VertexId>(perm->size())) continue;
-              src = (*perm)[src];
-            }
-            if (src >= n) continue;
-            exec.set("source", src);
-          }
+          if (spec->params.find("source") != nullptr)
+            exec.set("source", snapshot_source(exec, snap));
           // The cached payload is in original ids; hand the hook a view
           // in THIS snapshot's id space. Throws (and drops the entry)
           // when sizes no longer line up — e.g. vertex growth.
@@ -779,14 +744,10 @@ void GraphService::refresh_cache(
             out = spec->refresh(lease.engine(), exec, prev_snap, eng_delta,
                                 ctx);
           }
-          ResultCache::Value nv;
-          // Checksum in snapshot order, translate after — the exact
-          // sequence process() runs, so a refreshed entry is
+          // The translate stage a query runs, so a refreshed entry is
           // indistinguishable from a recomputed one.
-          nv.checksum = spec->checksum(out);
-          nv.payload = std::make_shared<const algo::QueryPayload>(
-              perm != nullptr ? algo::translate_to_original_ids(out, *perm)
-                              : std::move(out));
+          ResultCache::Value nv =
+              translated(*spec, std::move(out), perm.get(), /*keep=*/true);
           nv.code = val.code;
           nv.params = val.params;
           hook_ms.emplace_back(val.code, hook.elapsed_ms());
@@ -841,25 +802,25 @@ ServiceHealth GraphService::health() const {
     h.accepting = !stopping_;
     h.queue_depth = queue_.size();
   }
-  const std::int64_t now_us = steady_now_us();
+  const std::uint64_t now_ns = obs::Tracer::now_ns();
   h.workers.reserve(worker_state_.size());
   for (const auto& ws : worker_state_) {
     WorkerHealth w;
     w.processed = ws->processed.load(std::memory_order_relaxed);
-    const std::int64_t since = ws->busy_since_us.load(std::memory_order_acquire);
-    if (since >= 0) {
+    const std::uint64_t since =
+        ws->busy_since_ns.load(std::memory_order_acquire);
+    if (since != WorkerState::kIdle) {
       w.busy = true;
-      // Clamp: the worker may have stamped after our now_us read.
-      w.busy_ms = static_cast<double>(std::max<std::int64_t>(
-                      0, now_us - since)) /
-                  1000.0;
+      // Clamp: the worker may have stamped after our now_ns read.
+      w.busy_ms = now_ns > since ? static_cast<double>(now_ns - since) / 1e6
+                                 : 0.0;
       ++h.in_flight;
       h.oldest_running_ms = std::max(h.oldest_running_ms, w.busy_ms);
     }
     h.workers.push_back(w);
   }
-  if (window_ != nullptr) {
-    const obs::WindowSnapshot w = window_->snapshot(obs::Tracer::now_ns());
+  if (opts_.telemetry.window) {
+    const obs::WindowSnapshot w = latency_.snapshot(now_ns);
     h.window_samples = w.total;
     h.window_qps = w.qps;
     h.window_error_rate = w.error_rate;
@@ -879,49 +840,9 @@ ServiceHealth GraphService::health() const {
   return h;
 }
 
-void GraphService::record(double latency_ms, WorkerState& ws) {
-  // Log-bucketed microseconds (~6% resolution, bounded bin count — a
-  // one-off multi-second outlier must not balloon the histogram). 0
-  // rounds up to 1us so the p50 of all-cache-hit workloads is not
-  // reported as exactly zero.
-  const auto us = static_cast<std::uint64_t>(
-      std::max(1.0, latency_ms * 1000.0));
-  // The worker's own histogram: uncontended in steady state (latency()
-  // is the only other reader).
-  MutexLock lk(ws.lat_mutex);
-  ws.lat_buckets.add(log_bucket(us));
-  ws.lat_sum_ms += latency_ms;
-}
-
 GraphServiceStats GraphService::stats() const {
   MutexLock lk(stats_mutex_);
   return stats_;
-}
-
-LatencySummary GraphService::latency() const {
-  // Merge the per-worker histograms; locks are taken one at a time (no
-  // nesting), so workers keep recording.
-  Histogram merged;
-  double sum_ms = 0;
-  for (const auto& ws : worker_state_) {
-    MutexLock lk(ws->lat_mutex);
-    merged.merge(ws->lat_buckets);
-    sum_ms += ws->lat_sum_ms;
-  }
-  LatencySummary s;
-  s.samples = merged.total();
-  if (s.samples == 0) return s;
-  s.p50_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.50))) /
-      1e3;
-  s.p95_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.95))) /
-      1e3;
-  s.p99_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.99))) /
-      1e3;
-  s.mean_ms = sum_ms / static_cast<double>(s.samples);
-  return s;
 }
 
 void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
@@ -1031,8 +952,8 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   // The always-on window (PR 8): what is happening RIGHT NOW, next to
   // the cumulative trajectory above. Names end in _window so dashboards
   // can't confuse a 10-second rate with a since-boot counter.
-  if (window_ != nullptr) {
-    const obs::WindowSnapshot w = window_->snapshot(obs::Tracer::now_ns());
+  if (opts_.telemetry.window) {
+    const obs::WindowSnapshot w = latency_.snapshot(obs::Tracer::now_ns());
     const obs::SloStatus slo = slo_.evaluate(w);
     emit(MetricType::Gauge, "vebo_service_qps_window",
          "settled queries per second over the sliding window", w.qps);

@@ -30,8 +30,8 @@
 // the algorithm's typed QueryPayload (per-vertex vectors, top-k lists).
 //
 // Results are futures. Each completed query reports the epoch version it
-// ran on, its submit-to-completion latency (recorded into a histogram;
-// p50/p95/p99 via latency()), and whether it was served from the
+// ran on, its submit-to-completion latency (recorded into the latency
+// sink; p50/p95/p99 via latency()), and whether it was served from the
 // version-keyed result cache. The cache is keyed canonically on
 // (code, validated params) — spelling, ordering, and default-reliance
 // cannot split semantically identical queries — holds results for the
@@ -56,6 +56,16 @@
 // failure is a ServiceError with a machine-readable code, counted
 // per-code in GraphServiceStats. health() reports queue depth, in-flight
 // count, the oldest running query's age, and a per-worker heartbeat.
+//
+// A worker runs each query as explicit stages: shed (a lapsed deadline
+// or a fired cancel fails it unrun) -> resolve (pin the epoch, validate
+// the params) -> probe (the cache) -> execute (lease an engine, run) ->
+// translate (checksum, original ids, cache insert) -> settle (ledger,
+// latency sink, tail sample, window, heartbeat, then the promise). One
+// driver owns stage timing: each boundary stamp ends one stage span and
+// starts the next, so QueueWait, CacheProbe (resolve + probe),
+// EngineLease, Execute and Translate tile the query's latency exactly,
+// and a cache hit reads the clock only at pickup and at completion.
 #pragma once
 
 #include <array>
@@ -63,6 +73,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -95,16 +106,14 @@ namespace vebo::serve {
 /// budgets at <=3% on both guarded op points.
 struct TelemetryOptions {
   /// Tail sampling: EVERY query runs under a reusable per-worker trace
-  /// ring (no per-query allocation); at completion the service decides
-  /// keep or drop. Kept into trace_store(): queries slower than the
-  /// rolling threshold (windowed p99 x keep_latency_factor, floored at
-  /// keep_min_ms), deadline hits, and ServiceError failures. Dropped:
-  /// everything else, for the cost of a few clock reads. Explicit
-  /// Query::trace still wins (full-size ring, trace on the result).
+  /// ring (4096 spans, no per-query allocation); at completion the
+  /// service decides keep or drop. Kept into trace_store() (the last 32):
+  /// queries slower than the rolling threshold (windowed p99 x 3,
+  /// floored at keep_min_ms), deadline hits, and ServiceError failures.
+  /// Dropped: everything else, for the cost of a few clock reads.
+  /// Explicit Query::trace still wins (full-size ring, trace on the
+  /// result).
   bool tail_sampling = true;
-  std::size_t sample_ring_capacity = 4096;
-  std::size_t trace_store_capacity = 32;
-  double keep_latency_factor = 3.0;
   /// Absolute floor for the slow-keep threshold so cache-hit jitter on
   /// a microsecond-scale p99 cannot flood the store.
   double keep_min_ms = 1.0;
@@ -113,23 +122,22 @@ struct TelemetryOptions {
   std::uint64_t keep_min_samples = 50;
   /// Sliding-window monitoring: qps, per-ErrorCode error rate, latency
   /// quantiles per algorithm over the last buckets x bucket_ns. Feeds
-  /// health(), the *_window metric gauges, and the SLO burn rate.
+  /// health(), the *_window metric gauges, and the SLO burn rate (the
+  /// default obs::SloConfig: 99.9% availability, no latency SLO). Off,
+  /// the latency sink keeps only the cumulative view behind latency().
   bool window = true;
   /// error_codes is overridden with kNumErrorCodes at construction.
   obs::WindowOptions window_opts;
-  obs::SloConfig slo;
   /// Completion-time monitoring cadence: the rolling keep threshold and
   /// the anomaly checks run at most once per this interval.
   double monitor_interval_ms = 100;
   /// Anomaly triggers for the process flight recorder (no-ops unless
   /// obs::FlightRecorder::instance() is armed): windowed error rate >=
   /// anomaly_error_rate over >= anomaly_min_samples, or an in-flight
-  /// query older than anomaly_in_flight_age_ms. The publish path
-  /// triggers on a publish slower than anomaly_publish_stall_ms.
+  /// query older than 1 s. The publish path triggers on a publish slower
+  /// than 250 ms.
   double anomaly_error_rate = 0.5;
   std::uint64_t anomaly_min_samples = 20;
-  double anomaly_in_flight_age_ms = 1000;
-  double anomaly_publish_stall_ms = 250;
 };
 
 struct GraphServiceOptions {
@@ -292,7 +300,7 @@ struct ServiceHealth {
   double window_qps = 0;
   double window_error_rate = 0;
   double window_p50_ms = 0, window_p95_ms = 0, window_p99_ms = 0;
-  /// SLO verdict over the window (SloTracker on telemetry.slo).
+  /// SLO verdict over the window (the default obs::SloConfig).
   double availability = 1.0;
   double burn_rate = 0;
   double latency_burn_rate = 0;
@@ -303,10 +311,8 @@ struct ServiceHealth {
   double slow_keep_threshold_ms = 0;
 };
 
-struct LatencySummary {
-  std::uint64_t samples = 0;
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0, mean_ms = 0;
-};
+/// Submit-to-completion latency of every successful query.
+using LatencySummary = obs::LatencySummary;
 
 class GraphService {
  public:
@@ -361,85 +367,85 @@ class GraphService {
   void stop() EXCLUDES(stop_mutex_, queue_mutex_);
 
   GraphServiceStats stats() const EXCLUDES(stats_mutex_);
-  LatencySummary latency() const EXCLUDES(stats_mutex_);
+  LatencySummary latency() const { return latency_.cumulative(); }
   ServiceHealth health() const EXCLUDES(queue_mutex_);
   const SnapshotStore& store() const { return store_; }
   const EnginePool& engine_pool() const { return pool_; }
-  /// The tail-sampling sink: the last trace_store_capacity keeper
-  /// traces (slow / deadline / failed queries), captured with zero
-  /// Query::trace opt-in. Export entries with obs::to_chrome_trace_json.
+  /// The tail-sampling sink: the last 32 keeper traces (slow /
+  /// deadline / failed queries), captured with zero Query::trace opt-in.
+  /// Export entries with obs::to_chrome_trace_json.
   const obs::TraceStore& trace_store() const { return trace_store_; }
-  /// The sliding window behind health()/metrics (null when
-  /// telemetry.window is off); snapshot with obs::Tracer::now_ns().
-  const obs::SlidingWindow* window() const { return window_.get(); }
 
  private:
   struct Item {
     Query q;
     std::promise<QueryResult> promise;
-    Timer submitted;
+    /// Submit stamp (steady-clock ns): where the latency and the
+    /// queue-wait span start, and the tail-sampled trace's base.
+    std::uint64_t enqueued_ns = 0;
     /// Deadline (absolute, fixed at submit) + the client's cancel token;
-    /// polled by the shed check and, via the engine binding, at every
+    /// polled by the shed stage and, via the engine binding, at every
     /// superstep of the run.
     QueryContext ctx;
-    /// Submit stamp for the trace's queue-wait span; 0 unless the query
-    /// opted into tracing (untraced submits skip the clock read).
-    std::uint64_t enqueued_ns = 0;
   };
 
-  /// Per-worker heartbeat state. busy_since_us is a steady-clock
-  /// microsecond stamp; < 0 means idle. The latency histogram is
-  /// per-worker so the record path never contends on the service-wide
-  /// stats mutex; latency() merges them (Histogram::merge).
+  /// Per-worker heartbeat: queries finished, and the pickup stamp
+  /// (steady-clock ns) of the query being run, kIdle between queries.
   struct WorkerState {
+    static constexpr std::uint64_t kIdle = 0;
     std::atomic<std::uint64_t> processed{0};
-    std::atomic<std::int64_t> busy_since_us{-1};
-    /// The pickup stamp behind busy_since_us, kept as a plain field the
-    /// owning worker re-reads inside process(): telemetry derives the
-    /// queue-wait end / probe start from it instead of paying a second
-    /// clock read per query. Worker-thread private.
-    std::int64_t pickup_us = 0;
-    Mutex lat_mutex;
-    /// log_bucket(latency us), see record()
-    Histogram lat_buckets GUARDED_BY(lat_mutex);
-    double lat_sum_ms GUARDED_BY(lat_mutex) = 0;
+    std::atomic<std::uint64_t> busy_since_ns{kIdle};
   };
+
+  /// A query bound to the epoch it runs on: the resolve stage's output.
+  struct Resolved;
+  /// The stage driver's clock: stage spans and their boundary stamps.
+  class StageClock;
 
   void worker_loop(std::size_t worker_idx) EXCLUDES(queue_mutex_);
-  void process(Item& item, WorkerState& ws)
-      EXCLUDES(stats_mutex_, cache_mutex_);
-  /// Fails the item's future with a ServiceError of the given code,
-  /// counting `failed` and the per-code counter exactly once. `sampled`
-  /// = the caller armed a tail-sampling trace that must be settled
-  /// (failures are always kept). Settles `ws`'s heartbeat before the
-  /// promise resolves.
-  void fail(Item& item, ErrorCode code, const std::string& what,
-            bool sampled, WorkerState& ws) EXCLUDES(stats_mutex_);
-  /// Settles the worker heartbeat for one query: bumps `processed` and
-  /// stamps idle. MUST run before the item's promise resolves (the same
-  /// order the stats ledger settles in) — a client whose future::get()
-  /// returned must observe itself gone from health(): in_flight 0, age
-  /// 0. Settling after resolution leaves a window where the client sees
-  /// its own finished query still running.
-  static void settle_heartbeat(WorkerState& ws);
+  /// Runs one picked-up query through its stages: shed -> resolve ->
+  /// probe -> execute -> translate -> settle. Whatever a stage throws
+  /// ends the run early; every run ends in settle().
+  void process(Item& item, WorkerState& ws, std::uint64_t pickup_ns)
+      EXCLUDES(queue_mutex_, stats_mutex_, cache_mutex_);
+  /// Pins the current epoch, finds the algorithm and validates the
+  /// params (BadRequest on failure, NoSnapshot before any publish).
+  Resolved resolve(const Query& q) const;
+  /// Looks the query up in the live cache generation; fills `r` on a hit.
+  bool probe(const Resolved& q, bool want_payload, QueryResult& r)
+      EXCLUDES(cache_mutex_);
+  /// Leases an engine and runs the query on it (a miss).
+  algo::QueryPayload execute(const Resolved& q, const QueryContext& ctx,
+                             StageClock& stages);
+  /// Checksums and translates a computed payload into `r` and caches it.
+  void translate(const Resolved& q, algo::QueryPayload payload,
+                 bool want_payload, QueryResult& r)
+      EXCLUDES(cache_mutex_, stats_mutex_);
+  /// The one exit for every accepted query, success or failure: books
+  /// the ledger, settles the tail sample, records the latency sink and
+  /// window, stamps the worker idle, and only then resolves the promise
+  /// — a client whose future::get() returned must observe itself gone
+  /// from stats() and health(). `shed` = the run ended in the shed stage.
+  void settle(Item& item, WorkerState& ws, QueryResult r,
+              std::exception_ptr error, bool shed, std::uint64_t done_ns)
+      EXCLUDES(queue_mutex_, stats_mutex_);
   /// Tail-sampling keep/drop decision at completion: failures and
   /// deadline hits always keep; successes keep iff over the rolling
   /// threshold. Ends the worker's reusable trace either way.
   void settle_sample(Item& item, double latency_ms, bool ok, ErrorCode code,
                      std::uint64_t version);
-  /// Window bookkeeping for one settled query (completion, failure,
-  /// rejection) + the rate-limited monitor pass. `code` is an ErrorCode
-  /// index or SlidingWindow::kOk. Pass now_ns when the caller already
-  /// holds a completion stamp (hot path); 0 reads it.
+  /// Books one settled query (completion, failure, rejection) into the
+  /// latency sink and window, then runs the rate-limited monitor pass.
+  /// `code` is an ErrorCode index or SlidingWindow::kOk.
   void observe_settled(const std::string& algo, double latency_ms,
-                       std::size_t code, std::uint64_t now_ns = 0);
+                       std::size_t code, std::uint64_t now_ns)
+      EXCLUDES(queue_mutex_);
   /// Rate-limited (monitor_interval_ms) in steady state; while the keep
   /// threshold is still unset (window short of keep_min_samples) it
   /// re-evaluates on every settle so slow-keep arms as soon as there is
   /// evidence. Recomputes the tail-sampling keep threshold from the
   /// windowed p99 and fires the flight-recorder anomaly triggers.
-  void maybe_monitor(std::uint64_t now_ns);
-  double oldest_running_ms_now() const;
+  void maybe_monitor(std::uint64_t now_ns) EXCLUDES(queue_mutex_);
   void invalidate_cache() EXCLUDES(cache_mutex_, stats_mutex_);
   /// The refresh-on-publish path (replaces invalidate_cache on a
   /// delta-carrying publish in refresh mode): drains the live generation,
@@ -452,8 +458,6 @@ class GraphService {
                      const algo::EdgeDelta& delta,
                      const std::shared_ptr<const Permutation>& perm)
       EXCLUDES(cache_mutex_, stats_mutex_);
-  /// Records a completion latency into `ws`'s histogram.
-  static void record(double latency_ms, WorkerState& ws);
   /// Emits every service/cache/pool/snapshot stat as metric samples
   /// (the collector registered when options.metrics is set).
   void collect_metrics(std::vector<obs::MetricSample>& out) const
@@ -500,10 +504,11 @@ class GraphService {
   std::map<std::string, std::pair<std::uint64_t, double>> refresh_lat_
       GUARDED_BY(stats_mutex_);
 
-  /// Always-on telemetry state. The window is null when telemetry.window
-  /// is off; the trace store exists regardless (manual pushes possible).
-  std::unique_ptr<obs::SlidingWindow> window_;
-  obs::SloTracker slo_;
+  /// Always-on telemetry state. The latency sink is the one home of
+  /// latency: cumulative (latency()) always, windowed (health(), the
+  /// *_window metrics, the monitor pass) when telemetry.window is on.
+  obs::SlidingWindow latency_;
+  const obs::SloTracker slo_;
   obs::TraceStore trace_store_;
   /// Rolling slow-keep threshold in us; kNoThreshold = window warming
   /// up, only failures keep. Written by maybe_monitor, read relaxed at

@@ -153,6 +153,9 @@ TEST(Chaos, WriterAndClientsSurviveInjectedFaults) {
   EXPECT_EQ(s.completed + s.failed,
             resolved_value.load() + resolved_error.load());
   EXPECT_EQ(s.rejected, rejected_seen.load());
+  // The latency sink's cumulative view counts successes only: failures,
+  // sheds and rejections never enter it.
+  EXPECT_EQ(service.latency().samples, s.completed);
   // The storm actually happened: deterministic seeds make these stable.
   EXPECT_GT(inj.fired(Hook::PublishDelay) + inj.fired(Hook::WorkerStall) +
                 inj.fired(Hook::AcquireDelay),

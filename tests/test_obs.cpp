@@ -7,6 +7,7 @@
 // in_flight` under concurrent observation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
@@ -571,6 +572,33 @@ std::shared_ptr<const Graph> make_graph(int scale, int deg,
   return std::make_shared<const Graph>(gen::rmat(scale, deg, seed));
 }
 
+/// The serve-stage spans of a traced query, in stage order, tile its
+/// latency: each starts where the previous one ends, and their
+/// durations sum to latency_ms.
+void expect_stages_tile_latency(const QueryResult& res,
+                                const std::vector<SpanKind>& want) {
+  ASSERT_NE(res.trace, nullptr);
+  std::vector<Span> stages;
+  for (const Span& s : res.trace->spans)
+    if (s.kind == SpanKind::QueueWait || s.kind == SpanKind::CacheProbe ||
+        s.kind == SpanKind::EngineLease || s.kind == SpanKind::Execute ||
+        s.kind == SpanKind::Translate)
+      stages.push_back(s);
+  std::vector<SpanKind> kinds;
+  for (const Span& s : stages) kinds.push_back(s.kind);
+  ASSERT_EQ(kinds, want);
+  std::uint64_t sum_ns = 0;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    if (i > 0) {
+      EXPECT_EQ(stages[i].start_ns,
+                stages[i - 1].start_ns + stages[i - 1].dur_ns)
+          << "gap or overlap before " << obs::to_string(stages[i].kind);
+    }
+    sum_ns += stages[i].dur_ns;
+  }
+  EXPECT_NEAR(static_cast<double>(sum_ns) / 1e6, res.latency_ms, 1e-3);
+}
+
 TEST(TracedQuery, PageRankTraceCoversServeAndFrameworkStages) {
   SnapshotStore store;
   StreamSession session(*make_graph(9, 6, 21));
@@ -608,6 +636,11 @@ TEST(TracedQuery, PageRankTraceCoversServeAndFrameworkStages) {
   // PR runs on edge_fold under the hood.
   EXPECT_TRUE(kinds.count(SpanKind::EdgeFold));
 
+  // A miss: the five serve stages tile submit-to-completion exactly.
+  expect_stages_tile_latency(
+      res, {SpanKind::QueueWait, SpanKind::CacheProbe, SpanKind::EngineLease,
+            SpanKind::Execute, SpanKind::Translate});
+
   // The cost model was armed: every EdgeFold span has a prediction
   // recorded next to its measured duration.
   std::size_t predicted = 0;
@@ -642,9 +675,44 @@ TEST(TracedQuery, CacheHitTraceMarksProbe) {
   for (const Span& s : res.trace->spans)
     if (s.kind == SpanKind::CacheProbe && s.a == 1) probe_hit = true;
   EXPECT_TRUE(probe_hit);
-  // A cache hit never reaches the engine.
-  for (const Span& s : res.trace->spans)
-    EXPECT_NE(s.kind, SpanKind::Execute);
+  // A cache hit never reaches the engine, and its two stages tile its
+  // latency.
+  expect_stages_tile_latency(res, {SpanKind::QueueWait, SpanKind::CacheProbe});
+}
+
+// Arming an opt-in trace must not bill a ring fill to the stage it is
+// armed in. A traced hit's CacheProbe does a subset of an untraced
+// hit's work plus the arming, so it stays in the range of a whole
+// untraced hit; filling a 32k-span (2 MiB) ring up front put it at ~4x.
+TEST(TracedQuery, TracedHitProbeCostsNoRingFill) {
+  SnapshotStore store;
+  StreamSession session(*make_graph(9, 6, 21));
+  GraphServiceOptions opts;
+  opts.workers = 1;
+  GraphService service(store, opts);
+  service.publish_session(session);
+  Query q;
+  q.algo = "PR";
+  (void)service.query(q);  // warm the cache
+
+  std::vector<double> untraced_ms, probe_ms;
+  for (int i = 0; i < 21; ++i) {
+    q.trace = false;
+    untraced_ms.push_back(service.query(q).latency_ms);
+    q.trace = true;
+    const QueryResult r = service.query(q);
+    ASSERT_TRUE(r.cache_hit);
+    ASSERT_NE(r.trace, nullptr);
+    for (const Span& s : r.trace->spans)
+      if (s.kind == SpanKind::CacheProbe)
+        probe_ms.push_back(static_cast<double>(s.dur_ns) / 1e6);
+  }
+  ASSERT_EQ(probe_ms.size(), 21u);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_LE(median(probe_ms), 2.0 * median(untraced_ms));
 }
 
 // A tail-sampled keeper (a query NOBODY traced) and a flight-recorder

@@ -609,19 +609,26 @@ TEST(GraphService, StopDrainsQueueAndRejectsLateSubmits) {
   EXPECT_EQ(service.submit({"BFS", 0}).status, SubmitStatus::Stopped);
 }
 
+// latency() is the latency sink's cumulative view, which it keeps with
+// the sliding window off too.
 TEST(GraphService, LatencyPercentilesAreRecorded) {
   const Graph base = gen::rmat(9, 6, 99);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphService service(store, small_service(2));
-  service.publish_session(session);
-  for (int i = 0; i < 10; ++i) service.query({"BFS", 0});
-  const auto lat = service.latency();
-  EXPECT_EQ(lat.samples, 10u);
-  EXPECT_GT(lat.p50_ms, 0.0);
-  EXPECT_LE(lat.p50_ms, lat.p95_ms);
-  EXPECT_LE(lat.p95_ms, lat.p99_ms);
-  EXPECT_GT(lat.mean_ms, 0.0);
+  for (const bool window : {true, false}) {
+    SCOPED_TRACE(window ? "window on" : "window off");
+    StreamSession session(base);
+    SnapshotStore store;
+    GraphServiceOptions o = small_service(2);
+    o.telemetry.window = window;
+    GraphService service(store, o);
+    service.publish_session(session);
+    for (int i = 0; i < 10; ++i) service.query({"BFS", 0});
+    const auto lat = service.latency();
+    EXPECT_EQ(lat.samples, 10u);
+    EXPECT_GT(lat.p50_ms, 0.0);
+    EXPECT_LE(lat.p50_ms, lat.p95_ms);
+    EXPECT_LE(lat.p95_ms, lat.p99_ms);
+    EXPECT_GT(lat.mean_ms, 0.0);
+  }
 }
 
 // ------------------------------------- typed query protocol end-to-end
