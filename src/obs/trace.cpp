@@ -307,10 +307,14 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
     case SpanKind::QueueWait: break;
     case SpanKind::EngineLease:
     case SpanKind::Execute:
-    case SpanKind::Snapshot:
     case SpanKind::Publish:
     case SpanKind::Refresh:
       arg_u64(os, first, "version", s.a);
+      break;
+    case SpanKind::Snapshot:
+      arg_u64(os, first, "version", s.a);
+      arg_u64(os, first, "patched", s.b);
+      arg_u64(os, first, "flips", s.c);
       break;
     case SpanKind::CacheProbe:
       arg_str(os, first, "result", s.a != 0 ? "hit" : "miss");

@@ -296,4 +296,101 @@ void DeltaGraph::compact() {
   delta_edges_ = 0;
 }
 
+Csr patch_rows(const Csr& prev, std::span<const ArcFlip> flips,
+               std::span<const VertexId> perm, bool by_dst,
+               std::span<const EdgeId> degrees) {
+  const VertexId n = prev.num_vertices();
+  const auto prev_off = prev.offsets();
+  const auto prev_val = prev.neighbor_array();
+  VEBO_CHECK(!prev_off.empty() && perm.size() == n && degrees.size() == n,
+             "patch_rows: permutation or degree count != row count");
+
+  // Each flip as (row << 32 | value) in perm's id space, plus the row's
+  // original id for the degree check; one sort groups every row's flips
+  // in ascending value order.
+  struct RowFlip {
+    std::uint64_t key;
+    VertexId orig_row;
+    std::int8_t sign;
+  };
+  std::vector<RowFlip> net;
+  net.reserve(flips.size());
+  for (const ArcFlip& f : flips) {
+    VEBO_CHECK(f.arc.src < n && f.arc.dst < n,
+               "patch_rows: arc endpoint out of range");
+    // Between compactions an arc's liveness flips alternate, so its net
+    // flip is -1, 0 or +1; the zeros are not listed.
+    VEBO_CHECK(f.sign == 1 || f.sign == -1,
+               "patch_rows: net flip per arc not -1 or +1");
+    const VertexId row = by_dst ? f.arc.dst : f.arc.src;
+    const VertexId value = by_dst ? f.arc.src : f.arc.dst;
+    VEBO_CHECK(perm[row] < n && perm[value] < n,
+               "patch_rows: permutation value out of range");
+    net.push_back(
+        {(static_cast<std::uint64_t>(perm[row]) << 32) | perm[value], row,
+         f.sign});
+  }
+  std::sort(net.begin(), net.end(),
+            [](const RowFlip& a, const RowFlip& b) { return a.key < b.key; });
+  VEBO_CHECK(std::adjacent_find(net.begin(), net.end(),
+                                [](const RowFlip& a, const RowFlip& b) {
+                                  return a.key == b.key;
+                                }) == net.end(),
+             "patch_rows: an arc listed twice (flips not netted)");
+
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<VertexId> values;
+  values.reserve(prev.num_edges() + net.size());
+  std::int64_t shift = 0;  // net size change of the rows already written
+  VertexId next = 0;       // first row not yet written
+  for (std::size_t i = 0;;) {
+    const VertexId row =
+        i < net.size() ? static_cast<VertexId>(net[i].key >> 32) : n;
+    // Rows [next, row) are unchanged: shift their offsets and copy their
+    // values in one block.
+    for (VertexId r = next; r <= row; ++r)
+      offsets[r] = static_cast<EdgeId>(
+          static_cast<std::int64_t>(prev_off[r]) + shift);
+    values.insert(values.end(), prev_val.begin() + prev_off[next],
+                  prev_val.begin() + prev_off[row]);
+    if (row == n) break;
+
+    // Row `row` changed: its previous values merged with its net flips.
+    std::size_t j = i;
+    std::int64_t delta = 0;
+    for (; j < net.size() && (net[j].key >> 32) == row; ++j)
+      delta += net[j].sign;
+    const std::span<const VertexId> old = prev.neighbors(row);
+    const EdgeId degree = degrees[net[i].orig_row];
+    VEBO_CHECK(static_cast<std::int64_t>(old.size()) + delta ==
+                   static_cast<std::int64_t>(degree),
+               "patch_rows: row size != live degree");
+    const EdgeId end = offsets[row] + degree;
+    std::size_t s = 0;  // next unread value of `old`
+    auto copy_to = [&](std::size_t stop) {
+      VEBO_CHECK(values.size() + (stop - s) <= end, "patch_rows: row overflow");
+      values.insert(values.end(), old.begin() + s, old.begin() + stop);
+      s = stop;
+    };
+    for (; i < j; ++i) {
+      const auto w = static_cast<VertexId>(net[i].key);
+      copy_to(static_cast<std::size_t>(
+          std::lower_bound(old.begin() + s, old.end(), w) - old.begin()));
+      if (net[i].sign < 0) {
+        VEBO_CHECK(s < old.size() && old[s] == w,
+                   "patch_rows: removed value absent from its row");
+        ++s;
+      } else {
+        VEBO_CHECK(values.size() < end, "patch_rows: row overflow");
+        values.push_back(w);
+      }
+    }
+    copy_to(old.size());
+    VEBO_CHECK(values.size() == end, "patch_rows: row size mismatch");
+    shift += delta;
+    next = row + 1;
+  }
+  return Csr(std::move(offsets), std::move(values));
+}
+
 }  // namespace vebo::stream

@@ -13,9 +13,14 @@
 // base+deltas into an immutable, relabelled `Graph` (CSR + CSC + COO) in
 // O(n + m) without a comparison sort (permute_rows: one scatter of the
 // live out-rows, one transpose), so every engine and algorithm runs
-// unchanged on any version of the graph.
+// unchanged on any version of the graph. While the permutation holds,
+// `patch_rows` gives the same bytes from the previous snapshot instead:
+// it copies the unchanged rows in blocks and merges the net arc flips
+// into the changed ones (StreamSession picks the path and keeps the
+// flips).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,6 +45,8 @@ class DeltaGraph {
   EdgeId in_degree(VertexId v) const { return in_deg_[v]; }
   /// Live in-degree of every vertex (the VEBO maintainer's input).
   const std::vector<EdgeId>& in_degrees() const { return in_deg_; }
+  /// Live out-degree of every vertex.
+  const std::vector<EdgeId>& out_degrees() const { return out_deg_; }
 
   /// True iff (u, v) is live (base minus tombstones plus additions).
   bool has_edge(VertexId u, VertexId v) const;
@@ -134,5 +141,30 @@ class DeltaGraph {
   std::vector<EdgeId> in_deg_;
   EdgeId delta_edges_ = 0;
 };
+
+/// One arc's net liveness change in original ids since some version:
+/// +1 the arc became live, -1 it became dead.
+struct ArcFlip {
+  Edge arc;
+  std::int8_t sign;
+};
+
+/// The row-patch kernel: `prev` — one side of snapshot(perm) at an
+/// earlier version, rows keyed by the arc's source, or by its
+/// destination when `by_dst` — updated by `flips`, the net flip of every
+/// arc whose liveness changed since that version (each arc once). The
+/// flips are mapped through `perm` and sorted; each run of unchanged
+/// rows is copied in one block, and each changed row is merged with its
+/// flips. Byte-identical to the same side of snapshot(perm) at the
+/// current version. Only changed rows are checked row by row: a sign
+/// other than -1 or +1, an arc listed twice, a removed value absent from
+/// its row, or a changed row whose size disagrees with `degrees` (live
+/// degrees on this side, original ids) throws, and every write into a
+/// changed row is bounds-checked. Unchanged rows are copied as they
+/// were, so the caller checks the total edge count. Serial on the
+/// calling thread.
+Csr patch_rows(const Csr& prev, std::span<const ArcFlip> flips,
+               std::span<const VertexId> perm, bool by_dst,
+               std::span<const EdgeId> degrees);
 
 }  // namespace vebo::stream

@@ -8,6 +8,20 @@
 
 namespace vebo::stream {
 
+namespace {
+
+/// An arc's NetFlips key, (src << 32) | dst, and back.
+std::uint64_t arc_key(const Edge& e) {
+  return (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
+}
+
+Edge arc_of(std::uint64_t key) {
+  return {static_cast<VertexId>(key >> 32),
+          static_cast<VertexId>(key & 0xffffffffu)};
+}
+
+}  // namespace
+
 StreamSession::StreamSession(const Graph& initial, SessionOptions opts)
     : opts_(opts), delta_(initial), maintainer_(delta_, opts.rebalance) {
   if (opts_.metrics != nullptr)
@@ -31,23 +45,25 @@ StreamSession::BatchOutcome StreamSession::apply(
   stats_.inserted += out.applied.inserted;
   stats_.removed += out.applied.removed;
 
-  // Fold the batch's effective arc flips into the net accumulator.
+  // Fold the batch's effective arc flips into a net accumulator.
   // apply_batch guarantees each arc appears in at most one of the two
-  // lists per batch, so the net value stays within {-1, 0, +1}; zeros
-  // (a flip cancelling an earlier pending flip) are erased immediately.
-  auto fold = [this](const std::vector<Edge>& edges, std::int8_t sign) {
-    for (const Edge& e : edges) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
-      auto [it, fresh] = pending_delta_.try_emplace(key, sign);
-      if (!fresh) {
-        it->second = static_cast<std::int8_t>(it->second + sign);
-        if (it->second == 0) pending_delta_.erase(it);
+  // lists per batch, and between compactions an arc's flips alternate,
+  // so there the net value stays within {-1, 0, +1}; zeros (a flip
+  // cancelling an earlier pending flip) are erased immediately.
+  auto fold = [&out](NetFlips& net) {
+    auto add = [&net](const std::vector<Edge>& edges, std::int8_t sign) {
+      for (const Edge& e : edges) {
+        auto [it, fresh] = net.try_emplace(arc_key(e), sign);
+        if (!fresh) {
+          it->second = static_cast<std::int8_t>(it->second + sign);
+          if (it->second == 0) net.erase(it);
+        }
       }
-    }
+    };
+    add(out.applied.inserted_edges, +1);
+    add(out.applied.removed_edges, -1);
   };
-  fold(out.applied.inserted_edges, +1);
-  fold(out.applied.removed_edges, -1);
+  fold(pending_delta_);
 
   maintainer_.observe(out.applied);
   // maybe_rebalance records its own VeboRefine span.
@@ -57,13 +73,30 @@ StreamSession::BatchOutcome StreamSession::apply(
       out.applied.grew_vertices > 0)
     stale_ = true;
 
+  // Keep the net flips for a patched snapshot while the ordering holds.
+  // A rebalance or vertex growth changes the ordering, and net flips
+  // that outnumber the live edges cost more to merge than the full
+  // relabel: either way the next snapshot takes the full path.
+  if (out.rebalance != RebalanceAction::None ||
+      out.applied.grew_vertices > 0) {
+    patchable_ = false;
+  } else if (patchable_) {
+    fold(flips_);
+    if (flips_.size() > delta_.num_edges()) patchable_ = false;
+  }
+
   if (opts_.compact_fraction > 0 && delta_.num_edges() > 0 &&
       static_cast<double>(delta_.delta_edges()) >
           opts_.compact_fraction * static_cast<double>(delta_.num_edges())) {
     obs::StageScope span(obs::SpanKind::Compact);
     delta_.compact();
     ++stats_.compactions;
+    // The base now holds the tombstones' survivors, so a duplicated arc
+    // that lost one copy flips -1 again on its next removal: its flips
+    // stop alternating, and the full path takes the next snapshot.
+    patchable_ = false;
   }
+  if (!patchable_) flips_ = {};
   return out;
 }
 
@@ -71,13 +104,39 @@ void StreamSession::refresh() {
   if (!stale_ && snap_ != nullptr) return;
   // Stream-path span: the snapshot + VEBO relabel + engine rebind a
   // mutation's first query pays. a stays 0 — the session itself is
-  // unversioned (the SnapshotStore mints epoch versions at publish).
+  // unversioned (the SnapshotStore mints epoch versions at publish);
+  // b = 1 when patched, c = net arc flips patched in.
   obs::StageScope span(obs::SpanKind::Snapshot);
   // Relabelled by the maintained ordering so the engine sees
   // VEBO-contiguous partitions.
-  snap_ = std::make_shared<const Graph>(
-      delta_.snapshot(maintainer_.ordering().perm));
+  const Permutation& perm = maintainer_.ordering().perm;
+  if (patchable_) {
+    std::vector<ArcFlip> flips;
+    flips.reserve(flips_.size());
+    for (const auto& [key, sign] : flips_)
+      flips.push_back({arc_of(key), sign});
+    Csr out = patch_rows(snap_->out_csr(), flips, perm, /*by_dst=*/false,
+                         delta_.out_degrees());
+    Csr in = patch_rows(snap_->in_csr(), flips, perm, /*by_dst=*/true,
+                        delta_.in_degrees());
+    // patch_rows checks only the changed rows; a flip missing from
+    // flips_ would leave its row copied, and the edge count short.
+    // (from_parts checks that the CSC agrees.)
+    VEBO_CHECK(out.num_edges() == delta_.num_edges(),
+               "refresh: patched edge count != live edge count");
+    snap_ = std::make_shared<const Graph>(
+        Graph::from_parts(std::move(out), std::move(in), delta_.directed()));
+    ++stats_.snapshots_patched;
+    if (span.live()) {
+      span.span().b = 1;
+      span.span().c = flips.size();
+    }
+  } else {
+    snap_ = std::make_shared<const Graph>(delta_.snapshot(perm));
+  }
   ++stats_.snapshots;
+  flips_.clear();
+  patchable_ = true;
   const order::Partitioning* part =
       opts_.model == SystemModel::Ligra ? nullptr
                                         : &maintainer_.partitioning();
@@ -137,11 +196,8 @@ algo::EdgeDelta StreamSession::drain_delta() {
   std::sort(flat.begin(), flat.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   algo::EdgeDelta out;
-  for (const auto& [key, sign] : flat) {
-    const Edge e{static_cast<VertexId>(key >> 32),
-                 static_cast<VertexId>(key & 0xffffffffu)};
-    (sign > 0 ? out.inserted : out.removed).push_back(e);
-  }
+  for (const auto& [key, sign] : flat)
+    (sign > 0 ? out.inserted : out.removed).push_back(arc_of(key));
   return out;
 }
 
@@ -168,6 +224,9 @@ void StreamSession::collect_metrics(
        "queries run on the session", static_cast<double>(stats_.queries));
   emit(MetricType::Counter, "vebo_stream_snapshots_total",
        "snapshot + reorder rebuilds", static_cast<double>(stats_.snapshots));
+  emit(MetricType::Counter, "vebo_stream_snapshots_patched_total",
+       "snapshots patched from the previous one",
+       static_cast<double>(stats_.snapshots_patched));
   emit(MetricType::Counter, "vebo_stream_compactions_total",
        "DeltaGraph base rebuilds", static_cast<double>(stats_.compactions));
   const RebalanceStats& rs = maintainer_.stats();

@@ -7,9 +7,19 @@
 // `apply` ingests a batch, folds its degree deltas into the maintainer,
 // and rebalances if the drift bounds are exceeded. `query` runs any
 // registry algorithm (BFS/CC/PR/...) over the current version: the first
-// query after a mutation compacts a snapshot, applies the maintained VEBO
-// permutation, and rebinds the engine (keeping its edge_map scratch);
-// subsequent queries reuse the cached context untouched.
+// query after a mutation builds a snapshot relabelled by the maintained
+// VEBO permutation and rebinds the engine (keeping its edge_map
+// scratch); subsequent queries reuse the cached context untouched.
+//
+// A snapshot takes one of two byte-identical paths. While the ordering
+// holds — no rebalance and no vertex growth since the previous snapshot
+// — the session patches the previous snapshot with the net arc flips
+// applied since (stream::patch_rows: unchanged rows copied in blocks,
+// changed rows merged), serially in O(n + m) sequential copies plus
+// O(flips log flips). The first snapshot, any snapshot after a
+// rebalance, growth or compaction, and one whose net flips outnumbered
+// the live edges take the full DeltaGraph::snapshot(perm) relabel
+// instead.
 //
 // A session is single-writer: apply/query/snapshot must come from one
 // thread. The serving subsystem's writer thread owns a session and hands
@@ -32,6 +42,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "algorithms/registry.hpp"
 #include "framework/engine.hpp"
@@ -62,6 +73,8 @@ struct SessionStats {
   EdgeId removed = 0;
   std::uint64_t queries = 0;
   std::uint64_t snapshots = 0;    ///< snapshot+reorder rebuilds
+  /// Of those, the ones patched from the previous snapshot.
+  std::uint64_t snapshots_patched = 0;
   std::uint64_t compactions = 0;  ///< DeltaGraph base rebuilds
 };
 
@@ -121,6 +134,11 @@ class StreamSession {
   algo::EdgeDelta drain_delta();
 
  private:
+  /// Net per-arc liveness change, keyed by (src << 32) | dst. Values are
+  /// +1 (net became live) or -1 (net became dead); arcs that net to zero
+  /// are erased on the spot, so the map only ever holds genuine changes.
+  using NetFlips = std::unordered_map<std::uint64_t, std::int8_t>;
+
   void refresh();
   void collect_metrics(std::vector<obs::MetricSample>& out) const;
 
@@ -132,13 +150,16 @@ class StreamSession {
   std::shared_ptr<const Graph> snap_;
   std::unique_ptr<Engine> engine_;  ///< engine bound to *snap_
   bool stale_ = true;
+  /// True while *snap_ was built under the current ordering and flips_
+  /// holds every net arc flip since: the next refresh may patch *snap_.
+  bool patchable_ = false;
+  /// Net arc flips since *snap_ was built (kept only while patchable_,
+  /// and never more than the live edge count).
+  NetFlips flips_;
   SessionStats stats_;
-  /// Net per-arc liveness change since the last drain, keyed by
-  /// (src << 32) | dst. Values are +1 (net became live) or -1 (net
-  /// became dead); arcs that net to zero are erased on the spot, so the
-  /// map only ever holds genuine changes. Single-writer like the rest of
+  /// Net arc flips since the last drain. Single-writer like the rest of
   /// the session — no lock (see the header comment).
-  std::unordered_map<std::uint64_t, std::int8_t> pending_delta_;
+  NetFlips pending_delta_;
   /// Declared last: deregisters before any other member is torn down.
   obs::MetricsRegistry::Registration metrics_reg_;
 };

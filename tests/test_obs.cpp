@@ -886,7 +886,9 @@ TEST(MetricsPlane, StreamSessionStatsAreExposed) {
   for (const char* name : {
            "vebo_stream_batches_total", "vebo_stream_inserted_total",
            "vebo_stream_removed_total", "vebo_stream_queries_total",
-           "vebo_stream_snapshots_total", "vebo_stream_compactions_total",
+           "vebo_stream_snapshots_total",
+           "vebo_stream_snapshots_patched_total",
+           "vebo_stream_compactions_total",
            "vebo_rebalance_batches_observed_total",
            "vebo_rebalance_incremental_total", "vebo_rebalance_full_total",
            "vebo_rebalance_edge_imbalance", "vebo_rebalance_vertex_imbalance",
@@ -923,7 +925,8 @@ TEST(MetricsPlane, RegistrationOutlivesScrapeSafely) {
 // rejected + in_flight at EVERY instant, not eventually: an observer
 // hammers the invariant while clients race submissions through a tiny
 // queue (forcing accepts, rejections, completions and failures to
-// interleave).
+// interleave). The clients start only after the observer's first check,
+// so a loaded scheduler cannot finish the storm before it observes.
 TEST(LedgerInvariant, HoldsUnderConcurrentObservation) {
   SnapshotStore store;
   StreamSession session(*make_graph(9, 6, 31));
@@ -952,6 +955,7 @@ TEST(LedgerInvariant, HoldsUnderConcurrentObservation) {
         ++violations;
     }
   });
+  while (checks.load() == 0) std::this_thread::yield();
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 60;

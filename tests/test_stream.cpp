@@ -15,6 +15,7 @@
 #include "graph/permute.hpp"
 #include "graph_reference.hpp"
 #include "metrics/balance.hpp"
+#include "obs/trace.hpp"
 #include "order/partition.hpp"
 #include "order/sort_order.hpp"
 #include "order/vebo.hpp"
@@ -28,6 +29,7 @@ namespace vebo {
 namespace {
 
 using stream::ApplyResult;
+using stream::ArcFlip;
 using stream::DeltaGraph;
 using stream::EdgeUpdate;
 using stream::RebalanceAction;
@@ -588,6 +590,352 @@ TEST(Session, AllThreeModelsAgree) {
   }
   EXPECT_EQ(bfs_result[0], bfs_result[1]);
   EXPECT_EQ(bfs_result[1], bfs_result[2]);
+}
+
+// ------------------------------------------------- patched snapshots
+
+/// The session's snapshot is byte-identical to the full relabel of its
+/// DeltaGraph under the maintained ordering: CSR, CSC and COO.
+void expect_same_as_full_relabel(StreamSession& session) {
+  const Graph& got = session.snapshot();
+  const Graph full =
+      session.delta().snapshot(session.maintainer().ordering().perm);
+  EXPECT_EQ(got.directed(), full.directed());
+  EXPECT_EQ(got.out_csr(), full.out_csr());
+  EXPECT_EQ(got.in_csr(), full.in_csr());
+  EXPECT_TRUE(std::ranges::equal(got.coo().edges(), full.coo().edges()));
+}
+
+/// Bounds no drift reaches: only vertex growth rebalances.
+RebalanceOptions no_drift_rebalance() {
+  RebalanceOptions r;
+  r.edge_drift = 1e9;
+  r.vertex_drift = 1e9;
+  return r;
+}
+
+/// A vertex id below `span`, skewed toward the low ids so a few of them
+/// become hubs.
+VertexId skewed_id(Xoshiro256& rng, VertexId span) {
+  return static_cast<VertexId>(rng.next_below(1 + rng.next_below(span)));
+}
+
+struct PatchRun {
+  bool directed = true;
+  double compact_fraction = 0.5;
+  RebalanceOptions rebalance{};
+  bool grow = false;  ///< every eighth batch reaches past the vertex count
+  std::uint64_t seed = 1;
+};
+
+struct PatchCounts {
+  std::uint64_t snapshots = 0;
+  std::uint64_t patched = 0;
+  std::uint64_t rebalances = 0;
+  std::uint64_t compactions = 0;
+};
+
+/// Drives random batches through a session, skipping about a third of
+/// the snapshots so flips accumulate, and checks every snapshot against
+/// the full relabel and the oracle. The patch path must run exactly when
+/// the ordering held since the previous snapshot: never for the first,
+/// never after a rebalance, growth or compaction, never once the net
+/// flips since the last snapshot outnumbered the live edges.
+PatchCounts run_patch_differential(const PatchRun& run) {
+  const VertexId n0 = 160;
+  Xoshiro256 rng(run.seed);
+  EdgeSet live;
+  auto model = [&](const EdgeUpdate& u) {
+    auto set = [&](VertexId s, VertexId d) {
+      if (u.kind == stream::UpdateKind::Insert)
+        live.insert({s, d});
+      else
+        live.erase({s, d});
+    };
+    set(u.src, u.dst);
+    if (!run.directed) set(u.dst, u.src);
+  };
+  for (int i = 0; i < 900; ++i)
+    model(EdgeUpdate::insert(static_cast<VertexId>(rng.next_below(n0)),
+                             skewed_id(rng, n0)));
+  stream::SessionOptions opts;
+  opts.compact_fraction = run.compact_fraction;
+  opts.rebalance = run.rebalance;
+  StreamSession session(reference_graph(n0, live, run.directed), opts);
+
+  VertexId n = n0;
+  bool ordering_changed = true;  // no snapshot yet
+  EdgeSet live_at_snapshot;
+  PatchCounts counts;
+  const int kBatches = 40;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<EdgeUpdate> batch;
+    // One arc toggles every batch: across skipped snapshots its flips
+    // run insert -> remove -> insert -> ...
+    batch.push_back(live.contains({3, 1}) ? EdgeUpdate::remove(3, 1)
+                                          : EdgeUpdate::insert(3, 1));
+    // Insert -> remove -> insert of one arc within the batch.
+    if (b % 3 == 0) {
+      const auto s = static_cast<VertexId>(rng.next_below(n));
+      const VertexId d = skewed_id(rng, n);
+      batch.push_back(EdgeUpdate::insert(s, d));
+      batch.push_back(EdgeUpdate::remove(s, d));
+      batch.push_back(EdgeUpdate::insert(s, d));
+    }
+    // Removals of live arcs.
+    for (int i = 0; i < 12 && !live.empty(); ++i) {
+      auto it = live.begin();
+      std::advance(it,
+                   static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+      batch.push_back(EdgeUpdate::remove(it->first, it->second));
+    }
+    // Skewed inserts; a growth batch reaches a few ids past the count.
+    const bool grow = run.grow && b % 8 == 7;
+    const VertexId span = grow ? n + 3 : n;
+    if (grow) batch.push_back(EdgeUpdate::insert(n + 1, skewed_id(rng, n)));
+    for (int i = 0; i < 24; ++i)
+      batch.push_back(EdgeUpdate::insert(
+          static_cast<VertexId>(rng.next_below(span)), skewed_id(rng, span)));
+    for (const EdgeUpdate& u : batch) {
+      model(u);
+      n = std::max({n, u.src + 1, u.dst + 1});
+    }
+
+    const std::uint64_t compactions = session.stats().compactions;
+    const StreamSession::BatchOutcome out = session.apply(batch);
+    EXPECT_EQ(session.delta().num_edges(), live.size()) << "batch " << b;
+    // Arcs whose liveness changed since the last snapshot, net.
+    std::size_t net_flips = 0;
+    for (const auto& arc : live) net_flips += !live_at_snapshot.contains(arc);
+    for (const auto& arc : live_at_snapshot) net_flips += !live.contains(arc);
+    if (out.rebalance != RebalanceAction::None ||
+        out.applied.grew_vertices > 0 ||
+        session.stats().compactions != compactions ||
+        net_flips > live.size())
+      ordering_changed = true;
+    if (out.rebalance != RebalanceAction::None) ++counts.rebalances;
+    if (b + 1 < kBatches && rng.next_below(3) == 0) continue;  // skip
+
+    const stream::SessionStats before = session.stats();
+    expect_same_as_full_relabel(session);
+    oracle::expect_same_graph(
+        session.snapshot(),
+        oracle::reference_build(n, edge_vector(live),
+                                session.maintainer().ordering().perm));
+    EXPECT_EQ(session.stats().snapshots, before.snapshots + 1)
+        << "batch " << b;
+    EXPECT_EQ(session.stats().snapshots_patched,
+              before.snapshots_patched + (ordering_changed ? 0 : 1))
+        << "batch " << b;
+    ordering_changed = false;
+    live_at_snapshot = live;
+  }
+  counts.snapshots = session.stats().snapshots;
+  counts.patched = session.stats().snapshots_patched;
+  counts.compactions = session.stats().compactions;
+  return counts;
+}
+
+// The patched snapshot is byte-identical to the full relabel and to the
+// sort-based oracle, on directed and symmetrized graphs, with hub rows,
+// removals, compaction, vertex growth and rebalances between snapshots;
+// the patch path runs whenever the ordering held.
+TEST(SessionPatch, PatchedSnapshotsMatchFullRelabelAndOracle) {
+  // Tight enough that about half the batches rebalance, so both paths
+  // interleave.
+  RebalanceOptions tight;
+  tight.edge_drift = 0.02;
+  tight.vertex_drift = 0.02;
+  for (const bool directed : {true, false}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (directed ? "directed" : "symmetrized") << " seed "
+                   << seed);
+      PatchRun run;
+      run.directed = directed;
+      run.seed = seed;
+      run.rebalance = no_drift_rebalance();
+      run.compact_fraction = 0;  // off
+      const PatchCounts plain = run_patch_differential(run);
+      EXPECT_EQ(plain.patched + 1, plain.snapshots);  // all but the first
+
+      run.compact_fraction = 0.1;  // every few batches
+      const PatchCounts compacting = run_patch_differential(run);
+      EXPECT_GT(compacting.compactions, 2u);
+      EXPECT_GT(compacting.patched, 0u);
+      EXPECT_GE(compacting.snapshots - compacting.patched, 2u);
+
+      run.compact_fraction = 0.5;
+      run.grow = true;
+      const PatchCounts growing = run_patch_differential(run);
+      EXPECT_GE(growing.rebalances, 5u);  // growth always rebalances
+      EXPECT_GT(growing.patched, 0u);
+      EXPECT_GE(growing.snapshots - growing.patched, 2u);
+
+      run.grow = false;
+      run.rebalance = tight;
+      const PatchCounts rebalancing = run_patch_differential(run);
+      EXPECT_GT(rebalancing.rebalances, 0u);
+      EXPECT_GT(rebalancing.patched, 0u);
+      EXPECT_GE(rebalancing.snapshots - rebalancing.patched, 2u);
+    }
+  }
+}
+
+// Net flips that outnumber the live edges are dropped: the next snapshot
+// takes the full path, and the one after patches again. Flips that
+// cancel out do not count.
+TEST(SessionPatch, FlipsPastTheEdgeCountTakeTheFullPath) {
+  stream::SessionOptions opts;
+  opts.rebalance = no_drift_rebalance();
+  StreamSession session(reference_graph(16, {{0, 1}, {1, 2}, {2, 3}}), opts);
+  expect_same_as_full_relabel(session);
+  for (int i = 0; i < 4; ++i)  // 4 flips of (5, 6), net none
+    session.apply(std::vector<EdgeUpdate>{
+        i % 2 == 0 ? EdgeUpdate::insert(5, 6) : EdgeUpdate::remove(5, 6)});
+  expect_same_as_full_relabel(session);
+  EXPECT_EQ(session.stats().snapshots_patched, 1u);
+  // 3 net flips > 2 live edges.
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::remove(0, 1),
+                                        EdgeUpdate::remove(1, 2),
+                                        EdgeUpdate::insert(5, 6)});
+  expect_same_as_full_relabel(session);
+  EXPECT_EQ(session.stats().snapshots_patched, 1u);
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(0, 1)});
+  expect_same_as_full_relabel(session);
+  EXPECT_EQ(session.stats().snapshots, 4u);
+  EXPECT_EQ(session.stats().snapshots_patched, 2u);
+}
+
+// Duplicate base arcs (from_edges keeps them) lose and regain one copy
+// per flip, as on the full path.
+TEST(SessionPatch, MultigraphCopiesPatchLikeTheFullPath) {
+  const Graph base = Graph::from_edges(
+      EdgeList(6, {{0, 1}, {0, 1}, {2, 1}, {1, 2}, {4, 4}, {4, 4}}, true));
+  stream::SessionOptions opts;
+  opts.rebalance = no_drift_rebalance();
+  StreamSession session(base, opts);
+  expect_same_as_full_relabel(session);
+  for (const EdgeUpdate u :
+       {EdgeUpdate::remove(0, 1), EdgeUpdate::remove(4, 4),
+        EdgeUpdate::insert(0, 1), EdgeUpdate::insert(4, 4)}) {
+    session.apply(std::vector<EdgeUpdate>{u});
+    expect_same_as_full_relabel(session);
+  }
+  EXPECT_EQ(session.stats().snapshots_patched, 4u);
+}
+
+// A compaction folds a duplicated arc's tombstone into the base, so the
+// arc's next removal flips it -1 again. Two -1 flips in a row are not
+// one arc's liveness history, so a compaction since the last snapshot
+// sends the next one down the full path.
+TEST(SessionPatch, CompactionOfADuplicatedArcTakesTheFullPath) {
+  const Graph base = Graph::from_edges(
+      EdgeList(4, {{0, 1}, {0, 1}, {1, 2}, {2, 3}}, true));
+  stream::SessionOptions opts;
+  opts.rebalance = no_drift_rebalance();
+  opts.compact_fraction = 0.1;  // one tombstone compacts
+  StreamSession session(base, opts);
+  expect_same_as_full_relabel(session);
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::remove(0, 1)});
+  EXPECT_EQ(session.stats().compactions, 1u);
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::remove(0, 1)});
+  EXPECT_EQ(session.delta().num_edges(), 2u);
+  expect_same_as_full_relabel(session);
+  expect_same_as_full_relabel(session);  // a second call does not rebuild
+  EXPECT_EQ(session.stats().snapshots, 2u);
+  EXPECT_EQ(session.stats().snapshots_patched, 0u);
+}
+
+/// The message of the vebo::Error `fn` throws ("" when none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The row-patch kernel on its own: a correct patch equals the oracle;
+// a removed value absent from its row, a row size that disagrees with
+// the degrees, a sign other than -1 or +1, an arc listed twice and a
+// permutation value out of range all throw.
+TEST(SessionPatch, RowPatchKernelChecksItsInputs) {
+  const VertexId n = 6;
+  const EdgeSet before{{0, 1}, {0, 3}, {2, 1}, {4, 5}, {5, 0}};
+  const Permutation perm = order::random_order(n, 7);
+  const Graph prev = Graph::from_edges(
+      EdgeList(n, edge_vector(before), true));
+  const Graph prev_perm = permute(prev, perm);
+  auto degrees = [&](const EdgeSet& live, bool by_dst) {
+    std::vector<EdgeId> deg(n, 0);
+    for (const auto& [s, d] : live) ++deg[by_dst ? d : s];
+    return deg;
+  };
+
+  // Remove (0, 3) and insert (3, 0).
+  const std::vector<ArcFlip> flips{{{0, 3}, -1}, {{3, 0}, +1}};
+  const EdgeSet after{{0, 1}, {2, 1}, {3, 0}, {4, 5}, {5, 0}};
+  const oracle::ReferenceGraph want =
+      oracle::reference_build(n, edge_vector(after), perm);
+  EXPECT_EQ(stream::patch_rows(prev_perm.out_csr(), flips, perm, false,
+                               degrees(after, false)),
+            want.out);
+  EXPECT_EQ(stream::patch_rows(prev_perm.in_csr(), flips, perm, true,
+                               degrees(after, true)),
+            want.in);
+
+  auto patch_error = [&](std::vector<ArcFlip> bad_flips,
+                         const Permutation& p) {
+    return error_of([&] {
+      stream::patch_rows(prev_perm.out_csr(), bad_flips, p, false,
+                         degrees(before, false));
+    });
+  };
+  // (1, 0) is not in the graph. Row 1 also gains (1, 5), so its size
+  // still agrees with the degrees and only the presence check can catch
+  // the removal.
+  EXPECT_NE(patch_error({{{1, 0}, -1}, {{1, 5}, +1}}, perm).find("absent"),
+            std::string::npos);
+  EXPECT_NE(patch_error({{{0, 4}, +1}}, perm).find("live degree"),
+            std::string::npos);
+  EXPECT_NE(patch_error({{{0, 4}, +2}}, perm).find("net flip"),
+            std::string::npos);
+  EXPECT_NE(patch_error({{{0, 4}, +1}, {{0, 4}, +1}}, perm).find("twice"),
+            std::string::npos);
+  Permutation bad = perm;
+  bad[4] = n;  // no longer a permutation of 0..n-1
+  EXPECT_NE(patch_error({{{0, 4}, +1}}, bad).find("permutation value"),
+            std::string::npos);
+}
+
+// The Snapshot span says which path built it and how many net flips the
+// patch applied; the Chrome export names them.
+TEST(SessionPatch, SnapshotSpanRecordsThePath) {
+  stream::SessionOptions opts;
+  opts.rebalance = no_drift_rebalance();
+  StreamSession session(
+      reference_graph(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}}), opts);
+  obs::Tracer::begin();
+  (void)session.snapshot();  // first: full
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(4, 5),
+                                        EdgeUpdate::remove(1, 2)});
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(6, 7),
+                                        EdgeUpdate::remove(4, 5)});
+  (void)session.snapshot();  // patched: (1,2) out, (6,7) in
+  const obs::Trace t = obs::Tracer::end();
+  std::vector<obs::Span> snaps;
+  for (const obs::Span& s : t.spans)
+    if (s.kind == obs::SpanKind::Snapshot) snaps.push_back(s);
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(snaps[0].b, 0u);
+  EXPECT_EQ(snaps[0].c, 0u);
+  EXPECT_EQ(snaps[1].b, 1u);
+  EXPECT_EQ(snaps[1].c, 2u);
+  const std::string json = obs::to_chrome_trace_json(t);
+  EXPECT_NE(json.find("\"patched\":1,\"flips\":2"), std::string::npos);
 }
 
 TEST(Session, DeletionsReflectedInQueries) {
