@@ -89,6 +89,16 @@ void BM_EdgeOrder_CSR(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeOrder_CSR)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+void BM_EdgeOrder_CSC(benchmark::State& state) {
+  const Graph& g = vebo_graph(kGraphs[state.range(0)]);
+  const auto part =
+      order::partition_by_destination(g, bench::kPaperPartitions);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(build_partitioned_coo(g, part, EdgeOrder::Csc));
+  state.SetLabel(kGraphs[state.range(0)]);
+}
+BENCHMARK(BM_EdgeOrder_CSC)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ------------------------------ execution -------------------------------
 
 void BM_BFS(benchmark::State& state) {

@@ -53,7 +53,7 @@ class UnionFind {
 
 std::vector<VertexId> wcc_labels(const Graph& g) {
   UnionFind uf(g.num_vertices());
-  for (const Edge& e : g.coo().edges()) uf.unite(e.src, e.dst);
+  g.for_each_edge([&](VertexId u, VertexId v) { uf.unite(u, v); });
   std::vector<VertexId> label(g.num_vertices());
   // Roots are minimal ids by the union rule, but path compression can
   // leave stale parents; a final find pass canonicalizes. Then map every
@@ -138,8 +138,8 @@ std::vector<double> brandes_dependency(const Graph& g, VertexId source) {
 
 std::vector<double> spmv(const Graph& g, const std::vector<double>& x) {
   std::vector<double> y(g.num_vertices(), 0.0);
-  for (const Edge& e : g.coo().edges())
-    y[e.dst] += edge_weight(e.src, e.dst) * x[e.src];
+  g.for_each_edge(
+      [&](VertexId u, VertexId v) { y[v] += edge_weight(u, v) * x[u]; });
   return y;
 }
 

@@ -4,6 +4,17 @@
 // freedom: only the owning partition writes a destination), and within a
 // partition ordered by CSR (source-major), CSC (destination-major) or the
 // Hilbert space-filling curve — the axis studied in Section V-G / Fig. 6.
+//
+// The build reads the graph's CSR and CSC, never its COO. Partition p's
+// size is the CSC offset difference at its boundaries, so no count pass
+// runs. Each order is then built serially on the calling thread:
+//  * Csr: one pass over the out-CSR rows in source order scatters each
+//    edge to its partition's cursor (owner from an O(n) table); every
+//    put is bounds-checked and every partition must end exactly full.
+//  * Csc: the CSC edge array copied as it is: a partition is a contiguous
+//    run of CSC rows, each listing its sources ascending.
+//  * Hilbert: the Csc copy, then a sort of each partition by Hilbert
+//    index (ties by edge).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +44,7 @@ struct PartitionedCoo {
 };
 
 /// Builds the partitioned COO for a graph under a destination partitioning.
+/// Throws unless the boundaries start at 0, never decrease and end at n.
 PartitionedCoo build_partitioned_coo(const Graph& g,
                                      const order::Partitioning& part,
                                      EdgeOrder order);

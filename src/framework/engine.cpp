@@ -58,7 +58,7 @@ void Engine::rebind(const Graph& g,
   if (part != nullptr) {
     part_ = *part;
     partitions_ = part_.num_partitions();
-    VEBO_CHECK(part_.boundaries.back() == g.num_vertices(),
+    VEBO_CHECK(part_.covers(g.num_vertices()),
                "explicit partitioning does not cover the vertex set");
     return;
   }

@@ -39,7 +39,7 @@ struct EngineOptions {
   /// When set it overrides `partitions`; otherwise Algorithm 1 derives
   /// the chunks. Copied into the engine.
   const order::Partitioning* explicit_partitioning = nullptr;
-  /// Edge order for the GraphGrind COO path.
+  /// Edge order of the partitioned COO (partitioned_coo()).
   EdgeOrder edge_order = EdgeOrder::Csr;
   /// Frontier density denominator: dense traversal when
   /// |active| + |active out-edges| > m / dense_denominator (Ligra's 20).
@@ -108,18 +108,20 @@ class Engine {
                                  opts_.dense_denominator);
   }
 
-  /// Lazily built partitioned COO in the engine's edge order (GraphGrind
-  /// dense path; available for all models for benchmarking). Safe to call
-  /// concurrently: the first caller builds under a lock, later callers
-  /// take the acquire-published result lock-free.
+  /// Lazily built partitioned COO in the engine's edge order: the dense
+  /// path BP and SpMV take on every partitioned model (serving engines
+  /// included), and PageRank with `use_coo`. Built once per bound graph;
+  /// rebind() drops it. Safe to call concurrently: the first caller
+  /// builds under a lock, later callers take the acquire-published result
+  /// lock-free.
   const PartitionedCoo& partitioned_coo() const;
 
   /// Forces the lazily built traversal structures (dense chunk bounds,
   /// and the partitioned COO on partitioned models) to exist NOW, on the
-  /// caller's thread — the publish-time pre-warm hook. Without it the
-  /// first dense query after a rebind pays the builds inside its own
-  /// latency. Both builds are internally synchronized (see above), so
-  /// this is safe to run while readers query.
+  /// caller's thread, so set-up can time them apart from the first dense
+  /// query, which otherwise pays the builds inside its own latency. Both
+  /// builds are internally synchronized (see above), so this is safe to
+  /// run while readers query.
   void prewarm() const {
     dense_chunks();
     if (partitioned()) partitioned_coo();

@@ -1,6 +1,7 @@
 // The Graph type: dual CSR/CSC adjacency, which the frontier-based
 // framework traverses (push uses out-edges, pull uses in-edges), plus the
-// COO sorted by source, which the GraphGrind COO path iterates.
+// COO sorted by source, an EdgeList copy of the out-CSR for callers that
+// want one. Library code walks the out-CSR (for_each_edge) instead.
 #pragma once
 
 #include <span>
@@ -47,6 +48,14 @@ class Graph {
   const Csr& out_csr() const { return out_; }
   const Csr& in_csr() const { return in_; }
   const EdgeList& coo() const { return coo_; }
+
+  /// Calls f(src, dst) for every edge in (src, dst) order, the order of
+  /// coo(): a walk of the out-CSR rows.
+  template <typename F>
+  void for_each_edge(F&& f) const {
+    for (VertexId u = 0; u < n_; ++u)
+      for (VertexId v : out_neighbors(u)) f(u, v);
+  }
 
   /// Maximum in-degree; N in the paper is max_in_degree()+1.
   EdgeId max_in_degree() const;

@@ -112,7 +112,8 @@ Graph read_adjacency_file(const std::string& path, bool directed) {
 }
 
 void write_edge_list(std::ostream& os, const Graph& g) {
-  for (const Edge& e : g.coo().edges()) os << e.src << " " << e.dst << "\n";
+  g.for_each_edge(
+      [&](VertexId u, VertexId v) { os << u << " " << v << "\n"; });
 }
 
 EdgeList read_edge_list(std::istream& is, VertexId n) {

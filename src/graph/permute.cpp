@@ -59,11 +59,9 @@ Graph permute(const Graph& g, std::span<const VertexId> perm) {
 std::uint64_t structural_hash(const Graph& g) {
   // Commutative hash over edges so it is independent of edge order.
   std::uint64_t h = mix64(g.num_vertices());
-  for (const Edge& e : g.coo().edges()) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(e.src) << 32) | e.dst;
-    h += mix64(key);
-  }
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    h += mix64((static_cast<std::uint64_t>(u) << 32) | v);
+  });
   return h;
 }
 
@@ -72,14 +70,20 @@ bool is_isomorphic_under(const Graph& g, const Graph& h,
   if (g.num_vertices() != h.num_vertices()) return false;
   if (g.num_edges() != h.num_edges()) return false;
   if (!is_permutation(perm)) return false;
-  // Oracle independent of the construction kernel: relabel g's COO and
-  // sort it into h's canonical (src, dst) order.
+  // Oracle independent of the construction kernel: relabel g's edges and
+  // sort them into the (src, dst) order h's edges are walked in.
   std::vector<Edge> relabelled;
   relabelled.reserve(g.num_edges());
-  for (const Edge& e : g.coo().edges())
-    relabelled.push_back({perm[e.src], perm[e.dst]});
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    relabelled.push_back({perm[u], perm[v]});
+  });
   std::sort(relabelled.begin(), relabelled.end());
-  return std::ranges::equal(relabelled, h.coo().edges());
+  std::size_t i = 0;  // the edge counts agree (checked above)
+  bool same = true;
+  h.for_each_edge([&](VertexId u, VertexId v) {
+    same = same && relabelled[i++] == Edge{u, v};
+  });
+  return same;
 }
 
 }  // namespace vebo

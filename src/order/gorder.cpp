@@ -116,11 +116,11 @@ double gorder_score(const Graph& g, std::span<const VertexId> perm,
   const VertexId n = g.num_vertices();
   double score = 0.0;
   // Adjacency term.
-  for (const Edge& e : g.coo().edges()) {
-    const auto a = static_cast<std::int64_t>(perm[e.src]);
-    const auto b = static_cast<std::int64_t>(perm[e.dst]);
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    const auto a = static_cast<std::int64_t>(perm[u]);
+    const auto b = static_cast<std::int64_t>(perm[v]);
     if (std::abs(a - b) <= static_cast<std::int64_t>(window)) score += 1.0;
-  }
+  });
   // Sibling term: pairs of out-neighbors of a common source. Quadratic in
   // the out-degree, so only used in tests on small graphs.
   for (VertexId w = 0; w < n; ++w) {

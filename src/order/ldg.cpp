@@ -51,8 +51,9 @@ LdgResult ldg(const Graph& g, VertexId P, const LdgOptions& opts) {
 
   // Edge cut fraction.
   EdgeId cut = 0;
-  for (const Edge& e : g.coo().edges())
-    if (res.assignment[e.src] != res.assignment[e.dst]) ++cut;
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    if (res.assignment[u] != res.assignment[v]) ++cut;
+  });
   res.edge_cut_fraction =
       g.num_edges() ? static_cast<double>(cut) / g.num_edges() : 0.0;
 

@@ -14,6 +14,12 @@ VertexId Partitioning::owner(VertexId v) const {
   return static_cast<VertexId>(it - boundaries.begin() - 1);
 }
 
+bool Partitioning::covers(VertexId n) const {
+  return !boundaries.empty() && boundaries.front() == 0 &&
+         boundaries.back() == n &&
+         std::is_sorted(boundaries.begin(), boundaries.end());
+}
+
 Partitioning partition_by_degrees(const std::vector<EdgeId>& in_degree,
                                   VertexId P) {
   VEBO_CHECK(P >= 1, "partition: P must be >= 1");

@@ -27,6 +27,10 @@ struct Partitioning {
 
   /// Partition that owns destination v (binary search).
   VertexId owner(VertexId v) const;
+
+  /// True when every destination in [0, n) has exactly one owner: the
+  /// boundaries start at 0, never decrease and end at n.
+  bool covers(VertexId n) const;
 };
 
 /// Algorithm 1: walk vertices in id order, close the current partition

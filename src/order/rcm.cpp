@@ -130,11 +130,11 @@ Permutation rcm(const Graph& g) {
 
 EdgeId bandwidth(const Graph& g, std::span<const VertexId> perm) {
   EdgeId bw = 0;
-  for (const Edge& e : g.coo().edges()) {
-    const auto a = static_cast<std::int64_t>(perm[e.src]);
-    const auto b = static_cast<std::int64_t>(perm[e.dst]);
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    const auto a = static_cast<std::int64_t>(perm[u]);
+    const auto b = static_cast<std::int64_t>(perm[v]);
     bw = std::max<EdgeId>(bw, static_cast<EdgeId>(std::llabs(a - b)));
-  }
+  });
   return bw;
 }
 

@@ -3,7 +3,9 @@
 // the partitioned COO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <tuple>
 
 #include "framework/edgemap.hpp"
 #include "framework/engine.hpp"
@@ -13,7 +15,9 @@
 #include "graph/permute.hpp"
 #include "order/hilbert.hpp"
 #include "order/vebo.hpp"
+#include "stream/session.hpp"
 #include "support/error.hpp"
+#include "support/prng.hpp"
 
 namespace vebo {
 namespace {
@@ -123,10 +127,15 @@ TEST(Engine, ExplicitPartitioningOverridesCounts) {
 
 TEST(Engine, ExplicitPartitioningMustCoverVertexSet) {
   const Graph g = gen::rmat(9, 4, 3);  // 512 vertices
-  order::Partitioning bad = order::partition_from_counts({100, 100});
-  EngineOptions opts;
-  opts.explicit_partitioning = &bad;
-  EXPECT_THROW(Engine(g, SystemModel::Polymer, opts), Error);
+  // Short of n; past destination 0; two partitions owning 128-255.
+  for (order::Partitioning bad :
+       {order::partition_from_counts({100, 100}),
+        order::Partitioning{{1, 256, 512}},
+        order::Partitioning{{0, 256, 128, 512}}}) {
+    EngineOptions opts;
+    opts.explicit_partitioning = &bad;
+    EXPECT_THROW(Engine(g, SystemModel::Polymer, opts), Error);
+  }
 }
 
 TEST(Engine, ExplicitPartitioningIsCopied) {
@@ -178,6 +187,210 @@ TEST(PartitionedCoo, HilbertOrderWithinPartition) {
       ASSERT_LE(order::hilbert_index(es[i - 1].src, es[i - 1].dst, k),
                 order::hilbert_index(es[i].src, es[i].dst, k));
   }
+}
+
+/// Sort-based oracle for build_partitioned_coo, sharing no code with it:
+/// the edges (a multiset) stable-sorted by the partition that owns their
+/// destination, then by the edge order's key.
+PartitionedCoo reference_partitioned_coo(VertexId n, std::vector<Edge> edges,
+                                         const order::Partitioning& part,
+                                         EdgeOrder eo) {
+  const std::size_t P = part.num_partitions();
+  std::vector<std::size_t> owner(n);
+  for (std::size_t p = 0; p < P; ++p)
+    for (VertexId v = part.boundaries[p]; v < part.boundaries[p + 1]; ++v)
+      owner[v] = p;
+  const int k = order::hilbert_order_for(n);
+  const auto key = [&](const Edge& e) {
+    switch (eo) {
+      case EdgeOrder::Csr:
+        return std::tuple(owner[e.dst], std::uint64_t{0}, e.src, e.dst);
+      case EdgeOrder::Csc:
+        return std::tuple(owner[e.dst], std::uint64_t{0}, e.dst, e.src);
+      case EdgeOrder::Hilbert:
+        break;
+    }
+    return std::tuple(owner[e.dst], order::hilbert_index(e.src, e.dst, k),
+                      e.src, e.dst);
+  };
+  std::stable_sort(edges.begin(), edges.end(),
+                   [&](const Edge& a, const Edge& b) {
+                     return key(a) < key(b);
+                   });
+  PartitionedCoo ref;
+  ref.offsets.assign(P + 1, 0);
+  for (const Edge& e : edges) ++ref.offsets[owner[e.dst] + 1];
+  for (std::size_t p = 1; p <= P; ++p) ref.offsets[p] += ref.offsets[p - 1];
+  ref.edges = std::move(edges);
+  return ref;
+}
+
+/// Byte equality of two partitioned COOs: offsets and every edge.
+void expect_same_coo(const PartitionedCoo& got, const PartitionedCoo& want) {
+  ASSERT_EQ(got.offsets, want.offsets);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  const auto diff = std::ranges::mismatch(got.edges, want.edges).in1;
+  EXPECT_TRUE(diff == got.edges.end())
+      << "first differing edge at " << (diff - got.edges.begin());
+}
+
+constexpr EdgeOrder kEdgeOrders[] = {EdgeOrder::Csr, EdgeOrder::Csc,
+                                     EdgeOrder::Hilbert};
+
+/// Every edge order of `g` under `part` against the oracle over `edges`.
+void expect_matches_oracle(const Graph& g, const std::vector<Edge>& edges,
+                           const order::Partitioning& part) {
+  for (EdgeOrder eo : kEdgeOrders) {
+    SCOPED_TRACE(to_string(eo));
+    expect_same_coo(build_partitioned_coo(g, part, eo),
+                    reference_partitioned_coo(g.num_vertices(), edges, part,
+                                              eo));
+  }
+}
+
+// The partitioned COO is byte-identical to the sort oracle for all three
+// edge orders, on multigraphs, symmetric graphs, isolated vertices and
+// the degenerate sizes, under partitionings with empty partitions.
+TEST(PartitionedCoo, MatchesTheSortOracleForEveryOrder) {
+  struct Case {
+    const char* name;
+    EdgeList el;
+  };
+  std::vector<Case> cases;
+  {
+    // dedupe = false (the default): duplicate arcs and self loops.
+    EdgeList el = gen::rmat_edges(9, 8, 3);
+    std::vector<Edge> sorted(el.edges().begin(), el.edges().end());
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_NE(std::ranges::adjacent_find(sorted), sorted.end());
+    EXPECT_TRUE(std::ranges::any_of(
+        sorted, [](const Edge& e) { return e.src == e.dst; }));
+    cases.push_back({"rmat multigraph", std::move(el)});
+  }
+  {
+    EdgeList el = gen::rmat_edges(8, 6, 5);
+    el.symmetrize();
+    cases.push_back({"symmetrized", std::move(el)});
+  }
+  {
+    // Vertices 0-9, 21-29 and 36-39 have no edges.
+    EdgeList el(40, {});
+    for (VertexId u = 10; u <= 20; ++u)
+      for (VertexId v = 30; v <= 35; ++v)
+        if ((u + v) % 3 != 0) el.add(v % 2 ? u : v, v % 2 ? v : u);
+    cases.push_back({"isolated vertices", std::move(el)});
+  }
+  cases.push_back({"n = 0", EdgeList(0, {})});
+  cases.push_back({"n = 1", EdgeList(1, {{0, 0}, {0, 0}})});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const VertexId n = c.el.num_vertices();
+    const std::vector<Edge> edges(c.el.edges().begin(), c.el.edges().end());
+    const Graph g = Graph::from_edges(c.el);
+    {
+      SCOPED_TRACE("P = 1");
+      expect_matches_oracle(g, edges, order::Partitioning{{0, n}});
+    }
+    {
+      SCOPED_TRACE("Algorithm 1, P = 4");
+      expect_matches_oracle(g, edges, order::partition_by_destination(g, 4));
+    }
+    {
+      SCOPED_TRACE("more partitions than vertices");
+      const auto part = order::partition_by_destination(g, n + 3);
+      EXPECT_GE(std::ranges::count(part.boundaries, n), 4);
+      expect_matches_oracle(g, edges, part);
+    }
+    {
+      SCOPED_TRACE("empty first and last partitions");
+      expect_matches_oracle(g, edges,
+                            order::Partitioning{{0, 0, n / 3, n / 2, n, n}});
+    }
+    if (n == 0) continue;  // VEBO rejects the empty graph
+    {
+      SCOPED_TRACE("VEBO, P = 4");
+      const order::VeboResult res = order::vebo(g, 4);
+      std::vector<Edge> relabelled;
+      for (const Edge& e : edges)
+        relabelled.push_back({res.perm[e.src], res.perm[e.dst]});
+      expect_matches_oracle(permute(g, res.perm), relabelled,
+                            res.partitioning);
+    }
+  }
+}
+
+TEST(PartitionedCoo, RejectsAPartitioningThatDoesNotCoverTheVertexSet) {
+  const Graph g = gen::rmat(8, 4, 2);
+  const VertexId n = g.num_vertices();
+  for (EdgeOrder eo : kEdgeOrders) {
+    SCOPED_TRACE(to_string(eo));
+    EXPECT_THROW(build_partitioned_coo(g, {{0, n / 2, n - 1}}, eo), Error);
+    EXPECT_THROW(build_partitioned_coo(g, {{0, n / 2, n + 1}}, eo), Error);
+    EXPECT_THROW(build_partitioned_coo(g, {{1, n / 2, n}}, eo), Error);
+    EXPECT_THROW(build_partitioned_coo(g, {{0, n / 2, n / 4, n}}, eo), Error);
+    EXPECT_THROW(build_partitioned_coo(g, {{0}}, eo), Error);
+  }
+}
+
+// A Polymer engine rebound to a patched session snapshot builds the same
+// COO as a fresh build over the full relabel of that version.
+TEST(PartitionedCoo, PatchedSnapshotMatchesAFreshBuild) {
+  stream::SessionOptions opts;
+  opts.model = SystemModel::Polymer;
+  // No rebalance and no compaction keep the ordering, so every snapshot
+  // after the first one is patched.
+  opts.rebalance.edge_drift = 1e9;
+  opts.rebalance.vertex_drift = 1e9;
+  opts.compact_fraction = 0;
+  const Graph base = gen::rmat(9, 8, 11);
+  const VertexId n = base.num_vertices();
+  stream::StreamSession session(base, opts);
+  std::shared_ptr<const Graph> snap = session.shared_snapshot();
+
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (EdgeOrder eo : kEdgeOrders) {
+    engines.push_back(std::make_unique<Engine>(
+        *snap, SystemModel::Polymer,
+        EngineOptions{
+            .explicit_partitioning = &session.maintainer().partitioning(),
+            .edge_order = eo}));
+    engines.back()->partitioned_coo();  // warm: the rebind must drop it
+  }
+  Xoshiro256 rng(5);
+  constexpr int kBatches = 4;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<stream::EdgeUpdate> batch;
+    for (int i = 0; i < 200; ++i) {
+      const auto u = static_cast<VertexId>(rng.next_below(n));
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (i % 3 == 0) {
+        batch.push_back(stream::EdgeUpdate::insert(u, v));
+      } else if (const auto nb = base.out_neighbors(u); !nb.empty()) {
+        batch.push_back(stream::EdgeUpdate::remove(u, nb[v % nb.size()]));
+      }
+    }
+    session.apply(batch);
+    snap = session.shared_snapshot();
+    const order::Partitioning& part = session.maintainer().partitioning();
+    const Graph fresh =
+        session.delta().snapshot(session.maintainer().ordering().perm);
+    std::vector<Edge> edges;
+    for (VertexId u = 0; u < n; ++u)
+      for (VertexId v : fresh.out_neighbors(u)) edges.push_back({u, v});
+    for (auto& eng : engines) {
+      SCOPED_TRACE(to_string(eng->options().edge_order));
+      eng->rebind(*snap, &part);
+      expect_same_coo(eng->partitioned_coo(),
+                      build_partitioned_coo(fresh, part,
+                                            eng->options().edge_order));
+      expect_same_coo(eng->partitioned_coo(),
+                      reference_partitioned_coo(
+                          n, edges, part, eng->options().edge_order));
+    }
+  }
+  EXPECT_EQ(session.stats().snapshots_patched,
+            static_cast<std::uint64_t>(kBatches));
 }
 
 // -------------------------------------------------------------- edgemap
