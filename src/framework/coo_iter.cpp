@@ -82,19 +82,14 @@ PartitionedCoo build_partitioned_coo(const Graph& g,
   }
   copy_in_destination_order(g, out);
   if (order == EdgeOrder::Hilbert) {
-    // The comparator is a total order up to identical edges, so the
+    // (index, edge) is a total order up to identical edges, so the
     // result does not depend on the order the copy left.
     const int k = order::hilbert_order_for(g.num_vertices());
-    const auto at = [&](std::size_t p) {
-      return out.edges.begin() + static_cast<std::ptrdiff_t>(out.offsets[p]);
-    };
     for (std::size_t p = 0; p < P; ++p)
-      std::sort(at(p), at(p + 1), [k](const Edge& a, const Edge& b) {
-        const auto ha = order::hilbert_index(a.src, a.dst, k);
-        const auto hb = order::hilbert_index(b.src, b.dst, k);
-        if (ha != hb) return ha < hb;
-        return a < b;
-      });
+      order::sort_edges_hilbert(
+          std::span<Edge>(out.edges.data() + out.offsets[p],
+                          out.edges.data() + out.offsets[p + 1]),
+          k);
   }
   return out;
 }

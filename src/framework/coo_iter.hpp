@@ -13,8 +13,9 @@
 //    put is bounds-checked and every partition must end exactly full.
 //  * Csc: the CSC edge array copied as it is: a partition is a contiguous
 //    run of CSC rows, each listing its sources ascending.
-//  * Hilbert: the Csc copy, then a sort of each partition by Hilbert
-//    index (ties by edge).
+//  * Hilbert: the Csc copy, then each partition sorted by Hilbert index
+//    (ties by edge) through order::sort_edges_hilbert, which computes
+//    each edge's index once.
 #pragma once
 
 #include <cstddef>

@@ -307,9 +307,13 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
     case SpanKind::QueueWait: break;
     case SpanKind::EngineLease:
     case SpanKind::Execute:
-    case SpanKind::Publish:
     case SpanKind::Refresh:
       arg_u64(os, first, "version", s.a);
+      break;
+    case SpanKind::Publish:
+      arg_u64(os, first, "version", s.a);
+      arg_u64(os, first, "refreshed", s.b);
+      arg_u64(os, first, "dropped", s.c);
       break;
     case SpanKind::Snapshot:
       arg_u64(os, first, "version", s.a);

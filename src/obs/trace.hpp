@@ -101,7 +101,8 @@ const char* to_string(KernelVariant v);
 ///  * CacheProbe: a = 1 on hit. Translate: a = payload vertex count.
 ///  * ApplyBatch: a = inserted, b = removed, c = vertices grown.
 ///  * VeboRefine: a = RebalanceAction, b = dirty vertex count.
-///  * Publish: a = version (0 when unversioned).
+///  * Publish: a = version (0 when unversioned), b = cache entries
+///    refreshed into the new epoch, c = cache entries dropped.
 ///  * Snapshot: a = version (0 when unversioned), b = 1 when patched
 ///    from the previous snapshot (0 = full relabel), c = net arc flips
 ///    the patch applied.

@@ -1,6 +1,8 @@
 #include "order/hilbert.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -56,18 +58,16 @@ int hilbert_order_for(std::uint64_t n) {
   return k;
 }
 
-void sort_edges_hilbert(EdgeList& el) {
-  const int k = hilbert_order_for(el.num_vertices());
-  auto edges = el.mutable_edges();
+void sort_edges_hilbert(std::span<Edge> edges, int k) {
   std::vector<std::pair<std::uint64_t, Edge>> keyed(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i)
     keyed[i] = {hilbert_index(edges[i].src, edges[i].dst, k), edges[i]};
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
+  std::sort(keyed.begin(), keyed.end());
   for (std::size_t i = 0; i < edges.size(); ++i) edges[i] = keyed[i].second;
+}
+
+void sort_edges_hilbert(EdgeList& el) {
+  sort_edges_hilbert(el.mutable_edges(), hilbert_order_for(el.num_vertices()));
 }
 
 void sort_edges_csr(EdgeList& el) { el.sort_by_source(); }

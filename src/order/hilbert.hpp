@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "graph/edge_list.hpp"
 
@@ -22,6 +23,11 @@ void hilbert_point(std::uint64_t d, int k, std::uint32_t& x,
 
 /// Smallest k such that 2^k covers ids [0, n).
 int hilbert_order_for(std::uint64_t n);
+
+/// Sorts `edges` by Hilbert index of (src, dst) on the curve of order
+/// 2^k, ties by edge. Each index is computed once per edge and the
+/// (index, edge) pairs are sorted: the one home of Hilbert edge order.
+void sort_edges_hilbert(std::span<Edge> edges, int k);
 
 /// Sorts edges in Hilbert order of (src, dst).
 void sort_edges_hilbert(EdgeList& el);

@@ -1,10 +1,14 @@
 #include "serve/graph_service.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <tuple>
 
 #include "algorithms/registry.hpp"
+#include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 
@@ -67,6 +71,37 @@ ResultCache::Value translated(const algo::AlgorithmSpec& spec,
         perm != nullptr ? algo::translate_to_original_ids(payload, *perm)
                         : std::move(payload));
   return v;
+}
+
+/// The delta the refresh hooks read, in `g`'s ids: `delta` itself
+/// without a permutation, else its image under `perm`, built in
+/// `scratch`. nullptr when refreshing would not pay or could not be
+/// right: past `max_fraction` of the snapshot's edges every hook would
+/// fall back to a full run (better to let queries recompute on demand),
+/// and an endpoint outside the permutation means the delta does not
+/// match it.
+const algo::EdgeDelta* delta_for_hooks(const Graph& g,
+                                       const algo::EdgeDelta& delta,
+                                       const Permutation* perm,
+                                       double max_fraction,
+                                       algo::EdgeDelta& scratch) {
+  const auto m =
+      static_cast<double>(std::max<EdgeId>(g.num_edges(), 1));
+  if (static_cast<double>(delta.size()) > max_fraction * m) return nullptr;
+  if (perm == nullptr) return &delta;
+  const auto to_snapshot = [&](const std::vector<Edge>& in,
+                               std::vector<Edge>& out) {
+    out.reserve(in.size());
+    for (const Edge& e : in) {
+      if (e.src >= perm->size() || e.dst >= perm->size()) return false;
+      out.push_back({(*perm)[e.src], (*perm)[e.dst]});
+    }
+    return true;
+  };
+  if (!to_snapshot(delta.inserted, scratch.inserted) ||
+      !to_snapshot(delta.removed, scratch.removed))
+    return nullptr;
+  return &scratch;
 }
 
 std::uint64_t payload_vertices(const algo::QueryPayload& p) {
@@ -302,11 +337,15 @@ std::uint64_t GraphService::publish(
     const std::uint64_t prev_v = store_.version();
     v = store_.publish(std::move(graph), std::move(partitioning),
                        std::move(perm));
-    if (span.live()) span.span().a = v;
-    if (opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr)
-      refresh_cache(prev_v, v, *delta, perm_copy);
-    else
-      invalidate_cache();
+    const CacheTurnover turnover =
+        opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr
+            ? refresh_cache(prev_v, v, *delta, perm_copy)
+            : invalidate_cache();
+    if (span.live()) {
+      span.span().a = v;
+      span.span().b = turnover.refreshed;
+      span.span().c = turnover.dropped;
+    }
   }
   // Anomaly trigger: a stalled publish means readers are pinned to an
   // aging epoch — exactly the moment to freeze the black box.
@@ -493,6 +532,7 @@ void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
   if (!opts_.enable_cache) return;
   v.code = q.spec->code;
   v.params = q.norm;
+  v.read = true;  // a client asked for it this epoch
   std::uint64_t evicted = 0;
   {
     MutexLock lk(cache_mutex_);
@@ -630,24 +670,25 @@ void GraphService::maybe_monitor(std::uint64_t now_ns) {
     rec.trigger("in-flight-age");
 }
 
-void GraphService::invalidate_cache() {
-  bool wiped = false;
+GraphService::CacheTurnover GraphService::invalidate_cache() {
+  std::size_t wiped = 0;
   {
     MutexLock lk(cache_mutex_);
-    wiped = cache_.size() != 0;
+    wiped = cache_.size();
     // Leave cache_version_ behind the store version; the next miss
     // brings the generation forward.
-    if (wiped) cache_.clear();
+    if (wiped != 0) cache_.clear();
     // This path records no permutation for the generation it opened.
     cache_perm_known_ = false;
   }
-  if (wiped) {
+  if (wiped != 0) {
     MutexLock slk(stats_mutex_);
     ++stats_.invalidations;
   }
+  return {0, wiped};
 }
 
-void GraphService::refresh_cache(
+GraphService::CacheTurnover GraphService::refresh_cache(
     std::uint64_t prev_version, std::uint64_t new_version,
     const algo::EdgeDelta& delta,
     const std::shared_ptr<const Permutation>& perm) {
@@ -655,134 +696,165 @@ void GraphService::refresh_cache(
   // one. The generation advances EAGERLY — a concurrent miss computed
   // against the new epoch must land in the new generation, and the
   // reinserts below must find it current.
-  std::vector<std::pair<CacheKey, ResultCache::Value>> entries;
-  std::size_t live_before = 0;
+  std::vector<std::pair<CacheKey, ResultCache::Value>> drained;
+  bool stepping = false;
   bool perm_stable = false;
   {
     MutexLock lk(cache_mutex_);
-    live_before = cache_.size();
     // A lagging or bypassed generation (version mismatch) holds entries
     // for some OTHER epoch than the one this delta steps from — they
     // can only be dropped.
-    if (cache_version_ == prev_version && live_before != 0)
-      entries = cache_.entries();
+    stepping = cache_version_ == prev_version;
+    drained = cache_.drain();
     perm_stable = cache_perm_known_ &&
                   ((cache_perm_ == nullptr && perm == nullptr) ||
                    (cache_perm_ != nullptr && perm != nullptr &&
                     *cache_perm_ == *perm));
-    cache_.clear();
     if (new_version > cache_version_) cache_version_ = new_version;
     cache_perm_ = perm;
     cache_perm_known_ = true;
   }
+  const std::size_t live_before = drained.size();
 
-  // Phase B (no cache lock): recompute every refreshable entry against
-  // the new epoch. Query traffic proceeds concurrently — misses for the
-  // new epoch just compute-and-insert as usual.
-  std::vector<std::pair<CacheKey, ResultCache::Value>> fresh;
-  std::vector<std::pair<std::string, double>> hook_ms;
-  if (!entries.empty()) {
-    const SnapshotRef snap = store_.acquire();
-    bool usable = snap && snap.version() == new_version;
-    // Publish-level fallback threshold: a bulk rewrite refreshes
-    // nothing (every hook would fall back to a full run anyway — better
-    // to let queries recompute on demand than serialize N full runs on
-    // the writer thread).
-    if (usable) {
-      const auto m = static_cast<double>(
-          std::max<EdgeId>(snap.graph().num_edges(), 1));
-      if (static_cast<double>(delta.size()) >
-          opts_.refresh_max_delta_fraction * m)
-        usable = false;
-    }
-    // The delta arrives in original ids; the hooks work in snapshot
-    // ids. An endpoint outside the permutation means the delta does not
-    // match this perm — drop everything rather than refresh wrongly.
-    algo::EdgeDelta snap_delta;
-    if (usable && perm != nullptr) {
-      const auto to_snapshot = [&](const std::vector<Edge>& in,
-                                   std::vector<Edge>& out) {
-        out.reserve(in.size());
-        for (const Edge& e : in) {
-          if (e.src >= perm->size() || e.dst >= perm->size()) return false;
-          out.push_back({(*perm)[e.src], (*perm)[e.dst]});
-        }
-        return true;
-      };
-      usable = to_snapshot(delta.inserted, snap_delta.inserted) &&
-               to_snapshot(delta.removed, snap_delta.removed);
-    }
-    if (usable) {
-      const algo::EdgeDelta& eng_delta =
-          perm != nullptr ? snap_delta : delta;
-      EnginePool::Lease lease = pool_.lease(snap);
-      for (auto& [key, val] : entries) {
-        const algo::AlgorithmSpec* spec = algo::find_spec(val.code);
-        if (spec == nullptr || !spec->refresh || val.payload == nullptr)
-          continue;
-        if (spec->refresh_needs_stable_perm && !perm_stable) continue;
-        try {
-          Timer hook;
-          // The resolve stage's source mapping: an entry whose source
-          // names no vertex of this snapshot throws and is dropped.
-          algo::QueryParams exec = val.params;
-          if (spec->params.find("source") != nullptr)
-            exec.set("source", snapshot_source(exec, snap));
-          // The cached payload is in original ids; hand the hook a view
-          // in THIS snapshot's id space. Throws (and drops the entry)
-          // when sizes no longer line up — e.g. vertex growth.
-          const algo::QueryPayload prev_snap =
-              perm != nullptr
-                  ? algo::translate_from_original_ids(*val.payload, *perm)
-                  : *val.payload;
-          const QueryContext& ctx = QueryContext::none();
-          algo::QueryPayload out;
-          {
-            obs::StageScope span(obs::SpanKind::Refresh);
-            if (span.live()) span.span().a = new_version;
-            Engine::ContextBinding bind(lease.engine(), ctx);
-            out = spec->refresh(lease.engine(), exec, prev_snap, eng_delta,
-                                ctx);
-          }
-          // The translate stage a query runs, so a refreshed entry is
-          // indistinguishable from a recomputed one.
-          ResultCache::Value nv =
-              translated(*spec, std::move(out), perm.get(), /*keep=*/true);
-          nv.code = val.code;
-          nv.params = val.params;
-          hook_ms.emplace_back(val.code, hook.elapsed_ms());
-          fresh.emplace_back(key, std::move(nv));
-        } catch (...) {
-          // Refresh is best-effort: a throwing hook degrades to the
-          // plain invalidation this entry would have gotten anyway.
-        }
-      }
+  // Pick the entries to refresh: those a client read since the previous
+  // publish, whose hook can run on this publish. Everything else is
+  // freed here, before any hook runs.
+  struct Task {
+    CacheKey key;
+    ResultCache::Value old;  ///< its payload is freed once unneeded
+    const algo::AlgorithmSpec* spec = nullptr;
+    ResultCache::Value fresh;
+    bool ok = false;  ///< the hook ran and `fresh` holds its answer
+    double ms = 0;
+  };
+  std::vector<Task> tasks;
+  SnapshotRef snap;
+  algo::EdgeDelta snap_delta;
+  const algo::EdgeDelta* hook_delta = nullptr;
+  if (stepping && !drained.empty()) {
+    snap = store_.acquire();
+    if (snap && snap.version() == new_version)
+      hook_delta = delta_for_hooks(snap.graph(), delta, perm.get(),
+                                   opts_.refresh_max_delta_fraction,
+                                   snap_delta);
+  }
+  if (hook_delta != nullptr) {
+    for (auto& [key, val] : drained) {
+      const algo::AlgorithmSpec* spec = algo::find_spec(val.code);
+      if (!val.read || spec == nullptr || !spec->refresh ||
+          val.payload == nullptr)
+        continue;
+      if (spec->refresh_needs_stable_perm && !perm_stable) continue;
+      tasks.push_back({std::move(key), std::move(val), spec, {}, false, 0});
     }
   }
+  drained.clear();
 
-  // Phase C (cache lock): reinsert, unless yet another publish already
-  // superseded the generation we refreshed for.
-  std::size_t reinserted = 0;
+  // Phase B (no cache lock): run the hooks across the global pool, each
+  // task on its own engine leased from the serving pool, writing only
+  // its own slot.
+  // Query traffic proceeds concurrently — misses for the new epoch just
+  // compute-and-insert as usual. Tasks are claimed in index order, so
+  // `by_cost` puts the algorithms with the largest mean hook time first
+  // (the LPT rule VEBO applies to vertices): the short ones fill in
+  // behind them. An algorithm with no history ranks first; the sort is
+  // stable, so without history the cache order stands.
+  std::vector<std::size_t> by_cost(tasks.size());
+  std::iota(by_cost.begin(), by_cost.end(), std::size_t{0});
+  if (tasks.size() > 1) {
+    std::map<std::string, double> mean_ms;
+    for (const RefreshLatency& rl : refresh_latency())
+      if (rl.count != 0)
+        mean_ms[rl.algo] = rl.total_ms / static_cast<double>(rl.count);
+    const auto cost = [&](std::size_t i) {
+      const auto it = mean_ms.find(tasks[i].old.code);
+      return it != mean_ms.end() ? it->second
+                                 : std::numeric_limits<double>::infinity();
+    };
+    std::ranges::stable_sort(by_cost, std::greater<>{}, cost);
+  }
+  const auto run = [&](Task& t) {
+    try {
+      EnginePool::Lease lease = pool_.lease(snap);
+      Timer hook;
+      // The resolve stage's source mapping: an entry whose source names
+      // no vertex of this snapshot throws and is dropped.
+      algo::QueryParams exec = t.old.params;
+      if (t.spec->params.find("source") != nullptr)
+        exec.set("source", snapshot_source(exec, snap));
+      // The hook reads the previous payload in THIS snapshot's ids.
+      // Translating throws (and drops the entry) when sizes no longer
+      // line up — e.g. vertex growth; once it is done, nothing needs the
+      // cached original-id payload.
+      std::optional<algo::QueryPayload> prev_snap;
+      if (perm != nullptr) {
+        prev_snap = algo::translate_from_original_ids(*t.old.payload, *perm);
+        t.old.payload.reset();
+      }
+      algo::QueryPayload out;
+      {
+        obs::StageScope span(obs::SpanKind::Refresh);
+        if (span.live()) span.span().a = new_version;
+        const QueryContext& ctx = QueryContext::none();
+        Engine::ContextBinding bind(lease.engine(), ctx);
+        out = t.spec->refresh(lease.engine(), exec,
+                              prev_snap ? *prev_snap : *t.old.payload,
+                              *hook_delta, ctx);
+      }
+      lease.release();
+      // The replacement exists: nothing needs the previous payload.
+      prev_snap.reset();
+      t.old.payload.reset();
+      // The translate stage a query runs, so a refreshed entry is
+      // indistinguishable from a recomputed one.
+      t.fresh = translated(*t.spec, std::move(out), perm.get(), /*keep=*/true);
+      t.fresh.code = t.old.code;
+      t.fresh.params = t.old.params;
+      t.ms = hook.elapsed_ms();
+      t.ok = true;
+    } catch (...) {
+      // Refresh is best-effort: a throwing hook degrades to the plain
+      // invalidation this entry would have gotten anyway.
+      t.old.payload.reset();
+    }
+  };
+  ForOptions fan;  // one task per claim; the writer is worker 0
+  fan.schedule = Schedule::Dynamic;
+  fan.grain = 1;
+  fan.serial_cutoff = 1;
+  parallel_for(
+      0, tasks.size(), [&](std::size_t i) { run(tasks[by_cost[i]]); }, fan);
+
+  // Phase C (cache lock): reinsert unread, in the old LRU order, unless
+  // yet another publish already superseded the generation we refreshed
+  // for. A key a client stored for the new epoch meanwhile stays as the
+  // client stored it, read mark included.
+  CacheTurnover turnover;
   {
     MutexLock lk(cache_mutex_);
     if (cache_version_ == new_version) {
-      for (auto& [key, val] : fresh) cache_.insert(key, std::move(val));
-      reinserted = fresh.size();
+      for (Task& t : tasks) {
+        if (!t.ok) continue;
+        if (!cache_.contains(t.key)) cache_.insert(t.key, std::move(t.fresh));
+        ++turnover.refreshed;
+      }
     }
   }
-  const std::size_t dropped = live_before - reinserted;
+  turnover.dropped = live_before - turnover.refreshed;
   {
     MutexLock slk(stats_mutex_);
-    stats_.refreshes += reinserted;
+    stats_.refreshes += turnover.refreshed;
     // One invalidation per publish that dropped anything — mirrors
     // invalidate_cache's per-wipe (not per-entry) accounting.
-    if (dropped > 0) ++stats_.invalidations;
-    for (const auto& [code, ms] : hook_ms) {
-      auto& slot = refresh_lat_[code];
+    if (turnover.dropped > 0) ++stats_.invalidations;
+    for (const Task& t : tasks) {
+      if (!t.ok) continue;
+      auto& slot = refresh_lat_[t.old.code];
       ++slot.first;
-      slot.second += ms;
+      slot.second += t.ms;
     }
   }
+  return turnover;
 }
 
 std::vector<GraphService::RefreshLatency> GraphService::refresh_latency()

@@ -36,7 +36,8 @@
 // (code, validated params) — spelling, ordering, and default-reliance
 // cannot split semantically identical queries — holds results for the
 // current epoch only, and is wiped on publish (or, with
-// refresh_on_publish, refreshed in place for the new epoch); within an
+// refresh_on_publish, the entries read since the previous publish are
+// refreshed in place for the new epoch); within an
 // epoch, overflow evicts LRU entries (stats: `evictions`, distinct from
 // `invalidations`). A cached value can never outlive the graph state it
 // was computed on.
@@ -157,11 +158,16 @@ struct GraphServiceOptions {
   /// edge delta (publish_session, or publish(..., delta)) refresh cache
   /// entries whose algorithm has an AlgorithmSpec::refresh hook — warm-
   /// started from the previous epoch's payload, re-keyed to the new
-  /// epoch — instead of dropping them. Entries without a hook (or whose
-  /// refresh preconditions fail) are invalidated exactly as before.
-  /// Refreshed answers are full-fidelity results for the new epoch
-  /// (refresh == recompute is the contract, see ROADMAP "Incremental
-  /// maintenance"). Off by default: every publish then invalidates.
+  /// epoch — instead of dropping them. Refresh work follows reads: only
+  /// entries a client asked for since the previous publish (a miss that
+  /// stored them, or a hit) are refreshed, so an answer nobody reads
+  /// again is dropped at the publish after its last read. The hooks run
+  /// concurrently on the global pool (VEBO_THREADS wide), longest first.
+  /// Entries without a hook (or whose refresh preconditions fail) are
+  /// invalidated exactly as before. Refreshed answers are full-fidelity
+  /// results for the new epoch (refresh == recompute is the contract,
+  /// see ROADMAP "Incremental maintenance"). Off by default: every
+  /// publish then invalidates.
   bool refresh_on_publish = false;
   /// Refresh is only worthwhile for small deltas: when the net delta
   /// exceeds this fraction of the new snapshot's edges, the publish
@@ -260,8 +266,9 @@ struct GraphServiceStats {
   /// Entries carried across a publish by in-place recompute
   /// (refresh_on_publish). Distinct from invalidations: a refreshing
   /// publish that keeps every entry counts zero invalidations; one that
-  /// drops any entry (no hook, failed precondition, oversized delta)
-  /// still counts one invalidation for the wipe of the dropped set.
+  /// drops any entry (unread since the previous publish, no hook, failed
+  /// precondition, oversized delta) still counts one invalidation for
+  /// the wipe of the dropped set.
   std::uint64_t refreshes = 0;
   /// Accepted queries shed before execution (deadline lapsed / cancelled
   /// while queued). Every shed is also counted in `failed` (the future
@@ -354,7 +361,9 @@ class GraphService {
 
   /// Per-algorithm refresh cost accounting (refresh-on-publish mode):
   /// how many entries were refreshed for `algo` and the total wall time
-  /// spent in their refresh hooks. Sorted by algo code.
+  /// spent in their refresh hooks, summed per hook (a publish runs its
+  /// hooks side by side, so the sum can exceed its wall time). The mean
+  /// orders the next publish's hooks, longest first. Sorted by algo code.
   struct RefreshLatency {
     std::string algo;
     std::uint64_t count = 0;
@@ -446,17 +455,32 @@ class GraphService {
   /// evidence. Recomputes the tail-sampling keep threshold from the
   /// windowed p99 and fires the flight-recorder anomaly triggers.
   void maybe_monitor(std::uint64_t now_ns) EXCLUDES(queue_mutex_);
-  void invalidate_cache() EXCLUDES(cache_mutex_, stats_mutex_);
+  /// What one publish did to the live cache generation: entries carried
+  /// into the new epoch and entries dropped. The Publish span exports
+  /// them as "refreshed" and "dropped".
+  struct CacheTurnover {
+    std::uint64_t refreshed = 0;
+    std::uint64_t dropped = 0;
+  };
+  CacheTurnover invalidate_cache() EXCLUDES(cache_mutex_, stats_mutex_);
   /// The refresh-on-publish path (replaces invalidate_cache on a
-  /// delta-carrying publish in refresh mode): drains the live generation,
-  /// recomputes every refreshable entry against the new epoch via its
-  /// AlgorithmSpec::refresh hook (outside the cache lock), and reinserts
-  /// the survivors keyed to `new_version`. Non-refreshable entries are
-  /// dropped (counted as one invalidation if any). `delta` is in
-  /// ORIGINAL ids; `perm` is the newly published permutation.
-  void refresh_cache(std::uint64_t prev_version, std::uint64_t new_version,
-                     const algo::EdgeDelta& delta,
-                     const std::shared_ptr<const Permutation>& perm)
+  /// delta-carrying publish in refresh mode). Phase A drains the live
+  /// generation under the cache lock and opens the new one; the entries
+  /// that will not be refreshed are freed right after it. Phase B
+  /// recomputes, outside the lock, every entry a client read since the
+  /// previous publish whose algorithm has an AlgorithmSpec::refresh hook:
+  /// the hooks run concurrently across the global pool, longest mean
+  /// hook time first, each task on its own engine leased from the pool
+  /// (waiting, like a query, when every engine is busy), and each
+  /// previous payload is freed as soon as its replacement exists. Phase C
+  /// reinserts the results unread, in the old LRU order, keyed to
+  /// `new_version`. Unread, hook-less and failed entries are dropped
+  /// (counted as one invalidation if any). `delta` is in ORIGINAL ids;
+  /// `perm` is the newly published permutation.
+  CacheTurnover refresh_cache(std::uint64_t prev_version,
+                              std::uint64_t new_version,
+                              const algo::EdgeDelta& delta,
+                              const std::shared_ptr<const Permutation>& perm)
       EXCLUDES(cache_mutex_, stats_mutex_);
   /// Emits every service/cache/pool/snapshot stat as metric samples
   /// (the collector registered when options.metrics is set).

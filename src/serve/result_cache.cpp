@@ -14,6 +14,7 @@ const ResultCache::Value* ResultCache::find(const CacheKey& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // bump to MRU
+  it->second.value.read = true;
   return &it->second.value;
 }
 
@@ -39,15 +40,15 @@ void ResultCache::clear() {
   lru_.clear();
 }
 
-std::vector<std::pair<CacheKey, ResultCache::Value>> ResultCache::entries()
-    const {
+std::vector<std::pair<CacheKey, ResultCache::Value>> ResultCache::drain() {
   std::vector<std::pair<CacheKey, Value>> out;
   out.reserve(map_.size());
   // Walk the recency list back-to-front: LRU first, MRU last.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const auto found = map_.find(**it);
-    out.emplace_back(found->first, found->second.value);
+    auto found = map_.find(**it);
+    out.emplace_back(found->first, std::move(found->second.value));
   }
+  clear();
   return out;
 }
 

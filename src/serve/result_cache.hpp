@@ -72,13 +72,22 @@ class ResultCache {
     /// whatever permutation the refreshing epoch publishes).
     std::string code;
     algo::QueryParams params;
+    /// The read mark that decides refresh-on-publish: set when a
+    /// client's miss inserts the entry and when a hit finds it, clear on
+    /// an entry a refresh reinserted. A publish refreshes only marked
+    /// entries and drops the rest.
+    bool read = false;
   };
 
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// nullptr on miss; a hit bumps the entry to most-recently-used. The
-  /// pointer is valid until the next non-const call.
+  /// nullptr on miss; a hit bumps the entry to most-recently-used and
+  /// sets its read mark. The pointer is valid until the next non-const
+  /// call.
   const Value* find(const CacheKey& key);
+
+  /// Membership without a recency bump or a read mark.
+  bool contains(const CacheKey& key) const { return map_.count(key) != 0; }
 
   /// Inserts (or refreshes) an entry, evicting the LRU entry when full.
   void insert(const CacheKey& key, Value v);
@@ -89,10 +98,11 @@ class ResultCache {
   std::size_t size() const { return map_.size(); }
   std::uint64_t evictions() const { return evictions_; }
 
-  /// Snapshot of the entries in LRU -> MRU order (so reinserting
-  /// in sequence reproduces today's recency). Refresh-on-publish drains
-  /// this under the owner's lock, recomputes outside it, and reinserts.
-  std::vector<std::pair<CacheKey, Value>> entries() const;
+  /// Moves every entry out in LRU -> MRU order (so reinserting in
+  /// sequence reproduces the recency) and leaves the cache empty.
+  /// Refresh-on-publish drains under the owner's lock, recomputes
+  /// outside it, and reinserts.
+  std::vector<std::pair<CacheKey, Value>> drain();
 
  private:
   /// MRU-first recency list; entries point at their map key. Pointers to

@@ -2,8 +2,9 @@
 // edge-delta accumulator, the per-algorithm AlgorithmSpec::refresh hooks
 // (warm-start == from-scratch, the central contract), and the serving
 // layer's refresh-on-publish cache path — equivalence across system
-// models and across a re-permuting publish, the delta-size fallback,
-// publish-time pre-warm, and the whole path under injected faults.
+// models and across a re-permuting publish, refresh following reads, the
+// fan-out matching serial hooks, the delta-size fallback, and the whole
+// path under injected faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "gen/powerlaw.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/graph_service.hpp"
 #include "serve/service_error.hpp"
 #include "serve/snapshot_store.hpp"
@@ -378,6 +380,13 @@ INSTANTIATE_TEST_SUITE_P(Models, RefreshEquivalence,
                            return std::string(to_string(info.param));
                          });
 
+std::uint64_t refresh_count(const GraphService& service,
+                            const std::string& code) {
+  for (const auto& l : service.refresh_latency())
+    if (l.algo == code) return l.count;
+  return 0;
+}
+
 TEST(RefreshOnPublish, RePermutingPublishDropsPermBoundEntriesOnly) {
   const Graph base = gen::rmat(9, 6, 502);
   StreamSession session(base);
@@ -399,13 +408,15 @@ TEST(RefreshOnPublish, RePermutingPublishDropsPermBoundEntriesOnly) {
   service.publish_session(session);
   ASSERT_EQ(session.maintainer().ordering().perm, before)
       << "one edge must not trigger a rebalance";
-  auto count_of = [&](const char* code) -> std::uint64_t {
-    for (const auto& l : service.refresh_latency())
-      if (l.algo == code) return l.count;
-    return 0;
-  };
-  EXPECT_EQ(count_of("CC"), 1u);
-  EXPECT_EQ(count_of("BF"), 1u);
+  EXPECT_EQ(refresh_count(service, "CC"), 1u);
+  EXPECT_EQ(refresh_count(service, "BF"), 1u);
+  // Read both again: a publish refreshes only what clients read since
+  // the previous one.
+  for (const char* code : {"CC", "BF"}) {
+    Query q(code);
+    q.result = ResultKind::Payload;
+    EXPECT_TRUE(service.query(q).cache_hit) << code;
+  }
 
   // Now force a re-permuting publish: a hub batch skewing the in-degree
   // distribution until the maintainer rebalances.
@@ -422,8 +433,8 @@ TEST(RefreshOnPublish, RePermutingPublishDropsPermBoundEntriesOnly) {
 
   // CC survives a permutation change (its refresh is perm-agnostic after
   // translation); BF must have been dropped, not refreshed wrong.
-  EXPECT_EQ(count_of("CC"), 2u);
-  EXPECT_EQ(count_of("BF"), 1u);
+  EXPECT_EQ(refresh_count(service, "CC"), 2u);
+  EXPECT_EQ(refresh_count(service, "BF"), 1u);
   EXPECT_GE(service.stats().invalidations, 1u);
 
   // And the re-queried BF answer (a fresh run) is still correct.
@@ -432,6 +443,150 @@ TEST(RefreshOnPublish, RePermutingPublishDropsPermBoundEntriesOnly) {
   const QueryResult got = service.query(q);
   EXPECT_FALSE(got.cache_hit);
   EXPECT_EQ(got.payload->doubles(), session.query_typed("BF").doubles());
+}
+
+TEST(RefreshOnPublish, RefreshFollowsReads) {
+  const Graph base = gen::rmat(9, 6, 507);
+  StreamSession session(base);
+  SnapshotStore store;
+  GraphService service(store, refresh_service(SystemModel::Polymer));
+  service.publish_session(session);
+  const auto ask = [&](const char* code) {
+    Query q(code);
+    q.result = ResultKind::Payload;
+    return service.query(q);
+  };
+  Xoshiro256 rng(77);
+  const auto publish = [&] {
+    const Permutation before = session.maintainer().ordering().perm;
+    session.apply(random_batch(rng, base.num_vertices(), 16));
+    service.publish_session(session);
+    // BF's refresh needs a stable order; a re-permuting publish would
+    // drop it for that reason instead of the read rule.
+    ASSERT_EQ(session.maintainer().ordering().perm, before);
+  };
+
+  // Epoch 1: CC and BFS are computed by misses, so both are read.
+  EXPECT_FALSE(ask("CC").cache_hit);
+  EXPECT_FALSE(ask("BFS").cache_hit);
+  publish();
+  EXPECT_EQ(refresh_count(service, "CC"), 1u);
+  EXPECT_EQ(refresh_count(service, "BFS"), 1u);
+
+  // Epoch 2: CC is read again (a hit) and BF is first computed by a
+  // miss; the refreshed BFS is not read.
+  EXPECT_TRUE(ask("CC").cache_hit);
+  EXPECT_FALSE(ask("BF").cache_hit);
+  const auto before = service.stats();
+  publish();
+  EXPECT_EQ(refresh_count(service, "CC"), 2u);
+  EXPECT_EQ(refresh_count(service, "BF"), 1u);
+  EXPECT_EQ(refresh_count(service, "BFS"), 1u);
+  const auto after = service.stats();
+  EXPECT_EQ(after.refreshes, before.refreshes + 2);
+  // The unread BFS was dropped: one invalidation for the publish.
+  EXPECT_EQ(after.invalidations, before.invalidations + 1);
+
+  // Epoch 3: the refreshed keys hit; the dropped one misses and is
+  // still right.
+  EXPECT_TRUE(ask("CC").cache_hit);
+  EXPECT_TRUE(ask("BF").cache_hit);
+  const QueryResult bfs = ask("BFS");
+  EXPECT_FALSE(bfs.cache_hit);
+  ASSERT_NE(bfs.payload, nullptr);
+  expect_payload_equiv("BFS", *bfs.payload, session.query_typed("BFS"),
+                       static_cast<double>(base.num_vertices()));
+}
+
+TEST(RefreshOnPublish, FanOutMatchesSerialHooks) {
+  // Every refreshed payload equals, bit for bit, the same hook run
+  // serially on a one-thread engine over the new snapshot, fed the same
+  // translated previous payload and delta: running the hooks
+  // concurrently, each on its own leased engine, changes no answer.
+  const SystemModel model = SystemModel::Polymer;
+  const Graph base = gen::rmat(10, 8, 508);
+  StreamSession session(base);
+  SnapshotStore store;
+  GraphService service(store, refresh_service(model));
+  // publish_session with the drained delta kept for the reference.
+  const auto publish = [&] {
+    auto perm = std::make_shared<const Permutation>(
+        session.maintainer().ordering().perm);
+    EdgeDelta delta = session.drain_delta();
+    service.publish(session.shared_snapshot(),
+                    session.maintainer().partitioning(), perm, &delta);
+    return delta;
+  };
+  publish();
+
+  const std::vector<SpecCase> cases = {
+      {"PR", QueryParams().set("iterations", 120)},
+      {"PRD", QueryParams().set("max_iters", 200).set("epsilon", 1e-8)},
+      {"CC", QueryParams()},
+      {"BFS", QueryParams().set("source", 1)},
+      {"BFS", QueryParams().set("source", 7)},
+      {"BF", QueryParams().set("source", 1)},
+  };
+  const auto ask = [&](const SpecCase& c) {
+    Query q(c.code);
+    q.params = c.params;
+    q.result = ResultKind::Payload;
+    return service.query(q);
+  };
+  std::vector<std::shared_ptr<const QueryPayload>> prev;
+  for (const SpecCase& c : cases) prev.push_back(ask(c).payload);
+
+  Xoshiro256 rng(31);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const Permutation perm_before = session.maintainer().ordering().perm;
+    session.apply(random_batch(rng, base.num_vertices(), 32));
+    const EdgeDelta delta = publish();
+    ASSERT_EQ(session.maintainer().ordering().perm, perm_before)
+        << "BF refreshes only under a stable order";
+    EXPECT_EQ(service.engine_pool().outstanding(), 0u);
+
+    const serve::SnapshotRef snap = store.acquire();
+    const Permutation& perm = *snap.perm();
+    EdgeDelta snap_delta;
+    for (const Edge& e : delta.inserted)
+      snap_delta.inserted.push_back({perm[e.src], perm[e.dst]});
+    for (const Edge& e : delta.removed)
+      snap_delta.removed.push_back({perm[e.src], perm[e.dst]});
+    ThreadPool one(1);
+    EngineOptions eopts;
+    eopts.pool = &one;
+    eopts.explicit_partitioning = &snap.partitioning();
+    const Engine eng(snap.graph(), model, eopts);
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const SpecCase& c = cases[i];
+      SCOPED_TRACE(c.code);
+      const algo::AlgorithmSpec& spec = algo::spec(c.code);
+      QueryParams exec = spec.params.validate(c.params);
+      if (exec.has("source"))
+        exec.set("source", perm[exec.get_vertex("source")]);
+      const QueryPayload want_snap =
+          spec.refresh(eng, exec, algo::translate_from_original_ids(*prev[i], perm),
+                       snap_delta, QueryContext::none());
+      const QueryPayload want =
+          algo::translate_to_original_ids(want_snap, perm);
+
+      const QueryResult got = ask(c);  // a hit, read for the next round
+      ASSERT_TRUE(got.cache_hit);
+      EXPECT_EQ(got.version, snap.version());
+      EXPECT_EQ(got.value, spec.checksum(want_snap));
+      ASSERT_NE(got.payload, nullptr);
+      ASSERT_EQ(got.payload->kind(), want.kind());
+      if (want.kind() == PayloadKind::VertexIds)
+        EXPECT_EQ(got.payload->ids(), want.ids());
+      else
+        EXPECT_EQ(got.payload->doubles(), want.doubles());
+      EXPECT_EQ(got.payload->aux, want.aux);
+      prev[i] = got.payload;
+    }
+  }
+  EXPECT_EQ(service.stats().refreshes, 3 * cases.size());
 }
 
 TEST(RefreshOnPublish, OversizedDeltaFallsBackToInvalidation) {
@@ -494,8 +649,10 @@ TEST(RefreshOnPublish, SurvivesInjectedFaults) {
   // The PR 6 chaos contract extended to the refresh path: a writer
   // publishing refresh-mode epochs while clients flood queries and the
   // injector throws mid-query, fails allocations, and stalls workers.
-  // Refresh hooks run on the writer thread against leased engines — a
-  // throwing hook must drop that entry, never the publish or the ledger.
+  // Refresh hooks run concurrently across the global pool, the writer
+  // included, each on its own leased engine, competing with the clients
+  // for the pool's engines — a throwing hook must drop that entry, never
+  // the publish or the ledger.
   DisarmGuard guard;
   auto& inj = FaultInjector::instance();
   inj.seed(0x10C4A05u);

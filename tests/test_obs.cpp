@@ -868,6 +868,52 @@ TEST(MetricsPlane, RefreshMetricsAreExposed) {
             std::string::npos);
 }
 
+// The Publish span says what its refresh did, so a publish-stall
+// flight-recorder dump explains itself: b = entries refreshed into the
+// new epoch, c = entries dropped, exported as "refreshed" / "dropped".
+TEST(TracedPublish, CountsRefreshedAndDroppedEntries) {
+  SnapshotStore store;
+  StreamSession session(*make_graph(8, 4, 17));
+  GraphServiceOptions opts;
+  opts.workers = 1;
+  opts.refresh_on_publish = true;
+  opts.refresh_max_delta_fraction = 1.0;
+  GraphService service(store, opts);
+  service.publish_session(session);
+  // CC has a refresh hook; SPMV has none, so the publish drops it.
+  for (const char* code : {"CC", "SPMV"}) {
+    Query q;
+    q.algo = code;
+    q.result = serve::ResultKind::Payload;
+    (void)service.query(q);
+  }
+  session.apply(std::vector<stream::EdgeUpdate>{
+      stream::EdgeUpdate::insert(1, 3)});
+  Trace t;
+  {
+    ThreadTrace tt;
+    service.publish_session(session);
+    t = tt.finish();
+  }
+  const auto publish = std::ranges::find_if(
+      t.spans, [](const Span& s) { return s.kind == SpanKind::Publish; });
+  ASSERT_NE(publish, t.spans.end());
+  EXPECT_EQ(publish->a, service.store().version());
+  EXPECT_EQ(publish->b, 1u);
+  EXPECT_EQ(publish->c, 1u);
+
+  const JsonValue root = JsonParser(to_chrome_trace_json(t)).parse();
+  const JsonValue* args = nullptr;
+  for (const JsonValue& e : root.find("traceEvents")->array())
+    if (e.find("name") != nullptr && e.find("name")->str() == "publish")
+      args = e.find("args");
+  ASSERT_NE(args, nullptr);
+  ASSERT_NE(args->find("refreshed"), nullptr);
+  ASSERT_NE(args->find("dropped"), nullptr);
+  EXPECT_EQ(args->find("refreshed")->number(), 1.0);
+  EXPECT_EQ(args->find("dropped")->number(), 1.0);
+}
+
 TEST(MetricsPlane, StreamSessionStatsAreExposed) {
   MetricsRegistry reg;
   stream::SessionOptions sopts;

@@ -184,6 +184,29 @@ TEST(ResultCache, LruEvictsOldestNotEverything) {
   EXPECT_EQ(cache.evictions(), 1u);  // wipes are not evictions
 }
 
+// The read mark refresh-on-publish keys on: a hit sets it, contains()
+// leaves it alone, and drain() hands every entry out in LRU -> MRU order
+// (the order a refresh reinserts in) and leaves the cache empty.
+TEST(ResultCache, HitsMarkReadAndDrainKeepsRecencyOrder) {
+  serve::ResultCache cache(4);
+  cache.insert(key_of(1), {1.0, nullptr, "", {}});
+  cache.insert(key_of(2), {2.0, nullptr, "", {}});
+  cache.insert(key_of(3), {3.0, nullptr, "", {}});
+  EXPECT_TRUE(cache.contains(key_of(1)));
+  EXPECT_FALSE(cache.contains(key_of(4)));
+  ASSERT_NE(cache.find(key_of(1)), nullptr);  // 1 becomes MRU, read
+  const auto drained = cache.drain();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  ASSERT_EQ(drained.size(), 3u);
+  EXPECT_EQ(drained[0].second.checksum, 2.0);
+  EXPECT_EQ(drained[1].second.checksum, 3.0);
+  EXPECT_EQ(drained[2].second.checksum, 1.0);
+  EXPECT_FALSE(drained[0].second.read);
+  EXPECT_FALSE(drained[1].second.read);
+  EXPECT_TRUE(drained[2].second.read);
+}
+
 // ----------------------------------------------------- payload mechanics
 
 TEST(QueryPayload, AccessorsThrowOnKindMismatch) {
