@@ -55,19 +55,37 @@ struct Point {
 
 /// Refresh-on-publish steady state (PR 10): per-algorithm mean hook time
 /// across refreshing publishes vs a full from-scratch recompute on the
-/// same version.
+/// same version, one sample per run of the section.
 struct IncrAlgo {
   std::string code;
-  double refresh_ms = 0;
-  double recompute_ms = 0;
-  double speedup = 0;
+  std::vector<double> refresh_ms, recompute_ms, speedup;
 };
 
 struct IncrSection {
   std::size_t batch_size = 0;
-  double first_query_ms = 0;  ///< first query after a publish
+  std::vector<double> first_query_ms;  ///< first query after a publish
   std::vector<IncrAlgo> algos;
 };
+
+/// Runs of the incremental section per dataset. One run's values swing
+/// by up to 2x with host load, so each value is written as the median of
+/// the runs with their min and max.
+constexpr int kIncrementalRuns = 5;
+
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread spread_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return {xs[xs.size() / 2], xs.front(), xs.back()};
+}
+
+/// JSON: {"median": .., "min": .., "max": ..}.
+std::ostream& operator<<(std::ostream& os, const Spread& s) {
+  return os << "{\"median\": " << s.median << ", \"min\": " << s.min
+            << ", \"max\": " << s.max << "}";
+}
 
 struct DatasetRun {
   std::string name;
@@ -208,8 +226,10 @@ Point run_point(const Graph& full, std::size_t batch_size,
 // includes both payload translations, like the recompute side includes
 // its translation), recompute_ms from a timed from-scratch query_typed
 // on the same version. Also measures the first-query-after-publish
-// engine-rebind spike.
-IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
+// engine-rebind spike. Each call replays the same updates and appends one
+// sample per value to `sec`.
+void run_incremental(const Graph& full, std::size_t batch_size,
+                     IncrSection& sec) {
   const auto all = full.coo().edges();
   EdgeList el(full.num_vertices(), std::vector<Edge>(all.begin(), all.end()),
               full.directed());
@@ -230,7 +250,6 @@ IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
     return b;
   };
 
-  IncrSection sec;
   sec.batch_size = batch_size;
 
   // Operating points. PR's refresh must reproduce a fixed-iteration run,
@@ -276,18 +295,22 @@ IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
       service.publish_session(session);
       read_all();
     }
-    for (const auto& [code, params] : cases) {
-      IncrAlgo a;
+    sec.algos.resize(cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const auto& [code, params] = cases[i];
+      IncrAlgo& a = sec.algos[i];
       a.code = code;
+      double refresh_ms = 0;
       for (const auto& rl : service.refresh_latency())
         if (rl.algo == code && rl.count > 0)
-          a.refresh_ms = rl.total_ms / static_cast<double>(rl.count);
-      a.recompute_ms = bench::time_median([&] {
-                         (void)session.query_typed(code, params);
-                       }) *
-                       1e3;
-      a.speedup = a.refresh_ms > 0 ? a.recompute_ms / a.refresh_ms : 0;
-      sec.algos.push_back(a);
+          refresh_ms = rl.total_ms / static_cast<double>(rl.count);
+      const double recompute_ms = bench::time_median([&] {
+                                    (void)session.query_typed(code, params);
+                                  }) *
+                                  1e3;
+      a.refresh_ms.push_back(refresh_ms);
+      a.recompute_ms.push_back(recompute_ms);
+      a.speedup.push_back(refresh_ms > 0 ? recompute_ms / refresh_ms : 0);
     }
   }
 
@@ -312,9 +335,8 @@ IncrSection run_incremental(const Graph& full, std::size_t batch_size) {
       lat.push_back(t.elapsed_ms());
     }
     std::sort(lat.begin(), lat.end());
-    sec.first_query_ms = lat[lat.size() / 2];
+    sec.first_query_ms.push_back(lat[lat.size() / 2]);
   }
-  return sec;
 }
 
 }  // namespace
@@ -358,14 +380,17 @@ int main() {
                 << std::endl;
     }
     // Refresh-on-publish steady state at the smallest batch size.
-    run.inc = run_incremental(full, batch_sizes[0]);
+    for (int r = 0; r < kIncrementalRuns; ++r)
+      run_incremental(full, batch_sizes[0], run.inc);
     std::cout << "  refresh-on-publish (batch=" << run.inc.batch_size
-              << "):";
+              << ", medians of " << kIncrementalRuns << " runs):";
     for (const IncrAlgo& a : run.inc.algos)
-      std::cout << " " << a.code << " " << a.refresh_ms << "/"
-                << a.recompute_ms << "ms (" << a.speedup << "x)";
-    std::cout << "\n  first query after publish: " << run.inc.first_query_ms
-              << "ms" << std::endl;
+      std::cout << " " << a.code << " " << spread_of(a.refresh_ms).median
+                << "/" << spread_of(a.recompute_ms).median << "ms ("
+                << spread_of(a.speedup).median << "x)";
+    std::cout << "\n  first query after publish: "
+              << spread_of(run.inc.first_query_ms).median << "ms"
+              << std::endl;
     runs.push_back(run);
   }
 
@@ -394,15 +419,15 @@ int main() {
            << (i + 1 < run.points.size() ? "," : "") << "\n";
     }
     json << "    ],\n     \"incremental\": {\"batch_size\": "
-         << run.inc.batch_size
-         << ", \"first_query_after_publish_ms\": " << run.inc.first_query_ms
-         << ", \"algos\": [\n";
+         << run.inc.batch_size << ", \"runs\": " << kIncrementalRuns
+         << ", \"first_query_after_publish_ms\": "
+         << spread_of(run.inc.first_query_ms) << ", \"algos\": [\n";
     for (std::size_t i = 0; i < run.inc.algos.size(); ++i) {
       const IncrAlgo& a = run.inc.algos[i];
       json << "       {\"algo\": \"" << a.code
-           << "\", \"refresh_ms\": " << a.refresh_ms
-           << ", \"recompute_ms\": " << a.recompute_ms
-           << ", \"speedup\": " << a.speedup << "}"
+           << "\", \"refresh_ms\": " << spread_of(a.refresh_ms)
+           << ", \"recompute_ms\": " << spread_of(a.recompute_ms)
+           << ", \"speedup\": " << spread_of(a.speedup) << "}"
            << (i + 1 < run.inc.algos.size() ? "," : "") << "\n";
     }
     json << "     ]}}" << (gi + 1 < runs.size() ? "," : "") << "\n";
@@ -411,7 +436,7 @@ int main() {
   const Point& op = runs[0].points[0];
   auto inc_speedup = [&](const char* code) {
     for (const IncrAlgo& a : runs[0].inc.algos)
-      if (a.code == code) return a.speedup;
+      if (a.code == code) return spread_of(a.speedup).median;
     return 0.0;
   };
   json << "  ],\n  \"op_point\": {\"graph\": \"" << runs[0].name

@@ -1,6 +1,8 @@
 #include "algorithms/bellman_ford.hpp"
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 
 #include "algorithms/incremental.hpp"
 #include "algorithms/spmv.hpp"  // edge_weight
@@ -33,12 +35,76 @@ struct BfFunctor {
   bool cond(VertexId) const { return true; }
 };
 
+// Dial's bucket queue: bucket k holds labels in [k, k+1) * kBucketWidth.
+// A relaxation adds between kMinEdgeWeight and kMaxEdgeWeight, so out of
+// bucket k it lands in buckets k+1 .. k + kMaxEdgeWeight/kMinEdgeWeight:
+// a ring one slot longer than that span holds every pending label, and
+// no two pending buckets share a slot. Labels are sums of whole-number
+// weights, so a bucket of width 1 holds a single label.
+constexpr double kBucketWidth = kMinEdgeWeight;
+constexpr std::size_t kBucketRing =
+    static_cast<std::size_t>(kMaxEdgeWeight / kMinEdgeWeight) + 1;
+static_assert(static_cast<double>(kBucketRing - 1) * kBucketWidth >=
+                  kMaxEdgeWeight,
+              "the bucket ring must span kMaxEdgeWeight / kMinEdgeWeight");
+static_assert(kBucketWidth == 1.0, "one whole-number label per bucket");
+
+/// The one-thread pass: settles each reached vertex the first time its
+/// bucket comes up and relaxes its out-edges once. Every label in bucket
+/// k is final by then, because a relaxation out of bucket k or later
+/// lands past it. A vertex whose label drops again moves to an earlier
+/// bucket, never twice into one; the entry it leaves behind is stale
+/// (its label is below the bucket's) and is skipped.
+BellmanFordResult settle_by_buckets(const Engine& eng, VertexId source) {
+  obs::SpanScope pass(obs::SpanKind::Iteration);
+  const Graph& g = eng.graph();
+  BellmanFordResult res;
+  std::vector<double>& dist = res.distance;
+  dist.assign(g.num_vertices(), kUnreachable);
+  std::array<std::vector<VertexId>, kBucketRing> ring;
+  dist[source] = 0.0;
+  ring[0].push_back(source);
+  std::size_t pending = 1;  // entries across the ring
+  for (std::size_t k = 0; pending > 0; ++k) {
+    std::vector<VertexId>& bucket = ring[k % kBucketRing];
+    if (bucket.empty()) continue;
+    eng.poll_cancellation();
+    const double lo = static_cast<double>(k) * kBucketWidth;
+    const VertexId settled_before = res.reached;
+    for (const VertexId u : bucket) {  // relaxations land in other slots
+      const double du = dist[u];
+      if (du < lo) continue;
+      ++res.reached;
+      for (const VertexId v : g.out_neighbors(u)) {
+        const double cand = du + edge_weight(u, v);
+        if (cand >= dist[v]) continue;
+        dist[v] = cand;
+        ring[static_cast<std::size_t>(cand / kBucketWidth) % kBucketRing]
+            .push_back(v);
+        ++pending;
+      }
+    }
+    pending -= bucket.size();
+    bucket.clear();
+    res.rounds += res.reached != settled_before;
+  }
+  if (pass.live()) {
+    pass.span().a = static_cast<std::uint64_t>(res.rounds);
+    pass.span().b = res.reached;
+  }
+  return res;
+}
+
 }  // namespace
 
 BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(source < n, "bellman_ford: source out of range");
+  // One thread has nothing to balance, so it takes the serial pass, which
+  // settles each vertex once; the paper's rounds exist for the balanced
+  // parallel supersteps below.
+  if (eng.pool().num_threads() == 1) return settle_by_buckets(eng, source);
 
   std::vector<std::atomic<double>> dist(n);
   for (auto& d : dist) d.store(kUnreachable, std::memory_order_relaxed);
@@ -46,15 +112,6 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
 
   VertexSubset frontier = VertexSubset::single(n, source);
   BfFunctor f{dist.data()};
-  // One-thread engines push every round. Pull's case is VEBO's balanced
-  // split of dense rounds across threads, and one thread has nothing to
-  // balance; a BF pull can neither skip a destination (cond is always
-  // true) nor stop early, so it scans all m in-edges where a push scans
-  // only the frontier's out-edges. Multi-thread engines keep Auto.
-  const EdgeMapOptions opts{.direction = eng.pool().num_threads() == 1
-                                             ? Direction::Push
-                                             : Direction::Auto,
-                            .flags = kNoFlags};
   BellmanFordResult res;
   // Standard termination: at most n rounds (weights are positive so no
   // negative cycles; the frontier empties much earlier in practice).
@@ -65,7 +122,7 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
       iter.span().a = static_cast<std::uint64_t>(res.rounds);
       iter.span().b = frontier.size();
     }
-    frontier = edge_map(eng, frontier, f, opts);
+    frontier = edge_map(eng, frontier, f, {.flags = kNoFlags});
     ++res.rounds;
   }
 

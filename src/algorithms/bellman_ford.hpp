@@ -1,6 +1,10 @@
 // Single-source shortest paths by frontier-based Bellman–Ford (Ligra's
 // BF). Vertex-oriented; frontier density varies from dense to sparse over
-// the run. Edge weights are the deterministic weights of spmv.hpp.
+// the run. Edge weights are the deterministic weights of spmv.hpp. On an
+// engine whose pool has one thread there is nothing to balance, and a
+// serial pass over a ring of distance buckets (Dial's algorithm) settles
+// each reached vertex once instead; the distances are the same, bit for
+// bit.
 #pragma once
 
 #include <limits>
@@ -15,6 +19,8 @@ inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
 struct BellmanFordResult {
   std::vector<double> distance;  ///< kUnreachable if not reachable
+  /// edge_map rounds; on a one-thread engine, distance buckets settled
+  /// (one per distinct finite distance).
   int rounds = 0;
   VertexId reached = 0;
 };
@@ -22,7 +28,8 @@ struct BellmanFordResult {
 BellmanFordResult bellman_ford(const Engine& eng, VertexId source);
 
 /// Typed entry point. Params: source (int, 0). Payload: per-vertex
-/// shortest-path distances (kUnreachable = +inf); aux = rounds.
+/// shortest-path distances (kUnreachable = +inf); aux = rounds (settled
+/// buckets on a one-thread engine).
 /// Checksum fold = reached (finite-distance) count.
 AlgorithmSpec bellman_ford_spec();
 

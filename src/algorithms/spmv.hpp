@@ -13,12 +13,21 @@
 
 namespace vebo::algo {
 
-/// Deterministic edge weight in [1, 32], a pure function of endpoint ids.
-/// Inline: BF's relax, SPMV's fold and the BF repair call it per edge.
+/// Bounds of edge_weight. BF's one-thread bucket pass sizes its buckets
+/// and its ring from them and keeps one label per bucket, so it relies on
+/// every weight being a whole number in [kMinEdgeWeight, kMaxEdgeWeight].
+inline constexpr double kMinEdgeWeight = 1.0;
+inline constexpr double kMaxEdgeWeight = 32.0;
+
+/// Deterministic whole-number edge weight in [kMinEdgeWeight,
+/// kMaxEdgeWeight], a pure function of endpoint ids. Inline: BF's relax,
+/// SPMV's fold and the BF repair call it per edge.
 inline double edge_weight(VertexId u, VertexId v) {
+  constexpr auto kSpan =
+      static_cast<std::uint64_t>(kMaxEdgeWeight - kMinEdgeWeight) + 1;
   const std::uint64_t key =
       (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-  return 1.0 + static_cast<double>(mix64(key) % 32);
+  return kMinEdgeWeight + static_cast<double>(mix64(key) % kSpan);
 }
 
 struct SpmvResult {

@@ -96,7 +96,9 @@ const char* to_string(KernelVariant v);
 ///    out-edge sum (~0 = not computed by the heuristic), c = dense
 ///    threshold, d = dense chunk/partition count (0 = sparse path).
 ///  * Iteration: a = iteration index, b = frontier size (when the
-///    algorithm tracks one).
+///    algorithm tracks one). BF's one-thread bucket pass records one
+///    Iteration for the whole pass instead, with a = distance buckets
+///    settled, b = vertices settled, and no EdgeMap step under it.
 ///  * QueueWait: (none). EngineLease/Execute: a = snapshot version.
 ///  * CacheProbe: a = 1 on hit. Translate: a = payload vertex count.
 ///  * ApplyBatch: a = inserted, b = removed, c = vertices grown.

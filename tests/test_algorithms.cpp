@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "algorithms/bc.hpp"
@@ -18,6 +19,7 @@
 #include "algorithms/reference.hpp"
 #include "algorithms/registry.hpp"
 #include "algorithms/spmv.hpp"
+#include "framework/cancel.hpp"
 #include "gen/erdos.hpp"
 #include "gen/rmat.hpp"
 #include "gen/road.hpp"
@@ -26,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "order/vebo.hpp"
 #include "support/error.hpp"
+#include "support/prng.hpp"
 
 namespace vebo {
 namespace {
@@ -199,35 +202,62 @@ TEST_P(AlgoModels, SpmvMatchesReference) {
     ASSERT_NEAR(res.y[v], ref[v], 1e-9);
 }
 
+// BF's one-thread bucket pass sizes its ring from these bounds and keeps
+// one label per bucket, so it relies on every weight being a whole number
+// inside them.
 TEST(Spmv, EdgeWeightDeterministicAndBounded) {
+  const auto check = [](VertexId u, VertexId v) {
+    const double w = algo::edge_weight(u, v);
+    ASSERT_GE(w, algo::kMinEdgeWeight) << u << "->" << v;
+    ASSERT_LE(w, algo::kMaxEdgeWeight) << u << "->" << v;
+    ASSERT_EQ(w, std::floor(w)) << u << "->" << v;
+    ASSERT_EQ(w, algo::edge_weight(u, v));
+  };
   for (VertexId u = 0; u < 50; ++u)
-    for (VertexId v = 0; v < 50; v += 7) {
-      const double w = algo::edge_weight(u, v);
-      ASSERT_GE(w, 1.0);
-      ASSERT_LE(w, 32.0);
-      ASSERT_EQ(w, algo::edge_weight(u, v));
+    for (VertexId v = 0; v < 50; v += 7) check(u, v);
+  constexpr VertexId kTop = ~VertexId{0};
+  for (VertexId u = kTop - 40; u != 0; ++u)  // wraps to 0 after kTop
+    for (VertexId v : {VertexId{0}, VertexId{1}, kTop - 1, kTop}) {
+      check(u, v);
+      check(v, u);
     }
+  Xoshiro256 rng(20);
+  constexpr auto kTopWeight = static_cast<std::size_t>(algo::kMaxEdgeWeight);
+  std::array<int, kTopWeight + 1> seen{};
+  for (int i = 0; i < 20000; ++i) {
+    const auto u = static_cast<VertexId>(rng());
+    const auto v = static_cast<VertexId>(rng());
+    check(u, v);
+    ++seen[static_cast<std::size_t>(algo::edge_weight(u, v))];
+  }
+  // Both ends of the range occur, so the bounds are tight.
+  EXPECT_GT(seen[static_cast<std::size_t>(algo::kMinEdgeWeight)], 0);
+  EXPECT_GT(seen[kTopWeight], 0);
 }
 
 // ------------------------------------------------------------------- BF
 
 // Vertex 0 has no out-edges in rmat(9, 6, 4); source 1 reaches 347 of
 // the 512 vertices in 7 rounds, 5 of them dense enough for Auto to pull.
+// Every distance is a sum of whole-number weights, exact in a double, so
+// each run equals the oracle bit for bit.
 TEST_P(AlgoModels, BellmanFordMatchesDijkstra) {
   const Graph g = gen::rmat(9, 6, 4);
   Engine eng = make_engine(g);
   const auto res = algo::bellman_ford(eng, 1);
-  const auto ref = algo::ref::dijkstra(g, 1);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (ref[v] == algo::kUnreachable) {
-      ASSERT_EQ(res.distance[v], algo::kUnreachable) << "v=" << v;
-    } else {
-      ASSERT_NEAR(res.distance[v], ref[v], 1e-9) << "v=" << v;
-    }
-  }
+  EXPECT_EQ(res.distance, algo::ref::dijkstra(g, 1));
 }
 
-TEST_P(AlgoModels, BellmanFordOneThreadPushesAndMatchesFourThreads) {
+VertexId finite_count(const std::vector<double>& dist) {
+  return static_cast<VertexId>(
+      std::count_if(dist.begin(), dist.end(),
+                    [](double d) { return d != algo::kUnreachable; }));
+}
+
+// A one-thread engine settles by buckets: no edge_map step, one
+// Iteration span carrying the buckets and vertices settled, and the same
+// distances as the four-thread Bellman-Ford and the oracle.
+TEST_P(AlgoModels, BellmanFordOneThreadSettlesByBucketsAndMatchesFourThreads) {
   const Graph g = gen::rmat(9, 6, 4);
   ThreadPool one(1), four(4);
   Engine eng1(g, GetParam(), {.partitions = 16, .pool = &one});
@@ -237,21 +267,25 @@ TEST_P(AlgoModels, BellmanFordOneThreadPushesAndMatchesFourThreads) {
   const obs::Trace t = tt.finish();
   const auto ref = algo::ref::dijkstra(g, 1);
   ASSERT_GT(res.reached, g.num_vertices() / 2);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (ref[v] == algo::kUnreachable) {
-      ASSERT_EQ(res.distance[v], algo::kUnreachable) << "v=" << v;
-    } else {
-      ASSERT_NEAR(res.distance[v], ref[v], 1e-9) << "v=" << v;
-    }
-  }
-  std::size_t steps = 0;
+  EXPECT_EQ(res.distance, ref);
+  EXPECT_EQ(res.reached, finite_count(ref));
+  std::size_t passes = 0;
   for (const obs::Span& s : t.spans) {
-    if (s.kind != obs::SpanKind::EdgeMap) continue;
-    ++steps;
-    EXPECT_EQ(s.direction, 1) << "step " << steps;  // push
-    EXPECT_EQ(s.flags & 4, 4) << "step " << steps;  // forced
+    EXPECT_NE(s.kind, obs::SpanKind::EdgeMap);
+    if (s.kind != obs::SpanKind::Iteration) continue;
+    ++passes;
+    EXPECT_EQ(s.a, static_cast<std::uint64_t>(res.rounds));
+    EXPECT_EQ(s.b, res.reached);
   }
-  EXPECT_EQ(steps, static_cast<std::size_t>(res.rounds));
+  EXPECT_EQ(passes, 1u);
+  // Whole-number labels: one settled bucket per distinct distance.
+  std::vector<double> levels;
+  for (double d : ref)
+    if (d != algo::kUnreachable) levels.push_back(d);
+  std::sort(levels.begin(), levels.end());
+  EXPECT_EQ(static_cast<std::size_t>(res.rounds),
+            static_cast<std::size_t>(
+                std::unique(levels.begin(), levels.end()) - levels.begin()));
 
   // Four threads keep the heuristic, which pulls the dense rounds; both
   // runs converge to the same minimum over path sums.
@@ -268,13 +302,73 @@ TEST_P(AlgoModels, BellmanFordOneThreadPushesAndMatchesFourThreads) {
   EXPECT_GT(pulls, 0u);
 }
 
+// Cases the bucket ring must get right, each against the oracle and the
+// four-thread run: a source with no out-edges, unreachable vertices,
+// self loops and duplicate arcs, a single vertex, and a road grid whose
+// long paths wrap the 33-slot ring many times.
+TEST_P(AlgoModels, BellmanFordOneThreadEdgeCases) {
+  ThreadPool one(1), four(4);
+  const auto check = [&](const Graph& g, VertexId source) {
+    Engine eng1(g, GetParam(), {.partitions = 4, .pool = &one});
+    Engine eng4(g, GetParam(), {.partitions = 4, .pool = &four});
+    const auto res = algo::bellman_ford(eng1, source);
+    const auto ref = algo::ref::dijkstra(g, source);
+    EXPECT_EQ(res.distance, ref) << "source " << source;
+    EXPECT_EQ(res.reached, finite_count(ref)) << "source " << source;
+    EXPECT_EQ(res.distance, algo::bellman_ford(eng4, source).distance)
+        << "source " << source;
+    return res;
+  };
+
+  const Graph rmat = gen::rmat(9, 6, 4);
+  ASSERT_EQ(rmat.out_degree(0), 0u);
+  const auto sink = check(rmat, 0);
+  EXPECT_EQ(sink.reached, 1u);
+  EXPECT_EQ(sink.rounds, 1);
+  EXPECT_LT(check(rmat, 1).reached, rmat.num_vertices());
+
+  // rmat keeps duplicates and self loops unless asked to drop them.
+  const Graph multi = gen::rmat(8, 8, 9);
+  std::size_t loops = 0, dups = 0;
+  for (VertexId u = 0; u < multi.num_vertices(); ++u) {
+    const auto nbrs = multi.out_neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      loops += nbrs[i] == u;
+      dups += i > 0 && nbrs[i] == nbrs[i - 1];
+    }
+  }
+  ASSERT_GT(loops, 0u);
+  ASSERT_GT(dups, 0u);
+  for (VertexId s : {VertexId{1}, VertexId{17}, VertexId{200}}) check(multi, s);
+
+  const Graph single = Graph::from_edges(EdgeList(1, {{0, 0}}));
+  const auto one_vertex = check(single, 0);
+  EXPECT_EQ(one_vertex.distance, std::vector<double>{0.0});
+
+  const Graph road = gen::road_grid(40, 40, 3);
+  const auto far = check(road, 0);
+  EXPECT_GT(*std::max_element(far.distance.begin(), far.distance.end()),
+            8 * algo::kMaxEdgeWeight);
+}
+
+// The pass polls the bound query context once per bucket.
+TEST(BellmanFord, OneThreadPassObservesCancellation) {
+  const Graph g = gen::rmat(9, 6, 4);
+  ThreadPool one(1);
+  Engine eng(g, SystemModel::Polymer, {.partitions = 4, .pool = &one});
+  CancelSource src;
+  src.cancel();
+  QueryContext ctx;
+  ctx.set_cancel_token(src.token());
+  Engine::ContextBinding bind(eng, ctx);
+  EXPECT_THROW(algo::bellman_ford(eng, 1), CancelledError);
+}
+
 TEST(BellmanFord, RoadNetwork) {
   const Graph g = gen::road_grid(24, 24, 2);
   Engine eng(g, SystemModel::Polymer, {.partitions = 4});
   const auto res = algo::bellman_ford(eng, 0);
-  const auto ref = algo::ref::dijkstra(g, 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(res.distance[v], ref[v], 1e-9);
+  EXPECT_EQ(res.distance, algo::ref::dijkstra(g, 0));
 }
 
 // ------------------------------------------------------------------- BC
