@@ -102,7 +102,7 @@ VertexSubset edge_map_pull_seed(const Engine& eng, VertexSubset& frontier,
 }
 
 /// Replica of the pre-PR hand-rolled PageRank CSC iteration (the loop
-/// pagerank.cpp carried before it moved onto edge_apply).
+/// pagerank.cpp carried before it moved onto edge_fold).
 void pagerank_iteration_seed(const Engine& eng, const std::vector<double>& contrib,
                              std::vector<double>& next, double base,
                              double damping) {
@@ -295,7 +295,7 @@ int main() {
             << "ms complete+fold=" << flag_complete_fold_ms << "ms"
             << std::endl;
 
-  // ---- end-to-end PageRank iteration, old hand loop vs edge_apply.
+  // ---- end-to-end PageRank iteration, old hand loop vs edge_fold.
   std::vector<double> next(n, 0.0);
   const double base = 0.15 / static_cast<double>(n);
   const double pr_seed_ms = time_median_ms(reps, [&] {

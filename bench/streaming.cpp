@@ -10,9 +10,10 @@
 //     drift-triggered incremental rebalance,
 //   * rebuild: Graph::from_edges over the accumulated edge set plus a
 //     full order::vebo run (what a static pipeline must redo per batch),
-// and the first-query / steady-query latency on both paths. Everything
-// lands in BENCH_streaming.json; the headline op point is the smallest
-// batch size on rmat, where the ISSUE demands >=5x.
+// and the first-query / steady-query latency on both paths. Each op point
+// runs kRuns times, and every timed value lands in BENCH_streaming.json
+// as {median, min, max} over the runs; the headline op point is the
+// smallest batch size on rmat, whose acceptance floor is 5x.
 //
 // Knobs: VEBO_STREAM_SCALE (dataset scale, default bench_scale()),
 // VEBO_STREAM_REBUILD_BATCHES (rebuild timings per op point, default 3).
@@ -38,19 +39,19 @@ using stream::EdgeUpdate;
 
 namespace {
 
+/// One op point: the counts are the same in every run, and each timed
+/// value holds one sample per run.
 struct Point {
   std::size_t batch_size = 0;
   std::size_t batches = 0;
   std::size_t updates = 0;
-  double stream_ms_per_batch = 0;
-  double rebuild_ms_per_batch = 0;
-  double speedup = 0;
-  double stream_updates_per_s = 0;
-  double stream_first_query_ms = 0;   ///< includes snapshot + reorder
-  double stream_steady_query_ms = 0;  ///< cached snapshot
-  double rebuild_query_ms = 0;
   std::uint64_t rebalance_incremental = 0;
   std::uint64_t rebalance_full = 0;
+  std::vector<double> stream_ms_per_batch, rebuild_ms_per_batch, speedup,
+      stream_updates_per_s;
+  std::vector<double> stream_first_query_ms;   ///< includes snapshot + reorder
+  std::vector<double> stream_steady_query_ms;  ///< cached snapshot
+  std::vector<double> rebuild_query_ms;
 };
 
 /// Refresh-on-publish steady state (PR 10): per-algorithm mean hook time
@@ -67,10 +68,10 @@ struct IncrSection {
   std::vector<IncrAlgo> algos;
 };
 
-/// Runs of the incremental section per dataset. One run's values swing
-/// by up to 2x with host load, so each value is written as the median of
-/// the runs with their min and max.
-constexpr int kIncrementalRuns = 5;
+/// Runs of each op point and of the incremental section per dataset.
+/// One run's values swing by up to 2x with host load, so each timed value
+/// is written as the median of the runs with their min and max.
+constexpr int kRuns = 5;
 
 struct Spread {
   double median = 0, min = 0, max = 0;
@@ -95,8 +96,10 @@ struct DatasetRun {
   IncrSection inc;
 };
 
-Point run_point(const Graph& full, std::size_t batch_size,
-                int rebuild_batches) {
+// Times one run of an op point and appends one sample per timed value to
+// `p`; every run replays the same seed graph and update stream.
+void run_point(const Graph& full, std::size_t batch_size,
+               int rebuild_batches, Point& p) {
   const auto all = full.coo().edges();
   const std::size_t seed_count = all.size() * 8 / 10;
 
@@ -128,11 +131,6 @@ Point run_point(const Graph& full, std::size_t batch_size,
   const std::size_t bsz = std::min(batch_size, updates.size());
   const std::size_t nbatches = (updates.size() + bsz - 1) / bsz;
 
-  Point p;
-  p.batch_size = bsz;
-  p.batches = nbatches;
-  p.updates = updates.size();
-
   // ---- streaming path: batch-apply + incremental rebalance. A tight
   // drift bound makes the maintainer actually fire during the 20% stream
   // so the measured path includes rebalancing work, not just ingestion.
@@ -146,19 +144,35 @@ Point run_point(const Graph& full, std::size_t batch_size,
     session.apply(std::span<const EdgeUpdate>(updates.data() + lo, hi - lo));
   }
   const double stream_total_ms = stream_t.elapsed_ms();
-  p.stream_ms_per_batch = stream_total_ms / static_cast<double>(nbatches);
-  p.stream_updates_per_s =
+  const double stream_ms_per_batch =
+      stream_total_ms / static_cast<double>(nbatches);
+  p.stream_ms_per_batch.push_back(stream_ms_per_batch);
+  p.stream_updates_per_s.push_back(
       stream_total_ms > 0
           ? static_cast<double>(updates.size()) / (stream_total_ms / 1e3)
-          : 0;
-  p.rebalance_incremental = session.maintainer().stats().incremental;
-  p.rebalance_full = session.maintainer().stats().full;
+          : 0);
+
+  // The counts do not depend on timing: every run must reproduce the
+  // first run's.
+  const auto& rebalances = session.maintainer().stats();
+  if (p.stream_ms_per_batch.size() == 1) {
+    p.batch_size = bsz;
+    p.batches = nbatches;
+    p.updates = updates.size();
+    p.rebalance_incremental = rebalances.incremental;
+    p.rebalance_full = rebalances.full;
+  }
+  VEBO_CHECK(p.batch_size == bsz && p.batches == nbatches &&
+                 p.updates == updates.size() &&
+                 p.rebalance_incremental == rebalances.incremental &&
+                 p.rebalance_full == rebalances.full,
+             "bench_streaming: op-point counts differ between runs");
 
   Timer fq;
   session.query("PR");
-  p.stream_first_query_ms = fq.elapsed_ms();
-  p.stream_steady_query_ms =
-      bench::time_median([&] { session.query("PR"); }) * 1e3;
+  p.stream_first_query_ms.push_back(fq.elapsed_ms());
+  p.stream_steady_query_ms.push_back(
+      bench::time_median([&] { session.query("PR"); }) * 1e3);
 
   // ---- rebuild path: from_edges + full VEBO per batch (timed on the
   // first `rebuild_batches` batches; the cost is flat in the batch index
@@ -198,11 +212,11 @@ Point run_point(const Graph& full, std::size_t batch_size,
     Graph g = rebuild_from_live();
     rebuild_ms.push_back(t.elapsed_ms());
   }
-  std::sort(rebuild_ms.begin(), rebuild_ms.end());
-  p.rebuild_ms_per_batch = rebuild_ms[rebuild_ms.size() / 2];
-  p.speedup = p.stream_ms_per_batch > 0
-                  ? p.rebuild_ms_per_batch / p.stream_ms_per_batch
-                  : 0;
+  const double rebuild_ms_per_batch = spread_of(rebuild_ms).median;
+  p.rebuild_ms_per_batch.push_back(rebuild_ms_per_batch);
+  p.speedup.push_back(stream_ms_per_batch > 0
+                          ? rebuild_ms_per_batch / stream_ms_per_batch
+                          : 0);
 
   // Query comparison must run on the final graph on both sides: apply the
   // unmeasured tail of the stream and rebuild once more (untimed).
@@ -213,9 +227,8 @@ Point run_point(const Graph& full, std::size_t batch_size,
 
   Engine reb_eng(rebuilt, SystemModel::Polymer);
   const algo::AlgorithmSpec& pr = algo::spec("PR");
-  p.rebuild_query_ms =
-      bench::time_median([&] { pr.checksum(pr.invoke(reb_eng)); }) * 1e3;
-  return p;
+  p.rebuild_query_ms.push_back(
+      bench::time_median([&] { pr.checksum(pr.invoke(reb_eng)); }) * 1e3);
 }
 
 // The PR 10 measurement: a service in refresh_on_publish mode over a
@@ -367,23 +380,27 @@ int main() {
           std::min<std::size_t>(bsz, run.points.back().updates) ==
               run.points.back().batch_size)
         continue;
-      const Point p = run_point(full, bsz, rebuild_batches);
-      run.points.push_back(p);
+      Point p;
+      for (int r = 0; r < kRuns; ++r) run_point(full, bsz, rebuild_batches, p);
       std::cout << "  batch=" << p.batch_size << " (" << p.batches
-                << " batches): stream=" << p.stream_ms_per_batch
-                << "ms/batch (" << p.stream_updates_per_s / 1e6
-                << "M upd/s), rebuild=" << p.rebuild_ms_per_batch
-                << "ms/batch, speedup=" << p.speedup
-                << "x, query stream/rebuild=" << p.stream_steady_query_ms
-                << "/" << p.rebuild_query_ms << "ms, rebalance inc/full="
-                << p.rebalance_incremental << "/" << p.rebalance_full
-                << std::endl;
+                << " batches, medians of " << kRuns << " runs): stream="
+                << spread_of(p.stream_ms_per_batch).median << "ms/batch ("
+                << spread_of(p.stream_updates_per_s).median / 1e6
+                << "M upd/s), rebuild="
+                << spread_of(p.rebuild_ms_per_batch).median
+                << "ms/batch, speedup=" << spread_of(p.speedup).median
+                << "x, query stream/rebuild="
+                << spread_of(p.stream_steady_query_ms).median << "/"
+                << spread_of(p.rebuild_query_ms).median
+                << "ms, rebalance inc/full=" << p.rebalance_incremental << "/"
+                << p.rebalance_full << std::endl;
+      run.points.push_back(std::move(p));
     }
     // Refresh-on-publish steady state at the smallest batch size.
-    for (int r = 0; r < kIncrementalRuns; ++r)
+    for (int r = 0; r < kRuns; ++r)
       run_incremental(full, batch_sizes[0], run.inc);
     std::cout << "  refresh-on-publish (batch=" << run.inc.batch_size
-              << ", medians of " << kIncrementalRuns << " runs):";
+              << ", medians of " << kRuns << " runs):";
     for (const IncrAlgo& a : run.inc.algos)
       std::cout << " " << a.code << " " << spread_of(a.refresh_ms).median
                 << "/" << spread_of(a.recompute_ms).median << "ms ("
@@ -397,7 +414,7 @@ int main() {
   std::ofstream json("BENCH_streaming.json");
   json << "{\n  \"bench\": \"streaming\",\n  \"scale\": " << scale
        << ",\n  \"threads\": " << ThreadPool::global_threads()
-       << ",\n  \"graphs\": [\n";
+       << ",\n  \"runs\": " << kRuns << ",\n  \"graphs\": [\n";
   for (std::size_t gi = 0; gi < runs.size(); ++gi) {
     const DatasetRun& run = runs[gi];
     json << "    {\"name\": \"" << run.name << "\", \"n\": " << run.n
@@ -407,19 +424,23 @@ int main() {
       json << "      {\"batch_size\": " << p.batch_size
            << ", \"batches\": " << p.batches
            << ", \"updates\": " << p.updates
-           << ", \"stream_ms_per_batch\": " << p.stream_ms_per_batch
-           << ", \"rebuild_ms_per_batch\": " << p.rebuild_ms_per_batch
-           << ", \"speedup\": " << p.speedup
-           << ", \"stream_updates_per_s\": " << p.stream_updates_per_s
-           << ", \"stream_first_query_ms\": " << p.stream_first_query_ms
-           << ", \"stream_steady_query_ms\": " << p.stream_steady_query_ms
-           << ", \"rebuild_query_ms\": " << p.rebuild_query_ms
+           << ", \"stream_ms_per_batch\": " << spread_of(p.stream_ms_per_batch)
+           << ", \"rebuild_ms_per_batch\": "
+           << spread_of(p.rebuild_ms_per_batch)
+           << ", \"speedup\": " << spread_of(p.speedup)
+           << ", \"stream_updates_per_s\": "
+           << spread_of(p.stream_updates_per_s)
+           << ", \"stream_first_query_ms\": "
+           << spread_of(p.stream_first_query_ms)
+           << ", \"stream_steady_query_ms\": "
+           << spread_of(p.stream_steady_query_ms)
+           << ", \"rebuild_query_ms\": " << spread_of(p.rebuild_query_ms)
            << ", \"rebalance_incremental\": " << p.rebalance_incremental
            << ", \"rebalance_full\": " << p.rebalance_full << "}"
            << (i + 1 < run.points.size() ? "," : "") << "\n";
     }
     json << "    ],\n     \"incremental\": {\"batch_size\": "
-         << run.inc.batch_size << ", \"runs\": " << kIncrementalRuns
+         << run.inc.batch_size << ", \"runs\": " << kRuns
          << ", \"first_query_after_publish_ms\": "
          << spread_of(run.inc.first_query_ms) << ", \"algos\": [\n";
     for (std::size_t i = 0; i < run.inc.algos.size(); ++i) {
@@ -432,8 +453,10 @@ int main() {
     }
     json << "     ]}}" << (gi + 1 < runs.size() ? "," : "") << "\n";
   }
-  // Headline: smallest batch size on the first (rmat) dataset.
+  // Headline: smallest batch size on the first (rmat) dataset, as the
+  // medians of its runs.
   const Point& op = runs[0].points[0];
+  const double op_speedup = spread_of(op.speedup).median;
   auto inc_speedup = [&](const char* code) {
     for (const IncrAlgo& a : runs[0].inc.algos)
       if (a.code == code) return spread_of(a.speedup).median;
@@ -441,13 +464,15 @@ int main() {
   };
   json << "  ],\n  \"op_point\": {\"graph\": \"" << runs[0].name
        << "\", \"batch_size\": " << op.batch_size
-       << ", \"stream_ms_per_batch\": " << op.stream_ms_per_batch
-       << ", \"rebuild_ms_per_batch\": " << op.rebuild_ms_per_batch
-       << ", \"speedup\": " << op.speedup
+       << ", \"stream_ms_per_batch\": "
+       << spread_of(op.stream_ms_per_batch).median
+       << ", \"rebuild_ms_per_batch\": "
+       << spread_of(op.rebuild_ms_per_batch).median
+       << ", \"speedup\": " << op_speedup
        << ", \"prd_refresh_speedup\": " << inc_speedup("PRD")
        << ", \"cc_refresh_speedup\": " << inc_speedup("CC") << "}\n}\n";
   json.close();
-  std::cout << "\nWrote BENCH_streaming.json (op-point speedup " << op.speedup
+  std::cout << "\nWrote BENCH_streaming.json (op-point speedup " << op_speedup
             << "x, refresh PRD " << inc_speedup("PRD") << "x / CC "
             << inc_speedup("CC") << "x)" << std::endl;
   return 0;

@@ -33,10 +33,10 @@
 //    written with plain stores on words wholly inside a task's range and
 //    an atomic RMW only on the (at most two) boundary words shared with
 //    neighbouring tasks (StripeSink).
-// All four combine freely; edge_map_pull_range is the single dense kernel
-// every dense traversal in the repo instantiates — the flagged edge_map,
-// and via edge_apply the PageRank / PageRank-delta / SpMV / BP dense
-// iterations.
+// All four combine freely. There are two dense kernels: the flagged
+// edge_map instantiates edge_map_pull_range, and edge_fold — the gather
+// the PageRank / PageRank-delta / SpMV / BP dense iterations run on —
+// instantiates detail::edge_fold_ranges.
 //
 // Frontier materialization is fully parallel and output-sensitive
 // (pbbslib-style scan compaction):
@@ -147,10 +147,10 @@ struct StripeSink {
   }
 };
 
-/// The one dense (pull) kernel: applies F over the in-edges of every
-/// destination in [lo, hi) whose source passes `probe`, reporting
-/// activations to `sink`. Every dense traversal in the repo instantiates
-/// this template — probe and sink are compile-time choices, so the
+/// The update-style dense (pull) kernel: applies F over the in-edges of
+/// every destination in [lo, hi) whose source passes `probe`, reporting
+/// activations to `sink`. Every dense edge_map step instantiates this
+/// template — probe and sink are compile-time choices, so the
 /// complete-frontier and no-output variants pay nothing for the
 /// flexibility.
 template <typename F, typename Probe, typename Sink>
@@ -295,15 +295,9 @@ VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
       s.variant = frontier.is_complete() ? obs::KernelVariant::Complete
                                          : obs::KernelVariant::Probe;
       s.d = detail::dense_range_count(eng);
-      step.predict(static_cast<double>(g.num_edges()),
-                   static_cast<double>(n),
-                   static_cast<double>(frontier.size()));
     } else {
       s.rep = 1;
       s.d = 0;
-      if (s.b != obs::kUnknownArg)
-        step.predict(static_cast<double>(s.b), 0,
-                     static_cast<double>(frontier.size()));
     }
   }
 
@@ -392,103 +386,6 @@ VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
   return VertexSubset::from_packed(n, std::move(out), /*sorted=*/false);
 }
 
-// ------------------------------------------------------------ edge_apply
-
-namespace detail {
-
-/// Adapts a plain per-edge functor to the pull kernel's Ligra interface:
-/// unconditional cond, activation-free update. The kernel inlines to the
-/// bare accumulation loop.
-template <typename EdgeFn>
-struct EdgeApplyFunctor {
-  EdgeFn& fn;
-  bool update(VertexId u, VertexId v) {
-    fn(u, v);
-    return false;
-  }
-  bool update_atomic(VertexId u, VertexId v) {
-    fn(u, v);
-    return false;
-  }
-  bool cond(VertexId) const { return true; }
-};
-
-}  // namespace detail
-
-/// Dense per-edge apply (pull direction): fn(u, v) for every in-edge
-/// (u, v) of every destination — no frontier probe, no activation
-/// tracking, no output frontier. This is the kernel PageRank/SpMV/BP-
-/// style dense iterations need. Tasks own disjoint destination ranges
-/// (one writer per destination), so fn may update per-destination state
-/// non-atomically; within one destination, sources arrive in ascending
-/// id order, so accumulation order — and therefore floating-point
-/// results — is independent of thread count, chunking and system model.
-template <typename EdgeFn>
-void edge_apply(const Engine& eng, EdgeFn&& fn) {
-  eng.poll_cancellation();  // superstep boundary (see edge_map)
-  const Graph& g = eng.graph();
-  obs::SpanScope step(obs::SpanKind::EdgeApply);
-  if (step.live()) {
-    obs::Span& s = step.span();
-    s.a = g.num_vertices();
-    s.b = g.num_edges();
-    s.c = eng.dense_threshold();
-    s.d = detail::dense_range_count(eng);
-    s.direction = 2;
-    s.rep = 3;
-    s.variant = obs::KernelVariant::Complete;
-    s.flags = 2;  // no output frontier by construction
-    step.predict(static_cast<double>(g.num_edges()),
-                 static_cast<double>(g.num_vertices()),
-                 static_cast<double>(g.num_vertices()));
-  }
-  detail::EdgeApplyFunctor<EdgeFn> f{fn};
-  const CompleteProbe probe;
-  for_dense_ranges(eng, [&](VertexId lo, VertexId hi) {
-    NullSink sink;
-    edge_map_pull_range(g, f, probe, sink, lo, hi, /*early_exit=*/false);
-  });
-}
-
-/// Frontier-restricted overload: only edges whose source is in
-/// `frontier` are delivered. A complete frontier dispatches to the
-/// probe-free kernel above (PageRank-delta's early rounds).
-template <typename EdgeFn>
-void edge_apply(const Engine& eng, VertexSubset& frontier, EdgeFn&& fn) {
-  eng.poll_cancellation();  // superstep boundary (see edge_map)
-  if (frontier.empty_set()) return;
-  if (frontier.is_complete()) {
-    // The probe-free overload records its own (Complete-variant) span.
-    edge_apply(eng, std::forward<EdgeFn>(fn));
-    return;
-  }
-  const Graph& g = eng.graph();
-  obs::SpanScope step(obs::SpanKind::EdgeApply);
-  if (step.live()) {
-    obs::Span& s = step.span();
-    s.a = frontier.size();
-    s.b = frontier.has_out_edges()
-              ? frontier.out_edges(g, eng.vertex_loop())
-              : obs::kUnknownArg;
-    s.c = eng.dense_threshold();
-    s.d = detail::dense_range_count(eng);
-    s.direction = 2;
-    s.rep = 2;
-    s.variant = obs::KernelVariant::Probe;
-    s.flags = 2;
-    step.predict(static_cast<double>(g.num_edges()),
-                 static_cast<double>(g.num_vertices()),
-                 static_cast<double>(frontier.size()));
-  }
-  frontier.to_dense(eng.vertex_loop());
-  detail::EdgeApplyFunctor<EdgeFn> f{fn};
-  const BitsetProbe probe{frontier.bits()};
-  for_dense_ranges(eng, [&](VertexId lo, VertexId hi) {
-    NullSink sink;
-    edge_map_pull_range(g, f, probe, sink, lo, hi, /*early_exit=*/false);
-  });
-}
-
 // ------------------------------------------------------------- edge_fold
 
 namespace detail {
@@ -511,28 +408,12 @@ void edge_fold_ranges(const Engine& eng, const Probe& probe, Value& value,
   });
 }
 
-}  // namespace detail
-
-/// Register-accumulating per-destination gather (pull direction): for
-/// every destination v, folds value(u, v) over v's in-neighbors into a
-/// local accumulator and calls commit(v, acc) exactly once — including
-/// acc == T{} for in-degree-0 destinations, so no separate zero-fill
-/// pass is needed. This is the fold form of edge_apply: the accumulator
-/// provably lives in a register across a destination's whole in-edge
-/// scan, which the per-edge-functor form cannot promise (the destination
-/// array and the source array may alias, forcing a load + store per
-/// edge). PageRank / SpMV / BP-style dense iterations run on this form;
-/// accumulation order is the ascending in-neighbor order, independent of
-/// thread count, chunking and system model.
-namespace detail {
-
 /// Fills an EdgeFold span's args; shared by both overloads. `fsize` is
 /// the contributing-source count (n for the probe-free kernel).
 inline void fill_fold_span(obs::SpanScope& step, const Engine& eng,
                            std::uint64_t fsize, std::uint64_t fedges,
                            bool complete) {
   if (!step.live()) return;
-  const Graph& g = eng.graph();
   obs::Span& s = step.span();
   s.a = fsize;
   s.b = fedges;
@@ -542,13 +423,21 @@ inline void fill_fold_span(obs::SpanScope& step, const Engine& eng,
   s.rep = complete ? 3 : 2;
   s.variant = obs::KernelVariant::Fold;
   s.flags = 2;  // fold commits per destination; no output frontier
-  step.predict(static_cast<double>(g.num_edges()),
-               static_cast<double>(g.num_vertices()),
-               static_cast<double>(fsize));
 }
 
 }  // namespace detail
 
+/// Register-accumulating per-destination gather (pull direction): for
+/// every destination v, folds value(u, v) over v's in-neighbors into a
+/// local accumulator and calls commit(v, acc) exactly once — including
+/// acc == T{} for in-degree-0 destinations, so no separate zero-fill
+/// pass is needed. The accumulator provably lives in a register across a
+/// destination's whole in-edge scan, which a per-edge functor cannot
+/// promise (the destination array and the source array may alias,
+/// forcing a load + store per edge). PageRank / SpMV / BP-style dense
+/// iterations run on this form; accumulation order is the ascending
+/// in-neighbor order, independent of thread count, chunking and system
+/// model.
 template <typename T, typename Value, typename Commit>
 void edge_fold(const Engine& eng, Value&& value, Commit&& commit) {
   eng.poll_cancellation();  // superstep boundary (see edge_map)

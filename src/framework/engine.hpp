@@ -146,8 +146,8 @@ class Engine {
 
   /// Cooperative-cancellation hook (framework/cancel.hpp): the caller
   /// that owns the running query binds its QueryContext here for the
-  /// duration of the run; edge_map / edge_apply / edge_fold poll it at
-  /// entry (between supersteps, never inside the dense kernels). Same
+  /// duration of the run; edge_map / edge_fold poll it at entry
+  /// (between supersteps, never inside the dense kernels). Same
   /// single-caller discipline as the edge_map scratch: bind/poll happen
   /// on the query's thread, only the flag inside the token is cross-
   /// thread (atomic). Cleared by rebind() and by ContextBinding.

@@ -64,18 +64,11 @@ void collect_spans(const SpanRing& ring, Trace& t) {
                    });
 }
 
-/// Cost-model coefficients; armed flag released after the stores so a
-/// predict() that observes armed sees the coefficients.
-std::atomic<double> g_cost_per_edge{0}, g_cost_per_dest{0},
-    g_cost_per_source{0}, g_cost_fixed{0};
-std::atomic<bool> g_cost_armed{false};
-
 }  // namespace
 
 const char* to_string(SpanKind k) {
   switch (k) {
     case SpanKind::EdgeMap: return "edge_map";
-    case SpanKind::EdgeApply: return "edge_apply";
     case SpanKind::EdgeFold: return "edge_fold";
     case SpanKind::Iteration: return "iteration";
     case SpanKind::QueueWait: return "queue_wait";
@@ -118,15 +111,6 @@ bool thread_tracing_slow() { return t_ring.id != 0; }
 void record(const Span& s) {
   ThreadRing& r = t_ring;
   if (r.id != 0) r.spans.push(s);
-}
-
-bool predict(double edges, double dests, double sources, double& out_ns) {
-  if (!g_cost_armed.load(std::memory_order_acquire)) return false;
-  out_ns = g_cost_per_edge.load(std::memory_order_relaxed) * edges +
-           g_cost_per_dest.load(std::memory_order_relaxed) * dests +
-           g_cost_per_source.load(std::memory_order_relaxed) * sources +
-           g_cost_fixed.load(std::memory_order_relaxed);
-  return true;
 }
 
 }  // namespace detail
@@ -205,18 +189,6 @@ Trace Tracer::end_reusing(bool keep) {
   return t;
 }
 
-void Tracer::set_cost_model(const CostCoefficients& c) {
-  g_cost_per_edge.store(c.per_edge, std::memory_order_relaxed);
-  g_cost_per_dest.store(c.per_dest, std::memory_order_relaxed);
-  g_cost_per_source.store(c.per_source, std::memory_order_relaxed);
-  g_cost_fixed.store(c.fixed, std::memory_order_relaxed);
-  g_cost_armed.store(true, std::memory_order_release);
-}
-
-void Tracer::clear_cost_model() {
-  g_cost_armed.store(false, std::memory_order_release);
-}
-
 void SpanScope::init(SpanKind kind) {
   if (!detail::thread_tracing_slow()) return;
   live_ = true;
@@ -236,7 +208,6 @@ namespace {
 const char* category(SpanKind k) {
   switch (k) {
     case SpanKind::EdgeMap:
-    case SpanKind::EdgeApply:
     case SpanKind::EdgeFold:
     case SpanKind::Iteration: return "framework";
     case SpanKind::QueueWait:
@@ -283,7 +254,6 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
   bool first = true;
   switch (s.kind) {
     case SpanKind::EdgeMap:
-    case SpanKind::EdgeApply:
     case SpanKind::EdgeFold:
       arg_str(os, first, "direction",
               s.direction == 2 ? "pull" : (s.direction == 1 ? "push" : "?"));
@@ -337,12 +307,6 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
               s.a == 2 ? "full" : (s.a == 1 ? "incremental" : "none"));
       arg_u64(os, first, "dirty", s.b);
       break;
-  }
-  if (s.predicted_ns >= 0) {
-    json_kv(os, first, "predicted_us");
-    os << s.predicted_ns / 1e3;
-    json_kv(os, first, "measured_us");
-    os << static_cast<double>(s.dur_ns) / 1e3;
   }
   os << "}}";
 }

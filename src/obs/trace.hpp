@@ -4,19 +4,17 @@
 // choice, per-partition balance, frontier shape — yet a served query
 // used to report only its end-to-end latency. The tracer records one
 // Span per interesting step:
-//  * framework steps — each edge_map / edge_apply / edge_fold call, with
-//    the direction chosen, the heuristic's inputs (frontier size,
-//    out-edge sum, dense threshold), the frontier representation, the
-//    kernel variant instantiated (probing / complete / no-output /
-//    fold), and the dense chunk count;
+//  * framework steps — each edge_map / edge_fold call, with the direction
+//    chosen, the heuristic's inputs (frontier size, out-edge sum, dense
+//    threshold), the frontier representation, the kernel variant
+//    instantiated (probing / complete / no-output / fold), and the dense
+//    chunk count;
 //  * algorithm iteration tops (one Span per hand-rolled superstep);
 //  * serve-path stages (queue wait, engine lease, cache probe, execute,
 //    payload translation) and stream-path stages (apply_batch,
 //    snapshot, compact, vebo_refine, publish).
-// Each Span carries its measured duration and, when a cost model is
-// installed (metrics/cost_model coefficients via set_cost_model), the
-// model's predicted time — the predicted-vs-actual dataset the ROADMAP's
-// cost-model-driven traversal selection needs.
+// Each Span carries its measured duration; a framework span's args say
+// why the engine chose what it ran.
 //
 // Design (the support/fault.hpp arming pattern):
 //  * Disarmed cost ~ nothing: every instrumentation site starts with one
@@ -56,7 +54,6 @@ namespace vebo::obs {
 enum class SpanKind : std::uint8_t {
   // framework
   EdgeMap = 0,
-  EdgeApply,
   EdgeFold,
   Iteration,
   // serve path
@@ -73,7 +70,6 @@ enum class SpanKind : std::uint8_t {
   Publish,
   Refresh,  ///< serve path: one cache entry recomputed across a publish
 };
-inline constexpr std::size_t kNumSpanKinds = 15;
 const char* to_string(SpanKind k);
 
 /// Sentinel for a kind-specific arg the instrumentation site did not
@@ -92,9 +88,9 @@ const char* to_string(KernelVariant v);
 
 /// One traced step. `a`/`b`/`c`/`d` are kind-specific (the exporter
 /// names them):
-///  * EdgeMap/EdgeApply/EdgeFold: a = frontier size, b = frontier
-///    out-edge sum (~0 = not computed by the heuristic), c = dense
-///    threshold, d = dense chunk/partition count (0 = sparse path).
+///  * EdgeMap/EdgeFold: a = frontier size, b = frontier out-edge sum
+///    (~0 = not computed by the heuristic), c = dense threshold, d =
+///    dense chunk/partition count (0 = sparse path).
 ///  * Iteration: a = iteration index, b = frontier size (when the
 ///    algorithm tracks one). BF's one-thread bucket pass records one
 ///    Iteration for the whole pass instead, with a = distance buckets
@@ -113,10 +109,6 @@ struct Span {
   std::uint64_t start_ns = 0;  ///< steady-clock stamp
   std::uint64_t dur_ns = 0;
   std::uint64_t a = 0, b = 0, c = 0, d = 0;
-  /// Cost-model estimate for the step (ns); < 0 = no model installed or
-  /// not a modeled step. Recorded next to dur_ns so every traced query
-  /// yields a predicted-vs-actual pair per step.
-  double predicted_ns = -1;
   SpanKind kind = SpanKind::EdgeMap;
   KernelVariant variant = KernelVariant::None;
   std::uint8_t direction = 0;  ///< 0 n/a, 1 push, 2 pull
@@ -181,15 +173,6 @@ class SpanRing {
   std::uint64_t recorded_ = 0;
 };
 
-/// Linear cost-model coefficients in NANOSECONDS per unit (the
-/// metrics/cost_model fit is in seconds — scale by 1e9 when installing).
-struct CostCoefficients {
-  double per_edge = 0;
-  double per_dest = 0;
-  double per_source = 0;
-  double fixed = 0;
-};
-
 namespace detail {
 
 /// The packed armed word — still the ONE relaxed load every disarmed
@@ -205,7 +188,6 @@ inline std::atomic<std::uint32_t> g_active_traces{0};
 
 void record(const Span& s);  // appends to the calling thread's ring
 bool thread_tracing_slow();  // TLS check (only called when armed)
-bool predict(double edges, double dests, double sources, double& out_ns);
 std::uint64_t now_ns();
 
 /// One Chrome trace-event "ph":"X" slice for `s` appended to `os`
@@ -286,11 +268,6 @@ class Tracer {
     detail::record(s);
   }
 
-  /// Installs / clears cost-model coefficients for predicted_ns
-  /// (process-global; typically fit once via metrics::fit_cost_model).
-  static void set_cost_model(const CostCoefficients& c);
-  static void clear_cost_model();
-
   static std::uint64_t now_ns() { return detail::now_ns(); }
 };
 
@@ -312,15 +289,6 @@ class SpanScope {
   bool live() const { return live_; }
   /// The span under construction; meaningful only when live().
   Span& span() { return span_; }
-
-  /// Fills predicted_ns from the installed cost model (no-op when dead
-  /// or no model is installed). Features are the step's heuristic
-  /// inputs: edges to traverse, destinations scanned, sources active.
-  void predict(double edges, double dests, double sources) {
-    if (!live_) return;
-    double ns;
-    if (detail::predict(edges, dests, sources, ns)) span_.predicted_ns = ns;
-  }
 
  private:
   void init(SpanKind kind);  // TLS check + start stamp (trace.cpp)

@@ -70,8 +70,4 @@ void sort_edges_hilbert(EdgeList& el) {
   sort_edges_hilbert(el.mutable_edges(), hilbert_order_for(el.num_vertices()));
 }
 
-void sort_edges_csr(EdgeList& el) { el.sort_by_source(); }
-
-void sort_edges_csc(EdgeList& el) { el.sort_by_destination(); }
-
 }  // namespace vebo::order

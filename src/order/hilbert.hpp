@@ -32,10 +32,4 @@ void sort_edges_hilbert(std::span<Edge> edges, int k);
 /// Sorts edges in Hilbert order of (src, dst).
 void sort_edges_hilbert(EdgeList& el);
 
-/// Sorts edges in CSR order (source-major, then destination).
-void sort_edges_csr(EdgeList& el);
-
-/// Sorts edges in CSC order (destination-major, then source).
-void sort_edges_csc(EdgeList& el);
-
 }  // namespace vebo::order

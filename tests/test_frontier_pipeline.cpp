@@ -656,18 +656,6 @@ TEST(DensePath, EdgeFoldMatchesSerialGatherAcrossModels) {
   }
 }
 
-// edge_apply delivers every in-edge exactly once with a single writer
-// per destination (plain counters must end up exact).
-TEST(DensePath, EdgeApplyDeliversEveryInEdgeOnce) {
-  const Graph g = gen::rmat(10, 5, 6);
-  const VertexId n = g.num_vertices();
-  Engine eng(g, SystemModel::Ligra);
-  std::vector<std::uint32_t> cnt(n, 0);
-  edge_apply(eng, [&](VertexId, VertexId v) { cnt[v] += 1; });
-  for (VertexId v = 0; v < n; ++v)
-    ASSERT_EQ(cnt[v], g.in_degree(v)) << "v=" << v;
-}
-
 // Engine::dense_chunks invariants: boundaries cover [0, n], are
 // monotone, and every chunk's in-edge + destination load is within a
 // factor of the ideal share (up to one max-degree row).

@@ -371,31 +371,6 @@ TEST(Tracer, ConcurrentTracesDoNotMix) {
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads));  // unique ids
 }
 
-TEST(Tracer, CostModelFillsPredictedNs) {
-  obs::CostCoefficients c;
-  c.per_edge = 2.0;
-  c.per_dest = 0.5;
-  c.per_source = 0.25;
-  c.fixed = 100.0;
-  Tracer::set_cost_model(c);
-  ThreadTrace tt;
-  {
-    SpanScope s(SpanKind::EdgeMap);
-    ASSERT_TRUE(s.live());
-    s.predict(/*edges=*/1000, /*dests=*/100, /*sources=*/10);
-  }
-  Tracer::clear_cost_model();
-  {
-    SpanScope s(SpanKind::EdgeMap);
-    s.predict(1000, 100, 10);  // no model: predicted stays -1
-  }
-  const Trace t = tt.finish();
-  ASSERT_EQ(t.spans.size(), 2u);
-  EXPECT_DOUBLE_EQ(t.spans[0].predicted_ns,
-                   2.0 * 1000 + 0.5 * 100 + 0.25 * 10 + 100.0);
-  EXPECT_LT(t.spans[1].predicted_ns, 0);
-}
-
 // Framework instrumentation end-to-end: an armed thread running an
 // edge_map / edge_fold records framework spans with the heuristic's
 // inputs, without the trace forcing any out-degree walk.
@@ -607,17 +582,10 @@ TEST(TracedQuery, PageRankTraceCoversServeAndFrameworkStages) {
   GraphService service(store, opts);
   service.publish_session(session);
 
-  // Install a cost model so traced framework steps carry predictions.
-  obs::CostCoefficients c;
-  c.per_edge = 0.5;
-  c.fixed = 50.0;
-  Tracer::set_cost_model(c);
-
   Query q;
   q.algo = "PR";
   q.trace = true;
   const QueryResult res = service.query(q);
-  Tracer::clear_cost_model();
 
   ASSERT_NE(res.trace, nullptr);
   const Trace& t = *res.trace;
@@ -641,12 +609,16 @@ TEST(TracedQuery, PageRankTraceCoversServeAndFrameworkStages) {
       res, {SpanKind::QueueWait, SpanKind::CacheProbe, SpanKind::EngineLease,
             SpanKind::Execute, SpanKind::Translate});
 
-  // The cost model was armed: every EdgeFold span has a prediction
-  // recorded next to its measured duration.
-  std::size_t predicted = 0;
-  for (const Span& s : t.spans)
-    if (s.kind == SpanKind::EdgeFold && s.predicted_ns >= 0) ++predicted;
-  EXPECT_GT(predicted, 0u);
+  // Every gather step of the served query records its decision inputs:
+  // the fold kernel, no output frontier, the dense threshold and the
+  // dense range count.
+  for (const Span& s : t.spans) {
+    if (s.kind != SpanKind::EdgeFold) continue;
+    EXPECT_EQ(s.variant, obs::KernelVariant::Fold);
+    EXPECT_EQ(s.flags & 0x2, 0x2);  // no-output
+    EXPECT_GT(s.c, 0u);             // dense threshold
+    EXPECT_GE(s.d, 1u);             // dense range count
+  }
 
   // Untraced queries do not carry a trace.
   q.trace = false;
