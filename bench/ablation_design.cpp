@@ -10,6 +10,7 @@
 #include "algorithms/bfs.hpp"
 #include "algorithms/pagerank.hpp"
 #include "bench_common.hpp"
+#include "framework/coo_iter.hpp"
 #include "metrics/makespan.hpp"
 
 using namespace vebo;
@@ -30,7 +31,8 @@ int main() {
     opts.explicit_partitioning = &r.partitioning;
     Engine eng(h, SystemModel::GraphGrind, opts);
     Timer timer;
-    eng.partitioned_coo();
+    const PartitionedCoo coo =
+        build_partitioned_coo(h, r.partitioning, EdgeOrder::Csr);
     const double build_ms = timer.elapsed_ms();
     const auto times = algo::pagerank_partition_times(eng, 2);
     t.add_row({Table::num(std::size_t{P}),

@@ -24,9 +24,6 @@ BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
 
   BpResult res;
   for (int it = 0; it < opts.iterations; ++it) {
-    // Superstep boundary (covers the COO path, which bypasses the
-    // framework's polled entry points).
-    eng.poll_cancellation();
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
       iter.span().a = static_cast<std::uint64_t>(it);
@@ -40,27 +37,12 @@ BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
         },
         eng.vertex_loop());
 
-    // Accumulate incoming messages per destination (edge-proportional
-    // work, disjoint destination writes).
-    if (eng.partitioned()) {
-      const PartitionedCoo& coo = eng.partitioned_coo();
-      parallel_for(
-          0, n, [&](std::size_t v) { incoming[v] = 0.0; },
-          eng.vertex_loop());
-      parallel_for(
-          0, coo.num_partitions(),
-          [&](std::size_t p) {
-            for (const Edge& e : coo.partition(p))
-              incoming[e.dst] += msg[e.src];
-          },
-          eng.partition_loop());
-    } else {
-      // Unified dense fold kernel (edge-balanced CSC pull); commit
-      // covers every destination, so no zero-fill pass is needed.
-      edge_fold<double>(
-          eng, [&](VertexId u, VertexId) { return msg[u]; },
-          [&](VertexId v, double a) { incoming[v] = a; });
-    }
+    // Accumulate incoming messages per destination through the dense
+    // fold (polls the query context at entry); commit covers every
+    // destination, so no zero-fill pass is needed.
+    edge_fold<double>(
+        eng, [&](VertexId u, VertexId) { return msg[u]; },
+        [&](VertexId v, double a) { incoming[v] = a; });
 
     // Belief update fused with the residual fold — parallel, and
     // deterministic so reruns reproduce the same residual exactly.

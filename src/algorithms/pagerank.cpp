@@ -38,9 +38,6 @@ PageRankResult pagerank(const Engine& eng, const PageRankOptions& opts) {
   std::vector<double> rank(n, init), next(n, 0.0), contrib(n, 0.0);
 
   for (int it = 0; it < opts.iterations; ++it) {
-    // Superstep boundary (covers the COO path, which bypasses the
-    // framework's polled entry points).
-    eng.poll_cancellation();
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
       iter.span().a = static_cast<std::uint64_t>(it);
@@ -56,34 +53,12 @@ PageRankResult pagerank(const Engine& eng, const PageRankOptions& opts) {
         },
         eng.vertex_loop());
 
-    if (opts.use_coo && eng.partitioned()) {
-      // GraphGrind dense path: iterate the partitioned COO; destination
-      // partitions are disjoint so the accumulation is race-free across
-      // partitions.
-      const PartitionedCoo& coo = eng.partitioned_coo();
-      std::fill(next.begin(), next.end(), 0.0);
-      parallel_for(
-          0, coo.num_partitions(),
-          [&](std::size_t p) {
-            for (const Edge& e : coo.partition(p)) next[e.dst] += contrib[e.src];
-          },
-          eng.partition_loop());
-      parallel_for(
-          0, n,
-          [&](std::size_t v) { next[v] = base + opts.damping * next[v]; },
-          eng.vertex_loop());
-    } else {
-      // CSC pull through the framework's unified dense fold kernel:
-      // probe-free, output-free, register-accumulating, edge-balanced on
-      // Ligra and partition-per-task on the partitioned models. The
-      // accumulation order is the in-neighbor order, so values are
-      // identical to the old hand-rolled loop.
-      edge_fold<double>(
-          eng, [&](VertexId u, VertexId) { return contrib[u]; },
-          [&](VertexId v, double acc) {
-            next[v] = base + opts.damping * acc;
-          });
-    }
+    // CSC pull through the framework's dense fold kernel: probe-free,
+    // output-free, register-accumulating, edge-balanced on Ligra and
+    // partition-per-task on the partitioned models.
+    edge_fold<double>(
+        eng, [&](VertexId u, VertexId) { return contrib[u]; },
+        [&](VertexId v, double acc) { next[v] = base + opts.damping * acc; });
     rank.swap(next);
   }
 

@@ -14,8 +14,6 @@ namespace vebo::algo {
 struct PageRankOptions {
   int iterations = 10;
   double damping = 0.85;
-  /// Use the partitioned COO path (GraphGrind style) instead of CSC pull.
-  bool use_coo = false;
 };
 
 struct PageRankResult {
@@ -26,9 +24,9 @@ struct PageRankResult {
 
 PageRankResult pagerank(const Engine& eng, const PageRankOptions& opts = {});
 
-/// One PR iteration over the partitioned COO, timing each partition's
-/// sequential processing (the measurement behind Figures 1, 4 and 6).
-/// Returns seconds per partition.
+/// One PR iteration's CSC pull, timing each partition's sequential
+/// processing (the measurement behind Figures 1 and 4). Returns seconds
+/// per partition.
 std::vector<double> pagerank_partition_times(const Engine& eng,
                                              int repeats = 3);
 

@@ -21,25 +21,12 @@ SpmvResult spmv(const Engine& eng, const std::vector<double>& x) {
     iter.span().b = n;
   }
 
-  if (eng.partitioned()) {
-    // COO path over destination partitions (disjoint writes).
-    const PartitionedCoo& coo = eng.partitioned_coo();
-    parallel_for(
-        0, coo.num_partitions(),
-        [&](std::size_t p) {
-          for (const Edge& e : coo.partition(p))
-            res.y[e.dst] += edge_weight(e.src, e.dst) * x[e.src];
-        },
-        eng.partition_loop());
-  } else {
-    // Unified dense fold kernel (edge-balanced CSC pull); same
-    // in-neighbor accumulation order as the old hand loop, so y is
-    // bit-identical.
-    edge_fold<double>(
-        eng,
-        [&](VertexId u, VertexId v) { return edge_weight(u, v) * x[u]; },
-        [&](VertexId v, double a) { res.y[v] = a; });
-  }
+  // The framework's dense fold on every model: each destination
+  // accumulates its in-edges in ascending source order, so y is
+  // bit-identical across Ligra, Polymer and GraphGrind.
+  edge_fold<double>(
+      eng, [&](VertexId u, VertexId v) { return edge_weight(u, v) * x[u]; },
+      [&](VertexId v, double a) { res.y[v] = a; });
   // Deterministic block fold — block_sum reproduces it from the payload.
   res.checksum = deterministic_sum<double>(
       0, n, [&](std::size_t v) { return res.y[v]; }, eng.vertex_loop());

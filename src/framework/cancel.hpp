@@ -4,8 +4,9 @@
 // scratch, so cancellation is cooperative: the party that wants to stop a
 // query sets a flag (CancelSource::cancel()) or lets a deadline lapse,
 // and the running query polls a QueryContext at its superstep boundaries
-// — every edge_map / edge_fold entry, and the hand-rolled iteration
-// loops of the COO algorithm paths. The poll points live BETWEEN
+// — every edge_map / edge_fold entry, and the hand-rolled loops that run
+// no framework step (CC's rounds, BC's backward sweep, BF's bucket pass,
+// the refresh repairs). The poll points live BETWEEN
 // supersteps, never inside the dense kernels, so a cancelled
 // traversal stops within one superstep while the hot loops stay exactly
 // as fast as before (an unbound engine pays one pointer test per

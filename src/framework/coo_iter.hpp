@@ -1,4 +1,7 @@
-// Partitioned COO traversal: the GraphGrind dense-frontier path.
+// Partitioned COO: GraphGrind's dense-frontier edge layout, kept for the
+// benches that measure it (Table VI's build cost, Figure 6's per-
+// partition sweep). No engine builds or traverses it; every model's dense
+// gather is edge_fold over the CSC.
 //
 // Edges are grouped by the partition owning their *destination* (data-race
 // freedom: only the owning partition writes a destination), and within a

@@ -33,8 +33,8 @@ Engine::Engine(const Graph& g, SystemModel model, EngineOptions opts)
 }
 
 // Carve-out: rebind's quiescence contract (no concurrent edge_map or
-// partitioned_coo) makes its plain resets of the lock-guarded lazy state
-// race-free without taking the build mutexes.
+// dense_chunks) makes its plain resets of the lock-guarded lazy state
+// race-free without taking the build mutex.
 void Engine::rebind(const Graph& g,
                     const order::Partitioning* part) NO_THREAD_SAFETY_ANALYSIS {
   VEBO_CHECK(!scratch_busy_.load(std::memory_order_acquire),
@@ -45,10 +45,8 @@ void Engine::rebind(const Graph& g,
   // safe and makes a leaked binding impossible across epoch swaps.
   qctx_ = nullptr;
   // rebind requires quiescence (checked above for edge_map; concurrent
-  // partitioned_coo is part of the same contract), so a plain store is
-  // enough to reset the lazy COO and dense chunk boundaries.
-  coo_ = {};
-  coo_built_.store(false, std::memory_order_release);
+  // dense_chunks is part of the same contract), so a plain store is
+  // enough to reset the lazy dense chunk boundaries.
   dense_chunks_ = {};
   dense_chunks_built_.store(false, std::memory_order_release);
   // Keep options() consistent with the engine's actual partitioning:
@@ -158,24 +156,6 @@ Engine::ScratchLease::ScratchLease(const Engine& eng)
   VEBO_CHECK(!busy_->exchange(true, std::memory_order_acquire),
              "edge_map scratch already in use: concurrent or reentrant "
              "edge_map calls on one Engine are not supported");
-}
-
-// Carve-out: documented double-checked locking — the acquire load of
-// coo_built_ publishes coo_ for the lock-free return.
-const PartitionedCoo& Engine::partitioned_coo() const
-    NO_THREAD_SAFETY_ANALYSIS {
-  VEBO_CHECK(partitioned(), "partitioned_coo requires a partitioned model");
-  // Double-checked lazy build: two threads sharing one engine for
-  // read-only traversal must not double-build or observe a half-built
-  // COO. The release store pairs with the acquire load.
-  if (!coo_built_.load(std::memory_order_acquire)) {
-    MutexLock lk(coo_mutex_);
-    if (!coo_built_.load(std::memory_order_relaxed)) {
-      coo_ = build_partitioned_coo(*graph_, part_, opts_.edge_order);
-      coo_built_.store(true, std::memory_order_release);
-    }
-  }
-  return coo_;
 }
 
 }  // namespace vebo

@@ -8,8 +8,10 @@
 //    completion time is the slowest partition's time.
 //  * SystemModel::GraphGrind — heavy over-partitioning (default 384,
 //    the paper's recommendation); static outer scheduling over partitions
-//    with dynamic distribution inside a simulated socket; dense COO
-//    traversal in Hilbert or CSR edge order.
+//    and guided vertex loops. Its COO edge orders live where the paper
+//    measures them, Table VI's build cost and Figure 6's sweep
+//    (framework/coo_iter.hpp); the engine gathers through the CSC like
+//    the other two models.
 #pragma once
 
 #include <atomic>
@@ -18,7 +20,6 @@
 #include <string>
 
 #include "framework/cancel.hpp"
-#include "framework/coo_iter.hpp"
 #include "graph/graph.hpp"
 #include "order/partition.hpp"
 #include "parallel/parallel_for.hpp"
@@ -39,8 +40,6 @@ struct EngineOptions {
   /// When set it overrides `partitions`; otherwise Algorithm 1 derives
   /// the chunks. Copied into the engine.
   const order::Partitioning* explicit_partitioning = nullptr;
-  /// Edge order of the partitioned COO (partitioned_coo()).
-  EdgeOrder edge_order = EdgeOrder::Csr;
   /// Frontier density denominator: dense traversal when
   /// |active| + |active out-edges| > m / dense_denominator (Ligra's 20).
   EdgeId dense_denominator = 20;
@@ -49,12 +48,12 @@ struct EngineOptions {
 };
 
 // Thread-safety: the read-only surface (graph(), partitioning(),
-// vertex_loop(), thresholds, partitioned_coo()) is safe to call from
-// multiple threads on one engine; the lazy COO build is synchronized.
+// vertex_loop(), thresholds, dense_chunks()) is safe to call from
+// multiple threads on one engine; the lazy chunk build is synchronized.
 // edge_map scratch stays single-caller (ScratchLease throws on a second
 // concurrent borrower) — concurrent queries need one engine each, which
 // is what serve::EnginePool provides. rebind() requires quiescence: no
-// concurrent edge_map and no concurrent partitioned_coo().
+// concurrent edge_map and no concurrent dense_chunks().
 class Engine {
  public:
   Engine(const Graph& g, SystemModel model, EngineOptions opts = {});
@@ -108,24 +107,12 @@ class Engine {
                                  opts_.dense_denominator);
   }
 
-  /// Lazily built partitioned COO in the engine's edge order: the dense
-  /// path BP and SpMV take on every partitioned model (serving engines
-  /// included), and PageRank with `use_coo`. Built once per bound graph;
-  /// rebind() drops it. Safe to call concurrently: the first caller
-  /// builds under a lock, later callers take the acquire-published result
-  /// lock-free.
-  const PartitionedCoo& partitioned_coo() const;
-
-  /// Forces the lazily built traversal structures (dense chunk bounds,
-  /// and the partitioned COO on partitioned models) to exist NOW, on the
+  /// Forces the lazily built dense chunk bounds to exist NOW, on the
   /// caller's thread, so set-up can time them apart from the first dense
-  /// query, which otherwise pays the builds inside its own latency. Both
-  /// builds are internally synchronized (see above), so this is safe to
-  /// run while readers query.
-  void prewarm() const {
-    dense_chunks();
-    if (partitioned()) partitioned_coo();
-  }
+  /// query, which otherwise pays the build inside its own latency. The
+  /// build is internally synchronized (see dense_chunks()), so this is
+  /// safe to run while readers query.
+  void prewarm() const { dense_chunks(); }
 
   /// Reusable claim bitset for the sparse push path. edge_map borrows it
   /// and returns it all-zero (clearing only the bits it set), so steady-
@@ -194,19 +181,12 @@ class Engine {
   EngineOptions opts_;
   VertexId partitions_ = 0;
   order::Partitioning part_;
-  /// Lazy COO, written once under coo_mutex_ then read lock-free after
-  /// the acquire load of coo_built_ — the accessors carrying the
-  /// post-publication reads (partitioned_coo, rebind) are the sanctioned
+  /// Lazy edge-balanced chunk boundaries, written once under
+  /// dense_chunks_mutex_ then read lock-free after the acquire load of
+  /// dense_chunks_built_ (double-checked locking). The accessors carrying
+  /// the post-publication reads (dense_chunks, rebind) are the sanctioned
   /// NO_THREAD_SAFETY_ANALYSIS carve-outs in engine.cpp; every other
   /// access path stays checked against this GUARDED_BY.
-  mutable PartitionedCoo coo_ GUARDED_BY(coo_mutex_);
-  /// Release-published by the builder, acquire-loaded on the fast path;
-  /// coo_mutex_ serializes the one-time build (double-checked locking).
-  mutable std::atomic<bool> coo_built_{false};
-  mutable Mutex coo_mutex_;
-  /// Lazy edge-balanced chunk boundaries (same publication discipline as
-  /// the COO: release-published, acquire-loaded, one-time build; the
-  /// dense_chunks() carve-out in engine.cpp holds the lock-free read).
   mutable std::vector<VertexId> dense_chunks_ GUARDED_BY(dense_chunks_mutex_);
   mutable std::atomic<bool> dense_chunks_built_{false};
   mutable Mutex dense_chunks_mutex_;

@@ -1,7 +1,8 @@
 // COO (coordinate format) edge list: the canonical ingestion and
-// interchange representation. Generators produce EdgeLists, CSR/CSC are
-// built from them, and the GraphGrind-style dense traversal iterates a COO
-// directly in CSR or Hilbert edge order.
+// interchange representation. Generators produce EdgeLists and CSR/CSC
+// are built from them; the partitioned COO that Table VI and Figure 6
+// measure (framework/coo_iter.hpp) groups these edges by destination
+// partition.
 #pragma once
 
 #include <span>

@@ -89,7 +89,7 @@ EnginePool::Lease EnginePool::lease(const SnapshotRef& snapshot) {
   bool counted_wait = false;
   for (;;) {
     // Prefer a free entry already bound to this epoch (no rebind, warm
-    // lazily-built COO); otherwise any free entry, rebinding it forward.
+    // dense chunk bounds); otherwise any free entry, rebinding it forward.
     Entry* pick = nullptr;
     for (auto& e : entries_) {
       if (e->busy) continue;

@@ -791,16 +791,15 @@ GraphService::CacheTurnover GraphService::refresh_cache(
         prev_snap = algo::translate_from_original_ids(*t.old.payload, *perm);
         t.old.payload.reset();
       }
-      algo::QueryPayload out;
-      {
+      algo::QueryPayload out = [&] {
         obs::StageScope span(obs::SpanKind::Refresh);
         if (span.live()) span.span().a = new_version;
         const QueryContext& ctx = QueryContext::none();
         Engine::ContextBinding bind(lease.engine(), ctx);
-        out = t.spec->refresh(lease.engine(), exec,
-                              prev_snap ? *prev_snap : *t.old.payload,
-                              *hook_delta, ctx);
-      }
+        return t.spec->refresh(lease.engine(), exec,
+                               prev_snap ? *prev_snap : *t.old.payload,
+                               *hook_delta, ctx);
+      }();
       lease.release();
       // The replacement exists: nothing needs the previous payload.
       prev_snap.reset();

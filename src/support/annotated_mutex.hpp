@@ -13,9 +13,9 @@
 //
 // The only sanctioned escapes are:
 //  * NO_THREAD_SAFETY_ANALYSIS on the documented double-checked-locking
-//    fast paths (Engine::partitioned_coo / Engine::dense_chunks) and
-//    quiescence-contract writers (Engine::rebind) — each carries a
-//    one-line justification at the site;
+//    fast path (Engine::dense_chunks) and the quiescence-contract writer
+//    (Engine::rebind) — each carries a one-line justification at the
+//    site;
 //  * lock-free structures (atomics, the per-thread span rings), which
 //    have no capability to annotate in the first place.
 //

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "algorithms/bc.hpp"
 #include "algorithms/bellman_ford.hpp"
@@ -21,6 +22,7 @@
 #include "algorithms/spmv.hpp"
 #include "framework/cancel.hpp"
 #include "gen/erdos.hpp"
+#include "gen/powerlaw.hpp"
 #include "gen/rmat.hpp"
 #include "gen/road.hpp"
 #include "gen/synthetic.hpp"
@@ -129,16 +131,6 @@ TEST_P(AlgoModels, PagerankMatchesReference) {
   const auto ref = algo::ref::pagerank(g, 10);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_NEAR(res.rank[v], ref[v], 1e-12) << "v=" << v;
-}
-
-TEST_P(AlgoModels, PagerankCooPathMatchesPull) {
-  const Graph g = gen::rmat(9, 6, 2);
-  Engine eng = make_engine(g);
-  const auto pull = algo::pagerank(eng, {.iterations = 5, .use_coo = false});
-  const auto coo = algo::pagerank(eng, {.iterations = 5, .use_coo = true});
-  if (!eng.partitioned()) GTEST_SKIP() << "COO path needs partitions";
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(pull.rank[v], coo.rank[v], 1e-12);
 }
 
 TEST(Pagerank, MassConservedOnCycle) {
@@ -402,11 +394,51 @@ TEST_P(AlgoModels, BeliefPropagationDeterministicAcrossModels) {
   Engine eng = make_engine(g);
   const auto res = algo::belief_propagation(eng, {.iterations = 10});
   EXPECT_EQ(res.iterations, 10);
-  // Compare against the Ligra (unpartitioned) engine: identical math.
+  // Every model gathers through edge_fold in the same per-destination
+  // order, so the Ligra (unpartitioned) engine's answer is exact.
   Engine ligra(g, SystemModel::Ligra);
   const auto ref = algo::belief_propagation(ligra, {.iterations = 10});
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(res.belief[v], ref.belief[v], 1e-9);
+  EXPECT_EQ(res.belief, ref.belief);
+  EXPECT_EQ(res.residual, ref.residual);
+}
+
+// ------------------------------------------- dense gather, every model
+
+/// Byte equality: bit-identical doubles, not merely == (which would let
+/// -0.0 pass for 0.0).
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// SpMV and BP gather through edge_fold on every model, and the fold adds
+// each destination's in-edges in ascending source order whatever the
+// partitioning or schedule: both payloads are bit-identical across
+// Ligra, Polymer (4 partitions) and GraphGrind (384) at pool widths 1, 2
+// and 4. n is not a power of two: SPMV's x = 1/n is then inexact, so a
+// different summation order would show in the low bits (with n = 2^k
+// every whole-weight product is exact and any order gives the same sum).
+TEST(DenseGather, SpmvAndBpBitIdenticalAcrossModelsAndWidths) {
+  const Graph g = gen::chung_lu(3001, 2.1, 8.0, 23);
+  ThreadPool one(1), two(2), four(4);
+  for (const char* code : {"SPMV", "BP"}) {
+    SCOPED_TRACE(code);
+    const algo::AlgorithmSpec& s = algo::spec(code);
+    const algo::QueryPayload want =
+        s.invoke(Engine(g, SystemModel::Ligra, {.pool = &one}));
+    ASSERT_EQ(want.doubles().size(), g.num_vertices());
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      for (SystemModel m : {SystemModel::Ligra, SystemModel::Polymer,
+                            SystemModel::GraphGrind}) {
+        SCOPED_TRACE(to_string(m) + " x" +
+                     std::to_string(pool->num_threads()));
+        const Engine eng(g, m, {.pool = pool});
+        const algo::QueryPayload got = s.invoke(eng);
+        EXPECT_TRUE(same_bytes(got.doubles(), want.doubles()));
+        EXPECT_EQ(got.aux, want.aux);
+      }
+    }
+  }
 }
 
 TEST(BeliefPropagation, ConvergesOnTree) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <tuple>
 
+#include "framework/coo_iter.hpp"
 #include "framework/edgemap.hpp"
 #include "framework/engine.hpp"
 #include "framework/vertex_subset.hpp"
@@ -333,8 +334,9 @@ TEST(PartitionedCoo, RejectsAPartitioningThatDoesNotCoverTheVertexSet) {
   }
 }
 
-// A Polymer engine rebound to a patched session snapshot builds the same
-// COO as a fresh build over the full relabel of that version.
+// The partitioned COO of every patched session snapshot equals, in each
+// edge order, a fresh build over the full relabel of that version and the
+// sort oracle.
 TEST(PartitionedCoo, PatchedSnapshotMatchesAFreshBuild) {
   stream::SessionOptions opts;
   opts.model = SystemModel::Polymer;
@@ -348,15 +350,6 @@ TEST(PartitionedCoo, PatchedSnapshotMatchesAFreshBuild) {
   stream::StreamSession session(base, opts);
   std::shared_ptr<const Graph> snap = session.shared_snapshot();
 
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (EdgeOrder eo : kEdgeOrders) {
-    engines.push_back(std::make_unique<Engine>(
-        *snap, SystemModel::Polymer,
-        EngineOptions{
-            .explicit_partitioning = &session.maintainer().partitioning(),
-            .edge_order = eo}));
-    engines.back()->partitioned_coo();  // warm: the rebind must drop it
-  }
   Xoshiro256 rng(5);
   constexpr int kBatches = 4;
   for (int b = 0; b < kBatches; ++b) {
@@ -378,15 +371,11 @@ TEST(PartitionedCoo, PatchedSnapshotMatchesAFreshBuild) {
     std::vector<Edge> edges;
     for (VertexId u = 0; u < n; ++u)
       for (VertexId v : fresh.out_neighbors(u)) edges.push_back({u, v});
-    for (auto& eng : engines) {
-      SCOPED_TRACE(to_string(eng->options().edge_order));
-      eng->rebind(*snap, &part);
-      expect_same_coo(eng->partitioned_coo(),
-                      build_partitioned_coo(fresh, part,
-                                            eng->options().edge_order));
-      expect_same_coo(eng->partitioned_coo(),
-                      reference_partitioned_coo(
-                          n, edges, part, eng->options().edge_order));
+    for (EdgeOrder eo : kEdgeOrders) {
+      SCOPED_TRACE(to_string(eo));
+      const PartitionedCoo patched = build_partitioned_coo(*snap, part, eo);
+      expect_same_coo(patched, build_partitioned_coo(fresh, part, eo));
+      expect_same_coo(patched, reference_partitioned_coo(n, edges, part, eo));
     }
   }
   EXPECT_EQ(session.stats().snapshots_patched,

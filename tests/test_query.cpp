@@ -158,7 +158,9 @@ TEST(CanonicalKey, CacheKeyHashAgreesWithEquality) {
 // --------------------------------------------------------- ResultCache
 
 serve::CacheKey key_of(int i) {
-  return serve::CacheKey::make("K" + std::to_string(i), QueryParams());
+  std::string code = "K";
+  code += std::to_string(i);
+  return serve::CacheKey::make(code, QueryParams());
 }
 
 TEST(ResultCache, LruEvictsOldestNotEverything) {

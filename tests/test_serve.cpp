@@ -5,11 +5,13 @@
 // double as the ThreadSanitizer workload for the CI tsan job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -348,23 +350,26 @@ TEST(EnginePool, ParallelQueriesProduceSerialAnswers) {
 
 // ------------------------------------------- Engine sharing (satellite)
 
-// Two threads touching one engine's lazy COO must not double-build or
-// observe a half-built structure (the PR-3 call_once/atomic fix; the race
-// is what the TSan job would flag on the old code).
-TEST(EngineSharing, ConcurrentPartitionedCooBuildIsSafe) {
+// Threads touching one engine's lazy dense chunk bounds must not
+// double-build or observe a half-built structure (the double-checked
+// build's race is what the TSan job would flag).
+TEST(EngineSharing, ConcurrentDenseChunksBuildIsSafe) {
   const Graph g = gen::rmat(10, 6, 81);
-  const Engine eng(g, SystemModel::GraphGrind);
+  const Engine eng(g, SystemModel::Ligra);
   constexpr int kThreads = 4;
-  std::vector<const PartitionedCoo*> seen(kThreads, nullptr);
+  std::vector<std::span<const VertexId>> seen(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] { seen[t] = &eng.partitioned_coo(); });
+    threads.emplace_back([&, t] { seen[t] = eng.dense_chunks(); });
   for (auto& t : threads) t.join();
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
-  EdgeId edges = 0;
-  for (std::size_t p = 0; p < seen[0]->num_partitions(); ++p)
-    edges += static_cast<EdgeId>(seen[0]->partition(p).size());
-  EXPECT_EQ(edges, g.num_edges());
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t].data(), seen[0].data());
+    EXPECT_EQ(seen[t].size(), seen[0].size());
+  }
+  ASSERT_GE(seen[0].size(), 2u);
+  EXPECT_EQ(seen[0].front(), 0u);
+  EXPECT_EQ(seen[0].back(), g.num_vertices());
+  EXPECT_TRUE(std::ranges::is_sorted(seen[0]));
 }
 
 // ------------------------------------------------- Registry (satellite)
