@@ -25,7 +25,8 @@
 // BENCH_obs.json; the example armed trace (one traced PageRank query
 // through the service) lands in TRACE_obs_example.json.
 //
-// Knobs: VEBO_OBS_SCALE (log2 vertices, default 18; CI smoke 14),
+// Knobs: VEBO_OBS_SCALE (log2 vertices, default 18, which CI runs too;
+// at 14 one fold takes ~0.08 ms and the budget sits inside the noise),
 // VEBO_OBS_REPS (default 7), VEBO_OBS_QUERIES (serving workload size,
 // default 20000; CI smoke 4000), VEBO_OBS_MAX_OVERHEAD_PCT (default 3).
 #include <algorithm>

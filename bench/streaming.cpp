@@ -328,7 +328,7 @@ void run_incremental(const Graph& full, std::size_t batch_size,
   }
 
   // First-query-after-publish: cache off so the measured query is the
-  // engine rebind + lazy dense-structure build plus one PR run.
+  // engine rebind plus one PR run.
   {
     stream::StreamSession session(seed);
     serve::SnapshotStore store;

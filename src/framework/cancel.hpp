@@ -14,7 +14,7 @@
 //
 // Plumbing: the caller that owns the query (serve::GraphService worker,
 // StreamSession, AlgorithmSpec::invoke) binds the context to the engine
-// for the duration of the run (Engine::bind_query_context); framework
+// for the duration of the run (Engine::ContextBinding); framework
 // entry points poll it via Engine::poll_cancellation(). checkpoint()
 // throws CancelledError / DeadlineExceededError — both vebo::Error
 // subclasses, so legacy catch sites keep working and the serving layer
@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "support/error.hpp"
 
@@ -98,7 +99,6 @@ class QueryContext {
   /// serve::GraphService).
   QueryContext& set_deadline(Clock::time_point d) {
     deadline_ = d;
-    has_deadline_ = true;
     return *this;
   }
 
@@ -117,11 +117,9 @@ class QueryContext {
     return *this;
   }
 
-  bool has_deadline() const { return has_deadline_; }
-  Clock::time_point deadline() const { return deadline_; }
   bool cancelled() const { return token_.cancelled(); }
   bool deadline_expired() const {
-    return has_deadline_ && Clock::now() >= deadline_;
+    return deadline_ && Clock::now() >= *deadline_;
   }
 
   /// The superstep poll: throws CancelledError / DeadlineExceededError
@@ -142,8 +140,7 @@ class QueryContext {
 
  private:
   CancelToken token_;
-  Clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  std::optional<Clock::time_point> deadline_;
 };
 
 }  // namespace vebo

@@ -32,11 +32,7 @@ Engine::Engine(const Graph& g, SystemModel model, EngineOptions opts)
   rebind(g, opts_.explicit_partitioning);
 }
 
-// Carve-out: rebind's quiescence contract (no concurrent edge_map or
-// dense_chunks) makes its plain resets of the lock-guarded lazy state
-// race-free without taking the build mutex.
-void Engine::rebind(const Graph& g,
-                    const order::Partitioning* part) NO_THREAD_SAFETY_ANALYSIS {
+void Engine::rebind(const Graph& g, const order::Partitioning* part) {
   VEBO_CHECK(!scratch_busy_.load(std::memory_order_acquire),
              "rebind during an active edge_map");
   graph_ = &g;
@@ -44,11 +40,6 @@ void Engine::rebind(const Graph& g,
   // one: rebind happens between queries (quiescence), so clearing here is
   // safe and makes a leaked binding impossible across epoch swaps.
   qctx_ = nullptr;
-  // rebind requires quiescence (checked above for edge_map; concurrent
-  // dense_chunks is part of the same contract), so a plain store is
-  // enough to reset the lazy dense chunk boundaries.
-  dense_chunks_ = {};
-  dense_chunks_built_.store(false, std::memory_order_release);
   // Keep options() consistent with the engine's actual partitioning:
   // after a rebind the stored pointer either names the partitioning in
   // use or is cleared.
@@ -58,14 +49,42 @@ void Engine::rebind(const Graph& g,
     partitions_ = part_.num_partitions();
     VEBO_CHECK(part_.covers(g.num_vertices()),
                "explicit partitioning does not cover the vertex set");
-    return;
+  } else {
+    partitions_ = opts_.partitions ? opts_.partitions
+                                   : default_partitions(model_);
+    if (partitions_ > 0) {
+      // Never more partitions than vertices.
+      partitions_ = std::min<VertexId>(partitions_, g.num_vertices());
+      part_ = order::partition_by_destination(g, partitions_);
+    }
   }
-  partitions_ = opts_.partitions ? opts_.partitions
-                                 : default_partitions(model_);
-  if (partitions_ > 0) {
-    // Never more partitions than vertices.
-    partitions_ = std::min<VertexId>(partitions_, g.num_vertices());
-    part_ = order::partition_by_destination(g, partitions_);
+  dense_chunks_.clear();
+  if (partitioned()) return;
+  // Edge-balanced dense chunks: enough for dynamic scheduling to absorb
+  // residual skew, few enough that per-chunk overhead stays negligible.
+  const VertexId n = g.num_vertices();
+  const std::span<const EdgeId> off = g.in_csr().offsets();
+  const VertexId T = static_cast<VertexId>(std::min<std::size_t>(
+      std::max<VertexId>(n, 1), pool().num_threads() * 8));
+  dense_chunks_.resize(T + 1);
+  dense_chunks_[0] = 0;
+  dense_chunks_[T] = n;
+  // Work measure w(v) = in_off[v] + v is strictly increasing, so each
+  // boundary is a binary search for the first destination at or past an
+  // equal share of the total (in-edges + destinations).
+  const std::uint64_t total =
+      (off.empty() ? 0 : static_cast<std::uint64_t>(off[n])) + n;
+  for (VertexId t = 1; t < T; ++t) {
+    const std::uint64_t want = total * t / T;
+    VertexId lo = 0, hi = n;
+    while (lo < hi) {
+      const VertexId mid = lo + (hi - lo) / 2;
+      if (static_cast<std::uint64_t>(off[mid]) + mid < want)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    dense_chunks_[t] = lo;
   }
 }
 
@@ -109,46 +128,6 @@ ForOptions Engine::dense_chunk_loop() const {
   o.grain = 1;
   o.serial_cutoff = 1;
   return o;
-}
-
-// Carve-out: documented double-checked locking — the acquire load of
-// dense_chunks_built_ publishes dense_chunks_ for the lock-free return.
-std::span<const VertexId> Engine::dense_chunks() const
-    NO_THREAD_SAFETY_ANALYSIS {
-  if (!dense_chunks_built_.load(std::memory_order_acquire)) {
-    MutexLock lk(dense_chunks_mutex_);
-    if (!dense_chunks_built_.load(std::memory_order_relaxed)) {
-      const VertexId n = graph_->num_vertices();
-      const std::span<const EdgeId> off = graph_->in_csr().offsets();
-      // Enough chunks for dynamic scheduling to absorb residual skew,
-      // few enough that per-chunk overhead stays negligible.
-      const VertexId T = static_cast<VertexId>(std::min<std::size_t>(
-          std::max<VertexId>(n, 1), pool().num_threads() * 8));
-      std::vector<VertexId> b(T + 1);
-      b[0] = 0;
-      b[T] = n;
-      // Work measure w(v) = in_off[v] + v is strictly increasing, so
-      // each boundary is a binary search for the first destination at or
-      // past an equal share of the total (in-edges + destinations).
-      const std::uint64_t total =
-          (off.empty() ? 0 : static_cast<std::uint64_t>(off[n])) + n;
-      for (VertexId t = 1; t < T; ++t) {
-        const std::uint64_t want = total * t / T;
-        VertexId lo = 0, hi = n;
-        while (lo < hi) {
-          const VertexId mid = lo + (hi - lo) / 2;
-          if (static_cast<std::uint64_t>(off[mid]) + mid < want)
-            lo = mid + 1;
-          else
-            hi = mid;
-        }
-        b[t] = lo;
-      }
-      dense_chunks_ = std::move(b);
-      dense_chunks_built_.store(true, std::memory_order_release);
-    }
-  }
-  return dense_chunks_;
 }
 
 Engine::ScratchLease::ScratchLease(const Engine& eng)

@@ -23,7 +23,6 @@
 #include "graph/graph.hpp"
 #include "order/partition.hpp"
 #include "parallel/parallel_for.hpp"
-#include "support/annotated_mutex.hpp"
 #include "support/bitset.hpp"
 
 namespace vebo {
@@ -49,11 +48,11 @@ struct EngineOptions {
 
 // Thread-safety: the read-only surface (graph(), partitioning(),
 // vertex_loop(), thresholds, dense_chunks()) is safe to call from
-// multiple threads on one engine; the lazy chunk build is synchronized.
-// edge_map scratch stays single-caller (ScratchLease throws on a second
-// concurrent borrower) — concurrent queries need one engine each, which
-// is what serve::EnginePool provides. rebind() requires quiescence: no
-// concurrent edge_map and no concurrent dense_chunks().
+// multiple threads on one engine: rebind() builds all of it, and nothing
+// else writes it. edge_map scratch stays single-caller (ScratchLease
+// throws on a second concurrent borrower) — concurrent queries need one
+// engine each, which is what serve::EnginePool provides. rebind()
+// requires quiescence: no concurrent call of any kind.
 class Engine {
  public:
   Engine(const Graph& g, SystemModel model, EngineOptions opts = {});
@@ -72,7 +71,8 @@ class Engine {
   /// bitset self-heals on vertex-count changes and the slot buffer is
   /// grow-only, so the PR-1 frontier invariants carry over). Pass the
   /// partitioning maintained for the new version — or nullptr to re-derive
-  /// the engine's default partitioning for the model.
+  /// the engine's default partitioning for the model. An unpartitioned
+  /// engine also gets its dense_chunks() here.
   void rebind(const Graph& g, const order::Partitioning* part = nullptr);
 
   bool partitioned() const { return partitions_ > 0; }
@@ -88,9 +88,10 @@ class Engine {
   /// scheduling on the unpartitioned Ligra model: chunk t owns
   /// destinations [b[t], b[t+1]) carrying an approximately equal share of
   /// in-edges (destination count included in the measure so edgeless id
-  /// stretches still split). Built lazily by binary search into the CSC
-  /// offset array; safe to call concurrently; reset by rebind().
-  std::span<const VertexId> dense_chunks() const;
+  /// stretches still split). Built by rebind() with a binary search into
+  /// the CSC offset array, 8 chunks per pool thread; empty on partitioned
+  /// engines, whose dense ranges are their partitions.
+  std::span<const VertexId> dense_chunks() const { return dense_chunks_; }
   /// Scheduling for loops over dense_chunks() (dynamic, chunk-per-task).
   ForOptions dense_chunk_loop() const;
 
@@ -107,12 +108,9 @@ class Engine {
                                  opts_.dense_denominator);
   }
 
-  /// Forces the lazily built dense chunk bounds to exist NOW, on the
-  /// caller's thread, so set-up can time them apart from the first dense
-  /// query, which otherwise pays the build inside its own latency. The
-  /// build is internally synchronized (see dense_chunks()), so this is
-  /// safe to run while readers query.
-  void prewarm() const { dense_chunks(); }
+  /// Nothing left to warm: rebind() builds every structure a query reads.
+  /// Kept because the end-to-end benchmark times it per model.
+  void prewarm() const {}
 
   /// Reusable claim bitset for the sparse push path. edge_map borrows it
   /// and returns it all-zero (clearing only the bits it set), so steady-
@@ -131,18 +129,15 @@ class Engine {
     return slot_scratch_.get();
   }
 
-  /// Cooperative-cancellation hook (framework/cancel.hpp): the caller
-  /// that owns the running query binds its QueryContext here for the
-  /// duration of the run; edge_map / edge_fold poll it at entry
-  /// (between supersteps, never inside the dense kernels). Same
+  /// Cooperative cancellation (framework/cancel.hpp): the caller that
+  /// owns the running query binds its QueryContext with a ContextBinding
+  /// for the duration of the run, and edge_map / edge_fold poll it here
+  /// at entry (between supersteps, never inside the dense kernels). The
+  /// poll throws CancelledError / DeadlineExceededError when the bound
+  /// context says stop; one pointer test when nothing is bound. Same
   /// single-caller discipline as the edge_map scratch: bind/poll happen
   /// on the query's thread, only the flag inside the token is cross-
-  /// thread (atomic). Cleared by rebind() and by ContextBinding.
-  void bind_query_context(const QueryContext* ctx) const { qctx_ = ctx; }
-  const QueryContext* query_context() const { return qctx_; }
-  /// The superstep poll point: throws CancelledError /
-  /// DeadlineExceededError when a bound context says stop; one pointer
-  /// test when nothing is bound.
+  /// thread (atomic). rebind() clears the binding.
   void poll_cancellation() const {
     if (qctx_ != nullptr) qctx_->checkpoint();
   }
@@ -151,9 +146,9 @@ class Engine {
   class ContextBinding {
    public:
     ContextBinding(const Engine& eng, const QueryContext& ctx) : eng_(&eng) {
-      eng_->bind_query_context(&ctx);
+      eng_->qctx_ = &ctx;
     }
-    ~ContextBinding() { eng_->bind_query_context(nullptr); }
+    ~ContextBinding() { eng_->qctx_ = nullptr; }
     ContextBinding(const ContextBinding&) = delete;
     ContextBinding& operator=(const ContextBinding&) = delete;
 
@@ -181,20 +176,12 @@ class Engine {
   EngineOptions opts_;
   VertexId partitions_ = 0;
   order::Partitioning part_;
-  /// Lazy edge-balanced chunk boundaries, written once under
-  /// dense_chunks_mutex_ then read lock-free after the acquire load of
-  /// dense_chunks_built_ (double-checked locking). The accessors carrying
-  /// the post-publication reads (dense_chunks, rebind) are the sanctioned
-  /// NO_THREAD_SAFETY_ANALYSIS carve-outs in engine.cpp; every other
-  /// access path stays checked against this GUARDED_BY.
-  mutable std::vector<VertexId> dense_chunks_ GUARDED_BY(dense_chunks_mutex_);
-  mutable std::atomic<bool> dense_chunks_built_{false};
-  mutable Mutex dense_chunks_mutex_;
+  std::vector<VertexId> dense_chunks_;  // see dense_chunks()
   mutable AtomicBitset claim_scratch_;  // lazy, see claim_scratch()
   mutable std::unique_ptr<VertexId[]> slot_scratch_;  // see slot_scratch()
   mutable std::size_t slot_capacity_ = 0;
   mutable std::atomic<bool> scratch_busy_{false};  // see ScratchLease
-  mutable const QueryContext* qctx_ = nullptr;  // see bind_query_context()
+  mutable const QueryContext* qctx_ = nullptr;  // see ContextBinding
 };
 
 }  // namespace vebo

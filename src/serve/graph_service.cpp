@@ -104,6 +104,15 @@ const algo::EdgeDelta* delta_for_hooks(const Graph& g,
   return &scratch;
 }
 
+/// True iff two epochs give every vertex the same snapshot id. The store
+/// keeps an identity permutation as nullptr, so a missing one reads as
+/// the identity.
+bool same_order(const Permutation* a, const Permutation* b) {
+  if (a != nullptr && b != nullptr) return *a == *b;
+  const Permutation* p = a != nullptr ? a : b;
+  return p == nullptr || is_identity(*p);
+}
+
 std::uint64_t payload_vertices(const algo::QueryPayload& p) {
   switch (p.kind()) {
     case algo::PayloadKind::VertexDoubles: return p.doubles().size();
@@ -332,15 +341,26 @@ std::uint64_t GraphService::publish(
   // Keep a handle on the new permutation past the moves below: the
   // refresh path re-translates payloads through it.
   const std::shared_ptr<const Permutation> perm_copy = perm;
+  const bool refresh =
+      opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr;
   {
     obs::StageScope span(obs::SpanKind::Publish);
-    const std::uint64_t prev_v = store_.version();
+    // The epoch this publish supersedes, pinned only while it is read,
+    // before the swap: the refresh path steps the cache from its version,
+    // and keeps perm-bound entries only if that epoch ordered the
+    // vertices as the new one does.
+    std::uint64_t prev_v = 0;
+    bool perm_stable = false;
+    if (refresh) {
+      const SnapshotRef prev = store_.acquire();
+      prev_v = prev.version();
+      perm_stable = same_order(prev.perm(), perm.get());
+    }
     v = store_.publish(std::move(graph), std::move(partitioning),
                        std::move(perm));
     const CacheTurnover turnover =
-        opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr
-            ? refresh_cache(prev_v, v, *delta, perm_copy)
-            : invalidate_cache();
+        refresh ? refresh_cache(prev_v, v, *delta, perm_copy, perm_stable)
+                : invalidate_cache();
     if (span.live()) {
       span.span().a = v;
       span.span().b = turnover.refreshed;
@@ -539,12 +559,9 @@ void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
     const std::uint64_t before = cache_.evictions();
     if (cache_version_ < q.snap.version()) {
       // First entry for a new epoch (or a publish raced us): start a
-      // fresh cache generation. Whatever opened this epoch (a wipe, or a
-      // publish straight into the store) recorded no permutation for it;
-      // a later refresh must assume it changed.
+      // fresh cache generation.
       cache_.clear();
       cache_version_ = q.snap.version();
-      cache_perm_known_ = false;
     }
     // An older-epoch result is simply not cached: it must never
     // resurrect entries for a superseded graph.
@@ -678,8 +695,6 @@ GraphService::CacheTurnover GraphService::invalidate_cache() {
     // Leave cache_version_ behind the store version; the next miss
     // brings the generation forward.
     if (wiped != 0) cache_.clear();
-    // This path records no permutation for the generation it opened.
-    cache_perm_known_ = false;
   }
   if (wiped != 0) {
     MutexLock slk(stats_mutex_);
@@ -691,14 +706,13 @@ GraphService::CacheTurnover GraphService::invalidate_cache() {
 GraphService::CacheTurnover GraphService::refresh_cache(
     std::uint64_t prev_version, std::uint64_t new_version,
     const algo::EdgeDelta& delta,
-    const std::shared_ptr<const Permutation>& perm) {
+    const std::shared_ptr<const Permutation>& perm, bool perm_stable) {
   // Phase A (cache lock): drain the live generation and open the new
   // one. The generation advances EAGERLY — a concurrent miss computed
   // against the new epoch must land in the new generation, and the
   // reinserts below must find it current.
   std::vector<std::pair<CacheKey, ResultCache::Value>> drained;
   bool stepping = false;
-  bool perm_stable = false;
   {
     MutexLock lk(cache_mutex_);
     // A lagging or bypassed generation (version mismatch) holds entries
@@ -706,13 +720,7 @@ GraphService::CacheTurnover GraphService::refresh_cache(
     // can only be dropped.
     stepping = cache_version_ == prev_version;
     drained = cache_.drain();
-    perm_stable = cache_perm_known_ &&
-                  ((cache_perm_ == nullptr && perm == nullptr) ||
-                   (cache_perm_ != nullptr && perm != nullptr &&
-                    *cache_perm_ == *perm));
     if (new_version > cache_version_) cache_version_ = new_version;
-    cache_perm_ = perm;
-    cache_perm_known_ = true;
   }
   const std::size_t live_before = drained.size();
 

@@ -476,11 +476,16 @@ class GraphService {
   /// reinserts the results unread, in the old LRU order, keyed to
   /// `new_version`. Unread, hook-less and failed entries are dropped
   /// (counted as one invalidation if any). `delta` is in ORIGINAL ids;
-  /// `perm` is the newly published permutation.
+  /// `perm` is the newly published permutation. `prev_version` and
+  /// `perm_stable` describe the epoch the publish superseded, as the
+  /// store held it: a generation cached for that version steps forward,
+  /// and its refresh_needs_stable_perm entries are refreshed only when
+  /// that epoch's permutation equals `perm` (publish compares them).
   CacheTurnover refresh_cache(std::uint64_t prev_version,
                               std::uint64_t new_version,
                               const algo::EdgeDelta& delta,
-                              const std::shared_ptr<const Permutation>& perm)
+                              const std::shared_ptr<const Permutation>& perm,
+                              bool perm_stable)
       EXCLUDES(cache_mutex_, stats_mutex_);
   /// Emits every service/cache/pool/snapshot stat as metric samples
   /// (the collector registered when options.metrics is set).
@@ -508,15 +513,6 @@ class GraphService {
   mutable Mutex cache_mutex_;
   std::uint64_t cache_version_ GUARDED_BY(cache_mutex_) = 0;
   ResultCache cache_ GUARDED_BY(cache_mutex_);
-  /// The permutation the live generation's payloads were translated
-  /// under, tracked so refresh can tell a perm-preserving publish from a
-  /// re-permuting one (refresh_needs_stable_perm hooks only survive the
-  /// former). `known` goes false whenever the cache generation advances
-  /// through a path that does not record the perm (the lazy epoch catch-
-  /// up in process()) — conservative: unknown perm means "assume it
-  /// changed".
-  std::shared_ptr<const Permutation> cache_perm_ GUARDED_BY(cache_mutex_);
-  bool cache_perm_known_ GUARDED_BY(cache_mutex_) = false;
 
   /// Lock order: the ledger nests stats_mutex_ INSIDE queue_mutex_
   /// (submit counts admission before a worker can pop the item); nothing

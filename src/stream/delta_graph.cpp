@@ -18,34 +18,35 @@ bool sorted_contains(const std::vector<VertexId>& xs, VertexId w) {
   return std::binary_search(xs.begin(), xs.end(), w);
 }
 
-/// Rebuilds one vertex's delta lists by a single linear merge with a
-/// sorted run of canonical updates (indices [lo, hi); `value(i)` extracts
-/// the strictly-ascending neighbor id). `effect_of(i, in_base, in_adds,
-/// in_dels)` returns the liveness effect of update i (+1 edge becomes
-/// live, -1 becomes dead, 0 no-op); the list mutation is fully determined
-/// by it: +1 drops a tombstone (base edge) or appends an add, -1 appends
-/// a tombstone or drops an add. Linear in |adds| + |dels| + |run| plus a
-/// base binary search per update — a hub absorbing a whole batch stays
-/// O(batch), not quadratic. Returns the net degree delta.
-template <typename ValueFn, typename EffectFn>
+/// Rebuilds one source's delta lists by a single linear merge with its
+/// sorted run of canonical updates (strictly ascending dst). The liveness
+/// effect of each update (+1 edge becomes live, -1 becomes dead, 0 no-op)
+/// goes to the matching slot of `effect`, and the list mutation is fully
+/// determined by it: +1 drops a tombstone (base edge) or appends an add,
+/// -1 appends a tombstone or drops an add. Linear in |adds| + |dels| +
+/// |run| plus a base binary search per update — a hub absorbing a whole
+/// batch stays O(batch), not quadratic. Returns the net degree delta.
 std::int64_t merge_apply_block(std::span<const VertexId> base,
                                std::vector<VertexId>& adds,
-                               std::vector<VertexId>& dels, std::uint32_t lo,
-                               std::uint32_t hi, ValueFn value,
-                               EffectFn effect_of) {
+                               std::vector<VertexId>& dels,
+                               std::span<const EdgeUpdate> run,
+                               std::span<std::int8_t> effect) {
   std::vector<VertexId> new_adds, new_dels;
-  new_adds.reserve(adds.size() + (hi - lo));
-  new_dels.reserve(dels.size() + (hi - lo));
+  new_adds.reserve(adds.size() + run.size());
+  new_dels.reserve(dels.size() + run.size());
   std::size_t ia = 0, id = 0;
   std::int64_t delta = 0;
-  for (std::uint32_t i = lo; i < hi; ++i) {
-    const VertexId w = value(i);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const VertexId w = run[i].dst;
     while (ia < adds.size() && adds[ia] < w) new_adds.push_back(adds[ia++]);
     while (id < dels.size() && dels[id] < w) new_dels.push_back(dels[id++]);
     const bool in_adds = ia < adds.size() && adds[ia] == w;
     const bool in_dels = id < dels.size() && dels[id] == w;
     const bool in_base = row_contains(base, w);
-    const std::int8_t e = effect_of(i, in_base, in_adds, in_dels);
+    const bool live = in_base ? !in_dels : in_adds;
+    const std::int8_t e = run[i].kind == UpdateKind::Insert ? (live ? 0 : 1)
+                                                           : (live ? -1 : 0);
+    effect[i] = e;
     if (in_adds) {
       ++ia;
       if (!(e < 0 && !in_base)) new_adds.push_back(w);  // else: drop add
@@ -73,14 +74,12 @@ DeltaGraph::DeltaGraph(const Graph& base)
       directed_(base.directed()),
       base_n_(base.num_vertices()),
       base_out_(base.out_csr()),
-      base_in_(base.in_csr()),
       out_blocks_(n_),
-      in_blocks_(n_),
       out_deg_(n_),
       in_deg_(n_) {
   for (VertexId v = 0; v < n_; ++v) {
     out_deg_[v] = base_out_.degree(v);
-    in_deg_[v] = base_in_.degree(v);
+    in_deg_[v] = base.in_degree(v);
   }
 }
 
@@ -89,14 +88,13 @@ DeltaGraph::DeltaGraph(VertexId n, bool directed)
       directed_(directed),
       base_n_(0),
       out_blocks_(n),
-      in_blocks_(n),
       out_deg_(n, 0),
       in_deg_(n, 0) {}
 
 bool DeltaGraph::has_edge(VertexId u, VertexId v) const {
   if (u >= n_ || v >= n_) return false;
   const Block& b = out_blocks_[u];
-  if (row_contains(base_row(base_out_, u), v))
+  if (row_contains(base_row(u), v))
     return !sorted_contains(b.dels, v);
   return sorted_contains(b.adds, v);
 }
@@ -104,7 +102,6 @@ bool DeltaGraph::has_edge(VertexId u, VertexId v) const {
 void DeltaGraph::grow_to(VertexId n) {
   if (n <= n_) return;
   out_blocks_.resize(n);
-  in_blocks_.resize(n);
   out_deg_.resize(n, 0);
   in_deg_.resize(n, 0);
   n_ = n;
@@ -170,9 +167,9 @@ ApplyResult DeltaGraph::apply_batch(std::span<const EdgeUpdate> batch) {
   src_group_begin.push_back(static_cast<std::uint32_t>(canon.size()));
 
   // Out-direction pass: each touched source's block is rebuilt by one
-  // worker; the liveness effect of every canonical update (+1 edge became
-  // live, -1 edge became dead, 0 no-op) is recorded so the in-direction
-  // pass and the degree/count bookkeeping agree with it exactly.
+  // worker, which records the liveness effect of every canonical update
+  // (+1 edge became live, -1 edge became dead, 0 no-op) so the in-degree
+  // fold and the count bookkeeping agree with it exactly.
   std::vector<std::int8_t> effect(canon.size(), 0);
   std::vector<std::int64_t> block_growth(src_group_begin.size() - 1, 0);
   parallel_for(0, src_group_begin.size() - 1, [&](std::size_t gi) {
@@ -182,62 +179,27 @@ ApplyResult DeltaGraph::apply_batch(std::span<const EdgeUpdate> batch) {
     const auto before =
         static_cast<std::int64_t>(b.adds.size() + b.dels.size());
     const std::int64_t delta = merge_apply_block(
-        base_row(base_out_, u), b.adds, b.dels, lo, hi,
-        [&](std::uint32_t i) { return canon[i].dst; },
-        [&](std::uint32_t i, bool in_base, bool in_adds, bool in_dels) {
-          std::int8_t e;
-          if (canon[i].kind == UpdateKind::Insert)
-            e = in_base ? (in_dels ? 1 : 0) : (in_adds ? 0 : 1);
-          else
-            e = in_base ? (in_dels ? 0 : -1) : (in_adds ? -1 : 0);
-          effect[i] = e;
-          return e;
-        });
+        base_row(u), b.adds, b.dels,
+        std::span<const EdgeUpdate>(canon).subspan(lo, hi - lo),
+        std::span<std::int8_t>(effect).subspan(lo, hi - lo));
     out_deg_[u] = static_cast<EdgeId>(
         static_cast<std::int64_t>(out_deg_[u]) + delta);
     block_growth[gi] =
         static_cast<std::int64_t>(b.adds.size() + b.dels.size()) - before;
   });
 
-  // In-direction pass: mirror only the updates that took effect into the
-  // destination blocks, so CSR and CSC stay views of the same edge set.
-  std::vector<std::uint32_t> by_dst(canon.size());
-  for (std::uint32_t i = 0; i < canon.size(); ++i) by_dst[i] = i;
-  std::sort(by_dst.begin(), by_dst.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (canon[a].dst != canon[b].dst)
-                return canon[a].dst < canon[b].dst;
-              return canon[a].src < canon[b].src;
-            });
-  std::vector<std::uint32_t> dst_group_begin;
-  for (std::uint32_t i = 0; i < by_dst.size(); ++i)
-    if (i == 0 || canon[by_dst[i]].dst != canon[by_dst[i - 1]].dst)
-      dst_group_begin.push_back(i);
-  dst_group_begin.push_back(static_cast<std::uint32_t>(by_dst.size()));
-
-  std::vector<std::pair<VertexId, std::int64_t>> dst_delta(
-      dst_group_begin.size() - 1);
-  parallel_for(0, dst_group_begin.size() - 1, [&](std::size_t gi) {
-    const std::uint32_t lo = dst_group_begin[gi], hi = dst_group_begin[gi + 1];
-    const VertexId v = canon[by_dst[lo]].dst;
-    Block& b = in_blocks_[v];
-    const std::int64_t delta = merge_apply_block(
-        base_row(base_in_, v), b.adds, b.dels, lo, hi,
-        [&](std::uint32_t i) { return canon[by_dst[i]].src; },
-        [&](std::uint32_t i, bool, bool, bool) {
-          return effect[by_dst[i]];
-        });
-    in_deg_[v] = static_cast<EdgeId>(
-        static_cast<std::int64_t>(in_deg_[v]) + delta);
-    dst_delta[gi] = {v, delta};
-  });
-
+  // The effective arcs, and their (dst, +-1) pairs for the in-degree
+  // fold: sorted by destination and summed per destination, zero sums
+  // dropped, so `in_degree_delta` lists each changed vertex once in
+  // ascending order (the order vebo_refine's dirty list takes them in).
+  std::vector<std::pair<VertexId, std::int64_t>> by_dst;
   for (std::size_t i = 0; i < effect.size(); ++i) {
+    if (effect[i] == 0) continue;
+    by_dst.push_back({canon[i].dst, effect[i]});
     if (effect[i] > 0) {
       ++res.inserted;
       res.inserted_edges.push_back({canon[i].src, canon[i].dst});
-    }
-    if (effect[i] < 0) {
+    } else {
       ++res.removed;
       res.removed_edges.push_back({canon[i].src, canon[i].dst});
     }
@@ -245,8 +207,17 @@ ApplyResult DeltaGraph::apply_batch(std::span<const EdgeUpdate> batch) {
   m_ = static_cast<EdgeId>(static_cast<std::int64_t>(m_) +
                            static_cast<std::int64_t>(res.inserted) -
                            static_cast<std::int64_t>(res.removed));
-  for (const auto& [v, d] : dst_delta)
-    if (d != 0) res.in_degree_delta.push_back({v, d});
+  std::sort(by_dst.begin(), by_dst.end());
+  for (std::size_t i = 0; i < by_dst.size();) {
+    const VertexId v = by_dst[i].first;
+    std::int64_t d = 0;
+    for (; i < by_dst.size() && by_dst[i].first == v; ++i)
+      d += by_dst[i].second;
+    if (d == 0) continue;
+    in_deg_[v] =
+        static_cast<EdgeId>(static_cast<std::int64_t>(in_deg_[v]) + d);
+    res.in_degree_delta.push_back({v, d});
+  }
 
   // Pending-delta gauge: net growth of the touched out-direction blocks.
   std::int64_t dd = 0;
@@ -255,23 +226,6 @@ ApplyResult DeltaGraph::apply_batch(std::span<const EdgeUpdate> batch) {
                                      dd);
 
   return res;
-}
-
-Csr DeltaGraph::merged_csr(const Csr& base, const std::vector<Block>& blocks,
-                           const std::vector<EdgeId>& deg) const {
-  const VertexId n = n_;
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
-  const EdgeId total =
-      n == 0 ? 0 : exclusive_scan(deg.data(), offsets.data(), n);
-  offsets[n] = total;
-  std::vector<VertexId> neighbors(total);
-  parallel_for(0, n, [&](std::size_t v) {
-    EdgeId e = offsets[v];
-    merge_row(base_row(base, static_cast<VertexId>(v)), blocks[v].adds,
-              blocks[v].dels, [&](VertexId w) { neighbors[e++] = w; });
-    VEBO_ASSERT(e == offsets[v + 1]);
-  });
-  return Csr(std::move(offsets), std::move(neighbors));
 }
 
 Graph DeltaGraph::snapshot(std::span<const VertexId> perm) const {
@@ -286,13 +240,22 @@ Graph DeltaGraph::snapshot() const {
 }
 
 void DeltaGraph::compact() {
-  // Merge each direction straight into the new base — no COO build and
-  // no copy of the freshly merged arrays.
-  base_out_ = merged_csr(base_out_, out_blocks_, out_deg_);
-  base_in_ = merged_csr(base_in_, in_blocks_, in_deg_);
+  // Merge the blocks straight into the new base — no COO build and no
+  // copy of the freshly merged arrays.
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n_) + 1, 0);
+  const EdgeId total =
+      n_ == 0 ? 0 : exclusive_scan(out_deg_.data(), offsets.data(), n_);
+  offsets[n_] = total;
+  std::vector<VertexId> neighbors(total);
+  parallel_for(0, n_, [&](std::size_t v) {
+    EdgeId e = offsets[v];
+    for_each_out(static_cast<VertexId>(v),
+                 [&](VertexId w) { neighbors[e++] = w; });
+    VEBO_ASSERT(e == offsets[v + 1]);
+  });
+  base_out_ = Csr(std::move(offsets), std::move(neighbors));
   base_n_ = n_;
   out_blocks_.assign(n_, {});
-  in_blocks_.assign(n_, {});
   delta_edges_ = 0;
 }
 

@@ -1,15 +1,18 @@
 // DeltaGraph: the mutable adjacency layer of the streaming subsystem.
 //
-// Layout follows the LSGraph/LiveGraph-style batched-CSR-delta shape: a
-// frozen base CSR/CSC pair plus per-vertex delta blocks. Each block holds
-// two sorted lists — `adds` (live edges not in the base) and `dels`
-// (tombstones over base edges) — so the live adjacency of v is
-//   (base_row(v) \ dels(v)) ∪ adds(v),
+// Layout follows the LSGraph/LiveGraph-style batched-CSR-delta shape, in
+// one direction: a frozen base CSR plus per-source delta blocks. Each
+// block holds two sorted lists — `adds` (live edges not in the base) and
+// `dels` (tombstones over base edges) — so the live out-row of u is
+//   (base_row(u) \ dels(u)) ∪ adds(u),
 // with the invariants adds ∩ base = ∅, dels ⊆ base, adds ∩ dels = ∅.
+// The in-side keeps one fact, the live in-degree of every vertex, which
+// is all VEBO places vertices by (Algorithm 2); it is folded from the
+// same per-update effects that rebuild the out-rows.
 //
 // `apply_batch` ingests a span of EdgeUpdates in O(B log B) for the batch
-// dedup sort plus O(touched-vertex delta blocks) for the parallel
-// per-vertex merges — it never rebuilds the base. `snapshot(perm)` turns
+// dedup sort plus O(touched-source delta blocks) for the parallel
+// per-source merges — it never rebuilds the base. `snapshot(perm)` turns
 // base+deltas into an immutable, relabelled `Graph` (CSR + CSC + COO) in
 // O(n + m) without a comparison sort (permute_rows: one scatter of the
 // live out-rows, one transpose), so every engine and algorithm runs
@@ -32,7 +35,8 @@ namespace vebo::stream {
 
 class DeltaGraph {
  public:
-  /// Starts from an immutable base graph (copies its CSR/CSC).
+  /// Starts from an immutable base graph (copies its CSR, reads its
+  /// in-degrees).
   explicit DeltaGraph(const Graph& base);
   /// Starts empty with n vertices.
   explicit DeltaGraph(VertexId n, bool directed = true);
@@ -51,7 +55,7 @@ class DeltaGraph {
   /// True iff (u, v) is live (base minus tombstones plus additions).
   bool has_edge(VertexId u, VertexId v) const;
 
-  /// Pending delta volume: adds + tombstones over out-direction blocks.
+  /// Pending delta volume: adds + tombstones over all delta blocks.
   /// Grows with churn until `compact()` folds deltas into a new base.
   EdgeId delta_edges() const { return delta_edges_; }
 
@@ -60,7 +64,8 @@ class DeltaGraph {
   /// grow the graph. On an undirected graph each update is mirrored to
   /// both orientations (matching the `symmetrize` invariant), and the
   /// returned counts include both. Returns what actually changed —
-  /// including the per-vertex in-degree deltas the rebalancer consumes.
+  /// including the per-vertex in-degree deltas the rebalancer consumes,
+  /// in ascending destination order with no zero entries.
   ApplyResult apply_batch(std::span<const EdgeUpdate> batch);
 
   /// The live graph relabelled by `perm` (new_id = perm[old_id]) as an
@@ -71,33 +76,27 @@ class DeltaGraph {
   /// The live graph in original ids: snapshot(identity).
   Graph snapshot() const;
 
-  /// Folds all delta blocks into a fresh base (equivalent to rebuilding
-  /// from `snapshot()`); clears every block. Call when `delta_edges()`
-  /// grows past the point where merge overhead hurts traversal.
+  /// Folds all delta blocks into a fresh base CSR (parallel per-source
+  /// merges; equivalent to rebuilding from `snapshot()`) and clears every
+  /// block. Call when `delta_edges()` grows past the point where merge
+  /// overhead hurts traversal.
   void compact();
 
   /// Calls `fn(w)` for every live out-neighbor w of v, ascending.
   template <typename Fn>
   void for_each_out(VertexId v, Fn&& fn) const {
-    merge_row(base_row(base_out_, v), out_blocks_[v].adds, out_blocks_[v].dels,
-              fn);
-  }
-  /// Calls `fn(w)` for every live in-neighbor w of v, ascending.
-  template <typename Fn>
-  void for_each_in(VertexId v, Fn&& fn) const {
-    merge_row(base_row(base_in_, v), in_blocks_[v].adds, in_blocks_[v].dels,
-              fn);
+    merge_row(base_row(v), out_blocks_[v].adds, out_blocks_[v].dels, fn);
   }
 
  private:
-  /// Sorted delta lists for one vertex in one direction.
+  /// Sorted delta lists for one source.
   struct Block {
     std::vector<VertexId> adds;
     std::vector<VertexId> dels;
   };
 
-  std::span<const VertexId> base_row(const Csr& csr, VertexId v) const {
-    return v < base_n_ ? csr.neighbors(v) : std::span<const VertexId>{};
+  std::span<const VertexId> base_row(VertexId v) const {
+    return v < base_n_ ? base_out_.neighbors(v) : std::span<const VertexId>{};
   }
 
   template <typename Fn>
@@ -124,19 +123,13 @@ class DeltaGraph {
   }
 
   void grow_to(VertexId n);
-  /// Compacts one direction's base + delta blocks into a fresh Csr
-  /// (parallel per-vertex merges) for compact().
-  Csr merged_csr(const Csr& base, const std::vector<Block>& blocks,
-                 const std::vector<EdgeId>& deg) const;
 
   VertexId n_ = 0;
   EdgeId m_ = 0;
   bool directed_ = true;
-  VertexId base_n_ = 0;  ///< vertex count the base CSRs were built for
+  VertexId base_n_ = 0;  ///< vertex count the base CSR was built for
   Csr base_out_;
-  Csr base_in_;
   std::vector<Block> out_blocks_;  ///< indexed by source
-  std::vector<Block> in_blocks_;   ///< indexed by destination
   std::vector<EdgeId> out_deg_;
   std::vector<EdgeId> in_deg_;
   EdgeId delta_edges_ = 0;

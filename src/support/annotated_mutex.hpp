@@ -1,30 +1,26 @@
 // Clang thread-safety-analysis aware mutex wrappers (PR 9).
 //
-// Every mutex in the repo is a vebo::Mutex (or vebo::SharedMutex), every
-// lock scope a vebo::MutexLock / vebo::SharedLock, and every lock-guarded
-// member carries GUARDED_BY — so `clang++ -Wthread-safety -Werror` turns
-// the ROADMAP's prose lock discipline ("collectors snapshot under the
-// component's own locks", "every ledger transition happens in one
-// stats-mutex critical section") into compile errors. Under GCC, or any
-// compiler without the capability attributes, every macro below expands
-// to nothing and the wrappers compile down to the std types they hold:
-// zero code, zero data, zero cost in the release build (the
-// bench_obs_overhead budget covers this).
+// Every mutex in the repo is a vebo::Mutex, every lock scope a
+// vebo::MutexLock, and every lock-guarded member carries GUARDED_BY — so
+// `clang++ -Wthread-safety -Werror` turns the ROADMAP's prose lock
+// discipline ("collectors snapshot under the component's own locks",
+// "every ledger transition happens in one stats-mutex critical section")
+// into compile errors. Under GCC, or any compiler without the capability
+// attributes, every macro below expands to nothing and the wrappers
+// compile down to the std types they hold: zero code, zero data, zero
+// cost in the release build (the bench_obs_overhead budget covers this).
 //
-// The only sanctioned escapes are:
-//  * NO_THREAD_SAFETY_ANALYSIS on the documented double-checked-locking
-//    fast path (Engine::dense_chunks) and the quiescence-contract writer
-//    (Engine::rebind) — each carries a one-line justification at the
-//    site;
-//  * lock-free structures (atomics, the per-thread span rings), which
-//    have no capability to annotate in the first place.
+// There is no analysis carve-out: no function opts out of the check,
+// and this header defines no macro to do so — a future exception has to
+// add one here, in plain sight, with its justification at the site.
+// Lock-free structures (atomics, the per-thread span rings) have no
+// capability to annotate in the first place.
 //
 // vebo_lint.py rule `raw-mutex` keeps new code honest: the std mutex and
 // lock tokens may appear in this header only.
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 // ------------------------------------------------ annotation macros
 // The standard capability-attribute macro set (the clang documentation's
@@ -48,27 +44,15 @@
   VEBO_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   VEBO_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  VEBO_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) VEBO_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  VEBO_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) VEBO_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  VEBO_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define RELEASE_GENERIC(...) \
   VEBO_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   VEBO_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  VEBO_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) VEBO_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) VEBO_THREAD_ANNOTATION(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  VEBO_THREAD_ANNOTATION(assert_shared_capability(x))
 #define RETURN_CAPABILITY(x) VEBO_THREAD_ANNOTATION(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS \
-  VEBO_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace vebo {
 
@@ -95,28 +79,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// std::shared_mutex with the capability split into exclusive/shared.
-class CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { m_.lock(); }
-  void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { m_.unlock_shared(); }
-  bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
-  std::shared_mutex& native() { return m_; }
-
- private:
-  std::shared_mutex m_;
-};
-
 // --------------------------------------------------- scoped lock guards
 
 /// RAII exclusive lock over a Mutex. Holds a std::unique_lock so
@@ -141,34 +103,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lk_;
-};
-
-/// RAII exclusive lock over a SharedMutex (writer side).
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& m) ACQUIRE(m) : m_(m) { m_.lock(); }
-  ~WriterLock() RELEASE() { m_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& m_;
-};
-
-/// RAII shared lock over a SharedMutex (reader side).
-class SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& m) ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  ~SharedLock() RELEASE() { m_.unlock_shared(); }
-
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  SharedMutex& m_;
 };
 
 }  // namespace vebo

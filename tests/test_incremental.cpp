@@ -2,7 +2,8 @@
 // edge-delta accumulator, the per-algorithm AlgorithmSpec::refresh hooks
 // (warm-start == from-scratch, the central contract), and the serving
 // layer's refresh-on-publish cache path — equivalence across system
-// models and across a re-permuting publish, refresh following reads, the
+// models and across a re-permuting publish, a perm-bound entry opened by
+// a miss after a delta-free publish, refresh following reads, the
 // fan-out matching serial hooks, the delta-size fallback, and the whole
 // path under injected faults.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -443,6 +445,48 @@ TEST(RefreshOnPublish, RePermutingPublishDropsPermBoundEntriesOnly) {
   const QueryResult got = service.query(q);
   EXPECT_FALSE(got.cache_hit);
   EXPECT_EQ(got.payload->doubles(), session.query_typed("BF").doubles());
+}
+
+TEST(RefreshOnPublish, PermBoundEntryRefreshesAfterADeltaFreePublish) {
+  // A publish without a delta refreshes nothing and leaves the cache
+  // generation behind; the client miss that opens the generation later
+  // knows nothing of the permutation. The next delta publish must still
+  // see that the order held, since the store keeps every epoch's
+  // permutation, and refresh BF instead of dropping it.
+  const Graph base = gen::rmat(9, 6, 509);
+  StreamSession session(base);
+  SnapshotStore store;
+  GraphService service(store, refresh_service(SystemModel::Polymer));
+  const auto perm = [&] {
+    return std::make_shared<const Permutation>(
+        session.maintainer().ordering().perm);
+  };
+  session.drain_delta();
+  service.publish(session.shared_snapshot(),
+                  session.maintainer().partitioning(), perm());
+
+  Query q("BF");
+  q.result = ResultKind::Payload;
+  EXPECT_FALSE(service.query(q).cache_hit);
+
+  const Permutation before = session.maintainer().ordering().perm;
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(1, 2)});
+  ASSERT_EQ(session.maintainer().ordering().perm, before)
+      << "one edge must not trigger a rebalance";
+  const EdgeDelta delta = session.drain_delta();
+  ASSERT_EQ(delta.inserted.size(), 1u);
+  service.publish(session.shared_snapshot(),
+                  session.maintainer().partitioning(), perm(), &delta);
+  EXPECT_EQ(refresh_count(service, "BF"), 1u);
+
+  const QueryResult got = service.query(q);
+  EXPECT_TRUE(got.cache_hit);
+  ASSERT_NE(got.payload, nullptr);
+  const QueryPayload want = session.query_typed("BF");
+  ASSERT_EQ(got.payload->doubles().size(), want.doubles().size());
+  EXPECT_EQ(std::memcmp(got.payload->doubles().data(), want.doubles().data(),
+                        want.doubles().size() * sizeof(double)),
+            0);
 }
 
 TEST(RefreshOnPublish, RefreshFollowsReads) {

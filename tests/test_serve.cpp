@@ -350,9 +350,9 @@ TEST(EnginePool, ParallelQueriesProduceSerialAnswers) {
 
 // ------------------------------------------- Engine sharing (satellite)
 
-// Threads touching one engine's lazy dense chunk bounds must not
-// double-build or observe a half-built structure (the double-checked
-// build's race is what the TSan job would flag).
+// Threads reading one engine's dense chunk bounds, which rebind built
+// before any of them started, all see the same complete structure (the
+// TSan job runs this at real parallelism).
 TEST(EngineSharing, ConcurrentDenseChunksBuildIsSafe) {
   const Graph g = gen::rmat(10, 6, 81);
   const Engine eng(g, SystemModel::Ligra);

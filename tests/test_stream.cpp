@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -75,6 +76,26 @@ void expect_snapshot_equals(const DeltaGraph& dg, VertexId n,
     ASSERT_EQ(dg.out_degree(v), ref.out.degree(v)) << "v=" << v;
     ASSERT_EQ(dg.in_degree(v), ref.in.degree(v)) << "v=" << v;
   }
+}
+
+/// The one in-side fact a DeltaGraph keeps, after `applied`: the live
+/// in-degrees equal the oracle's in-counts over `live`, and
+/// `applied.in_degree_delta` is their change since `before` — each
+/// changed vertex once, strictly ascending, no zero entries.
+void expect_in_degrees(const DeltaGraph& dg, const EdgeSet& live,
+                       const std::vector<EdgeId>& before,
+                       const ApplyResult& applied) {
+  std::vector<EdgeId> want(dg.num_vertices(), 0);
+  for (const auto& [s, d] : live) ++want[d];
+  ASSERT_EQ(dg.in_degrees(), want);
+  std::vector<std::pair<VertexId, std::int64_t>> changed;
+  for (VertexId v = 0; v < want.size(); ++v) {
+    const auto was =
+        static_cast<std::int64_t>(v < before.size() ? before[v] : 0);
+    const std::int64_t d = static_cast<std::int64_t>(want[v]) - was;
+    if (d != 0) changed.push_back({v, d});
+  }
+  EXPECT_EQ(applied.in_degree_delta, changed);
 }
 
 // ----------------------------------------------------------- DeltaGraph
@@ -205,6 +226,8 @@ TEST(DeltaGraph, UndirectedUpdatesMirrorBothOrientations) {
   const Graph base = Graph::from_edges(el);
   ASSERT_FALSE(base.directed());
   DeltaGraph dg(base);
+  EdgeSet live{{0, 1}, {1, 0}, {1, 2}, {2, 1}};
+  std::vector<EdgeId> before = dg.in_degrees();
 
   // One orientation in the update; both live afterwards.
   const ApplyResult r =
@@ -212,11 +235,18 @@ TEST(DeltaGraph, UndirectedUpdatesMirrorBothOrientations) {
   EXPECT_EQ(r.inserted, 2u);
   EXPECT_TRUE(dg.has_edge(2, 3));
   EXPECT_TRUE(dg.has_edge(3, 2));
+  live.insert({{2, 3}, {3, 2}});
+  expect_in_degrees(dg, live, before, r);
+  before = dg.in_degrees();
 
   // Removing either orientation kills both.
-  dg.apply_batch(std::vector<EdgeUpdate>{EdgeUpdate::remove(1, 0)});
+  const ApplyResult r2 =
+      dg.apply_batch(std::vector<EdgeUpdate>{EdgeUpdate::remove(1, 0)});
   EXPECT_FALSE(dg.has_edge(0, 1));
   EXPECT_FALSE(dg.has_edge(1, 0));
+  live.erase({0, 1});
+  live.erase({1, 0});
+  expect_in_degrees(dg, live, before, r2);
 
   // The snapshot keeps the undirected invariant: out == in everywhere.
   const Graph snap = dg.snapshot();
@@ -231,8 +261,10 @@ TEST(DeltaGraph, UndirectedUpdatesMirrorBothOrientations) {
 }
 
 // Property: after N random insert/delete batches, some of which grow the
-// vertex set, every snapshot is byte-identical to the sort-based oracle
-// over the live edge set (the streaming acceptance property).
+// vertex set and some of which follow a compaction, every snapshot is
+// byte-identical to the sort-based oracle over the live edge set (the
+// streaming acceptance property), and every batch leaves the oracle's
+// in-degrees and reports their change.
 TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
   const VertexId n0 = 120;
   const int kBatches = 25, kBatchSize = 60;
@@ -242,6 +274,7 @@ TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
   VertexId n = n0;
 
   for (int b = 0; b < kBatches; ++b) {
+    SCOPED_TRACE(b);
     // Every third batch reaches a few ids past the current vertex count.
     const VertexId span = n + (b % 3 == 2 ? 4 : 0);
     std::vector<EdgeUpdate> batch;
@@ -260,9 +293,12 @@ TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
       else
         ref.erase({s, d});
     }
-    dg.apply_batch(batch);
+    const std::vector<EdgeId> before = dg.in_degrees();
+    const ApplyResult applied = dg.apply_batch(batch);
     ASSERT_EQ(dg.num_edges(), ref.size()) << "batch " << b;
+    expect_in_degrees(dg, ref, before, applied);
     if (b % 5 == 4) expect_snapshot_equals(dg, n, ref);
+    if (b % 4 == 3) dg.compact();
   }
   EXPECT_GT(n, n0);
   expect_snapshot_equals(dg, n, ref);
