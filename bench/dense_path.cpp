@@ -2,25 +2,25 @@
 // edgemap iteration as a function of frontier density, old vs new.
 //
 // The pre-PR dense path probed the frontier bitset once per edge even
-// when the frontier was complete, allocated and atomically populated an
-// output bitset even when the caller discards the result frontier, and
-// vertex-chunked the unpartitioned destination loop. The flag-driven
-// pipeline removes each cost when it is not needed:
+// when the frontier was complete, atomically populated its output bitset,
+// and vertex-chunked the unpartitioned destination loop. The current
+// pipeline removes each cost:
 //   * complete frontier  -> CompleteProbe (no per-edge membership load),
-//   * kNoOutput          -> NullSink (no output bitset at all),
 //   * striped output     -> plain stores instead of atomic RMWs,
-//   * edge-balanced CSC chunks instead of vertex chunks.
+//   * edge-balanced CSC chunks instead of vertex chunks,
+//   * edge_fold          -> register accumulation, no output frontier.
 //
 // For each graph (rmat, powerlaw) and >= 3 frontier densities we time a
 // PageRank-delta-style dense iteration (contribution fold + activation)
 //   * through a faithful replica of the pre-PR pull path (per-edge
-//     probe, atomic output bitset, vertex-chunked), and
-//   * through the new edge_map (flagged), with and without kNoOutput,
-// plus a per-flag breakdown at the complete-frontier point and the
+//     probe, atomic output bitset, vertex-chunked),
+//   * through edge_map's pull, and
+//   * through edge_fold,
+// plus a per-cost breakdown at the complete-frontier point and the
 // end-to-end PageRank iteration time old vs new. Results land in
 // BENCH_dense.json; the headline acceptance point is the complete-
 // frontier PageRank-style iteration, old probing/atomic pull vs the
-// probe-free no-output kernel.
+// probe-free fold kernel.
 //
 // Knobs: VEBO_DENSE_SCALE (log2 vertices, default 20; CI smoke uses 14),
 // VEBO_DENSE_REPS (median-of reps, default 5).
@@ -133,7 +133,7 @@ struct DensityPoint {
   double density = 0;
   VertexId frontier_size = 0;
   double seed_ms = 0;      // probing/atomic pull replica
-  double new_out_ms = 0;   // flagged edge_map, striped output kept
+  double new_out_ms = 0;   // edge_map pull, striped output
   double new_fold_ms = 0;  // edge_fold: no output, register accumulation
   double speedup_out = 0, speedup_fold = 0;
 };
@@ -189,8 +189,8 @@ GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
     p.new_out_ms = time_median_ms(reps, [&] {
       reset();
       VertexSubset frontier = base;
-      edge_map(eng, frontier, f, {.direction = Direction::Pull,
-                                  .flags = kNoFlags});
+      edge_map(eng, frontier, f,
+               {.direction = Direction::Pull, .early_exit = false});
     });
     p.new_fold_ms = time_median_ms(reps, [&] {
       // What PageRank-delta's dense round actually runs now: no output,
@@ -235,7 +235,7 @@ int main() {
   reports.push_back(run_graph("rmat", rmat, reps));
   reports.push_back(run_graph("powerlaw", pl, reps));
 
-  // ---- per-flag breakdown at the complete-frontier point (rmat).
+  // ---- per-cost breakdown at the complete-frontier point (rmat).
   // Each step removes one cost: probe, atomic output, output entirely.
   const Graph& g = rmat;
   const VertexId n = g.num_vertices();
@@ -274,13 +274,7 @@ int main() {
     reset();
     VertexSubset frontier = all;
     edge_map(eng, frontier, f,
-             {.direction = Direction::Pull, .flags = kNoFlags});
-  });
-  const double flag_complete_noout_ms = time_median_ms(reps, [&] {
-    reset();
-    VertexSubset frontier = all;
-    edge_map(eng, frontier, f,
-             {.direction = Direction::Pull, .flags = kNoOutput});
+             {.direction = Direction::Pull, .early_exit = false});
   });
   const double flag_complete_fold_ms = time_median_ms(reps, [&] {
     VertexSubset frontier = all;
@@ -291,7 +285,6 @@ int main() {
   std::cout << "flags (rmat, complete): seed=" << flag_seed_ms
             << "ms probe+stripe=" << flag_probe_stripe_ms
             << "ms complete+stripe=" << flag_complete_stripe_ms
-            << "ms complete+no-output=" << flag_complete_noout_ms
             << "ms complete+fold=" << flag_complete_fold_ms << "ms"
             << std::endl;
 
@@ -310,8 +303,8 @@ int main() {
             << "ms new=" << pr_new_ms << "ms" << std::endl;
 
   // Headline acceptance point: complete-frontier PageRank-style dense
-  // iteration, probing/atomic pull vs the probe-free no-output fold
-  // kernel (what the PageRank-family dense rounds run now).
+  // iteration, probing/atomic pull vs the probe-free fold kernel (what
+  // the PageRank-family dense rounds run now).
   const double op_speedup =
       flag_complete_fold_ms > 0 ? flag_seed_ms / flag_complete_fold_ms : 0;
 
@@ -340,7 +333,6 @@ int main() {
        << "\"density\": 1.0, \"seed_ms\": " << flag_seed_ms
        << ", \"probe_stripe_ms\": " << flag_probe_stripe_ms
        << ", \"complete_stripe_ms\": " << flag_complete_stripe_ms
-       << ", \"complete_noout_ms\": " << flag_complete_noout_ms
        << ", \"complete_fold_ms\": " << flag_complete_fold_ms << "},\n"
        << "  \"pagerank_iteration\": {\"seed_ms\": " << pr_seed_ms
        << ", \"new_ms\": " << pr_new_ms << ", \"speedup\": "

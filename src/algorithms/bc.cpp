@@ -65,7 +65,7 @@ BcResult betweenness(const Engine& eng, VertexId source) {
     // Note: cond() must stay true for v during the whole round so that
     // every same-level predecessor contributes to sigma[v]; visited is
     // only updated after the edgemap (Ligra's BC does the same).
-    VertexSubset next = edge_map(eng, frontier, f, {.flags = kNoFlags});
+    VertexSubset next = edge_map(eng, frontier, f, {.early_exit = false});
     ++depth;
     vertex_map(eng, next, [&](VertexId v) {
       visited.set(v);
@@ -128,7 +128,7 @@ AlgorithmSpec bc_spec() {
       {"source", ParamType::Int, std::int64_t{0}, "start vertex id"},
       {"top_k", ParamType::Int, std::int64_t{0},
        "0 = full dependency vector, k > 0 = k most central vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     const std::int64_t k = p.get_int("top_k");
     VEBO_CHECK(k >= 0, "BC: top_k must be >= 0");
     BcResult r = betweenness(eng, p.get_vertex("source"));

@@ -122,7 +122,7 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
       iter.span().a = static_cast<std::uint64_t>(res.rounds);
       iter.span().b = frontier.size();
     }
-    frontier = edge_map(eng, frontier, f, {.flags = kNoFlags});
+    frontier = edge_map(eng, frontier, f, {.early_exit = false});
     ++res.rounds;
   }
 
@@ -157,12 +157,11 @@ AlgorithmSpec bellman_ford_spec() {
   s.dense_frontier = false;
   s.params = ParamSchema{
       {"source", ParamType::Int, std::int64_t{0}, "start vertex id"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     return run_bf_query(eng, p);
   };
   s.refresh = [](const Engine& eng, const QueryParams& p,
-                 const QueryPayload& prev, const EdgeDelta& delta,
-                 const QueryContext&) {
+                 const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     const VertexId src = p.get_vertex("source");
     if (prev.kind() != PayloadKind::VertexDoubles ||

@@ -101,12 +101,11 @@ AlgorithmSpec bfs_spec() {
   s.dense_frontier = false;
   s.params = ParamSchema{
       {"source", ParamType::Int, std::int64_t{0}, "start vertex id"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     return run_bfs_query(eng, p);
   };
   s.refresh = [](const Engine& eng, const QueryParams& p,
-                 const QueryPayload& prev, const EdgeDelta& delta,
-                 const QueryContext&) {
+                 const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     const VertexId src = p.get_vertex("source");
     if (prev.kind() != PayloadKind::VertexIds ||

@@ -72,7 +72,7 @@ AlgorithmSpec bp_spec() {
       {"iterations", ParamType::Int, std::int64_t{10}, "sync iterations"},
       {"coupling", ParamType::Float, 0.5,
        "edge potential strength in log-odds space"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     BpOptions opts;
     opts.iterations = static_cast<int>(p.get_int("iterations"));
     opts.coupling = p.get_float("coupling");

@@ -58,7 +58,9 @@ CcResult connected_components(const Engine& eng) {
     if (work > eng.dense_threshold()) {
       frontier.to_dense(eng.vertex_loop());
       const DynamicBitset& fbits = frontier.bits();
-      auto process_range = [&](VertexId lo, VertexId hi) {
+      // edge_map's dense scheduler: partitions on Polymer/GraphGrind,
+      // edge-balanced chunks on Ligra.
+      for_dense_ranges(eng, [&](VertexId lo, VertexId hi) {
         for (VertexId v = lo; v < hi; ++v) {
           VertexId best = label[v].load(std::memory_order_relaxed);
           bool saw_active = false;
@@ -74,25 +76,7 @@ CcResult connected_components(const Engine& eng) {
           }
           if (saw_active && atomic_write_min(label[v], best)) changed.set(v);
         }
-      };
-      if (eng.partitioned()) {
-        const auto& part = eng.partitioning();
-        parallel_for(
-            0, part.num_partitions(),
-            [&](std::size_t p) {
-              process_range(part.begin(static_cast<VertexId>(p)),
-                            part.end(static_cast<VertexId>(p)));
-            },
-            eng.partition_loop());
-      } else {
-        parallel_for_range(
-            0, n,
-            [&](std::size_t lo, std::size_t hi) {
-              process_range(static_cast<VertexId>(lo),
-                            static_cast<VertexId>(hi));
-            },
-            eng.vertex_loop());
-      }
+      });
     } else {
       frontier.to_sparse(eng.vertex_loop());
       auto ids = frontier.vertices();
@@ -138,12 +122,11 @@ AlgorithmSpec cc_spec() {
   s.edge_oriented = true;
   s.dense_frontier = true;
   s.params = ParamSchema{};
-  s.run = [](const Engine& eng, const QueryParams&, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams&) {
     return run_cc_query(eng);
   };
   s.refresh = [](const Engine& eng, const QueryParams&,
-                 const QueryPayload& prev, const EdgeDelta& delta,
-                 const QueryContext&) {
+                 const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     if (prev.kind() != PayloadKind::VertexIds ||
         !prev.values_are_vertex_ids() || prev.ids().size() != n ||

@@ -83,15 +83,14 @@ AlgorithmSpec pagerank_spec() {
       {"damping", ParamType::Float, 0.85, "damping factor"},
       {"top_k", ParamType::Int, std::int64_t{0},
        "0 = full rank vector, k > 0 = k highest-ranked vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     return run_pr_query(eng, p);
   };
   // Deterministic block fold == legacy total_mass for the full vector
   // (total_mass is computed with the same deterministic_sum).
   s.checksum = block_sum;
   s.refresh = [](const Engine& eng, const QueryParams& p,
-                 const QueryPayload& prev, const EdgeDelta& delta,
-                 const QueryContext&) {
+                 const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     if (p.get_int("top_k") > 0 || prev.kind() != PayloadKind::VertexDoubles ||
         prev.doubles().size() != n ||

@@ -119,13 +119,12 @@ AlgorithmSpec pagerank_delta_spec() {
        "active while |delta| > epsilon * rank"},
       {"top_k", ParamType::Int, std::int64_t{0},
        "0 = full rank vector, k > 0 = k highest-ranked vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams& p) {
     return run_prd_query(eng, p);
   };
   s.checksum = serial_sum;
   s.refresh = [](const Engine& eng, const QueryParams& p,
-                 const QueryPayload& prev, const EdgeDelta& delta,
-                 const QueryContext&) {
+                 const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     if (p.get_int("top_k") > 0 || prev.kind() != PayloadKind::VertexDoubles ||
         prev.doubles().size() != n ||

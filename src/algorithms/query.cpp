@@ -17,7 +17,7 @@ QueryPayload AlgorithmSpec::invoke(const Engine& eng, const QueryParams& raw,
   // RAII binding unbinds on every exit path (including a cancellation
   // throw from inside the run).
   Engine::ContextBinding bind(eng, ctx);
-  return run(eng, params.validate(raw), ctx);
+  return run(eng, params.validate(raw));
 }
 
 namespace {

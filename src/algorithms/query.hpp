@@ -240,15 +240,13 @@ struct AlgorithmSpec {
   /// Runs on *validated* params (every schema key present and typed);
   /// callers go through invoke() or validate explicitly. "source" params
   /// are in the engine graph's id space — serving layers translate
-  /// original ids before calling. The QueryContext carries the query's
-  /// deadline / cancellation state; algorithms poll it between edge_map
-  /// supersteps (the framework entry points poll the engine-bound context
-  /// automatically; hand-rolled iteration loops call
-  /// eng.poll_cancellation() once per iteration). Callers with nothing to
-  /// enforce pass QueryContext::none().
-  std::function<QueryPayload(const Engine&, const QueryParams&,
-                             const QueryContext&)>
-      run;
+  /// original ids before calling. A query's deadline / cancellation
+  /// state reaches the run through the engine: the caller binds its
+  /// QueryContext with Engine::ContextBinding (invoke() does), the
+  /// framework entry points poll it between supersteps, and hand-rolled
+  /// iteration loops call eng.poll_cancellation() once per iteration.
+  /// With nothing bound the polls are no-ops.
+  std::function<QueryPayload(const Engine&, const QueryParams&)> run;
   /// Deterministic fold of run()'s payload reproducing the pre-protocol
   /// checksum exactly (serial in-payload-order sums, reached counts...).
   std::function<double(const QueryPayload&)> checksum;
@@ -263,9 +261,9 @@ struct AlgorithmSpec {
   /// is otherwise unusable — the hook always returns a payload valid for
   /// the engine's current graph. Null when the algorithm has no
   /// incremental form (the serving layer then invalidates as before).
+  /// Cancellation reaches it through the engine, as for run().
   std::function<QueryPayload(const Engine&, const QueryParams&,
-                             const QueryPayload& prev, const EdgeDelta&,
-                             const QueryContext&)>
+                             const QueryPayload& prev, const EdgeDelta&)>
       refresh;
   /// True when refresh() reuses values that depend on snapshot ids
   /// themselves (Bellman-Ford's synthetic edge weights are a pure

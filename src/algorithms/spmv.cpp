@@ -46,7 +46,7 @@ AlgorithmSpec spmv_spec() {
   s.edge_oriented = true;
   s.dense_frontier = true;
   s.params = ParamSchema{};
-  s.run = [](const Engine& eng, const QueryParams&, const QueryContext&) {
+  s.run = [](const Engine& eng, const QueryParams&) {
     SpmvResult r = spmv(eng);
     return QueryPayload::vertex_doubles(std::move(r.y));
   };

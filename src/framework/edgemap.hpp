@@ -14,10 +14,7 @@
 // GraphGrind) run the pull phase partition-by-partition under static
 // scheduling — the configuration whose load balance VEBO fixes.
 //
-// The dense (pull) path is flag-driven (Ligra's edgeMap flags, adapted):
-//  * kNoOutput — the caller discards the result frontier, so no output
-//    bitset is allocated and no per-edge activation is recorded; the step
-//    costs exactly its edge traversal.
+// The dense (pull) path:
 //  * Complete-frontier specialization — when the input subset provably
 //    covers all n vertices (VertexSubset::is_complete()), the kernel is
 //    instantiated with CompleteProbe and the per-edge frontier.get(u)
@@ -33,10 +30,10 @@
 //    written with plain stores on words wholly inside a task's range and
 //    an atomic RMW only on the (at most two) boundary words shared with
 //    neighbouring tasks (StripeSink).
-// All four combine freely. There are two dense kernels: the flagged
-// edge_map instantiates edge_map_pull_range, and edge_fold — the gather
-// the PageRank / PageRank-delta / SpMV / BP dense iterations run on —
-// instantiates detail::edge_fold_ranges.
+// There are two dense kernels: edge_map instantiates edge_map_pull_range,
+// and edge_fold — the gather the PageRank / PageRank-delta / SpMV / BP
+// dense iterations run on — instantiates detail::edge_fold_ranges. Both
+// schedule through for_dense_ranges.
 //
 // Frontier materialization is fully parallel and output-sensitive
 // (pbbslib-style scan compaction):
@@ -64,7 +61,7 @@
 #include "framework/engine.hpp"
 #include "framework/vertex_subset.hpp"
 #include "obs/trace.hpp"
-#include "parallel/scan_pack.hpp"
+#include "parallel/parallel_for.hpp"
 #include "support/bitset.hpp"
 
 namespace vebo {
@@ -84,25 +81,11 @@ inline std::uint64_t dense_range_count(const Engine& eng) {
 
 enum class Direction { Auto, Push, Pull };
 
-/// Behavior flags for edge_map (Ligra's edgeMap flag set, adapted).
-enum EdgeMapFlags : unsigned {
-  kNoFlags = 0,
-  /// Pull loop breaks out of a destination's in-edge scan as soon as
-  /// cond(v) turns false (Ligra's early exit, e.g. BFS parent setting).
-  kPullEarlyExit = 1u << 0,
-  /// The caller discards the result frontier: skip output
-  /// materialization entirely — no bitset allocation, no per-edge
-  /// activation recording, no claim scratch — and return an empty
-  /// subset.
-  kNoOutput = 1u << 1,
-};
-
 struct EdgeMapOptions {
   Direction direction = Direction::Auto;
-  unsigned flags = kPullEarlyExit;
-
-  bool early_exit() const { return (flags & kPullEarlyExit) != 0; }
-  bool no_output() const { return (flags & kNoOutput) != 0; }
+  /// Pull loop breaks out of a destination's in-edge scan as soon as
+  /// cond(v) turns false (Ligra's early exit, e.g. BFS parent setting).
+  bool early_exit = true;
 };
 
 // ------------------------------------------------- dense kernel pieces
@@ -118,17 +101,14 @@ struct BitsetProbe {
   bool operator()(VertexId u) const { return bits.get(u); }
 };
 
-/// Output sinks for the pull kernel. NullSink is the kNoOutput path.
-struct NullSink {
-  void set(VertexId) {}
-};
-/// Records activations with plain (non-atomic) stores on every bitset
-/// word lying wholly inside the task's destination range [lo, hi); only
-/// the at-most-two boundary words shared with neighbouring tasks take an
-/// atomic RMW. Safe because pull has a single writer per destination and
-/// tasks own disjoint ranges: a word is either interior to exactly one
-/// task (only that task touches it, plainly) or a boundary word for all
-/// its writers (all touch it atomically).
+/// The pull kernel's output sink: records activations with plain
+/// (non-atomic) stores on every bitset word lying wholly inside the
+/// task's destination range [lo, hi); only the at-most-two boundary words
+/// shared with neighbouring tasks take an atomic RMW. Safe because pull
+/// has a single writer per destination and tasks own disjoint ranges: a
+/// word is either interior to exactly one task (only that task touches
+/// it, plainly) or a boundary word for all its writers (all touch it
+/// atomically).
 struct StripeSink {
   DynamicBitset& bits;
   std::size_t word_lo, word_hi;  ///< plain stores for words in [lo, hi)
@@ -150,12 +130,11 @@ struct StripeSink {
 /// The update-style dense (pull) kernel: applies F over the in-edges of
 /// every destination in [lo, hi) whose source passes `probe`, reporting
 /// activations to `sink`. Every dense edge_map step instantiates this
-/// template — probe and sink are compile-time choices, so the
-/// complete-frontier and no-output variants pay nothing for the
-/// flexibility.
-template <typename F, typename Probe, typename Sink>
+/// template — the probe is a compile-time choice, so the complete-frontier
+/// variant pays nothing for the flexibility.
+template <typename F, typename Probe>
 void edge_map_pull_range(const Graph& g, F& f, const Probe& probe,
-                         Sink& sink, VertexId lo, VertexId hi,
+                         StripeSink& sink, VertexId lo, VertexId hi,
                          bool early_exit) {
   for (VertexId v = lo; v < hi; ++v) {
     if (!f.cond(v)) continue;
@@ -194,23 +173,15 @@ void for_dense_ranges(const Engine& eng, Body&& body) {
 namespace detail {
 
 /// Dense driver shared by both probes: schedules the kernel over the
-/// engine's dense ranges with the sink the flags select.
+/// engine's dense ranges, each writing its own output stripe.
 template <typename F, typename Probe>
 VertexSubset edge_map_pull(const Engine& eng, F& f, const Probe& probe,
-                           const EdgeMapOptions& opts) {
+                           bool early_exit) {
   const Graph& g = eng.graph();
-  const VertexId n = g.num_vertices();
-  if (opts.no_output()) {
-    for_dense_ranges(eng, [&](VertexId lo, VertexId hi) {
-      NullSink sink;
-      edge_map_pull_range(g, f, probe, sink, lo, hi, opts.early_exit());
-    });
-    return VertexSubset::empty(n);
-  }
-  DynamicBitset next(n);
+  DynamicBitset next(g.num_vertices());
   for_dense_ranges(eng, [&](VertexId lo, VertexId hi) {
     StripeSink sink(next, lo, hi);
-    edge_map_pull_range(g, f, probe, sink, lo, hi, opts.early_exit());
+    edge_map_pull_range(g, f, probe, sink, lo, hi, early_exit);
   });
   // Adopt the striped words directly; the count is word-parallel.
   return VertexSubset::from_bitset(std::move(next), eng.vertex_loop());
@@ -219,8 +190,8 @@ VertexSubset edge_map_pull(const Engine& eng, F& f, const Probe& probe,
 }  // namespace detail
 
 /// Applies F over all edges whose source is in `frontier`; returns the
-/// next frontier (empty under kNoOutput). The traversal direction follows
-/// the engine's density heuristic unless forced via `opts.direction`.
+/// next frontier. The traversal direction follows the engine's density
+/// heuristic unless forced via `opts.direction`.
 template <typename F>
 VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
                       const EdgeMapOptions& opts = {}) {
@@ -288,7 +259,7 @@ VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
     s.c = eng.dense_threshold();
     s.direction = pull ? 2 : 1;
     s.flags = static_cast<std::uint8_t>(
-        (opts.early_exit() ? 1 : 0) | (opts.no_output() ? 2 : 0) |
+        (opts.early_exit ? 1 : 0) |
         (opts.direction != Direction::Auto ? 4 : 0));
     if (pull) {
       s.rep = frontier.is_complete() ? 3 : 2;
@@ -303,30 +274,15 @@ VertexSubset edge_map(const Engine& eng, VertexSubset& frontier, F f,
 
   if (pull) {
     if (frontier.is_complete())
-      return detail::edge_map_pull(eng, f, CompleteProbe{}, opts);
+      return detail::edge_map_pull(eng, f, CompleteProbe{}, opts.early_exit);
     frontier.to_dense(vloop);
     return detail::edge_map_pull(eng, f, BitsetProbe{frontier.bits()},
-                                 opts);
+                                 opts.early_exit);
   }
 
   frontier.to_sparse(vloop);
   auto ids = frontier.vertices();
   const std::size_t fsz = ids.size();
-
-  if (opts.no_output()) {
-    // Push with the output discarded: deliver the edges, skip the claim
-    // bitset, slot buffer and both scans entirely. Touches no
-    // engine-owned scratch, so no lease either.
-    parallel_for(
-        0, fsz,
-        [&](std::size_t i) {
-          const VertexId u = ids[i];
-          for (const VertexId v : g.out_neighbors(u))
-            if (f.cond(v)) f.update_atomic(u, v);
-        },
-        vloop);
-    return VertexSubset::empty(n);
-  }
 
   // Sparse push, scan-compacted: slot ranges from the offset scan, then
   // a count scan places each range's activations in the output. No loop
@@ -472,7 +428,7 @@ void edge_fold(const Engine& eng, VertexSubset& frontier, Value&& value,
                               commit);
 }
 
-// ------------------------------------------------- vertex_map / filter
+// ------------------------------------------------------------ vertex_map
 
 /// Applies fn(v) to every member of the subset (parallel; fn must be safe
 /// to run concurrently on distinct vertices).
@@ -495,31 +451,6 @@ void vertex_map(const Engine& eng, const VertexSubset& subset, Fn&& fn) {
         },
         eng.vertex_loop());
   }
-}
-
-/// Keeps the members where pred(v) is true; returns a sparse subset
-/// (scan-compacted, parallel).
-template <typename Pred>
-VertexSubset vertex_filter(const Engine& eng, const VertexSubset& subset,
-                           Pred&& pred) {
-  const ForOptions vloop = eng.vertex_loop();
-  const VertexId n = subset.universe_size();
-  if (subset.has_sparse()) {
-    auto ids = subset.vertices();
-    auto out = pack_map<VertexId>(
-        ids.size(), [&](std::size_t i) { return pred(ids[i]); },
-        [&](std::size_t i) { return ids[i]; }, vloop);
-    return VertexSubset::from_packed(n, std::move(out),
-                                     subset.sparse_sorted());
-  }
-  // Word-parallel dense filter (mirrors vertex_map's dense walk): the
-  // predicate runs only on set bits, and zero words cost one test
-  // instead of 64 membership probes.
-  const DynamicBitset& bits = subset.bits();
-  auto out = detail::words_to_sparse_if<VertexId>(
-      bits.num_words(), [&](std::size_t w) { return bits.word(w); },
-      [&](std::size_t i) { return pred(static_cast<VertexId>(i)); }, vloop);
-  return VertexSubset::from_packed(n, std::move(out), /*sorted=*/true);
 }
 
 }  // namespace vebo

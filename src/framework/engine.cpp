@@ -29,7 +29,9 @@ VertexId default_partitions(SystemModel m) {
 Engine::Engine(const Graph& g, SystemModel model, EngineOptions opts)
     : graph_(&g), model_(model), opts_(opts) {
   VEBO_CHECK(opts_.dense_denominator >= 1, "dense_denominator must be >= 1");
-  rebind(g, opts_.explicit_partitioning);
+  // rebind copies the partitioning; keep no pointer to the caller's.
+  opts_.explicit_partitioning = nullptr;
+  rebind(g, opts.explicit_partitioning);
 }
 
 void Engine::rebind(const Graph& g, const order::Partitioning* part) {
@@ -40,10 +42,6 @@ void Engine::rebind(const Graph& g, const order::Partitioning* part) {
   // one: rebind happens between queries (quiescence), so clearing here is
   // safe and makes a leaked binding impossible across epoch swaps.
   qctx_ = nullptr;
-  // Keep options() consistent with the engine's actual partitioning:
-  // after a rebind the stored pointer either names the partitioning in
-  // use or is cleared.
-  opts_.explicit_partitioning = part;
   if (part != nullptr) {
     part_ = *part;
     partitions_ = part_.num_partitions();

@@ -58,8 +58,6 @@ class Engine {
   Engine(const Graph& g, SystemModel model, EngineOptions opts = {});
 
   const Graph& graph() const { return *graph_; }
-  SystemModel model() const { return model_; }
-  const EngineOptions& options() const { return opts_; }
   /// The pool this engine's loops run on: the options' override, else
   /// the global pool.
   ThreadPool& pool() const {

@@ -11,7 +11,8 @@
 //    computed once per frontier and cached; edgemap seeds the cache for
 //    the frontiers it produces, so the heuristic is O(1) on hot paths.
 //  * Sparse lists produced by scan compaction (from_packed) may be
-//    unsorted; `sparse_sorted()` says whether ascending order holds.
+//    unsorted; the subset tracks whether ascending order holds, so
+//    contains() and for_each() stay correct either way.
 #pragma once
 
 #include <span>
@@ -51,7 +52,6 @@ class VertexSubset {
                                   VertexId size_hint = kInvalidVertex,
                                   const ForOptions& opts = {});
 
-  VertexId universe_size() const { return n_; }
   /// Number of vertices in the subset.
   VertexId size() const { return size_; }
   bool empty_set() const { return size_ == 0; }
@@ -67,8 +67,6 @@ class VertexSubset {
   /// both can be true at once.
   bool has_sparse() const { return have_sparse_; }
   bool has_dense() const { return have_dense_; }
-  /// True when the sparse list is in ascending id order.
-  bool sparse_sorted() const { return sparse_sorted_; }
 
   /// Membership test (works in both representations).
   bool contains(VertexId v) const;

@@ -16,11 +16,6 @@ VertexId PartitionProfile::vertex_imbalance() const {
   return *hi - *lo;
 }
 
-Summary PartitionProfile::edge_summary() const {
-  std::vector<double> xs(edges.begin(), edges.end());
-  return summarize(xs);
-}
-
 Summary PartitionProfile::vertex_summary() const {
   std::vector<double> xs(vertices.begin(), vertices.end());
   return summarize(xs);

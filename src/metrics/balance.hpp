@@ -24,7 +24,6 @@ struct PartitionProfile {
   /// δ: max-min of vertices.
   VertexId vertex_imbalance() const;
 
-  Summary edge_summary() const;
   Summary vertex_summary() const;
 };
 

@@ -15,7 +15,7 @@
 //
 // Cost contract (the PR 7 invariant, extended): a stage site is a
 // StageScope — when NOTHING is armed it pays exactly one relaxed load
-// of the same packed word SpanScope checks (detail::stages_armed) and
+// of the same packed word SpanScope checks (detail::g_active_traces) and
 // branches away. When armed, recording a span takes two clock reads
 // plus one briefly-held uncontended per-thread mutex — stage spans are
 // microseconds-to-milliseconds long, so this stays far inside the <=3%
@@ -186,15 +186,14 @@ class StageScope {
 
 /// Routes a caller-stamped span (start/duration measured manually, e.g.
 /// queue wait) to both armed sinks — the StageScope equivalent of
-/// Tracer::record. Call only after checking detail::stages_armed() (or
-/// the sharper stage_wanted()).
+/// Tracer::record. Call only after checking stage_wanted().
 void record_stage(const Span& s);
 
 /// True iff record_stage() would reach at least one sink from the
 /// calling thread: the flight recorder, or the thread's OWN live trace.
-/// Sharper than detail::stages_armed(), which also fires when some
-/// OTHER thread is merely registered for tail sampling — use this to
-/// gate work (clock reads, span assembly) done purely to feed a span.
+/// Sharper than a nonzero armed word, which also shows when some OTHER
+/// thread is merely registered for tail sampling — use this to gate
+/// work (clock reads, span assembly) done purely to feed a span.
 inline bool stage_wanted() {
   const std::uint32_t armed =
       detail::g_active_traces.load(std::memory_order_relaxed);

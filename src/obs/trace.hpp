@@ -7,7 +7,7 @@
 //  * framework steps — each edge_map / edge_fold call, with the direction
 //    chosen, the heuristic's inputs (frontier size, out-edge sum, dense
 //    threshold), the frontier representation, the kernel variant
-//    instantiated (probing / complete / no-output / fold), and the dense
+//    instantiated (probing / complete / fold), and the dense
 //    chunk count;
 //  * algorithm iteration tops (one Span per hand-rolled superstep);
 //  * serve-path stages (queue wait, engine lease, cache probe, execute,
@@ -113,8 +113,9 @@ struct Span {
   KernelVariant variant = KernelVariant::None;
   std::uint8_t direction = 0;  ///< 0 n/a, 1 push, 2 pull
   std::uint8_t rep = 0;        ///< frontier rep: 0 n/a, 1 sparse, 2 dense, 3 complete
-  /// bit0 = early-exit, bit1 = no-output, bit2 = forced (the caller
-  /// chose the direction, so the heuristic's inputs were not consulted)
+  /// bit0 = early-exit, bit1 = no-output (edge_fold, which returns no
+  /// frontier), bit2 = forced (the caller chose the direction, so the
+  /// heuristic's inputs were not consulted)
   std::uint8_t flags = 0;
 };
 
@@ -196,14 +197,6 @@ std::uint64_t now_ns();
 /// named identically in both.
 void append_chrome_event(std::ostringstream& os, const Span& s,
                          std::uint32_t tid, std::uint64_t base_ns);
-
-/// True iff ANY obs sink is armed (a thread tracing somewhere OR the
-/// flight recorder running). The cheap gate for stage-level sites that
-/// feed both sinks; framework sites use tracing_enabled() and stay
-/// recorder-blind (the recorder is stage-granularity only).
-inline bool stages_armed() {
-  return g_active_traces.load(std::memory_order_relaxed) != 0;
-}
 
 }  // namespace detail
 

@@ -3,7 +3,7 @@
 // index order. Two passes — per-block match counts, an exclusive scan over
 // the block counts, then each block writes its survivors at its scanned
 // offset. This is the primitive that removes the serial O(n) "collect the
-// next frontier" tail from edgemap, vertex_filter and the algorithms.
+// next frontier" tail from the algorithms (PageRank-delta's rounds).
 #pragma once
 
 #include <algorithm>

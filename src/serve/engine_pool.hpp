@@ -92,7 +92,6 @@ class EnginePool {
   /// Leases currently outstanding (busy entries). 0 when every borrowed
   /// engine has been returned — the chaos tests' lease-leak invariant.
   std::size_t outstanding() const EXCLUDES(mutex_);
-  const EnginePoolOptions& options() const { return opts_; }
   EnginePoolStats stats() const EXCLUDES(mutex_);
 
  private:

@@ -533,7 +533,7 @@ algo::QueryPayload GraphService::execute(const Resolved& q,
   // within one superstep. RAII unbind keeps a cancelled run from leaking
   // its context into the engine's next lease.
   Engine::ContextBinding bind(lease.engine(), ctx);
-  return q.spec->run(lease.engine(), exec, ctx);
+  return q.spec->run(lease.engine(), exec);
 }
 
 void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
@@ -553,25 +553,16 @@ void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
   v.code = q.spec->code;
   v.params = q.norm;
   v.read = true;  // a client asked for it this epoch
-  std::uint64_t evicted = 0;
-  {
-    MutexLock lk(cache_mutex_);
-    const std::uint64_t before = cache_.evictions();
-    if (cache_version_ < q.snap.version()) {
-      // First entry for a new epoch (or a publish raced us): start a
-      // fresh cache generation.
-      cache_.clear();
-      cache_version_ = q.snap.version();
-    }
-    // An older-epoch result is simply not cached: it must never
-    // resurrect entries for a superseded graph.
-    if (cache_version_ == q.snap.version()) cache_.insert(q.key, std::move(v));
-    evicted = cache_.evictions() - before;
+  MutexLock lk(cache_mutex_);
+  if (cache_version_ < q.snap.version()) {
+    // First entry for a new epoch (or a publish raced us): start a fresh
+    // cache generation.
+    cache_.clear();
+    cache_version_ = q.snap.version();
   }
-  if (evicted != 0) {
-    MutexLock slk(stats_mutex_);
-    stats_.evictions += evicted;
-  }
+  // An older-epoch result is simply not cached: it must never resurrect
+  // entries for a superseded graph.
+  if (cache_version_ == q.snap.version()) cache_.insert(q.key, std::move(v));
 }
 
 void GraphService::settle(Item& item, WorkerState& ws, QueryResult r,
@@ -802,11 +793,9 @@ GraphService::CacheTurnover GraphService::refresh_cache(
       algo::QueryPayload out = [&] {
         obs::StageScope span(obs::SpanKind::Refresh);
         if (span.live()) span.span().a = new_version;
-        const QueryContext& ctx = QueryContext::none();
-        Engine::ContextBinding bind(lease.engine(), ctx);
         return t.spec->refresh(lease.engine(), exec,
                                prev_snap ? *prev_snap : *t.old.payload,
-                               *hook_delta, ctx);
+                               *hook_delta);
       }();
       lease.release();
       // The replacement exists: nothing needs the previous payload.
@@ -920,8 +909,16 @@ ServiceHealth GraphService::health() const {
 }
 
 GraphServiceStats GraphService::stats() const {
-  MutexLock lk(stats_mutex_);
-  return stats_;
+  GraphServiceStats st;
+  {
+    MutexLock lk(stats_mutex_);
+    st = stats_;
+  }
+  // Evictions have one home, the cache: a client's insert and a
+  // refresh's reinsert can both evict.
+  MutexLock lk(cache_mutex_);
+  st.evictions = cache_.evictions();
+  return st;
 }
 
 void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {

@@ -262,7 +262,7 @@ struct GraphServiceStats {
   std::uint64_t in_flight = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t invalidations = 0;  ///< cache wipes (publish / epoch change)
-  std::uint64_t evictions = 0;      ///< single entries LRU-evicted when full
+  std::uint64_t evictions = 0;  ///< LRU evictions (the cache's own count)
   /// Entries carried across a publish by in-place recompute
   /// (refresh_on_publish). Distinct from invalidations: a refreshing
   /// publish that keeps every entry counts zero invalidations; one that
@@ -375,7 +375,7 @@ class GraphService {
   /// also run by the destructor.
   void stop() EXCLUDES(stop_mutex_, queue_mutex_);
 
-  GraphServiceStats stats() const EXCLUDES(stats_mutex_);
+  GraphServiceStats stats() const EXCLUDES(stats_mutex_, cache_mutex_);
   LatencySummary latency() const { return latency_.cumulative(); }
   ServiceHealth health() const EXCLUDES(queue_mutex_);
   const SnapshotStore& store() const { return store_; }
@@ -428,8 +428,7 @@ class GraphService {
                              StageClock& stages);
   /// Checksums and translates a computed payload into `r` and caches it.
   void translate(const Resolved& q, algo::QueryPayload payload,
-                 bool want_payload, QueryResult& r)
-      EXCLUDES(cache_mutex_, stats_mutex_);
+                 bool want_payload, QueryResult& r) EXCLUDES(cache_mutex_);
   /// The one exit for every accepted query, success or failure: books
   /// the ledger, settles the tail sample, records the latency sink and
   /// window, stamps the worker idle, and only then resolves the promise

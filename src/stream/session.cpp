@@ -182,9 +182,7 @@ algo::QueryPayload StreamSession::query_typed(const std::string& algo_code,
     norm.set("source", position_of(src));
   }
   ++stats_.queries;
-  const QueryContext& ctx = QueryContext::none();
-  Engine::ContextBinding bind(*engine_, ctx);
-  const algo::QueryPayload payload = s.run(*engine_, norm, ctx);
+  const algo::QueryPayload payload = s.run(*engine_, norm);
   return algo::translate_to_original_ids(payload,
                                          maintainer_.ordering().perm);
 }

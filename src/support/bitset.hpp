@@ -90,67 +90,6 @@ std::vector<Index> words_to_sparse(std::size_t num_words, WordAt&& word_at,
   return out;
 }
 
-/// Filtered scan-compaction of set bits: keeps position i iff keep(i).
-/// Same two-pass block shape as words_to_sparse, but the counting pass
-/// walks set bits instead of popcounting whole words — the predicate
-/// decides survival bit by bit. Zero words still cost one test. This is
-/// the word-parallel walk behind vertex_filter's dense branch.
-template <typename Index, typename WordAt, typename Keep>
-std::vector<Index> words_to_sparse_if(std::size_t num_words, WordAt&& word_at,
-                                      Keep&& keep, const ForOptions& opts) {
-  std::vector<Index> out;
-  if (num_words == 0) return out;
-  ThreadPool& pool = opts.pool ? *opts.pool : ThreadPool::global();
-  const std::size_t nthreads = pool.num_threads();
-  auto count_range = [&](std::size_t wlo, std::size_t whi) {
-    std::uint64_t c = 0;
-    for (std::size_t w = wlo; w < whi; ++w)
-      for_each_set_bit(word_at(w), w * 64,
-                       [&](std::size_t i) { c += keep(i) ? 1 : 0; });
-    return c;
-  };
-  auto emit_range = [&](std::size_t wlo, std::size_t whi, Index* dst) {
-    for (std::size_t w = wlo; w < whi; ++w)
-      for_each_set_bit(word_at(w), w * 64, [&](std::size_t i) {
-        if (keep(i)) *dst++ = static_cast<Index>(i);
-      });
-  };
-  if (num_words < 1u << 10 || nthreads == 1) {
-    out.resize(count_range(0, num_words));
-    emit_range(0, num_words, out.data());
-    return out;
-  }
-  const std::size_t nblocks = std::min(num_words, nthreads * 8);
-  const std::size_t per = num_words / nblocks, extra = num_words % nblocks;
-  auto block_range = [&](std::size_t b) {
-    const std::size_t lo = b * per + std::min(b, extra);
-    return std::pair(lo, lo + per + (b < extra ? 1 : 0));
-  };
-  std::vector<std::uint64_t> off(nblocks);
-  ForOptions block_opts = opts;
-  block_opts.schedule = Schedule::Dynamic;
-  block_opts.grain = 1;
-  block_opts.serial_cutoff = 1;
-  parallel_for(
-      0, nblocks,
-      [&](std::size_t b) {
-        auto [lo, hi] = block_range(b);
-        off[b] = count_range(lo, hi);
-      },
-      block_opts);
-  const std::uint64_t total =
-      exclusive_scan(off.data(), off.data(), nblocks, opts);
-  out.resize(total);
-  parallel_for(
-      0, nblocks,
-      [&](std::size_t b) {
-        auto [lo, hi] = block_range(b);
-        emit_range(lo, hi, out.data() + off[b]);
-      },
-      block_opts);
-  return out;
-}
-
 template <typename WordAt>
 std::size_t words_count(std::size_t num_words, WordAt&& word_at,
                         const ForOptions& opts) {

@@ -49,8 +49,6 @@ class Histogram {
   /// maximum of value_at_quantile(q).
   void merge(const Histogram& other);
 
-  const std::vector<std::uint64_t>& bins() const { return bins_; }
-
   /// Log-log least-squares estimate of the power-law exponent alpha for
   /// the tail (value >= min_value): p(k) ~ k^-alpha. Returns 0 if there
   /// are fewer than two usable points.

@@ -114,6 +114,30 @@ TEST(Cc, CountsComponents) {
   EXPECT_EQ(res.label[5], 5u);
 }
 
+// CC's dense rounds run on edge_map's dense scheduler, which on Ligra is
+// the edge-balanced dense_chunks(); the labels stay exact at every width.
+TEST(Cc, LigraDenseRoundsMatchUnionFindAtEveryWidth) {
+  const Graph g = gen::rmat(12, 8, 5);
+  const auto ref = algo::ref::wcc_labels(g);
+  ThreadPool one(1), two(2), four(4);
+  for (ThreadPool* pool : {&one, &two, &four}) {
+    SCOPED_TRACE(pool->num_threads());
+    const Engine eng(g, SystemModel::Ligra, {.pool = pool});
+    obs::ThreadTrace tt;
+    const auto res = algo::connected_components(eng);
+    const obs::Trace t = tt.finish();
+    EXPECT_EQ(res.label, ref);
+    // Round 0's frontier is complete and round 1's alone passes the
+    // dense threshold, so both take the dense branch.
+    std::vector<std::uint64_t> frontier(static_cast<std::size_t>(res.rounds));
+    for (const obs::Span& s : t.spans)
+      if (s.kind == obs::SpanKind::Iteration) frontier.at(s.a) = s.b;
+    ASSERT_GE(frontier.size(), 2u);
+    EXPECT_EQ(frontier[0], g.num_vertices());
+    EXPECT_GT(frontier[1], eng.dense_threshold());
+  }
+}
+
 TEST(Cc, DirectedEdgesYieldWeakComponents) {
   // Chain directed one way: still one weak component.
   const Graph g = gen::path(64);

@@ -552,7 +552,7 @@ TEST(EdgeMap, PullEarlyExitDeliversAtMostOneEdgePerDestination) {
   for (auto& h : hits) h.store(0);
   FirstOnlyFunctor f{&hits};
   edge_map(eng, frontier, f,
-           {.direction = Direction::Pull, .flags = kPullEarlyExit});
+           {.direction = Direction::Pull, .early_exit = true});
   for (VertexId v = 0; v < n; ++v) ASSERT_LE(hits[v].load(), 1u) << v;
   // Every destination with at least one in-edge got exactly one.
   for (VertexId v = 0; v < n; ++v) {
@@ -572,25 +572,6 @@ TEST(EdgeMap, PushRespectsCondPerDelivery) {
   FirstOnlyFunctor f{&hits};
   edge_map(eng, frontier, f, {.direction = Direction::Push});
   for (VertexId v = 0; v < n; ++v) ASSERT_LE(hits[v].load(), 1u) << v;
-}
-
-TEST(VertexFilter, WorksOnDenseSubset) {
-  const Graph g = gen::rmat(8, 4, 2);
-  Engine eng(g, SystemModel::Ligra);
-  auto all = VertexSubset::all(64);
-  all.to_dense();
-  auto big = vertex_filter(eng, all, [](VertexId v) { return v >= 60; });
-  EXPECT_EQ(big.size(), 4u);
-}
-
-TEST(VertexFilter, KeepsPredicateMatches) {
-  const Graph g = gen::rmat(8, 4, 2);
-  Engine eng(g, SystemModel::Ligra);
-  auto all = VertexSubset::all(16);
-  auto odd = vertex_filter(eng, all, [](VertexId v) { return v % 2 == 1; });
-  EXPECT_EQ(odd.size(), 8u);
-  EXPECT_TRUE(odd.contains(15));
-  EXPECT_FALSE(odd.contains(0));
 }
 
 }  // namespace

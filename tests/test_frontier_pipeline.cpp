@@ -189,28 +189,6 @@ TEST(OutEdges, CachedSumMatchesManualWalk) {
   EXPECT_EQ(dense_only.out_edges(g), manual);  // dense word-walk path
 }
 
-// ----------------------------------------------------- vertex_filter
-
-TEST(VertexFilter, MatchesSerialOnLargeDenseSubset) {
-  const Graph g = gen::rmat(8, 4, 2);
-  Engine eng(g, SystemModel::Ligra);
-  const VertexId n = 200000;
-  auto all = VertexSubset::all(n);
-  auto odd = vertex_filter(eng, all, [](VertexId v) { return v % 2 == 1; });
-  EXPECT_EQ(odd.size(), n / 2);
-  EXPECT_TRUE(odd.contains(1));
-  EXPECT_FALSE(odd.contains(2));
-}
-
-TEST(VertexFilter, PreservesUnsortedPackedInput) {
-  const Graph g = gen::rmat(8, 4, 2);
-  Engine eng(g, SystemModel::Ligra);
-  VertexSubset s =
-      VertexSubset::from_packed(100, {42, 7, 99}, /*sorted=*/false);
-  auto out = vertex_filter(eng, s, [](VertexId v) { return v != 7; });
-  EXPECT_EQ(sorted_ids(out), (std::vector<VertexId>{42, 99}));
-}
-
 // --------------------------------------------- is_complete tracking
 
 TEST(IsComplete, TrackedAcrossConstructionAndConversions) {
@@ -323,10 +301,7 @@ Graph make_generator_graph(const std::string& which) {
 
 // Steps the same functor under forced Push, forced Pull and Auto from the
 // same start frontier, with independent state per direction; the produced
-// frontier must be the same vertex set every round. Every (direction,
-// round) step is additionally replayed from the same pre-state with
-// kNoOutput: the returned subset must be empty and the observable state
-// identical — the full flags x direction x system-model matrix.
+// frontier must be the same vertex set every round.
 void check_direction_equivalence(const Graph& g, SystemModel model,
                                  FunctorKind::Kind kind) {
   const VertexId n = g.num_vertices();
@@ -398,72 +373,17 @@ void check_direction_equivalence(const Graph& g, SystemModel model,
     }
     std::vector<std::vector<VertexId>> outs;
     for (int d = 0; d < 3; ++d) {
-      EdgeMapOptions opts{.direction = dirs[d], .flags = kNoFlags};
+      EdgeMapOptions opts{.direction = dirs[d], .early_exit = false};
       if (kind == FunctorKind::Cc) {
         prev[d].resize(n);
         for (VertexId v = 0; v < n; ++v)
           prev[d][v] = vstate[d][v].load(std::memory_order_relaxed);
       }
 
-      // Snapshot the pre-step state and frontier for the kNoOutput
-      // shadow replay.
-      VertexSubset pre_frontier = frontier[d];
-      std::vector<VertexId> pre_v(n);
-      std::vector<double> pre_acc(kind == FunctorKind::PrDelta ? n : 0);
-      std::vector<std::uint32_t> pre_hits(pre_acc.size());
-      for (VertexId v = 0; v < n; ++v) {
-        pre_v[v] = vstate[d][v].load(std::memory_order_relaxed);
-        if (kind == FunctorKind::PrDelta) {
-          pre_acc[v] = accs[d][v].load(std::memory_order_relaxed);
-          pre_hits[v] = hits[d][v].load(std::memory_order_relaxed);
-        }
-      }
-
       VertexSubset out =
           step(frontier[d], vstate[d].data(),
                kind == FunctorKind::Cc ? prev[d].data() : nullptr,
                accs[d].data(), hits[d].data(), opts);
-
-      // kNoOutput shadow: same step, same pre-state, discarded output.
-      {
-        std::vector<std::atomic<VertexId>> sh_v(n);
-        std::vector<std::atomic<double>> sh_acc(pre_acc.size());
-        std::vector<std::atomic<std::uint32_t>> sh_hits(pre_acc.size());
-        for (VertexId v = 0; v < n; ++v) {
-          sh_v[v].store(pre_v[v], std::memory_order_relaxed);
-          if (kind == FunctorKind::PrDelta) {
-            sh_acc[v].store(pre_acc[v], std::memory_order_relaxed);
-            sh_hits[v].store(pre_hits[v], std::memory_order_relaxed);
-          }
-        }
-        EdgeMapOptions noout{.direction = dirs[d], .flags = kNoOutput};
-        VertexSubset sh_out =
-            step(pre_frontier, sh_v.data(),
-                 kind == FunctorKind::Cc ? prev[d].data() : nullptr,
-                 sh_acc.data(), sh_hits.data(), noout);
-        ASSERT_TRUE(sh_out.empty_set())
-            << "kNoOutput returned a non-empty subset at round " << round;
-        for (VertexId v = 0; v < n; ++v) {
-          switch (kind) {
-            case FunctorKind::Bfs:
-              // Parent identities may differ (claim races), but the set
-              // of claimed vertices must not.
-              ASSERT_EQ(vstate[d][v].load() == kInvalidVertex,
-                        sh_v[v].load() == kInvalidVertex)
-                  << "v=" << v;
-              break;
-            case FunctorKind::Cc:
-              ASSERT_EQ(vstate[d][v].load(), sh_v[v].load()) << "v=" << v;
-              break;
-            default: {
-              const double a = accs[d][v].load(), b = sh_acc[v].load();
-              ASSERT_NEAR(a, b, 1e-9 * std::max(1.0, std::abs(a)))
-                  << "v=" << v;
-              ASSERT_EQ(hits[d][v].load(), sh_hits[v].load()) << "v=" << v;
-            }
-          }
-        }
-      }
 
       outs.push_back(sorted_ids(out));
       frontier[d] = std::move(out);
@@ -552,7 +472,7 @@ TEST(DensePath, CompleteFrontierMatchesProbingKernel) {
   ASSERT_TRUE(all.is_complete());
   CcLike f_c{prev.data(), label_c.data()};
   VertexSubset out_c = edge_map(
-      eng, all, f_c, {.direction = Direction::Pull, .flags = kNoFlags});
+      eng, all, f_c, {.direction = Direction::Pull, .early_exit = false});
 
   // Probing kernel instantiated directly on an all-set bitset.
   DynamicBitset fullbits(n, true);
@@ -593,7 +513,7 @@ TEST(DensePath, EdgeBalancedMatchesVertexChunkedReference) {
   CcLike f_new{prev.data(), label_new.data()};
   VertexSubset fcopy = frontier;
   VertexSubset out_new = edge_map(
-      eng, fcopy, f_new, {.direction = Direction::Pull, .flags = kNoFlags});
+      eng, fcopy, f_new, {.direction = Direction::Pull, .early_exit = false});
 
   AtomicBitset next(n);
   const DynamicBitset& fbits = frontier.bits();

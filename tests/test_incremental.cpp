@@ -259,10 +259,9 @@ TEST(SpecRefresh, MatchesFromScratchOnRandomDeltas) {
       const algo::AlgorithmSpec& spec = algo::spec(c.code);
       ASSERT_TRUE(spec.refresh != nullptr) << c.code;
       const QueryParams norm = spec.params.validate(c.params);
-      const QueryPayload prev = spec.run(e1, norm, QueryContext::none());
-      const QueryPayload fresh =
-          spec.refresh(e2, norm, prev, m.delta, QueryContext::none());
-      const QueryPayload want = spec.run(e2, norm, QueryContext::none());
+      const QueryPayload prev = spec.run(e1, norm);
+      const QueryPayload fresh = spec.refresh(e2, norm, prev, m.delta);
+      const QueryPayload want = spec.run(e2, norm);
       expect_payload_equiv(c.code, fresh, want,
                            static_cast<double>(g.num_vertices()));
       // The checksum fold agrees too (exactly for the bit-exact trio).
@@ -281,10 +280,9 @@ TEST(SpecRefresh, PowerlawGraphAndDeleteHeavyDelta) {
   for (const SpecCase& c : refreshable_cases()) {
     const algo::AlgorithmSpec& spec = algo::spec(c.code);
     const QueryParams norm = spec.params.validate(c.params);
-    const QueryPayload prev = spec.run(e1, norm, QueryContext::none());
-    const QueryPayload fresh =
-        spec.refresh(e2, norm, prev, m.delta, QueryContext::none());
-    expect_payload_equiv(c.code, fresh, spec.run(e2, norm, QueryContext::none()),
+    const QueryPayload prev = spec.run(e1, norm);
+    const QueryPayload fresh = spec.refresh(e2, norm, prev, m.delta);
+    expect_payload_equiv(c.code, fresh, spec.run(e2, norm),
                          static_cast<double>(g.num_vertices()));
   }
 }
@@ -303,10 +301,9 @@ TEST(SpecRefresh, OversizedDeltaFallsBackToFullRun) {
   for (const SpecCase& c : refreshable_cases()) {
     const algo::AlgorithmSpec& spec = algo::spec(c.code);
     const QueryParams norm = spec.params.validate(c.params);
-    const QueryPayload prev = spec.run(e1, norm, QueryContext::none());
-    const QueryPayload fresh =
-        spec.refresh(e2, norm, prev, m.delta, QueryContext::none());
-    expect_payload_equiv(c.code, fresh, spec.run(e2, norm, QueryContext::none()),
+    const QueryPayload prev = spec.run(e1, norm);
+    const QueryPayload fresh = spec.refresh(e2, norm, prev, m.delta);
+    expect_payload_equiv(c.code, fresh, spec.run(e2, norm),
                          static_cast<double>(g.num_vertices()));
   }
 }
@@ -611,8 +608,9 @@ TEST(RefreshOnPublish, FanOutMatchesSerialHooks) {
       if (exec.has("source"))
         exec.set("source", perm[exec.get_vertex("source")]);
       const QueryPayload want_snap =
-          spec.refresh(eng, exec, algo::translate_from_original_ids(*prev[i], perm),
-                       snap_delta, QueryContext::none());
+          spec.refresh(eng, exec,
+                       algo::translate_from_original_ids(*prev[i], perm),
+                       snap_delta);
       const QueryPayload want =
           algo::translate_to_original_ids(want_snap, perm);
 

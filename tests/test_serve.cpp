@@ -751,10 +751,17 @@ TEST(GraphService, CacheLruEvictionAndPublishWipeAreDistinct) {
   const Graph base = gen::rmat(8, 4, 103);
   StreamSession session(base);
   SnapshotStore store;
+  obs::MetricsRegistry reg;  // outlives the service
   GraphServiceOptions o = small_service(1);
   o.cache_capacity = 2;
+  o.metrics = &reg;
   GraphService service(store, o);
   service.publish_session(session);
+  const auto evictions_metric = [&reg] {
+    for (const obs::MetricSample& m : reg.collect())
+      if (m.name == "vebo_cache_evictions_total") return m.value;
+    return -1.0;
+  };
 
   const auto pr_iters = [](int iters) {
     Query q;
@@ -768,6 +775,7 @@ TEST(GraphService, CacheLruEvictionAndPublishWipeAreDistinct) {
   service.query(pr_iters(1));  // bump 1 to MRU
   service.query(pr_iters(3));  // evicts iterations=2
   EXPECT_EQ(service.stats().evictions, 1u);
+  EXPECT_EQ(evictions_metric(), 1.0);
   EXPECT_TRUE(service.query(pr_iters(1)).cache_hit);   // survived (MRU)
   EXPECT_FALSE(service.query(pr_iters(2)).cache_hit);  // evicted
   const std::uint64_t evictions_before = service.stats().evictions;
@@ -780,6 +788,9 @@ TEST(GraphService, CacheLruEvictionAndPublishWipeAreDistinct) {
   // The wipe counts as an invalidation only — repopulating the emptied
   // cache evicted nothing.
   EXPECT_EQ(service.stats().evictions, evictions_before);
+  // The stat and the metric read one counter.
+  EXPECT_EQ(static_cast<double>(service.stats().evictions),
+            evictions_metric());
 }
 
 // The mixed-traffic case the subsystem exists for: one writer applying

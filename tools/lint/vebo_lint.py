@@ -22,6 +22,11 @@ compile-time drift in:
   metric-names    Every `"vebo_*"` string literal in src/ is pinned by
                   tests/test_obs.cpp (the pinned-name exposition test) — a
                   new metric name lands in the test or does not land at all.
+  dense-scheduling  No file in src/ outside src/framework/ calls
+                  `partition_loop()`, `dense_chunk_loop()` or
+                  `dense_chunks()` — dense loops go through
+                  `for_dense_ranges` or `edge_fold`, so there is one dense
+                  scheduler.
 
 Suppression: append on the offending line (or the line directly above)
 
@@ -47,6 +52,7 @@ RULE_IDS = (
     "hot-atomics",
     "kernel-purity",
     "metric-names",
+    "dense-scheduling",
 )
 
 # --- per-rule configuration (paths are repo-root-relative) -----------------
@@ -91,6 +97,13 @@ KERNEL_BANNED_RE = re.compile(
 METRIC_PIN_FILE = "tests/test_obs.cpp"
 METRIC_LITERAL_RE = re.compile(r'"(vebo_[a-z0-9_]+)"')
 METRIC_TOKEN_RE = re.compile(r"\bvebo_[a-z0-9_]+\b")
+
+# The one home of dense scheduling: the engine builds the ranges and
+# edgemap.hpp's for_dense_ranges schedules them.
+DENSE_SCHED_HOME = "src/framework/"
+DENSE_SCHED_RE = re.compile(
+    r"\b(?:partition_loop|dense_chunk_loop|dense_chunks)\s*\("
+)
 
 SUPPRESS_RE = re.compile(
     r"//\s*vebo-lint:\s*disable=([a-z-]+)\s*(?:--\s*(.*\S)?)?\s*$"
@@ -256,6 +269,19 @@ def rule_metric_names(rel, lines, pinned):
     return out
 
 
+def rule_dense_scheduling(rel, lines):
+    if rel.startswith(DENSE_SCHED_HOME):
+        return []
+    out = []
+    for i, line in enumerate(lines, 1):
+        if DENSE_SCHED_RE.search(line.split("//")[0]):
+            out.append(Finding(
+                "dense-scheduling", rel, i,
+                "dense scheduling outside src/framework/; run the loop "
+                "through for_dense_ranges or edge_fold"))
+    return out
+
+
 # --- driver ----------------------------------------------------------------
 
 CXX_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx", ".hh")
@@ -284,6 +310,7 @@ def lint_file(root, path, pinned, fixture_mode=False):
         findings += rule_clock_calls(rel, lines)
         findings += rule_raw_mutex(rel, lines)
         findings += rule_metric_names(rel, lines, pinned)
+        findings += rule_dense_scheduling(rel, lines)
     findings += rule_hot_atomics(rel, lines, raw)
     findings += rule_kernel_purity(rel, lines)
     return _apply_suppressions(lines, raw, findings)
