@@ -256,7 +256,7 @@ PayloadCompare run_payload_overhead(const Graph& seed, std::size_t count) {
     GraphServiceOptions opts;
     opts.workers = 1;
     opts.engine.model = SystemModel::Polymer;
-    opts.enable_cache = false;
+    opts.cache_capacity = 0;  // uncached
     GraphService service(store, opts);
     service.publish_session(session);
     const std::size_t cold_count = std::max<std::size_t>(8, count / 8);

@@ -334,7 +334,7 @@ void run_incremental(const Graph& full, std::size_t batch_size,
     serve::SnapshotStore store;
     serve::GraphServiceOptions o;
     o.workers = 1;
-    o.enable_cache = false;
+    o.cache_capacity = 0;  // uncached
     o.engine.model = SystemModel::Polymer;
     serve::GraphService service(store, o);
     service.publish_session(session);

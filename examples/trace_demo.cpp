@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
             << ", p50/p95/p99 = " << h.window_p50_ms << "/" << h.window_p95_ms
             << "/" << h.window_p99_ms << " ms\n"
             << "  slo: availability " << h.availability << ", burn rate "
-            << h.burn_rate << ", latency burn " << h.latency_burn_rate
-            << (h.slo_healthy ? " (healthy)" : " (BURNING)") << "\n"
+            << h.burn_rate << (h.slo_healthy ? " (healthy)" : " (BURNING)")
+            << "\n"
             << "  tail sampling: " << h.traces_captured
             << " traces kept, slow-keep threshold "
             << h.slow_keep_threshold_ms << " ms\n";

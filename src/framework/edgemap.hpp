@@ -378,7 +378,6 @@ inline void fill_fold_span(obs::SpanScope& step, const Engine& eng,
   s.direction = 2;
   s.rep = complete ? 3 : 2;
   s.variant = obs::KernelVariant::Fold;
-  s.flags = 2;  // fold commits per destination; no output frontier
 }
 
 }  // namespace detail

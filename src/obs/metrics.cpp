@@ -26,30 +26,6 @@ void MetricsRegistry::Registration::release() {
            cs.end());
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help) {
-  MutexLock lock(mutex_);
-  Owned& o = owned_[name];
-  if (!o.counter) {
-    o.help = help;
-    o.type = MetricType::Counter;
-    o.counter = std::make_unique<Counter>();
-  }
-  return *o.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& help) {
-  MutexLock lock(mutex_);
-  Owned& o = owned_[name];
-  if (!o.gauge) {
-    o.help = help;
-    o.type = MetricType::Gauge;
-    o.gauge = std::make_unique<Gauge>();
-  }
-  return *o.gauge;
-}
-
 MetricsRegistry::Registration MetricsRegistry::add_collector(Collector fn) {
   MutexLock lock(mutex_);
   const std::uint64_t id = next_collector_id_++;
@@ -60,15 +36,6 @@ MetricsRegistry::Registration MetricsRegistry::add_collector(Collector fn) {
 std::vector<MetricSample> MetricsRegistry::collect() const {
   MutexLock lock(mutex_);
   std::vector<MetricSample> out;
-  for (const auto& [name, o] : owned_) {
-    MetricSample s;
-    s.name = name;
-    s.help = o.help;
-    s.type = o.type;
-    s.value = o.counter ? static_cast<double>(o.counter->value())
-                        : o.gauge->value();
-    out.push_back(std::move(s));
-  }
   for (const auto& [id, fn] : collectors_) fn(out);
   return out;
 }
@@ -84,30 +51,6 @@ std::string escape_label(const std::string& v) {
     else if (c == '"') out += "\\\"";
     else if (c == '\n') out += "\\n";
     else out += c;
-  }
-  return out;
-}
-
-/// JSON string escape (control chars, quote, backslash).
-std::string escape_json(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }
@@ -156,40 +99,6 @@ std::string MetricsRegistry::prometheus_text() const {
     format_value(os, s.value);
     os << "\n";
   }
-  return os.str();
-}
-
-std::string MetricsRegistry::json_dump() const {
-  const std::vector<MetricSample> samples = collect();
-  std::ostringstream os;
-  os << "{\"metrics\":[";
-  bool first_sample = true;
-  for (const MetricSample& s : samples) {
-    if (!first_sample) os << ",";
-    first_sample = false;
-    os << "{\"name\":\"" << escape_json(s.name) << "\",\"type\":\""
-       << to_string(s.type) << "\"";
-    if (!s.labels.empty()) {
-      os << ",\"labels\":{";
-      bool first = true;
-      for (const auto& [k, v] : s.labels) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << escape_json(k) << "\":\"" << escape_json(v) << "\"";
-      }
-      os << "}";
-    }
-    os << ",\"value\":";
-    double v = s.value;
-    if (std::isnan(v) || std::isinf(v)) {
-      os << "\"" << (std::isnan(v) ? "NaN" : (v > 0 ? "+Inf" : "-Inf"))
-         << "\"";
-    } else {
-      format_value(os, v);
-    }
-    os << "}";
-  }
-  os << "]}";
   return os.str();
 }
 

@@ -4,37 +4,27 @@
 // its own getter — GraphServiceStats, ResultCache's hit/miss/eviction
 // counters, EnginePoolStats, SnapshotStoreStats, the VeboMaintainer's
 // drift/rebalance counters — and nothing could scrape them uniformly.
-// The registry puts them all behind one registration API with two
-// exposition formats:
-//  * prometheus_text(): the Prometheus text format (# HELP / # TYPE
-//    comments, name{label="v"} value lines) — scrapeable as-is;
-//  * json_dump(): the same samples as a JSON array, for tooling without
-//    a Prometheus parser.
+// The registry puts them all behind one registration API, collectors,
+// and one exposition format, prometheus_text(): the Prometheus text
+// format (# HELP / # TYPE comments, name{label="v"} value lines),
+// scrapeable as-is.
 //
-// Two registration styles:
-//  * Owned instruments — counter(name) / gauge(name) hand out atomic
-//    Counter/Gauge objects the registry owns; updates are lock-free and
-//    the registry reads them at collection time. For new metrics.
-//  * Collectors — add_collector(fn) registers a callback that emits
-//    MetricSamples at collection time. This is how the existing stats
-//    structs are absorbed WITHOUT restructuring their locking: a
-//    component registers one collector that snapshots its stats (under
-//    its own locks, exactly as its stats() getter does) and emits each
-//    field as a sample. The returned Registration deregisters on
-//    destruction, so a dying component can never leave a dangling
-//    callback behind (the registry itself must outlive registrants).
+// add_collector(fn) registers a callback that emits MetricSamples at
+// collection time. This absorbs the existing stats structs WITHOUT
+// restructuring their locking: a component registers one collector
+// that snapshots its stats (under its own locks, exactly as its stats()
+// getter does) and emits each field as a sample. The returned
+// Registration deregisters on destruction, so a dying component can
+// never leave a dangling callback behind (the registry itself must
+// outlive registrants).
 //
-// Thread-safety: instrument updates are atomic; registration,
-// deregistration and collection serialize on one mutex. Collection
-// calls collectors under that mutex — collectors must not call back
-// into the same registry.
+// Thread-safety: registration, deregistration and collection serialize
+// on one mutex. Collection calls collectors under that mutex —
+// collectors must not call back into the same registry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,32 +45,6 @@ struct MetricSample {
   MetricType type = MetricType::Gauge;
   std::vector<std::pair<std::string, std::string>> labels;
   double value = 0;
-};
-
-/// Monotonic counter (lock-free updates).
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Point-in-time value (lock-free updates).
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0};
 };
 
 class MetricsRegistry {
@@ -121,18 +85,10 @@ class MetricsRegistry {
     std::uint64_t id_ = 0;
   };
 
-  /// Owned instruments, created on first use (idempotent by name; the
-  /// help text of the first call sticks). References stay valid for the
-  /// registry's lifetime.
-  Counter& counter(const std::string& name, const std::string& help = "")
-      EXCLUDES(mutex_);
-  Gauge& gauge(const std::string& name, const std::string& help = "")
-      EXCLUDES(mutex_);
-
   /// Registers a scrape-time callback emitting samples.
   [[nodiscard]] Registration add_collector(Collector fn) EXCLUDES(mutex_);
 
-  /// Snapshot of every sample: owned instruments plus all collectors.
+  /// Snapshot of every collector's samples, in registration order.
   /// Collectors run UNDER mutex_ (that is what makes Registration's
   /// destructor block on an in-flight scrape), so they must not call
   /// back into this registry.
@@ -141,21 +97,8 @@ class MetricsRegistry {
   /// Prometheus text exposition format.
   std::string prometheus_text() const;
 
-  /// The same samples as a JSON array:
-  /// {"metrics":[{"name":...,"type":...,"labels":{...},"value":...}]}.
-  std::string json_dump() const;
-
  private:
-  struct Owned {
-    std::string help;
-    MetricType type;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-  };
-
   mutable Mutex mutex_;
-  /// ordered => stable exposition
-  std::map<std::string, Owned> owned_ GUARDED_BY(mutex_);
   std::vector<std::pair<std::uint64_t, Collector>> collectors_
       GUARDED_BY(mutex_);
   std::uint64_t next_collector_id_ GUARDED_BY(mutex_) = 1;

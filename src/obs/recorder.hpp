@@ -185,8 +185,9 @@ class StageScope {
 };
 
 /// Routes a caller-stamped span (start/duration measured manually, e.g.
-/// queue wait) to both armed sinks — the StageScope equivalent of
-/// Tracer::record. Call only after checking stage_wanted().
+/// the serve stages' boundary stamps) to both armed sinks, as
+/// StageScope does for a scoped one. Call only after checking
+/// stage_wanted().
 void record_stage(const Span& s);
 
 /// True iff record_stage() would reach at least one sink from the

@@ -267,7 +267,6 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
       arg_u64(os, first, "dense_threshold", s.c);
       arg_u64(os, first, "chunks", s.d);
       if (s.flags & 1) arg_u64(os, first, "early_exit", 1);
-      if (s.flags & 2) arg_u64(os, first, "no_output", 1);
       if (s.flags & 4) arg_u64(os, first, "forced", 1);
       break;
     case SpanKind::Iteration:

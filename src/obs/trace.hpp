@@ -113,9 +113,8 @@ struct Span {
   KernelVariant variant = KernelVariant::None;
   std::uint8_t direction = 0;  ///< 0 n/a, 1 push, 2 pull
   std::uint8_t rep = 0;        ///< frontier rep: 0 n/a, 1 sparse, 2 dense, 3 complete
-  /// bit0 = early-exit, bit1 = no-output (edge_fold, which returns no
-  /// frontier), bit2 = forced (the caller chose the direction, so the
-  /// heuristic's inputs were not consulted)
+  /// EdgeMap only: bit0 = early-exit, bit2 = forced (the caller chose
+  /// the direction, so the heuristic's inputs were not consulted)
   std::uint8_t flags = 0;
 };
 
@@ -251,14 +250,6 @@ class Tracer {
   /// True iff the CALLING thread has an active trace.
   static bool thread_tracing() {
     return tracing_enabled() && detail::thread_tracing_slow();
-  }
-
-  /// Records a span into the calling thread's trace; no-op when the
-  /// thread is not tracing. For spans whose start/duration the caller
-  /// measured itself (e.g. queue wait); scoped steps use SpanScope.
-  static void record(const Span& s) {
-    if (!thread_tracing()) return;
-    detail::record(s);
   }
 
   static std::uint64_t now_ns() { return detail::now_ns(); }

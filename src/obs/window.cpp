@@ -15,14 +15,16 @@ double quantile_ms(const Histogram& bucket_ids, double q) {
 
 }  // namespace
 
-SlidingWindow::SlidingWindow(WindowOptions opts, bool windowed)
+SlidingWindow::SlidingWindow(WindowOptions opts, std::size_t error_codes,
+                             bool windowed)
     : opts_(opts),
+      error_codes_(error_codes),
       windowed_(windowed),
       latency_(std::max<std::size_t>(1, opts.buckets)) {
   VEBO_CHECK(opts_.buckets >= 1, "SlidingWindow: buckets must be >= 1");
   VEBO_CHECK(opts_.bucket_ns >= 1, "SlidingWindow: bucket_ns must be >= 1");
   buckets_.resize(opts_.buckets);
-  for (auto& b : buckets_) b.by_code.assign(opts_.error_codes, 0);
+  for (auto& b : buckets_) b.by_code.assign(error_codes_, 0);
   cur_end_ns_ = opts_.bucket_ns;  // bucket 0 covers [0, bucket_ns)
 }
 
@@ -113,7 +115,7 @@ WindowSnapshot SlidingWindow::snapshot(std::uint64_t now_ns) const {
   WindowSnapshot w;
   w.window_s = static_cast<double>(buckets_.size()) *
                static_cast<double>(opts_.bucket_ns) / 1e9;
-  w.errors_by_code.assign(opts_.error_codes, 0);
+  w.errors_by_code.assign(error_codes_, 0);
   for (const Bucket& b : buckets_) {
     w.total += b.total;
     w.errors += b.errors;
@@ -125,12 +127,12 @@ WindowSnapshot SlidingWindow::snapshot(std::uint64_t now_ns) const {
       w.total != 0
           ? static_cast<double>(w.errors) / static_cast<double>(w.total)
           : 0;
-  w.latency = latency_.merged();
-  w.latency_samples = w.latency.total();
+  const Histogram merged = latency_.merged();
+  w.latency_samples = merged.total();
   if (w.latency_samples != 0) {
-    w.p50_ms = quantile_ms(w.latency, 0.50);
-    w.p95_ms = quantile_ms(w.latency, 0.95);
-    w.p99_ms = quantile_ms(w.latency, 0.99);
+    w.p50_ms = quantile_ms(merged, 0.50);
+    w.p95_ms = quantile_ms(merged, 0.95);
+    w.p99_ms = quantile_ms(merged, 0.99);
   }
   for (auto it = per_algo_.begin(); it != per_algo_.end();) {
     if (it->second.total() == 0) {

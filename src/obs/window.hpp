@@ -19,6 +19,9 @@
 // window constructed with windowed = false keeps only that cumulative
 // view.
 //
+// slo_verdict() judges a snapshot against the service's availability
+// SLO: 99.9% of settled queries succeed, so 0.1% is the error budget.
+//
 // Time is always passed in by the caller (steady-clock nanoseconds,
 // obs::Tracer::now_ns()), never read internally — windows are exactly
 // testable by driving fake timestamps. Thread-safe; one mutex, held for
@@ -41,9 +44,6 @@ struct WindowOptions {
   /// Sub-window count; the horizon is buckets x bucket_ns.
   std::size_t buckets = 10;
   std::uint64_t bucket_ns = 1'000'000'000;  ///< 1s sub-windows
-  /// Width of the per-error-code counters (index space of `code` in
-  /// record()); serve passes kNumErrorCodes.
-  std::size_t error_codes = 8;
 };
 
 /// Windowed quantiles for one algorithm code.
@@ -60,8 +60,7 @@ struct LatencySummary {
 };
 
 /// One consistent view of the window (all fields from the same locked
-/// pass). `latency` is over log_bucket(us) ids — decode quantiles with
-/// log_bucket_floor, or use the pre-decoded p50/p95/p99 here.
+/// pass).
 struct WindowSnapshot {
   double window_s = 0;        ///< horizon the rates are normalized over
   std::uint64_t total = 0;    ///< settled queries in the window
@@ -69,26 +68,57 @@ struct WindowSnapshot {
   double qps = 0;             ///< total / window_s
   double error_rate = 0;      ///< errors / total (0 when empty)
   std::vector<std::uint64_t> errors_by_code;
-  Histogram latency;          ///< merged window histogram (bucket ids)
   std::uint64_t latency_samples = 0;
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
   std::vector<AlgoWindowStats> per_algo;
 };
+
+/// The availability SLO: a 99.9% target leaves an error budget of 0.1%
+/// of settled queries. Below kSloMinSamples windowed samples there is
+/// no verdict (an empty window is not an outage).
+inline constexpr double kSloTargetAvailability = 0.999;
+inline constexpr double kSloErrorBudget = 1.0 - kSloTargetAvailability;
+static_assert(kSloErrorBudget > 0,
+              "a 100% availability target leaves no error budget");
+inline constexpr std::uint64_t kSloMinSamples = 32;
+
+struct SloVerdict {
+  double availability = 1.0;  ///< 1 - windowed error rate
+  /// Windowed error rate / error budget: 0 = clean, 1 = failing at
+  /// exactly the sustainable pace, 10 = the period's budget gone in a
+  /// tenth of it.
+  double burn_rate = 0;
+  bool healthy = true;  ///< burn_rate <= 1, or no verdict yet
+};
+
+/// Judges one snapshot. Pure, so live, scraped and synthetic windows
+/// are judged alike.
+inline SloVerdict slo_verdict(const WindowSnapshot& w) {
+  SloVerdict v;
+  if (w.total < kSloMinSamples) return v;
+  v.availability = 1.0 - w.error_rate;
+  v.burn_rate = w.error_rate / kSloErrorBudget;
+  v.healthy = v.burn_rate <= 1.0;
+  return v;
+}
 
 class SlidingWindow {
  public:
   /// `code` value meaning "success" in record().
   static constexpr std::size_t kOk = ~std::size_t{0};
 
-  /// `windowed` = false keeps only the cumulative view: record() then
-  /// books successes and ignores everything else, and snapshot() stays
-  /// empty.
-  explicit SlidingWindow(WindowOptions opts = {}, bool windowed = true);
+  /// `error_codes` is the width of errors_by_code (the index space of
+  /// record()'s `code`; serve passes kNumErrorCodes). `windowed` = false
+  /// keeps only the cumulative view: record() then books successes and
+  /// ignores everything else, and snapshot() stays empty.
+  explicit SlidingWindow(WindowOptions opts = {}, std::size_t error_codes = 0,
+                         bool windowed = true);
 
   /// Records one settled query. `latency_ms` < 0 skips the latency
   /// histograms (rejections have no meaningful latency but must still
-  /// count toward the error rate). `code` indexes errors_by_code, or
-  /// kOk for a success; only successes enter the cumulative view.
+  /// count toward the error rate). `code` indexes errors_by_code (codes
+  /// past its width count only toward `errors`), or kOk for a success;
+  /// only successes enter the cumulative view.
   void record(std::uint64_t now_ns, const std::string& algo,
               double latency_ms, std::size_t code = kOk) EXCLUDES(mutex_);
 
@@ -110,6 +140,7 @@ class SlidingWindow {
   void advance(std::uint64_t now_ns) const REQUIRES(mutex_);
 
   WindowOptions opts_;
+  std::size_t error_codes_;
   bool windowed_;
   mutable Mutex mutex_;
   Histogram cumulative_ GUARDED_BY(mutex_);  ///< log_bucket(us) ids

@@ -234,22 +234,12 @@ GraphService::GraphService(SnapshotStore& store, GraphServiceOptions opts)
         return eopts;
       }()),
       cache_(opts.cache_capacity),
-      latency_(
-          [&] {
-            // The per-code dimension always matches this service's error
-            // codes; callers tune bucket count/width only.
-            obs::WindowOptions wopts = opts.telemetry.window_opts;
-            wopts.error_codes = kNumErrorCodes;
-            return wopts;
-          }(),
-          opts.telemetry.window),
+      latency_(opts.telemetry.window_opts, kNumErrorCodes,
+               opts.telemetry.window),
       trace_store_(kTraceStoreCapacity) {
   VEBO_CHECK(opts_.workers >= 1, "GraphService: workers must be >= 1");
   VEBO_CHECK(opts_.queue_capacity >= 1,
              "GraphService: queue_capacity must be >= 1");
-  VEBO_CHECK(!opts_.enable_cache || opts_.cache_capacity >= 1,
-             "GraphService: cache_capacity must be >= 1 "
-             "(set enable_cache = false to serve uncached)");
   workers_.reserve(opts_.workers);
   worker_state_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)
@@ -342,7 +332,8 @@ std::uint64_t GraphService::publish(
   // refresh path re-translates payloads through it.
   const std::shared_ptr<const Permutation> perm_copy = perm;
   const bool refresh =
-      opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr;
+      opts_.refresh_on_publish && opts_.cache_capacity != 0 &&
+      delta != nullptr;
   {
     obs::StageScope span(obs::SpanKind::Publish);
     // The epoch this publish supersedes, pinned only while it is read,
@@ -504,7 +495,7 @@ GraphService::Resolved GraphService::resolve(const Query& q) const {
 
 bool GraphService::probe(const Resolved& q, bool want_payload,
                          QueryResult& r) {
-  if (!opts_.enable_cache) return false;
+  if (opts_.cache_capacity == 0) return false;
   MutexLock lk(cache_mutex_);
   if (cache_version_ != q.snap.version()) return false;
   const ResultCache::Value* v = cache_.find(q.key);
@@ -544,12 +535,12 @@ void GraphService::translate(const Resolved& q, algo::QueryPayload payload,
                                           "payload allocation");
   // Nobody sees the payload of a checksum-only query with the cache
   // off: translation is skipped and scalar answers stay cheap.
+  const bool cached = opts_.cache_capacity != 0;
   ResultCache::Value v = translated(*q.spec, std::move(payload),
-                                    q.snap.perm(),
-                                    want_payload || opts_.enable_cache);
+                                    q.snap.perm(), want_payload || cached);
   r.value = v.checksum;
   if (want_payload) r.payload = v.payload;
-  if (!opts_.enable_cache) return;
+  if (!cached) return;
   v.code = q.spec->code;
   v.params = q.norm;
   v.read = true;  // a client asked for it this epoch
@@ -895,10 +886,9 @@ ServiceHealth GraphService::health() const {
     h.window_p50_ms = w.p50_ms;
     h.window_p95_ms = w.p95_ms;
     h.window_p99_ms = w.p99_ms;
-    const obs::SloStatus s = slo_.evaluate(w);
+    const obs::SloVerdict s = obs::slo_verdict(w);
     h.availability = s.availability;
     h.burn_rate = s.burn_rate;
-    h.latency_burn_rate = s.latency_burn_rate;
     h.slo_healthy = s.healthy;
   }
   h.traces_captured = trace_store_.captured();
@@ -1030,7 +1020,7 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   // can't confuse a 10-second rate with a since-boot counter.
   if (opts_.telemetry.window) {
     const obs::WindowSnapshot w = latency_.snapshot(obs::Tracer::now_ns());
-    const obs::SloStatus slo = slo_.evaluate(w);
+    const obs::SloVerdict slo = obs::slo_verdict(w);
     emit(MetricType::Gauge, "vebo_service_qps_window",
          "settled queries per second over the sliding window", w.qps);
     emit(MetricType::Gauge, "vebo_service_error_rate_window",
@@ -1063,9 +1053,6 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
     emit(MetricType::Gauge, "vebo_slo_burn_rate",
          "windowed error rate / error budget (1.0 = sustainable pace)",
          slo.burn_rate);
-    emit(MetricType::Gauge, "vebo_slo_latency_burn_rate",
-         "over-target latency fraction / allowed fraction",
-         slo.latency_burn_rate);
   }
 
   // Tail sampling + flight recorder activity.

@@ -88,7 +88,6 @@
 #include "graph/permute.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "serve/engine_pool.hpp"
@@ -123,11 +122,10 @@ struct TelemetryOptions {
   std::uint64_t keep_min_samples = 50;
   /// Sliding-window monitoring: qps, per-ErrorCode error rate, latency
   /// quantiles per algorithm over the last buckets x bucket_ns. Feeds
-  /// health(), the *_window metric gauges, and the SLO burn rate (the
-  /// default obs::SloConfig: 99.9% availability, no latency SLO). Off,
-  /// the latency sink keeps only the cumulative view behind latency().
+  /// health(), the *_window metric gauges, and the SLO burn rate against
+  /// 99.9% availability (obs::slo_verdict). Off, the latency sink keeps
+  /// only the cumulative view behind latency().
   bool window = true;
-  /// error_codes is overridden with kNumErrorCodes at construction.
   obs::WindowOptions window_opts;
   /// Completion-time monitoring cadence: the rolling keep threshold and
   /// the anomaly checks run at most once per this interval.
@@ -151,8 +149,8 @@ struct GraphServiceOptions {
   EnginePoolOptions engine;
   /// Result cache over canonical (code, validated params) keys for the
   /// current epoch. Sized in entries; wiped on publish, LRU-evicted on
-  /// overflow.
-  bool enable_cache = true;
+  /// overflow. 0 serves uncached: no probe, no insert, no payload
+  /// translation for checksum-only answers, no refresh on publish.
   std::size_t cache_capacity = 4096;
   /// Opt-in incremental maintenance (PR 10): publishes that carry an
   /// edge delta (publish_session, or publish(..., delta)) refresh cache
@@ -307,10 +305,9 @@ struct ServiceHealth {
   double window_qps = 0;
   double window_error_rate = 0;
   double window_p50_ms = 0, window_p95_ms = 0, window_p99_ms = 0;
-  /// SLO verdict over the window (the default obs::SloConfig).
+  /// SLO verdict over the window (obs::slo_verdict).
   double availability = 1.0;
   double burn_rate = 0;
-  double latency_burn_rate = 0;
   bool slo_healthy = true;
   /// Tail sampling: traces kept so far, and the current slow-keep
   /// threshold (0 = window still warming up, only failures kept).
@@ -527,7 +524,6 @@ class GraphService {
   /// latency: cumulative (latency()) always, windowed (health(), the
   /// *_window metrics, the monitor pass) when telemetry.window is on.
   obs::SlidingWindow latency_;
-  const obs::SloTracker slo_;
   obs::TraceStore trace_store_;
   /// Rolling slow-keep threshold in us; kNoThreshold = window warming
   /// up, only failures keep. Written by maybe_monitor, read relaxed at

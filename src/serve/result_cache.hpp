@@ -19,9 +19,9 @@
 // so every unlocked touch is a compile error there — this class itself
 // carries no lock and no capability on purpose. Within an epoch,
 // overflow evicts the least-recently-used entry — never the whole cache —
-// and counts it separately from wipes. A capacity of 0 keeps at most one
-// entry (every insert evicts the previous one); services that want no
-// caching disable it instead.
+// and counts it separately from wipes. A capacity of 0 still keeps one
+// entry (every insert evicts the previous one); GraphService reads
+// cache_capacity == 0 as "serve uncached" and never touches its cache.
 #pragma once
 
 #include <cstdint>

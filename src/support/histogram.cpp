@@ -63,14 +63,6 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
   return max_value();
 }
 
-std::uint64_t Histogram::count_le(std::uint64_t value) const {
-  std::uint64_t seen = 0;
-  const std::size_t stop =
-      std::min<std::size_t>(bins_.size(), static_cast<std::size_t>(value) + 1);
-  for (std::size_t v = 0; v < stop; ++v) seen += bins_[v];
-  return seen;
-}
-
 WindowedHistogram::WindowedHistogram(std::size_t sub_windows)
     : subs_(std::max<std::size_t>(1, sub_windows)) {}
 

@@ -36,11 +36,6 @@ class Histogram {
   /// histogram. q=0.5/0.95/0.99 are the serving latency percentiles.
   std::uint64_t value_at_quantile(double q) const;
 
-  /// Number of samples with value <= `value`. With log-bucketed samples
-  /// this answers "how many were at or under this latency bucket" — the
-  /// SLO latency-burn numerator is total() - count_le(target_bucket).
-  std::uint64_t count_le(std::uint64_t value) const;
-
   /// Adds every sample of `other` into this histogram (bin-wise; exact,
   /// since both record the same integer values). Aggregating per-worker
   /// latency histograms this way preserves quantiles exactly at the bin

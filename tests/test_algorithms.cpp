@@ -37,7 +37,12 @@ namespace {
 
 class AlgoModels : public ::testing::TestWithParam<SystemModel> {
  protected:
+  /// Ligra keeps its default options, so the oracles check the
+  /// unpartitioned engine every Ligra caller builds (dense gathers on
+  /// the edge-balanced dense_chunks()); the partitioned models get 16
+  /// partitions.
   Engine make_engine(const Graph& g) const {
+    if (GetParam() == SystemModel::Ligra) return Engine(g, GetParam());
     return Engine(g, GetParam(), {.partitions = 16});
   }
 };

@@ -178,7 +178,7 @@ TEST(Chaos, AllocationFailureIsContained) {
   SnapshotStore store;
   GraphServiceOptions o;
   o.workers = 1;
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -212,7 +212,7 @@ TEST(Chaos, WorkerStallShedsExpiredQueriesNotTheService) {
   SnapshotStore store;
   GraphServiceOptions o;
   o.workers = 1;
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -336,7 +336,7 @@ TEST(Chaos, WindowAndBurnRateStaySaneUnderStorm) {
   GraphServiceOptions o;
   o.workers = 3;
   o.queue_capacity = 256;  // no rejections: the ledger check is exact
-  o.enable_cache = false;  // every query executes, so QueryThrow can land
+  o.cache_capacity = 0;  // every query executes, so QueryThrow can land
   o.telemetry.monitor_interval_ms = 0;
   o.telemetry.anomaly_min_samples = 10;
   o.telemetry.anomaly_error_rate = 0.2;
@@ -351,7 +351,7 @@ TEST(Chaos, WindowAndBurnRateStaySaneUnderStorm) {
       const serve::ServiceHealth h = service.health();
       if (h.window_error_rate < 0 || h.window_error_rate > 1 ||
           h.availability < 0 || h.availability > 1 || h.burn_rate < 0 ||
-          h.latency_burn_rate < 0 || h.window_qps < 0 ||
+          h.window_qps < 0 ||
           h.window_p50_ms > h.window_p99_ms + 1e-9 ||
           h.slow_keep_threshold_ms < 0)
         violations.fetch_add(1);

@@ -524,13 +524,26 @@ TEST(GraphService, DisabledCacheNeverHits) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
+  o.refresh_on_publish = true;  // nothing cached, so nothing to refresh
+  o.refresh_max_delta_fraction = 1.0;
   GraphService service(store, o);
   service.publish_session(session);
   service.query({"CC", 0});
   const QueryResult again = service.query({"CC", 0});
   EXPECT_FALSE(again.cache_hit);
   EXPECT_EQ(service.stats().cache_hits, 0u);
+  // A payload answer is still translated for the client who asked.
+  Query payload{"CC", 0};
+  payload.result = serve::ResultKind::Payload;
+  EXPECT_NE(service.query(payload).payload, nullptr);
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(1, 3)});
+  service.publish_session(session);
+  const serve::GraphServiceStats st = service.stats();
+  EXPECT_EQ(st.refreshes, 0u);
+  EXPECT_EQ(st.invalidations, 0u);
+  EXPECT_EQ(st.evictions, 0u);
+  EXPECT_FALSE(service.query({"CC", 0}).cache_hit);
 }
 
 TEST(GraphService, SourcesAreOriginalIdsAcrossReordering) {
@@ -553,7 +566,7 @@ TEST(GraphService, BackpressureRejectsInsteadOfBlocking) {
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
   o.queue_capacity = 1;
-  o.enable_cache = false;  // every query does real work
+  o.cache_capacity = 0;  // uncached: every query does real work
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -599,7 +612,7 @@ TEST(GraphService, StopDrainsQueueAndRejectsLateSubmits) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -920,7 +933,7 @@ TEST(GraphService, DeadlineExpiredQueuedQueriesAreShed) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -977,7 +990,7 @@ TEST(GraphService, UnrepresentableDeadlineMeansNoDeadline) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -996,7 +1009,7 @@ TEST(GraphService, CancellationStopsARunningTraversalPromptly) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -1032,7 +1045,7 @@ TEST(GraphService, WorkerCatchReleasesLeaseAndFailsExactlyOnce) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -1063,7 +1076,7 @@ TEST(GraphService, HealthReportsQueueAndWorkers) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(2);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 
@@ -1105,7 +1118,7 @@ TEST(GraphService, StopRacingPublishWithExpiredQueriesResolvesAll) {
   StreamSession session(base);
   SnapshotStore store;
   GraphServiceOptions o = small_service(1);
-  o.enable_cache = false;
+  o.cache_capacity = 0;  // uncached
   GraphService service(store, o);
   service.publish_session(session);
 

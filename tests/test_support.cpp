@@ -541,19 +541,5 @@ TEST(WindowedHistogram, ClearResetsEverything) {
   EXPECT_EQ(w.merged().value_at_quantile(1.0), 9u);
 }
 
-TEST(Histogram, CountLe) {
-  Histogram h;
-  h.add(1, 3);
-  h.add(5, 2);
-  h.add(9, 1);
-  EXPECT_EQ(h.count_le(0), 0u);
-  EXPECT_EQ(h.count_le(1), 3u);
-  EXPECT_EQ(h.count_le(4), 3u);
-  EXPECT_EQ(h.count_le(5), 5u);
-  EXPECT_EQ(h.count_le(9), 6u);
-  EXPECT_EQ(h.count_le(1000), 6u);  // past max_value: everything
-  EXPECT_EQ(Histogram{}.count_le(10), 0u);
-}
-
 }  // namespace
 }  // namespace vebo

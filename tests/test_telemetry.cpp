@@ -1,6 +1,6 @@
 // Tests for the PR 8 always-on telemetry layer: the sliding window
 // (bucket rotation, per-code error rates, per-algo quantiles, fake-time
-// aging), the SLO evaluator (error and latency burn), the reusable
+// aging), the fixed-budget SLO verdict (error burn), the reusable
 // tail-sampling tracer rings and the TraceStore keep/evict policy, the
 // flight recorder (window filtering, trigger rate limit, multi-thread
 // export), and the end-to-end service behavior: a deliberately slowed
@@ -19,16 +19,13 @@
 
 #include "gen/rmat.hpp"
 #include "obs/recorder.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "serve/graph_service.hpp"
 #include "serve/service_error.hpp"
 #include "serve/snapshot_store.hpp"
 #include "stream/session.hpp"
-#include "support/error.hpp"
 #include "support/fault.hpp"
-#include "support/histogram.hpp"
 
 namespace vebo {
 namespace {
@@ -37,10 +34,8 @@ using obs::CapturedTrace;
 using obs::FlightDump;
 using obs::FlightRecorder;
 using obs::RecorderOptions;
-using obs::SloConfig;
-using obs::SloStatus;
-using obs::SloTracker;
 using obs::SlidingWindow;
+using obs::SloVerdict;
 using obs::Span;
 using obs::SpanKind;
 using obs::Trace;
@@ -73,8 +68,7 @@ TEST(SlidingWindow, RatesAndQuantilesOverLiveBuckets) {
   WindowOptions wo;
   wo.buckets = 10;
   wo.bucket_ns = kSec;
-  wo.error_codes = 4;
-  SlidingWindow w(wo);
+  SlidingWindow w(wo, /*error_codes=*/4);
   // 8 successes at 2ms, 2 failures (codes 1 and 3) in the same second.
   for (int i = 0; i < 8; ++i) w.record(kSec, "PR", 2.0);
   w.record(kSec, "PR", 5.0, 1);
@@ -137,73 +131,53 @@ TEST(SlidingWindow, OutOfOrderTimestampsLandInTheCurrentBucket) {
   EXPECT_EQ(w.snapshot(20 * kSec).total, 2u);
 }
 
+TEST(SlidingWindow, CodesPastTheWidthCountOnlyTowardErrors) {
+  SlidingWindow w;  // error_codes = 0: no per-code breakdown
+  w.record(kSec, "PR", 1.0, 2);
+  const WindowSnapshot s = w.snapshot(kSec);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_TRUE(s.errors_by_code.empty());
+}
+
 // ------------------------------------------------------------------ slo
 
-WindowSnapshot synthetic_window(std::uint64_t total, std::uint64_t errors,
-                                double over_ms, std::uint64_t over_count) {
+WindowSnapshot synthetic_window(std::uint64_t total, std::uint64_t errors) {
   WindowSnapshot s;
   s.total = total;
   s.errors = errors;
   s.error_rate =
       total != 0 ? static_cast<double>(errors) / static_cast<double>(total)
                  : 0.0;
-  const std::uint64_t ok_lat = total - errors;
-  for (std::uint64_t i = 0; i < ok_lat; ++i)
-    s.latency.add(log_bucket(i < over_count
-                                 ? static_cast<std::uint64_t>(over_ms * 1000)
-                                 : 100));  // fast path: 0.1ms
-  s.latency_samples = ok_lat;
   return s;
 }
 
-TEST(SloTracker, NoVerdictBelowMinSamples) {
-  SloConfig cfg;
-  cfg.min_samples = 32;
-  SloTracker t(cfg);
-  const SloStatus s = t.evaluate(synthetic_window(10, 10, 0, 0));
+// The service's one SLO: 99.9% availability, judged from 32 windowed
+// samples on.
+TEST(Slo, NoVerdictBelowThirtyTwoSamples) {
+  const SloVerdict s = obs::slo_verdict(synthetic_window(31, 31));
+  EXPECT_EQ(s.availability, 1.0);
   EXPECT_EQ(s.burn_rate, 0.0);
   EXPECT_TRUE(s.healthy);  // an empty-ish window is not an outage
+  const SloVerdict at_min = obs::slo_verdict(synthetic_window(32, 1));
+  EXPECT_NEAR(at_min.availability, 1.0 - 1.0 / 32, 1e-12);
+  EXPECT_GT(at_min.burn_rate, 1.0);
+  EXPECT_FALSE(at_min.healthy);
 }
 
-TEST(SloTracker, ErrorBurnRate) {
-  SloConfig cfg;
-  cfg.target_availability = 0.99;  // 1% budget
-  cfg.min_samples = 10;
-  SloTracker t(cfg);
-  // 5% errors against a 1% budget: burning 5x too fast.
-  const SloStatus s = t.evaluate(synthetic_window(100, 5, 0, 0));
-  EXPECT_NEAR(s.availability, 0.95, 1e-12);
+TEST(Slo, ErrorBurnRateAgainstAThousandthBudget) {
+  // 0.5% errors against a 0.1% budget: burning 5x too fast.
+  const SloVerdict s = obs::slo_verdict(synthetic_window(1000, 5));
+  EXPECT_NEAR(s.availability, 0.995, 1e-12);
   EXPECT_NEAR(s.burn_rate, 5.0, 1e-9);
   EXPECT_FALSE(s.healthy);
   // At exactly the budget, burn is 1.0 and still (barely) healthy.
-  const SloStatus edge = t.evaluate(synthetic_window(100, 1, 0, 0));
+  const SloVerdict edge = obs::slo_verdict(synthetic_window(1000, 1));
   EXPECT_NEAR(edge.burn_rate, 1.0, 1e-9);
   EXPECT_TRUE(edge.healthy);
-}
-
-TEST(SloTracker, LatencyBurnRate) {
-  SloConfig cfg;
-  cfg.target_availability = 0.5;  // error SLO effectively off
-  cfg.target_latency_ms = 10.0;
-  cfg.latency_quantile = 0.9;  // 10% of samples may run long
-  cfg.min_samples = 10;
-  SloTracker t(cfg);
-  // 20 of 100 samples at 50ms (> 10ms target): over-fraction 0.2,
-  // allowance 0.1, burn 2x.
-  const SloStatus s = t.evaluate(synthetic_window(100, 0, 50.0, 20));
-  EXPECT_NEAR(s.latency_over_fraction, 0.2, 1e-9);
-  EXPECT_NEAR(s.latency_burn_rate, 2.0, 1e-9);
-  EXPECT_FALSE(s.healthy);
-  // All samples inside the target: no burn.
-  const SloStatus ok = t.evaluate(synthetic_window(100, 0, 0, 0));
-  EXPECT_DOUBLE_EQ(ok.latency_burn_rate, 0.0);
-  EXPECT_TRUE(ok.healthy);
-}
-
-TEST(SloTracker, RejectsZeroBudgetTarget) {
-  SloConfig cfg;
-  cfg.target_availability = 1.0;
-  EXPECT_THROW(SloTracker{cfg}, Error);
+  const SloVerdict clean = obs::slo_verdict(synthetic_window(1000, 0));
+  EXPECT_EQ(clean.availability, 1.0);
+  EXPECT_EQ(clean.burn_rate, 0.0);
+  EXPECT_TRUE(clean.healthy);
 }
 
 // ------------------------------------------------- trace store + reuse
