@@ -1,4 +1,4 @@
-// Ablation over the design choices DESIGN.md calls out:
+// Ablation over three design choices of the reproduction:
 //  1. Partition count sweep: how P affects VEBO balance, the modeled
 //     makespan and COO build cost (GraphGrind recommends P=384).
 //  2. Scheduling policy: modeled makespans of static / dynamic / hybrid

@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark binaries that regenerate the paper's
 // tables and figures. Every bench prints a paper-style table plus the
-// modeled 48-thread makespans described in DESIGN.md §5.
+// modeled 48-thread makespans (README, "Hardware substitutions").
 #pragma once
 
 #include <cstdlib>

@@ -4,10 +4,10 @@
 // partitions 8t..8t+7), Original vs VEBO.
 //
 // Hardware counters are replaced by the trace-driven cache/TLB/branch
-// simulators (DESIGN.md §2). Expected shape: VEBO collapses the 7x
-// per-partition time spread to ~1.6x and cuts the branch MPKI several
-// fold; cache/TLB means move little (Twitter/PR is the paper's noted
-// counter-example where locality does not improve).
+// simulators (README, "Hardware substitutions"). Expected shape: VEBO
+// collapses the 7x per-partition time spread to ~1.6x and cuts the
+// branch MPKI several fold; cache/TLB means move little (Twitter/PR is
+// the paper's noted counter-example where locality does not improve).
 #include <iostream>
 
 #include "algorithms/pagerank.hpp"

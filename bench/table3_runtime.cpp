@@ -7,7 +7,8 @@
 //     locality differences; the fastest ordering per row is starred).
 //  2. The modeled 48-thread makespan of the dense PR edge kernel
 //     (captures the load-balance effect that dominates on the paper's
-//     4-socket machine under static scheduling) — see DESIGN.md §5.
+//     4-socket machine under static scheduling) — see README, "Hardware
+//     substitutions".
 //
 // Expected shape: VEBO wins consistently on Polymer/GraphGrind for the
 // power-law graphs, is roughly neutral on Ligra (dynamic scheduling
@@ -144,7 +145,7 @@ int main() {
                   << Table::num(hyo / std::max(1e-12, hyv), 2) << "x\n";
         // Accumulate the modeled speedups each system's scheduling policy
         // would see: Ligra ~ dynamic, Polymer ~ static, GraphGrind ~
-        // hybrid (the makespan substitution of DESIGN.md §5).
+        // hybrid (README, "Hardware substitutions").
         const bool cond = g.num_edges() >=
                           (g.max_in_degree() + 1) *
                               (bench::kPaperPartitions - 1);

@@ -12,15 +12,20 @@
 // as Chrome trace-event JSON (trace_demo.json).
 //
 // Then the always-on part: the flight recorder is armed for the whole
-// run, and after the storm one UNTRACED query is deliberately stalled
-// ~40ms through the fault injector. Tail sampling keeps it
-// automatically (it blows past the rolling p99-based threshold), its
-// forensic trace lands in service.trace_store() with zero opt-in
+// run, the clients keep querying until the window holds enough answers
+// to set the rolling p99-based keep threshold, and then one UNTRACED
+// query is deliberately stalled through the fault injector for twice
+// that threshold (at least 40ms). Tail sampling keeps it automatically,
+// its forensic trace lands in service.trace_store() with zero opt-in
 // (trace_demo_slow.json), and an explicit flight-recorder dump freezes
 // the last seconds of every worker into trace_demo_flight.json. The
 // health() readout prints the window view and the SLO burn rate.
 //
+// Exits 1 when the traced query carries no trace, the stalled query is
+// not captured, or the flight dump is empty.
+//
 //   ./example_trace_demo [batches=6] [batch_size=1500] [clients=4]
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -96,12 +101,16 @@ int main(int argc, char** argv) {
     done.store(true, std::memory_order_release);
   });
 
+  // The readers outlast the writer until the window holds enough
+  // answers for the service to set its slow-keep threshold.
+  const std::uint64_t min_answers = opts.telemetry.keep_min_samples;
   std::vector<std::thread> readers;
   for (int c = 0; c < clients; ++c)
     readers.emplace_back([&, c] {
       Xoshiro256 rng(100 + c);
       const char* algos[] = {"BFS", "CC", "PR"};
-      while (!done.load(std::memory_order_acquire)) {
+      while (!done.load(std::memory_order_acquire) ||
+             answered.load() < min_answers) {
         Query q;
         q.algo = algos[rng.next_below(3)];
         q.source = static_cast<VertexId>(rng.next_below(8));
@@ -124,7 +133,11 @@ int main(int argc, char** argv) {
             << "traced PR checksum=" << res.value << " on epoch "
             << res.version << "\n";
 
-  if (res.trace != nullptr) {
+  if (res.trace == nullptr) {
+    std::cout << "traced query returned no trace\n";
+    return 1;
+  }
+  {
     std::set<obs::SpanKind> kinds;
     for (const obs::Span& s : res.trace->spans) kinds.insert(s.kind);
     std::cout << "trace " << res.trace->id << ": "
@@ -143,13 +156,18 @@ int main(int argc, char** argv) {
   }
 
   // ---- PR 8: the always-on plane catches a slow query on its own. ----
-  // Stall ONE untraced query ~40ms through the fault injector (the only
-  // in-flight query, so rate 1.0 hits exactly it). Tail sampling has
-  // been ring-recording every query all along; this one blows past the
-  // rolling keep threshold and is persisted with zero opt-in.
+  // Stall ONE untraced query through the fault injector (the only
+  // in-flight query, so rate 1.0 hits exactly it) for twice the rolling
+  // keep threshold, and at least 40ms. No query settles between this
+  // read and the stalled one's keep decision, so the threshold holds.
+  // Tail sampling has been ring-recording every query all along; this
+  // one blows past the threshold and is persisted with zero opt-in.
+  const double keep_ms = service.health().slow_keep_threshold_ms;
+  const double stall_ms = std::max(40.0, 2 * keep_ms);
   const std::uint64_t captured_before = service.trace_store().captured();
   FaultInjector::instance().arm(FaultInjector::Hook::WorkerStall,
-                                /*rate=*/1.0, /*delay_us=*/40'000);
+                                /*rate=*/1.0,
+                                static_cast<std::uint64_t>(stall_ms * 1000));
   Query stalled;
   stalled.algo = "PR";
   service.query(stalled);  // no Query::trace — capture is automatic
@@ -166,9 +184,11 @@ int main(int argc, char** argv) {
             << "\n"
             << "  tail sampling: " << h.traces_captured
             << " traces kept, slow-keep threshold "
-            << h.slow_keep_threshold_ms << " ms\n";
+            << h.slow_keep_threshold_ms << " ms, stall " << stall_ms
+            << " ms\n";
 
-  if (service.trace_store().captured() > captured_before) {
+  const bool captured = service.trace_store().captured() > captured_before;
+  if (captured) {
     const std::vector<obs::CapturedTrace> kept = service.trace_store().recent();
     const obs::CapturedTrace& ct = kept.back();
     std::cout << "auto-captured " << ct.trace.spans.size() << "-span trace #"
@@ -179,8 +199,8 @@ int main(int argc, char** argv) {
     std::cout << "Wrote trace_demo_slow.json — the stalled query's "
                  "forensics, no opt-in\n";
   } else {
-    std::cout << "stalled query was NOT captured (unexpected — threshold "
-              << h.slow_keep_threshold_ms << " ms)\n";
+    std::cout << "stalled query was NOT captured (threshold " << keep_ms
+              << " ms before the stall)\n";
   }
 
   // Freeze the black box: every stage span from the last few seconds,
@@ -215,5 +235,6 @@ int main(int argc, char** argv) {
       ++shown;
     }
   }
-  return 0;
+  if (dump.spans.empty()) std::cout << "flight recorder dump is empty\n";
+  return captured && !dump.spans.empty() ? 0 : 1;
 }

@@ -41,13 +41,4 @@ const AlgorithmSpec& spec(const std::string& code) {
   throw Error("unknown algorithm code: " + code);
 }
 
-const std::vector<std::string>& algorithm_codes() {
-  static const std::vector<std::string> codes = [] {
-    std::vector<std::string> c;
-    for (const auto& s : specs()) c.push_back(s.code);
-    return c;
-  }();
-  return codes;
-}
-
 }  // namespace vebo::algo

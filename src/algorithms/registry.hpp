@@ -34,8 +34,4 @@ const AlgorithmSpec* find_spec(std::string_view code);
 /// Spec lookup by code; throws vebo::Error on unknown code.
 const AlgorithmSpec& spec(const std::string& code);
 
-/// The registered codes, in the paper's order (for demos and services
-/// enumerating their query surface).
-const std::vector<std::string>& algorithm_codes();
-
 }  // namespace vebo::algo

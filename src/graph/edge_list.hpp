@@ -15,6 +15,8 @@ namespace vebo {
 class EdgeList {
  public:
   EdgeList() = default;
+  /// Throws vebo::Error unless every endpoint is < num_vertices (so the
+  /// kInvalidVertex sentinel is never an endpoint).
   EdgeList(VertexId num_vertices, std::vector<Edge> edges,
            bool directed = true);
 
@@ -25,25 +27,11 @@ class EdgeList {
   std::span<const Edge> edges() const { return edges_; }
   std::span<Edge> mutable_edges() { return edges_; }
 
-  void add(VertexId src, VertexId dst);
-
-  /// Ensures every referenced endpoint is < num_vertices; grows n if
-  /// grow==true, otherwise throws.
-  void validate(bool grow = false);
-
-  /// Removes self loops (u,u).
-  void remove_self_loops();
-
   /// Removes duplicate edges (sorts as a side effect).
   void remove_duplicates();
 
   /// Adds the reverse of every edge, then dedupes. Marks undirected.
   void symmetrize();
-
-  /// Sorts edges by (src, dst) — the "CSR order" of the paper's Sec. V-G.
-  void sort_by_source();
-  /// Sorts edges by (dst, src).
-  void sort_by_destination();
 
  private:
   VertexId n_ = 0;

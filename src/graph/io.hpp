@@ -1,8 +1,5 @@
-// Graph I/O:
-//  * Ligra "AdjacencyGraph" text format (what the paper's artifact uses)
-//  * plain whitespace edge-list text ("src dst" per line, '#' comments,
-//    SNAP download format)
-//  * a compact binary format for fast reload in benchmarks
+// Graph I/O in Ligra's "AdjacencyGraph" text format, the one format the
+// paper's artifact reads and writes.
 #pragma once
 
 #include <iosfwd>
@@ -17,25 +14,11 @@ namespace vebo::io {
 void write_adjacency(std::ostream& os, const Graph& g);
 void write_adjacency_file(const std::string& path, const Graph& g);
 
-/// Reads the Ligra adjacency format. Throws vebo::Error on malformed input.
+/// Reads the Ligra adjacency format. As strict as Ligra's reader: the
+/// stream must hold exactly 3 + n + m tokens, the offsets must form a
+/// valid row table over the m targets, and every target must be < n.
+/// Throws vebo::Error otherwise.
 Graph read_adjacency(std::istream& is, bool directed = true);
 Graph read_adjacency_file(const std::string& path, bool directed = true);
-
-/// Writes "src dst" per line.
-void write_edge_list(std::ostream& os, const Graph& g);
-
-/// Reads whitespace-separated "src dst" lines; '#'-prefixed lines are
-/// comments (SNAP style). Vertex count is 1 + max id unless `n` > 0.
-EdgeList read_edge_list(std::istream& is, VertexId n = 0);
-
-/// Binary format with a versioned header:
-///   magic (u64), version (u32), n (u64), m (u64), directed (u8),
-///   offsets (n+1 x u64), targets (m x u32)  — the out-CSR.
-/// Readers reject bad magic, unsupported versions, and truncation with
-/// vebo::Error, so streamed snapshots can be persisted and reloaded
-/// safely. `binary_format_version()` is the version written.
-std::uint32_t binary_format_version();
-void write_binary_file(const std::string& path, const Graph& g);
-Graph read_binary_file(const std::string& path);
 
 }  // namespace vebo::io

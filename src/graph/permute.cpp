@@ -1,9 +1,6 @@
 #include "graph/permute.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
-#include "support/prng.hpp"
 
 namespace vebo {
 
@@ -54,36 +51,6 @@ Graph permute(const Graph& g, std::span<const VertexId> perm) {
       [&](VertexId u, auto&& emit) {
         for (VertexId w : g.out_neighbors(u)) emit(w);
       });
-}
-
-std::uint64_t structural_hash(const Graph& g) {
-  // Commutative hash over edges so it is independent of edge order.
-  std::uint64_t h = mix64(g.num_vertices());
-  g.for_each_edge([&](VertexId u, VertexId v) {
-    h += mix64((static_cast<std::uint64_t>(u) << 32) | v);
-  });
-  return h;
-}
-
-bool is_isomorphic_under(const Graph& g, const Graph& h,
-                         std::span<const VertexId> perm) {
-  if (g.num_vertices() != h.num_vertices()) return false;
-  if (g.num_edges() != h.num_edges()) return false;
-  if (!is_permutation(perm)) return false;
-  // Oracle independent of the construction kernel: relabel g's edges and
-  // sort them into the (src, dst) order h's edges are walked in.
-  std::vector<Edge> relabelled;
-  relabelled.reserve(g.num_edges());
-  g.for_each_edge([&](VertexId u, VertexId v) {
-    relabelled.push_back({perm[u], perm[v]});
-  });
-  std::sort(relabelled.begin(), relabelled.end());
-  std::size_t i = 0;  // the edge counts agree (checked above)
-  bool same = true;
-  h.for_each_edge([&](VertexId u, VertexId v) {
-    same = same && relabelled[i++] == Edge{u, v};
-  });
-  return same;
 }
 
 }  // namespace vebo

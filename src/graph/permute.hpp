@@ -1,9 +1,8 @@
-// Applying vertex permutations (reorderings) to graphs, and checking that
-// a reordered graph is isomorphic to the original. Every ordering algorithm
-// in src/order produces a permutation consumed by these functions.
+// Applying vertex permutations (reorderings) to graphs. Every ordering
+// algorithm in src/order produces a permutation consumed by these
+// functions.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,15 +54,5 @@ Graph permute_rows(std::span<const VertexId> perm, bool directed,
   Csr out = in.transpose();
   return Graph::from_parts(std::move(out), std::move(in), directed);
 }
-
-/// Order-independent structural fingerprint of a graph: a hash over the
-/// multiset of canonicalized edges under the identity labelling. Two
-/// *equal-labelled* graphs hash equal.
-std::uint64_t structural_hash(const Graph& g);
-
-/// Checks that `h` equals `g` relabelled by `perm` (exact isomorphism
-/// witness check, not graph-isomorphism search).
-bool is_isomorphic_under(const Graph& g, const Graph& h,
-                         std::span<const VertexId> perm);
 
 }  // namespace vebo

@@ -16,11 +16,6 @@ VertexId PartitionProfile::vertex_imbalance() const {
   return *hi - *lo;
 }
 
-Summary PartitionProfile::vertex_summary() const {
-  std::vector<double> xs(vertices.begin(), vertices.end());
-  return summarize(xs);
-}
-
 PartitionProfile profile_partitions(const Graph& g,
                                     const order::Partitioning& part) {
   PartitionProfile p;
@@ -40,19 +35,6 @@ std::vector<EdgeId> active_edges_per_partition(
   frontier.for_each([&](VertexId u) {
     for (VertexId v : g.out_neighbors(u)) ++active[part.owner(v)];
   });
-  return active;
-}
-
-std::vector<VertexId> active_destinations_per_partition(
-    const Graph& g, const order::Partitioning& part,
-    const VertexSubset& frontier) {
-  DynamicBitset touched(g.num_vertices());
-  frontier.for_each([&](VertexId u) {
-    for (VertexId v : g.out_neighbors(u)) touched.set(v);
-  });
-  std::vector<VertexId> active(part.num_partitions(), 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (touched.get(v)) ++active[part.owner(v)];
   return active;
 }
 

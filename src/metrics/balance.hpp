@@ -8,7 +8,6 @@
 #include "framework/vertex_subset.hpp"
 #include "graph/graph.hpp"
 #include "order/partition.hpp"
-#include "support/stats.hpp"
 
 namespace vebo::metrics {
 
@@ -23,8 +22,6 @@ struct PartitionProfile {
   EdgeId edge_imbalance() const;
   /// δ: max-min of vertices.
   VertexId vertex_imbalance() const;
-
-  Summary vertex_summary() const;
 };
 
 PartitionProfile profile_partitions(const Graph& g,
@@ -34,11 +31,6 @@ PartitionProfile profile_partitions(const Graph& g,
 /// an edge (u, v) is active when u is in the frontier; it is charged to
 /// the partition owning v (Table IV).
 std::vector<EdgeId> active_edges_per_partition(
-    const Graph& g, const order::Partitioning& part,
-    const VertexSubset& frontier);
-
-/// Distribution of active destinations (>= 1 active in-edge).
-std::vector<VertexId> active_destinations_per_partition(
     const Graph& g, const order::Partitioning& part,
     const VertexSubset& frontier);
 

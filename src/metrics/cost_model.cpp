@@ -1,6 +1,7 @@
 #include "metrics/cost_model.hpp"
 
 #include "support/error.hpp"
+#include "support/stats.hpp"
 
 namespace vebo::metrics {
 

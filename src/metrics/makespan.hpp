@@ -1,7 +1,7 @@
 // Makespan models: project measured per-partition times onto the paper's
 // 48-thread machine. This is the substitution for multi-socket hardware
-// (see DESIGN.md §2): given the sequential time of each partition, the
-// completion time of a parallel loop is
+// (README, "Hardware substitutions"): given the sequential time of each
+// partition, the completion time of a parallel loop is
 //  * static scheduling (Polymer): partitions are bound to threads in
 //    contiguous blocks up front — makespan = slowest thread's total;
 //  * dynamic scheduling (Ligra/Cilk): free threads take the next chunk —

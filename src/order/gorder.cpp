@@ -111,28 +111,4 @@ Permutation gorder(const Graph& g, const GorderOptions& opts) {
   return perm;
 }
 
-double gorder_score(const Graph& g, std::span<const VertexId> perm,
-                    VertexId window) {
-  const VertexId n = g.num_vertices();
-  double score = 0.0;
-  // Adjacency term.
-  g.for_each_edge([&](VertexId u, VertexId v) {
-    const auto a = static_cast<std::int64_t>(perm[u]);
-    const auto b = static_cast<std::int64_t>(perm[v]);
-    if (std::abs(a - b) <= static_cast<std::int64_t>(window)) score += 1.0;
-  });
-  // Sibling term: pairs of out-neighbors of a common source. Quadratic in
-  // the out-degree, so only used in tests on small graphs.
-  for (VertexId w = 0; w < n; ++w) {
-    auto nb = g.out_neighbors(w);
-    for (std::size_t i = 0; i < nb.size(); ++i)
-      for (std::size_t j = i + 1; j < nb.size(); ++j) {
-        const auto a = static_cast<std::int64_t>(perm[nb[i]]);
-        const auto b = static_cast<std::int64_t>(perm[nb[j]]);
-        if (std::abs(a - b) <= static_cast<std::int64_t>(window)) score += 1.0;
-      }
-  }
-  return score;
-}
-
 }  // namespace vebo::order

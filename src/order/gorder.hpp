@@ -27,10 +27,4 @@ struct GorderOptions {
 /// Returns the Gorder permutation: new id = perm[old id].
 Permutation gorder(const Graph& g, const GorderOptions& opts = {});
 
-/// Locality score of a labelling: number of vertex pairs (u, v) that are
-/// adjacent or siblings and whose labels differ by at most `window`.
-/// Gorder maximizes this (used by tests to confirm improvement).
-double gorder_score(const Graph& g, std::span<const VertexId> perm,
-                    VertexId window = 5);
-
 }  // namespace vebo::order

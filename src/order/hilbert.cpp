@@ -29,29 +29,6 @@ std::uint64_t hilbert_index(std::uint32_t x, std::uint32_t y, int k) {
   return d;
 }
 
-void hilbert_point(std::uint64_t d, int k, std::uint32_t& x,
-                   std::uint32_t& y) {
-  VEBO_ASSERT(k > 0 && k <= 32);
-  std::uint64_t rx, ry, t = d;
-  std::uint64_t xx = 0, yy = 0;
-  for (std::uint64_t s = 1; s < (std::uint64_t{1} << k); s <<= 1) {
-    rx = 1 & (t / 2);
-    ry = 1 & (t ^ rx);
-    if (ry == 0) {
-      if (rx == 1) {
-        xx = s - 1 - xx;
-        yy = s - 1 - yy;
-      }
-      std::swap(xx, yy);
-    }
-    xx += s * rx;
-    yy += s * ry;
-    t /= 4;
-  }
-  x = static_cast<std::uint32_t>(xx);
-  y = static_cast<std::uint32_t>(yy);
-}
-
 int hilbert_order_for(std::uint64_t n) {
   int k = 1;
   while ((std::uint64_t{1} << k) < n) ++k;

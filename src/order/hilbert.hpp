@@ -17,10 +17,6 @@ namespace vebo::order {
 /// Distance along the Hilbert curve of order 2^k covering [0,2^k)^2.
 std::uint64_t hilbert_index(std::uint32_t x, std::uint32_t y, int k);
 
-/// Inverse of hilbert_index.
-void hilbert_point(std::uint64_t d, int k, std::uint32_t& x,
-                   std::uint32_t& y);
-
 /// Smallest k such that 2^k covers ids [0, n).
 int hilbert_order_for(std::uint64_t n);
 

@@ -65,12 +65,4 @@ std::vector<T> pack_map(std::size_t n, Valid&& valid, Map&& map,
   return out;
 }
 
-/// Indices i in [0, n) where pred(i), ascending.
-template <typename T = std::size_t, typename Pred>
-std::vector<T> pack_index(std::size_t n, Pred&& pred,
-                          const ForOptions& opts = {}) {
-  return pack_map<T>(
-      n, pred, [](std::size_t i) { return static_cast<T>(i); }, opts);
-}
-
 }  // namespace vebo

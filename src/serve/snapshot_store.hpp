@@ -54,7 +54,7 @@ class SnapshotRef {
   bool valid() const { return snap_ != nullptr; }
   explicit operator bool() const { return valid(); }
 
-  /// graph()/partitioning()/shared_graph() require a valid() ref — an
+  /// graph()/partitioning() require a valid() ref — an
   /// empty one (store with nothing published) throws instead of
   /// dereferencing null, matching the tolerant version()/perm().
   const Graph& graph() const {
@@ -71,13 +71,6 @@ class SnapshotRef {
   /// publisher did not attach one (ids are then positional).
   const Permutation* perm() const {
     return snap_ ? snap_->perm.get() : nullptr;
-  }
-
-  /// Shared ownership of the underlying graph (e.g. to republish or hand
-  /// to another store).
-  std::shared_ptr<const Graph> shared_graph() const {
-    VEBO_ASSERT(snap_ != nullptr);
-    return snap_->graph;
   }
 
  private:

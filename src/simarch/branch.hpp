@@ -19,10 +19,6 @@ class BranchSim {
 
   std::uint64_t branches() const { return branches_; }
   std::uint64_t mispredictions() const { return mispredictions_; }
-  double misprediction_rate() const {
-    return branches_ ? static_cast<double>(mispredictions_) / branches_
-                     : 0.0;
-  }
   void reset_stats() { branches_ = mispredictions_ = 0; }
 
  private:

@@ -19,14 +19,6 @@ class CacheSim {
 
   std::uint64_t accesses() const { return accesses_; }
   std::uint64_t misses() const { return misses_; }
-  double miss_rate() const {
-    return accesses_ ? static_cast<double>(misses_) / accesses_ : 0.0;
-  }
-
-  void reset_stats() { accesses_ = misses_ = 0; }
-
-  std::size_t num_sets() const { return sets_; }
-  std::size_t ways() const { return ways_; }
 
  private:
   std::size_t sets_;

@@ -16,7 +16,6 @@ class TlbSim {
 
   std::uint64_t accesses() const { return accesses_; }
   std::uint64_t misses() const { return misses_; }
-  void reset_stats() { accesses_ = misses_ = 0; }
 
  private:
   std::size_t entries_;

@@ -2,16 +2,20 @@
 // transpose kernel (Csr::scatter / Csr::transpose behind
 // Graph::from_edges, permute and DeltaGraph::snapshot) is checked
 // against. It shares no code with the kernel: edges are comparison-sorted
-// and rows are cut from the sorted runs.
+// and rows are cut from the sorted runs. Also the relabelling oracles the
+// ordering and serving suites check reordered graphs with.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/permute.hpp"
+#include "support/prng.hpp"
 
 namespace vebo::oracle {
 
@@ -66,3 +70,42 @@ inline void expect_same_graph(const Graph& g, const ReferenceGraph& ref) {
 }
 
 }  // namespace vebo::oracle
+
+namespace vebo {
+
+/// Order-independent structural fingerprint of a graph: a hash over the
+/// multiset of canonicalized edges under the identity labelling. Two
+/// *equal-labelled* graphs hash equal.
+inline std::uint64_t structural_hash(const Graph& g) {
+  // Commutative hash over edges so it is independent of edge order.
+  std::uint64_t h = mix64(g.num_vertices());
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    h += mix64((static_cast<std::uint64_t>(u) << 32) | v);
+  });
+  return h;
+}
+
+/// Checks that `h` equals `g` relabelled by `perm` (exact isomorphism
+/// witness check, not graph-isomorphism search).
+inline bool is_isomorphic_under(const Graph& g, const Graph& h,
+                                std::span<const VertexId> perm) {
+  if (g.num_vertices() != h.num_vertices()) return false;
+  if (g.num_edges() != h.num_edges()) return false;
+  if (!is_permutation(perm)) return false;
+  // Oracle independent of the construction kernel: relabel g's edges and
+  // sort them into the (src, dst) order h's edges are walked in.
+  std::vector<Edge> relabelled;
+  relabelled.reserve(g.num_edges());
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    relabelled.push_back({perm[u], perm[v]});
+  });
+  std::sort(relabelled.begin(), relabelled.end());
+  std::size_t i = 0;  // the edge counts agree (checked above)
+  bool same = true;
+  h.for_each_edge([&](VertexId u, VertexId v) {
+    same = same && relabelled[i++] == Edge{u, v};
+  });
+  return same;
+}
+
+}  // namespace vebo

@@ -275,11 +275,12 @@ TEST(PartitionedCoo, MatchesTheSortOracleForEveryOrder) {
   }
   {
     // Vertices 0-9, 21-29 and 36-39 have no edges.
-    EdgeList el(40, {});
+    std::vector<Edge> edges;
     for (VertexId u = 10; u <= 20; ++u)
       for (VertexId v = 30; v <= 35; ++v)
-        if ((u + v) % 3 != 0) el.add(v % 2 ? u : v, v % 2 ? v : u);
-    cases.push_back({"isolated vertices", std::move(el)});
+        if ((u + v) % 3 != 0)
+          edges.push_back({v % 2 ? u : v, v % 2 ? v : u});
+    cases.push_back({"isolated vertices", EdgeList(40, std::move(edges))});
   }
   cases.push_back({"n = 0", EdgeList(0, {})});
   cases.push_back({"n = 1", EdgeList(1, {{0, 0}, {0, 0}})});

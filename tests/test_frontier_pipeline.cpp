@@ -148,22 +148,26 @@ TEST(Bitset, AtomicSetReportsFlip) {
 
 // ------------------------------------------------------------- pack
 
+/// pack_map keeping the indices themselves.
+template <typename Pred>
+std::vector<std::uint32_t> pack_indices(std::size_t n, Pred&& pred) {
+  return pack_map<std::uint32_t>(
+      n, pred, [](std::size_t i) { return static_cast<std::uint32_t>(i); });
+}
+
 TEST(PackMap, MatchesSerialReference) {
   const std::size_t n = 100000;
   auto pred = [](std::size_t i) { return (i * 2654435761u) % 7 == 0; };
   std::vector<std::uint32_t> expect;
   for (std::size_t i = 0; i < n; ++i)
     if (pred(i)) expect.push_back(static_cast<std::uint32_t>(i));
-  EXPECT_EQ(pack_index<std::uint32_t>(n, pred), expect);
+  EXPECT_EQ(pack_indices(n, pred), expect);
 }
 
 TEST(PackMap, EmptyAndFull) {
-  EXPECT_TRUE(pack_index<std::uint32_t>(0, [](std::size_t) { return true; })
-                  .empty());
-  EXPECT_TRUE(
-      pack_index<std::uint32_t>(10000, [](std::size_t) { return false; })
-          .empty());
-  auto all = pack_index<std::uint32_t>(10000, [](std::size_t) { return true; });
+  EXPECT_TRUE(pack_indices(0, [](std::size_t) { return true; }).empty());
+  EXPECT_TRUE(pack_indices(10000, [](std::size_t) { return false; }).empty());
+  auto all = pack_indices(10000, [](std::size_t) { return true; });
   ASSERT_EQ(all.size(), 10000u);
   EXPECT_EQ(all[9999], 9999u);
 }

@@ -6,12 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/synthetic.hpp"
 #include "graph/degree.hpp"
@@ -42,35 +41,18 @@ TEST(EdgeList, BasicCounts) {
   EXPECT_TRUE(el.directed());
 }
 
-TEST(EdgeList, AddGrowsVertexCount) {
-  EdgeList el;
-  el.add(5, 2);
-  EXPECT_EQ(el.num_vertices(), 6u);
-  EXPECT_EQ(el.num_edges(), 1u);
-}
-
 TEST(EdgeList, ValidateRejectsOutOfRange) {
   EXPECT_THROW(EdgeList(2, {{0, 5}}, true), Error);
 }
 
 TEST(EdgeList, RejectsTheSentinelId) {
-  // n = id + 1 would wrap to 0 and leave n below an endpoint.
-  EdgeList el;
-  EXPECT_THROW(el.add(kInvalidVertex, 0), Error);
-  EXPECT_THROW(el.add(0, kInvalidVertex), Error);
-  EXPECT_EQ(el.num_edges(), 0u);
-  EdgeList grow(1, {}, true);
-  grow.add(0, 0);
-  grow.mutable_edges()[0] = {kInvalidVertex, 0};
-  EXPECT_THROW(grow.validate(/*grow=*/true), Error);
-  EXPECT_EQ(grow.num_vertices(), 1u);
-}
-
-TEST(EdgeList, RemoveSelfLoops) {
-  EdgeList el(3, {{0, 0}, {0, 1}, {2, 2}}, true);
-  el.remove_self_loops();
-  EXPECT_EQ(el.num_edges(), 1u);
-  EXPECT_EQ(el.edges()[0], (Edge{0, 1}));
+  // Endpoints must be below n, and n is at most kInvalidVertex, so the
+  // sentinel is never an endpoint; the largest real id still is.
+  EXPECT_THROW(EdgeList(kInvalidVertex, {{kInvalidVertex, 0}}), Error);
+  EXPECT_THROW(EdgeList(kInvalidVertex, {{0, kInvalidVertex}}), Error);
+  const EdgeList largest(kInvalidVertex, {{kInvalidVertex - 1, 0}});
+  EXPECT_EQ(largest.num_vertices(), kInvalidVertex);
+  EXPECT_EQ(largest.num_edges(), 1u);
 }
 
 TEST(EdgeList, RemoveDuplicates) {
@@ -84,15 +66,6 @@ TEST(EdgeList, SymmetrizeAddsReverses) {
   el.symmetrize();
   EXPECT_FALSE(el.directed());
   EXPECT_EQ(el.num_edges(), 4u);
-}
-
-TEST(EdgeList, SortOrders) {
-  EdgeList el(3, {{2, 0}, {0, 2}, {1, 1}, {0, 1}}, true);
-  el.sort_by_source();
-  EXPECT_TRUE(std::is_sorted(el.edges().begin(), el.edges().end()));
-  el.sort_by_destination();
-  auto e = el.edges();
-  for (std::size_t i = 1; i < e.size(); ++i) EXPECT_LE(e[i - 1].dst, e[i].dst);
 }
 
 // ------------------------------------------------------------------ Csr
@@ -440,183 +413,6 @@ TEST(Io, AdjacencyRejectsTruncation) {
   EXPECT_THROW(io::read_adjacency(ss), Error);
 }
 
-TEST(Io, EdgeListRoundTrip) {
-  const Graph g = Graph::from_edges(small_list());
-  std::stringstream ss;
-  io::write_edge_list(ss, g);
-  const EdgeList el = io::read_edge_list(ss, 4);
-  const Graph h = Graph::from_edges(el);
-  EXPECT_EQ(g.out_csr(), h.out_csr());
-}
-
-TEST(Io, EdgeListSkipsComments) {
-  std::stringstream ss("# comment\n0 1\n\n1 2\n");
-  const EdgeList el = io::read_edge_list(ss);
-  EXPECT_EQ(el.num_edges(), 2u);
-  EXPECT_EQ(el.num_vertices(), 3u);
-}
-
-TEST(Io, BinaryRoundTrip) {
-  const Graph g = gen::figure3_example();
-  const std::string path = ::testing::TempDir() + "/vebo_test_graph.bin";
-  io::write_binary_file(path, g);
-  const Graph h = io::read_binary_file(path);
-  EXPECT_EQ(g.out_csr(), h.out_csr());
-  EXPECT_EQ(g.directed(), h.directed());
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryHeaderCarriesVersion) {
-  const Graph g = gen::figure3_example();
-  const std::string path = ::testing::TempDir() + "/vebo_versioned.bin";
-  io::write_binary_file(path, g);
-  std::ifstream is(path, std::ios::binary);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  is.read(reinterpret_cast<char*>(&version), sizeof version);
-  EXPECT_EQ(version, io::binary_format_version());
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsBadVersion) {
-  const Graph g = gen::figure3_example();
-  const std::string path = ::testing::TempDir() + "/vebo_bad_version.bin";
-  io::write_binary_file(path, g);
-  {
-    // Corrupt the version field (bytes 8..11, after the magic).
-    std::fstream fs(path, std::ios::in | std::ios::out | std::ios::binary);
-    fs.seekp(8);
-    const std::uint32_t bogus = 0xdeadbeef;
-    fs.write(reinterpret_cast<const char*>(&bogus), sizeof bogus);
-  }
-  EXPECT_THROW(io::read_binary_file(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsLegacyUnversionedFile) {
-  // A v1 file had no version field; magic was followed directly by n.
-  // With n == 2 the old n's low 32 bits alias the version check, so the
-  // reader must reject via the payload-size consistency check instead of
-  // misparsing. Simulate by cutting the version field out of a v2 file.
-  const Graph g = Graph::from_edges(EdgeList(2, {{0, 1}}, true));
-  const std::string path = ::testing::TempDir() + "/vebo_legacy.bin";
-  io::write_binary_file(path, g);
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    bytes = ss.str();
-  }
-  bytes.erase(8, 4);  // drop the version field -> v1 layout
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_THROW(io::read_binary_file(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsTruncation) {
-  const Graph g = gen::figure3_example();
-  const std::string path = ::testing::TempDir() + "/vebo_truncated.bin";
-  io::write_binary_file(path, g);
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    bytes = ss.str();
-  }
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(),
-             static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  EXPECT_THROW(io::read_binary_file(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsBadMagic) {
-  const std::string path = ::testing::TempDir() + "/vebo_bad_magic.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    const char junk[32] = {};
-    os.write(junk, sizeof junk);
-  }
-  EXPECT_THROW(io::read_binary_file(path), Error);
-  std::remove(path.c_str());
-}
-
-// Corrupt-file corpus: every mutation below keeps the file well-formed
-// enough to pass the magic/version checks, so each exercises a specific
-// validation (absurd counts before allocation, offset-table bounds
-// before indexing, target range). A reader without those checks would
-// allocate petabytes or read out of bounds — it must throw instead.
-TEST(Io, BinaryRejectsCorruptCorpus) {
-  const Graph g = gen::figure3_example();  // n = 6, m = 14
-  const std::string path = ::testing::TempDir() + "/vebo_corpus.bin";
-  io::write_binary_file(path, g);
-  std::string pristine;
-  {
-    std::ifstream is(path, std::ios::binary);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    pristine = ss.str();
-  }
-  // Layout: magic(8) version(4) n(8) m(8) dir(1) offsets((n+1)*8)
-  // targets(m*4).
-  constexpr std::size_t kNPos = 12, kMPos = 20, kOffsets = 29;
-  const std::size_t kTargets = kOffsets + 7 * sizeof(EdgeId);
-
-  auto poke64 = [](std::string& b, std::size_t pos, std::uint64_t v) {
-    std::memcpy(&b[pos], &v, sizeof v);
-  };
-  auto poke32 = [](std::string& b, std::size_t pos, std::uint32_t v) {
-    std::memcpy(&b[pos], &v, sizeof v);
-  };
-
-  struct Case {
-    const char* name;
-    std::function<void(std::string&)> mutate;
-  };
-  const Case corpus[] = {
-      {"absurd vertex count",
-       [&](std::string& b) { poke64(b, kNPos, std::uint64_t{1} << 60); }},
-      {"absurd edge count",
-       [&](std::string& b) { poke64(b, kMPos, std::uint64_t{1} << 60); }},
-      {"vertex count aliasing payload",  // header/payload size mismatch
-       [&](std::string& b) { poke64(b, kNPos, 5); }},
-      {"offsets not starting at zero",
-       [&](std::string& b) { poke64(b, kOffsets, 3); }},
-      {"non-monotone offsets",  // offsets[2] above offsets[3]
-       [&](std::string& b) { poke64(b, kOffsets + 2 * sizeof(EdgeId), 13); }},
-      {"offset past the edge array",  // offsets[6] != m: OOB read risk
-       [&](std::string& b) { poke64(b, kOffsets + 6 * sizeof(EdgeId), 100); }},
-      {"target vertex out of range",
-       [&](std::string& b) { poke32(b, kTargets, 6); }},
-  };
-  for (const Case& c : corpus) {
-    std::string bytes = pristine;
-    c.mutate(bytes);
-    {
-      std::ofstream os(path, std::ios::binary | std::ios::trunc);
-      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_THROW(io::read_binary_file(path), Error) << c.name;
-  }
-  // The pristine bytes still parse — the corpus failures are the
-  // mutations' doing, not environmental.
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(pristine.data(),
-             static_cast<std::streamsize>(pristine.size()));
-  }
-  EXPECT_NO_THROW(io::read_binary_file(path));
-  std::remove(path.c_str());
-}
-
 TEST(Io, AdjacencyRejectsAbsurdCounts) {
   // A text header promising a trillion vertices must be rejected before
   // the offsets vector is allocated (the stream is seekable, so the
@@ -627,30 +423,68 @@ TEST(Io, AdjacencyRejectsAbsurdCounts) {
   EXPECT_THROW(io::read_adjacency(big_m, true), Error);
 }
 
-TEST(Io, EdgeListRejectsTheSentinelId) {
-  // 4294967295 fits in 32 bits but is kInvalidVertex: max_id + 1 would
-  // wrap the vertex count to 0. It must fail with a message naming the
-  // id, not as "edge endpoint out of range".
-  for (const char* text : {"0 4294967295\n", "4294967295 0\n",
-                           "0 1\n4294967295 4294967295\n"}) {
-    std::stringstream ss(text);
-    try {
-      io::read_edge_list(ss);
-      ADD_FAILURE() << "accepted: " << text;
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("4294967295"), std::string::npos)
-          << e.what();
-    }
-  }
-  std::stringstream largest("4294967294 0\n");
-  EXPECT_EQ(io::read_edge_list(largest).num_vertices(), kInvalidVertex);
-}
-
 TEST(Io, AdjacencyRejectsNonMonotoneOffsets) {
   // n=3, m=3, offsets (3, 0, 1): offsets[0] != 0 and a decreasing pair —
   // either way the row table is invalid and must not drive indexing.
   std::stringstream ss("AdjacencyGraph\n3\n3\n3\n0\n1\n1\n2\n0\n");
   EXPECT_THROW(io::read_adjacency(ss, true), Error);
+}
+
+// Corrupt-file corpus: each mutation of Figure 3's adjacency text
+// (n = 6, m = 14) breaks one rule of the reader: counts bounded by the
+// stream size before allocating, exactly 3 + n + m tokens as Ligra's
+// reader requires, a row table starting at 0 and rising to m, in-range
+// targets. A reader without the rule would allocate absurdly, index out
+// of bounds, or silently drop edges; it must throw instead.
+TEST(Io, AdjacencyRejectsCorruptCorpus) {
+  using Tokens = std::vector<std::string>;
+  std::stringstream written;
+  io::write_adjacency(written, gen::figure3_example());
+  Tokens pristine;
+  for (std::string tok; written >> tok;) pristine.push_back(tok);
+  // Layout: "AdjacencyGraph", n, m, n offsets, m targets.
+  const std::size_t n = std::stoul(pristine[1]), m = std::stoul(pristine[2]);
+  ASSERT_EQ(pristine.size(), 3 + n + m);
+  const std::size_t kOffsets = 3, kTargets = 3 + n;
+
+  struct Case {
+    const char* name;
+    std::function<void(Tokens&)> mutate;
+  };
+  const Case corpus[] = {
+      {"absurd vertex count",  // a valid id range, but not for ~100 bytes
+       [](Tokens& t) { t[1] = std::to_string(4'000'000'000); }},
+      {"absurd edge count",
+       [](Tokens& t) { t[2] = std::to_string(std::uint64_t{1} << 50); }},
+      {"vertex count one low",
+       [&](Tokens& t) { t[1] = std::to_string(n - 1); }},
+      {"edge count one low",  // would drop the last edge
+       [&](Tokens& t) { t[2] = std::to_string(m - 1); }},
+      {"trailing token", [](Tokens& t) { t.push_back("0"); }},
+      {"offsets not starting at zero",
+       [&](Tokens& t) { t[kOffsets] = std::to_string(1); }},
+      {"one decreasing pair",  // offsets[2] above offsets[3]
+       [&](Tokens& t) {
+         t[kOffsets + 2] = std::to_string(std::stoul(t[kOffsets + 3]) + 1);
+       }},
+      {"last offset past m",
+       [&](Tokens& t) { t[kOffsets + n - 1] = std::to_string(m + 1); }},
+      {"target equal to n",
+       [&](Tokens& t) { t[kTargets] = std::to_string(n); }},
+  };
+  auto parse = [](const Tokens& t) {
+    std::string text;
+    for (const std::string& tok : t) text += tok + "\n";
+    std::stringstream ss(text);
+    return io::read_adjacency(ss);
+  };
+  for (const Case& c : corpus) {
+    Tokens t = pristine;
+    c.mutate(t);
+    EXPECT_THROW(parse(t), Error) << c.name;
+  }
+  // The pristine tokens still parse: the failures are the mutations'.
+  EXPECT_EQ(parse(pristine).out_csr(), gen::figure3_example().out_csr());
 }
 
 }  // namespace

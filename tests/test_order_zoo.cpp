@@ -10,6 +10,7 @@
 #include "gen/synthetic.hpp"
 #include "graph/degree.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "order/ldg.hpp"
 #include "order/slashburn.hpp"
 #include "order/sort_order.hpp"

@@ -19,6 +19,7 @@
 #include "framework/cancel.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "order/partition.hpp"
 #include "serve/engine_pool.hpp"
 #include "serve/graph_service.hpp"
@@ -79,7 +80,6 @@ TEST(SnapshotStore, EmptyStoreYieldsInvalidRef) {
   // Dereferencing accessors on an empty ref throw instead of UB.
   EXPECT_THROW(ref.graph(), Error);
   EXPECT_THROW(ref.partitioning(), Error);
-  EXPECT_THROW(ref.shared_graph(), Error);
 }
 
 TEST(SnapshotStore, PublishBumpsVersionAndAcquirePins) {
@@ -380,9 +380,9 @@ TEST(Registry, ConcurrentLookupIsSafeAndConsistent) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
-        for (const std::string& code : algo::algorithm_codes()) {
-          const algo::AlgorithmSpec* s = algo::find_spec(code);
-          if (s == nullptr || s->code != code) failures.fetch_add(1);
+        for (const algo::AlgorithmSpec& spec : algo::specs()) {
+          const algo::AlgorithmSpec* s = algo::find_spec(spec.code);
+          if (s != &spec) failures.fetch_add(1);
         }
         if (algo::find_spec("NOPE") != nullptr) failures.fetch_add(1);
       }
@@ -390,7 +390,6 @@ TEST(Registry, ConcurrentLookupIsSafeAndConsistent) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(algo::algorithm_codes().size(), algo::specs().size());
   EXPECT_THROW(algo::spec("NOPE"), Error);
 }
 

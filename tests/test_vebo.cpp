@@ -15,6 +15,7 @@
 #include "gen/synthetic.hpp"
 #include "graph/degree.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "order/sort_order.hpp"
 #include "order/vebo.hpp"
 #include "support/error.hpp"
