@@ -7,6 +7,8 @@
 // graphs (e.g. gen:twitter:0.25). The reordered graph — isomorphic to
 // the input — is written to <output> in the same format, and the achieved
 // balance is printed.
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -38,12 +40,25 @@ void usage() {
 
 int main(int argc, char** argv) {
   using namespace vebo;
+  // GraphGrind's 384, lowered to n on a smaller graph when -p is not
+  // given; an explicit -p must lie in 1..n.
   VertexId partitions = 384;
+  bool explicit_partitions = false;
   std::string algo = "vebo";
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "-p") == 0 && i + 1 < argc) {
-      partitions = static_cast<VertexId>(std::atoi(argv[++i]));
+      // Base 10, no sign, nothing after the digits: "-1" and "4abc" are
+      // errors, not counts.
+      const char* arg = argv[++i];
+      const char* end = arg + std::strlen(arg);
+      const auto [ptr, ec] = std::from_chars(arg, end, partitions);
+      if (ec != std::errc() || ptr != end) {
+        std::cerr << "error: -p takes a partition count, got '" << arg
+                  << "'\n";
+        return 1;
+      }
+      explicit_partitions = true;
     } else if (std::strcmp(argv[i], "-a") == 0 && i + 1 < argc) {
       algo = argv[++i];
     } else if (std::strcmp(argv[i], "-h") == 0) {
@@ -78,6 +93,14 @@ int main(int argc, char** argv) {
     Timer t;
     Permutation perm;
     if (algo == "vebo") {
+      if (!explicit_partitions) {
+        partitions = std::clamp<VertexId>(g.num_vertices(), 1, partitions);
+      } else if (partitions < 1 || partitions > g.num_vertices()) {
+        std::cerr << "error: -p " << partitions
+                  << " is outside 1.." << g.num_vertices()
+                  << " (the vertex count)\n";
+        return 1;
+      }
       const auto r = order::vebo(g, partitions);
       perm = r.perm;
       std::cout << "VEBO (" << partitions

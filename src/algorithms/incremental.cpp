@@ -11,6 +11,7 @@
 #include "algorithms/bellman_ford.hpp"
 #include "algorithms/spmv.hpp"
 #include "framework/engine.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace vebo::algo {
@@ -133,11 +134,19 @@ std::vector<double> refresh_pagerank(const Engine& eng,
   for (const Edge& e : delta.inserted) by_src[e.src].ins.push_back(e.dst);
   for (const Edge& e : delta.removed) by_src[e.src].rem.push_back(e.dst);
 
-  std::vector<double> d(n, 0.0);
+  // The pending residual is a float; the ranks stay double, and the
+  // float halves the array the pushes scatter into. `d[v] += c` rounds
+  // v's running sum once per push it receives, so the error grows with
+  // a vertex's pushes (a hub's in-degree times its running residual),
+  // not with 2^-24 of one push; no analytic bound is claimed. Measured
+  // over serve-write's five chained epochs, the worst PR/PRD error
+  // against a scratch run read 2.3% of perfbench's 1e-5 * (|w| + 1/n)
+  // tolerance (2.4% with a double residual).
+  std::vector<float> d(n, 0.0f);
   std::vector<std::uint8_t> touched_flag(n, 0);
   std::vector<VertexId> touched;
   auto touch = [&](VertexId v, double x) {
-    d[v] += x;
+    d[v] = static_cast<float>(d[v] + x);
     if (!touched_flag[v]) {
       touched_flag[v] = 1;
       touched.push_back(v);
@@ -164,15 +173,22 @@ std::vector<double> refresh_pagerank(const Engine& eng,
   }
 
   const double floor = 1.0 / static_cast<double>(n);
+  auto active = [&](VertexId v) {
+    return std::abs(static_cast<double>(d[v])) >
+           epsilon * std::max(rank[v], floor);
+  };
   std::vector<VertexId> frontier;
   EdgeId frontier_deg = 0;
-  for (VertexId v : touched) {
-    touched_flag[v] = 0;
-    d[v] *= damping;
-    if (std::abs(d[v]) > epsilon * std::max(rank[v], floor)) {
+  auto recheck = [&](VertexId v) {
+    if (active(v)) {
       frontier.push_back(v);
       frontier_deg += g.out_degree(v);
     }
+  };
+  for (VertexId v : touched) {
+    touched_flag[v] = 0;
+    d[v] = static_cast<float>(damping * d[v]);
+    recheck(v);
   }
   touched.clear();
 
@@ -180,54 +196,71 @@ std::vector<double> refresh_pagerank(const Engine& eng,
   // its rank and push damping * d / deg to its out-neighbors; a vertex
   // stays active while its pending residual is above the same relative
   // threshold pagerank_delta uses. Sub-threshold residuals stay pending
-  // (identical drop semantics to PRD's inactive deltas).
+  // (identical drop semantics to PRD's inactive deltas). Each push
+  // amount is computed in double and rounded to float once.
   //
-  // Rounds run in one of two modes, picked by the frontier's out-degree
-  // sum. A sparse round tracks which vertices were touched so only they
-  // are rechecked. Once the frontier's edge work rivals the vertex count
-  // (hub-heavy frontiers on power-law graphs get there fast), the
-  // tracking costs more than it saves: a dense round pushes with a bare
-  // accumulate and rebuilds the frontier by scanning every vertex. The
-  // mode only changes the schedule, not the drop semantics.
+  // Rounds run in one of two modes, picked by the out-degree sum of what
+  // is active. A sparse round pushes a frontier list and tracks which
+  // vertices it touched, so only they are rechecked. Once that edge work
+  // rivals the vertex count (hub-heavy frontiers on power-law graphs get
+  // there fast), the list costs more than it saves: a dense round is one
+  // in-order (Gauss-Seidel) sweep over every vertex that pushes each
+  // residual above the threshold the moment it reaches it, so pushes to
+  // later ids count in the same sweep, and it builds no list. A sweep
+  // that pushes nothing ends the refresh; one whose pushed out-degree
+  // sum falls to n/4 hands back to sparse rounds with one scan. The mode
+  // only changes the schedule, not the drop semantics.
+  bool sweep = frontier_deg > n / 4;
   int it = 0;
-  while (!frontier.empty() && it < max_iters) {
+  while ((sweep || !frontier.empty()) && it < max_iters) {
     eng.poll_cancellation();
-    const bool dense_round = frontier_deg > n / 4;
-    touched.clear();
-    for (VertexId u : frontier) {
+    obs::SpanScope iter(obs::SpanKind::Iteration);
+    const bool dense_round = sweep;
+    VertexId pushed = 0;
+    EdgeId pushed_deg = 0;
+    auto push = [&](VertexId u, auto&& scatter) {
       const double du = d[u];
-      d[u] = 0.0;
+      d[u] = 0.0f;
       rank[u] += du;
       const EdgeId deg = g.out_degree(u);
-      if (deg == 0 || du == 0.0) continue;
-      const double c = damping * du / static_cast<double>(deg);
-      if (dense_round) {
-        for (VertexId v : g.out_neighbors(u)) d[v] += c;
-      } else {
-        for (VertexId v : g.out_neighbors(u)) {
+      ++pushed;
+      pushed_deg += deg;
+      if (deg == 0 || du == 0.0) return;
+      const auto c =
+          static_cast<float>(damping * du / static_cast<double>(deg));
+      for (VertexId v : g.out_neighbors(u)) scatter(v, c);
+    };
+    if (dense_round) {
+      for (VertexId u = 0; u < n; ++u)
+        if (active(u)) push(u, [&](VertexId v, float c) { d[v] += c; });
+      frontier.clear();
+      frontier_deg = 0;
+      sweep = pushed_deg > n / 4;
+      if (!sweep && pushed > 0)
+        for (VertexId v = 0; v < n; ++v) recheck(v);
+    } else {
+      for (VertexId u : frontier)
+        push(u, [&](VertexId v, float c) {
           d[v] += c;
           if (!touched_flag[v]) {
             touched_flag[v] = 1;
             touched.push_back(v);
           }
-        }
-      }
-    }
-    frontier.clear();
-    frontier_deg = 0;
-    auto recheck = [&](VertexId v) {
-      if (std::abs(d[v]) > epsilon * std::max(rank[v], floor)) {
-        frontier.push_back(v);
-        frontier_deg += g.out_degree(v);
-      }
-    };
-    if (dense_round) {
-      for (VertexId v = 0; v < n; ++v) recheck(v);
-    } else {
+        });
+      frontier.clear();
+      frontier_deg = 0;
       for (VertexId v : touched) {
         touched_flag[v] = 0;
         recheck(v);
       }
+      touched.clear();
+      sweep = frontier_deg > n / 4;
+    }
+    if (iter.live()) {
+      iter.span().a = static_cast<std::uint64_t>(it);
+      iter.span().b = pushed;
+      iter.span().c = pushed_deg;
+      iter.span().rep = dense_round ? 2 : 1;
     }
     ++it;
   }

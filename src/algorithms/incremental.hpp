@@ -17,7 +17,11 @@
 //    would require the previous run's per-iteration history). Agreement
 //    with a from-scratch run is therefore at the algorithm's own
 //    convergence scale — tight when both are run to convergence,
-//    epsilon-bounded otherwise.
+//    epsilon-bounded otherwise. Its pending residual is a float (the
+//    ranks stay double), whose rounding error grows with the pushes a
+//    vertex receives; over serve-write's five chained epochs the worst
+//    error against a scratch run read 2.3% of perfbench's tolerance
+//    (2.4% with a double residual).
 #pragma once
 
 #include <vector>
@@ -36,7 +40,13 @@ namespace vebo::algo {
 /// the changed edges (old-vs-new contribution of every source whose
 /// out-arcs changed), and propagates PRD-style until every pending
 /// residual is below epsilon * max(rank, 1/n) or max_iters rounds ran.
-/// Shared by the PR and PRD hooks (they differ only in parameters).
+/// A round is sparse (push a frontier list, recheck what it touched)
+/// while the active out-degree sum is at most n/4, and otherwise one
+/// in-order Gauss-Seidel sweep that pushes each residual above the
+/// threshold as it reaches it. Serial and deterministic. Shared by the
+/// PR and PRD hooks (they differ only in parameters). Under an armed
+/// tracer each round records an Iteration span (a = round, b = vertices
+/// pushed, c = out-edges pushed, rep = 1 sparse / 2 dense).
 std::vector<double> refresh_pagerank(const Engine& eng,
                                      std::vector<double> rank,
                                      const EdgeDelta& delta, double damping,

@@ -220,6 +220,15 @@ const char* category(SpanKind k) {
   }
 }
 
+const char* rep_name(std::uint8_t rep) {
+  switch (rep) {
+    case 1: return "sparse";
+    case 2: return "dense";
+    case 3: return "complete";
+    default: return "n/a";
+  }
+}
+
 void json_kv(std::ostringstream& os, bool& first, const char* key) {
   if (!first) os << ",";
   first = false;
@@ -258,10 +267,7 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
       arg_str(os, first, "direction",
               s.direction == 2 ? "pull" : (s.direction == 1 ? "push" : "?"));
       arg_str(os, first, "kernel", to_string(s.variant));
-      arg_str(os, first, "frontier_rep",
-              s.rep == 3 ? "complete"
-                         : (s.rep == 2 ? "dense"
-                                       : (s.rep == 1 ? "sparse" : "n/a")));
+      arg_str(os, first, "frontier_rep", rep_name(s.rep));
       arg_u64(os, first, "frontier", s.a);
       if (s.b != kUnknownArg) arg_u64(os, first, "out_edges", s.b);
       arg_u64(os, first, "dense_threshold", s.c);
@@ -272,6 +278,10 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
     case SpanKind::Iteration:
       arg_u64(os, first, "iteration", s.a);
       arg_u64(os, first, "frontier", s.b);
+      if (s.rep != 0) {
+        arg_str(os, first, "frontier_rep", rep_name(s.rep));
+        arg_u64(os, first, "out_edges", s.c);
+      }
       break;
     case SpanKind::QueueWait: break;
     case SpanKind::EngineLease:

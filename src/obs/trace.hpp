@@ -95,6 +95,9 @@ const char* to_string(KernelVariant v);
 ///    algorithm tracks one). BF's one-thread bucket pass records one
 ///    Iteration for the whole pass instead, with a = distance buckets
 ///    settled, b = vertices settled, and no EdgeMap step under it.
+///    The PageRank refresh's rounds set rep (1 = sparse round, 2 =
+///    dense sweep), b = vertices pushed and c = out-edges pushed; other
+///    Iteration sites leave rep at 0.
 ///  * QueueWait: (none). EngineLease/Execute: a = snapshot version.
 ///  * CacheProbe: a = 1 on hit. Translate: a = payload vertex count.
 ///  * ApplyBatch: a = inserted, b = removed, c = vertices grown.

@@ -25,7 +25,9 @@
 #include "framework/engine.hpp"
 #include "gen/powerlaw.hpp"
 #include "gen/rmat.hpp"
+#include "gen/road.hpp"
 #include "graph/permute.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/graph_service.hpp"
 #include "serve/service_error.hpp"
@@ -285,6 +287,54 @@ TEST(SpecRefresh, PowerlawGraphAndDeleteHeavyDelta) {
     expect_payload_equiv(c.code, fresh, spec.run(e2, norm),
                          static_cast<double>(g.num_vertices()));
   }
+}
+
+// refresh_pagerank runs sparse rounds over a frontier list and dense
+// Gauss-Seidel sweeps over every vertex, picked by the active out-degree
+// sum; each traced round records which (rep 1 = sparse, 2 = dense).
+// Both paths must land within tolerance of a scratch run.
+TEST(SpecRefresh, DenseSweepsAndSparseRoundsBothMatchScratch) {
+  const auto check = [](const Mutation& m, bool want_sweep) {
+    const Engine e1(m.before, SystemModel::Ligra);
+    const Engine e2(m.after, SystemModel::Ligra);
+    for (const SpecCase& c : refreshable_cases()) {
+      if (c.code[0] != 'P') continue;
+      const algo::AlgorithmSpec& spec = algo::spec(c.code);
+      const QueryParams norm = spec.params.validate(c.params);
+      const QueryPayload prev = spec.run(e1, norm);
+      obs::ThreadTrace trace;
+      const QueryPayload fresh = spec.refresh(e2, norm, prev, m.delta);
+      const obs::Trace t = trace.finish();
+      std::size_t rounds = 0, sweeps = 0;
+      for (const obs::Span& s : t.spans) {
+        if (s.kind != obs::SpanKind::Iteration) continue;
+        ASSERT_NE(s.rep, 0) << c.code << ": the hook ran a full recompute";
+        ++rounds;
+        if (s.rep == 2) ++sweeps;
+      }
+      EXPECT_GT(rounds, 0u) << c.code;
+      if (want_sweep) {
+        EXPECT_GE(sweeps, 1u) << c.code;
+      } else {
+        EXPECT_EQ(sweeps, 0u) << c.code;
+      }
+      const std::string json = obs::to_chrome_trace_json(t);
+      EXPECT_NE(json.find(want_sweep ? "\"frontier_rep\":\"dense\""
+                                     : "\"frontier_rep\":\"sparse\""),
+                std::string::npos)
+          << c.code;
+      expect_payload_equiv(c.code, fresh, spec.run(e2, norm),
+                           static_cast<double>(m.after.num_vertices()));
+    }
+  };
+  // (a) Hub-heavy: rmat arcs sampled at random mostly leave hubs, and
+  // their residual soon spans more out-edges than n/4.
+  check(mutate(gen::rmat(12, 8, 31), 5, /*inserts=*/200, /*removes=*/100),
+        /*want_sweep=*/true);
+  // (b) One arc on a road grid: the residual diffuses over a few hundred
+  // vertices, far below n/4 out-edges.
+  check(mutate(gen::road_grid(128, 128, 3), 9, /*inserts=*/1, /*removes=*/0),
+        /*want_sweep=*/false);
 }
 
 TEST(SpecRefresh, OversizedDeltaFallsBackToFullRun) {
