@@ -7,10 +7,11 @@
 //     BFS.
 #include <iostream>
 
-#include "algorithms/bfs.hpp"
 #include "algorithms/pagerank.hpp"
+#include "algorithms/registry.hpp"
 #include "bench_common.hpp"
 #include "framework/coo_iter.hpp"
+#include "framework/engine.hpp"
 #include "metrics/makespan.hpp"
 
 using namespace vebo;
@@ -95,11 +96,14 @@ int main() {
   VertexId src = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (g.out_degree(v) > g.out_degree(src)) src = v;
+  const algo::AlgorithmSpec& bfs = algo::spec("BFS");
+  const algo::QueryParams from = algo::QueryParams().set("source", src);
   for (EdgeId denom : {2u, 5u, 20u, 100u, 1000u}) {
     Engine eng(g, SystemModel::Ligra, {.dense_denominator = denom});
-    int rounds = 0;
+    int rounds = 0;  // BFS's aux
     const double ms =
-        bench::time_median([&] { rounds = algo::bfs(eng, src).rounds; }, 3) *
+        bench::time_median(
+            [&] { rounds = static_cast<int>(bfs.invoke(eng, from).aux); }, 3) *
         1e3;
     d.add_row({"m/" + std::to_string(denom), Table::num(ms, 2),
                Table::num(std::size_t(rounds))});

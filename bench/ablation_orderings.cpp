@@ -12,7 +12,9 @@
 #include <iostream>
 
 #include "algorithms/pagerank.hpp"
+#include "algorithms/registry.hpp"
 #include "bench_common.hpp"
+#include "framework/engine.hpp"
 #include "metrics/balance.hpp"
 #include "metrics/makespan.hpp"
 #include "order/gorder.hpp"
@@ -79,8 +81,9 @@ int main() {
       const auto times = algo::pagerank_partition_times(eng, 2);
       const double mk =
           metrics::makespan_static(times, bench::kPaperThreads);
+      const algo::QueryParams five = algo::QueryParams().set("iterations", 5);
       const double pr_s = bench::time_median(
-          [&] { algo::pagerank(eng, {.iterations = 5}); }, 3);
+          [&] { algo::spec("PR").invoke(eng, five); }, 3);
       t.add_row({o.name, Table::num(order_ms, 1),
                  Table::num(std::size_t{prof.edge_imbalance()}),
                  Table::num(std::size_t{prof.vertex_imbalance()}),

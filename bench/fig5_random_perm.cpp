@@ -9,10 +9,11 @@
 // original (strong spatial structure) except CC.
 #include <iostream>
 
+#include "algorithms/pagerank.hpp"
 #include "algorithms/registry.hpp"
 #include "bench_common.hpp"
+#include "framework/engine.hpp"
 #include "metrics/makespan.hpp"
-#include "algorithms/pagerank.hpp"
 
 using namespace vebo;
 

@@ -7,13 +7,12 @@
 // of the frontier falls into each in-degree class — plus the resulting
 // active-edge imbalance over edge-balanced (Algorithm 1) partitions vs
 // VEBO partitions.
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 
-#include "algorithms/pagerank_delta.hpp"
+#include "algorithms/registry.hpp"
 #include "bench_common.hpp"
-#include "framework/edgemap.hpp"
-#include "metrics/balance.hpp"
-#include "support/stats.hpp"
 
 using namespace vebo;
 
@@ -43,27 +42,25 @@ int main() {
 
   // Instrumented PRD: re-run the published algorithm but capture the
   // frontier composition each iteration.
-  Engine eng(g, SystemModel::Ligra);
   Table t("active fraction per in-degree class, PRD iterations");
   t.set_header({"iter", "active", "zero-deg", "low(1-7)", "mid(8-63)",
                 "high(64+)"});
 
-  // PRD with epsilon > 0 shrinks the frontier; we reproduce its frontier
-  // trajectory by running the real algorithm iteration by iteration.
-  algo::PageRankDeltaOptions opts;
-  opts.max_iterations = 10;
-  opts.epsilon = 1e-2;
-  // Run the algorithm manually to observe frontiers: reuse the library's
-  // pagerank_delta but we need the per-iteration frontier, which it does
-  // not export; instead replay its recurrence here (same math).
+  // PRD with epsilon > 0 shrinks the frontier. The library's PRD does
+  // not export each iteration's frontier members, so replay its
+  // recurrence here (same math) with its schema defaults.
+  const algo::QueryParams opts = algo::spec("PRD").params.validate({});
+  const auto max_iters = static_cast<int>(opts.get_int("max_iters"));
+  const double damping = opts.get_float("damping");
+  const double epsilon = opts.get_float("epsilon");
   const double one_over_n = 1.0 / static_cast<double>(n);
-  const double base = (1.0 - opts.damping) * one_over_n;
+  const double base = (1.0 - damping) * one_over_n;
   std::vector<double> rank(n, 0.0), delta(n, one_over_n), contrib(n),
       acc(n, 0.0);
   std::vector<VertexId> frontier(n);
   for (VertexId v = 0; v < n; ++v) frontier[v] = v;
 
-  for (int it = 0; it < opts.max_iterations && !frontier.empty(); ++it) {
+  for (int it = 0; it < max_iters && !frontier.empty(); ++it) {
     std::size_t per_class[4] = {0, 0, 0, 0};
     for (VertexId v : frontier) ++per_class[degree_class(g.in_degree(v))];
     std::vector<std::string> row = {Table::num(std::size_t(it)),
@@ -89,7 +86,7 @@ int main() {
     }
     std::vector<VertexId> next;
     for (VertexId v = 0; v < n; ++v) {
-      double d = opts.damping * acc[v];
+      double d = damping * acc[v];
       if (it == 0) {
         d += base - one_over_n;
         rank[v] += d + one_over_n;
@@ -97,7 +94,7 @@ int main() {
         rank[v] += d;
       }
       delta[v] = d;
-      if (std::abs(d) > opts.epsilon * std::max(rank[v], one_over_n))
+      if (std::abs(d) > epsilon * std::max(rank[v], one_over_n))
         next.push_back(v);
       else
         delta[v] = 0.0;

@@ -20,15 +20,15 @@
 // ring-records every query, rotates window buckets, and keeps slow
 // outliers — everything always-on costs is inside the measured delta.
 //
-// Both points must stay within VEBO_OBS_MAX_OVERHEAD_PCT (default 3%);
-// the bench exits 1 otherwise so CI fails loudly. Results land in
+// Both points must stay within the 3% budget (kMaxOverheadPct); the
+// bench exits 1 otherwise so CI fails loudly. Results land in
 // BENCH_obs.json; the example armed trace (one traced PageRank query
 // through the service) lands in TRACE_obs_example.json.
 //
 // Knobs: VEBO_OBS_SCALE (log2 vertices, default 18, which CI runs too;
 // at 14 one fold takes ~0.08 ms and the budget sits inside the noise),
 // VEBO_OBS_REPS (default 7), VEBO_OBS_QUERIES (serving workload size,
-// default 20000; CI smoke 4000), VEBO_OBS_MAX_OVERHEAD_PCT (default 3).
+// default 20000; CI smoke 4000).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -60,6 +60,9 @@ using serve::SnapshotStore;
 using stream::StreamSession;
 
 namespace {
+
+/// The armed-telemetry overhead budget (%) both op points must meet.
+constexpr double kMaxOverheadPct = 3.0;
 
 // ---- op point 1: complete-frontier dense fold, raw vs disarmed vs armed.
 
@@ -271,10 +274,9 @@ int main() {
   const int reps = bench::env_knob("VEBO_OBS_REPS", 7);
   const std::size_t queries =
       bench::env_knob<std::size_t>("VEBO_OBS_QUERIES", 20000);
-  const double max_pct = bench::env_knob("VEBO_OBS_MAX_OVERHEAD_PCT", 3.0);
 
   std::cout << "obs overhead: scale=" << scale << " reps=" << reps
-            << " queries=" << queries << " budget=" << max_pct << "%"
+            << " queries=" << queries << " budget=" << kMaxOverheadPct << "%"
             << std::endl;
 
   // Serving runs FIRST: its telemetry-off phase needs the packed armed
@@ -289,7 +291,7 @@ int main() {
   // regression fails every attempt, a hiccup does not fail the gate.
   ServingPoint serving = run_serving(session, queries, reps);
   int serving_attempts = 1;
-  while (serving.overhead_pct > max_pct && serving_attempts < 3) {
+  while (serving.overhead_pct > kMaxOverheadPct && serving_attempts < 3) {
     std::cout << "serving overhead " << serving.overhead_pct
               << "% over budget; re-measuring (attempt "
               << serving_attempts + 1 << "/3)" << std::endl;
@@ -310,8 +312,8 @@ int main() {
   // deflates, so only a repeatably-over-budget dense point fails.
   DensePoint dense = run_dense(dense_g, reps);
   int dense_attempts = 1;
-  while ((dense.disarmed_overhead_pct > max_pct ||
-          dense.armed_overhead_pct > max_pct) &&
+  while ((dense.disarmed_overhead_pct > kMaxOverheadPct ||
+          dense.armed_overhead_pct > kMaxOverheadPct) &&
          dense_attempts < 3) {
     std::cout << "dense overhead over budget; re-measuring (attempt "
               << dense_attempts + 1 << "/3)" << std::endl;
@@ -335,15 +337,15 @@ int main() {
   std::cout << "Wrote TRACE_obs_example.json (" << trace_json.size()
             << " bytes)" << std::endl;
 
-  const bool dense_pass = dense.disarmed_overhead_pct <= max_pct &&
-                          dense.armed_overhead_pct <= max_pct;
-  const bool serving_pass = serving.overhead_pct <= max_pct;
+  const bool dense_pass = dense.disarmed_overhead_pct <= kMaxOverheadPct &&
+                          dense.armed_overhead_pct <= kMaxOverheadPct;
+  const bool serving_pass = serving.overhead_pct <= kMaxOverheadPct;
 
   std::ofstream json("BENCH_obs.json");
   json << "{\n  \"bench\": \"obs_overhead\",\n"
        << "  \"threads\": " << ThreadPool::global_threads() << ",\n"
        << "  \"scale\": " << scale << ",\n  \"reps\": " << reps << ",\n"
-       << "  \"max_overhead_pct\": " << max_pct << ",\n"
+       << "  \"max_overhead_pct\": " << kMaxOverheadPct << ",\n"
        << "  \"armed_config\": \"tail_sampling + sliding_window + "
           "flight_recorder\",\n"
        << "  \"dense_op_point\": {\"graph\": \"rmat\", \"density\": 1.0"

@@ -19,6 +19,7 @@
 #include "algorithms/pagerank.hpp"
 #include "algorithms/registry.hpp"
 #include "bench_common.hpp"
+#include "framework/engine.hpp"
 #include "metrics/makespan.hpp"
 
 using namespace vebo;

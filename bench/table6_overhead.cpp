@@ -10,10 +10,10 @@
 // than enough to amortize the reordering.
 #include <benchmark/benchmark.h>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/pagerank.hpp"
+#include "algorithms/registry.hpp"
 #include "bench_common.hpp"
 #include "framework/coo_iter.hpp"
+#include "framework/engine.hpp"
 #include "order/hilbert.hpp"
 
 using namespace vebo;
@@ -111,7 +111,9 @@ void BM_BFS(benchmark::State& state) {
   VertexId src = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (g.out_degree(v) > g.out_degree(src)) src = v;
-  for (auto _ : state) benchmark::DoNotOptimize(algo::bfs(eng, src));
+  const algo::QueryParams from = algo::QueryParams().set("source", src);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(algo::spec("BFS").invoke(eng, from));
   state.SetLabel(std::string(kGraphs[state.range(0)]) +
                  (vebo_order ? "/VEBO" : "/Orig"));
 }
@@ -125,8 +127,9 @@ void BM_PR50(benchmark::State& state) {
                               : dataset(kGraphs[state.range(0)]);
   Engine eng(g, SystemModel::GraphGrind,
              {.partitions = bench::kPaperPartitions});
+  const algo::QueryParams fifty = algo::QueryParams().set("iterations", 50);
   for (auto _ : state)
-    benchmark::DoNotOptimize(algo::pagerank(eng, {.iterations = 50}));
+    benchmark::DoNotOptimize(algo::spec("PR").invoke(eng, fifty));
   state.SetLabel(std::string(kGraphs[state.range(0)]) +
                  (vebo_order ? "/VEBO" : "/Orig"));
 }

@@ -8,9 +8,8 @@
 #include <algorithm>
 #include <iostream>
 
-#include "algorithms/bc.hpp"
-#include "algorithms/cc.hpp"
-#include "algorithms/pagerank.hpp"
+#include "algorithms/registry.hpp"
+#include "framework/engine.hpp"
 #include "gen/synthetic.hpp"
 #include "graph/degree.hpp"
 #include "graph/permute.hpp"
@@ -43,22 +42,25 @@ int main(int argc, char** argv) {
   opts.explicit_partitioning = &r.partitioning;
   Engine eng(h, SystemModel::GraphGrind, opts);
 
-  // Communities.
+  // Communities: the checksum fold counts components, aux the rounds.
   Timer t1;
-  const auto cc = algo::connected_components(eng);
-  std::cout << "\ncomponents: " << cc.num_components << " (in "
-            << Table::num(t1.elapsed_ms(), 1) << " ms, " << cc.rounds
-            << " rounds)\n";
+  const algo::AlgorithmSpec& cc = algo::spec("CC");
+  const algo::QueryPayload labels = cc.invoke(eng);
+  std::cout << "\ncomponents: "
+            << static_cast<std::size_t>(cc.checksum(labels)) << " (in "
+            << Table::num(t1.elapsed_ms(), 1) << " ms, "
+            << static_cast<int>(labels.aux) << " rounds)\n";
 
   // Influencers: top PageRank vertices, mapped back to original ids.
   Timer t2;
-  const auto pr = algo::pagerank(eng, {.iterations = 20});
+  const algo::QueryPayload pr =
+      algo::spec("PR").invoke(eng, algo::QueryParams().set("iterations", 20));
+  const std::vector<double>& rank = pr.doubles();
   const Permutation inv = invert(r.perm);
   std::vector<VertexId> by_rank(h.num_vertices());
   for (VertexId v = 0; v < h.num_vertices(); ++v) by_rank[v] = v;
-  std::sort(by_rank.begin(), by_rank.end(), [&](VertexId a, VertexId b) {
-    return pr.rank[a] > pr.rank[b];
-  });
+  std::sort(by_rank.begin(), by_rank.end(),
+            [&](VertexId a, VertexId b) { return rank[a] > rank[b]; });
   std::cout << "PageRank (" << Table::num(t2.elapsed_ms(), 1)
             << " ms). Top influencers (original ids):\n";
   Table top("top-5 by PageRank");
@@ -66,23 +68,26 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 5; ++i) {
     const VertexId v = by_rank[i];
     top.add_row({Table::num(std::size_t{inv[v]}),
-                 Table::num(pr.rank[v], 6),
+                 Table::num(rank[v], 6),
                  Table::num(std::size_t{h.in_degree(v)})});
   }
   top.print(std::cout);
 
-  // Brokers: betweenness from the top influencer.
+  // Brokers: betweenness from the top influencer (aux = BFS levels).
   Timer t3;
-  const auto bc = algo::betweenness(eng, by_rank[0]);
+  const algo::QueryPayload bc = algo::spec("BC").invoke(
+      eng, algo::QueryParams().set("source", by_rank[0]));
+  const std::vector<double>& dependency = bc.doubles();
   double best_dep = 0.0;
   VertexId best_v = 0;
   for (VertexId v = 0; v < h.num_vertices(); ++v)
-    if (bc.dependency[v] > best_dep) {
-      best_dep = bc.dependency[v];
+    if (dependency[v] > best_dep) {
+      best_dep = dependency[v];
       best_v = v;
     }
   std::cout << "Betweenness from top influencer ("
-            << Table::num(t3.elapsed_ms(), 1) << " ms, " << bc.levels
+            << Table::num(t3.elapsed_ms(), 1) << " ms, "
+            << static_cast<int>(bc.aux)
             << " BFS levels): strongest broker is original id "
             << inv[best_v] << " with dependency "
             << Table::num(best_dep, 1) << "\n";

@@ -34,9 +34,11 @@ struct ForwardFunctor {
   bool cond(VertexId v) const { return !visited->get(v); }
 };
 
-}  // namespace
-
-BcResult betweenness(const Engine& eng, VertexId source) {
+/// Dependencies from `source`, or their top_k when top_k > 0; aux = BFS
+/// levels.
+QueryPayload run_bc(const Engine& eng, const QueryParams& p) {
+  const VertexId source = p.get_vertex("source");
+  const auto k = static_cast<std::size_t>(p.get_int("top_k"));
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(source < n, "betweenness: source out of range");
@@ -105,40 +107,20 @@ BcResult betweenness(const Engine& eng, VertexId source) {
         eng.vertex_loop());
   }
 
-  BcResult res;
-  res.dependency = std::move(delta);
-  res.num_paths.resize(n);
-  parallel_for(
-      0, n,
-      [&](std::size_t v) {
-        res.num_paths[v] = sigma[v].load(std::memory_order_relaxed);
-      },
-      eng.vertex_loop());
-  res.levels = static_cast<int>(levels.size());
-  return res;
+  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(delta, k))
+                           : QueryPayload::vertex_doubles(std::move(delta));
+  out.aux = static_cast<double>(levels.size());
+  return out;
 }
+
+}  // namespace
 
 AlgorithmSpec bc_spec() {
   AlgorithmSpec s;
   s.code = "BC";
-  s.description = "betweenness centrality (single source)";
-  s.edge_oriented = false;
-  s.dense_frontier = false;
-  s.params = ParamSchema{
-      {"source", ParamType::Int, std::int64_t{0}, "start vertex id"},
-      {"top_k", ParamType::Int, std::int64_t{0},
-       "0 = full dependency vector, k > 0 = k most central vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    const std::int64_t k = p.get_int("top_k");
-    VEBO_CHECK(k >= 0, "BC: top_k must be >= 0");
-    BcResult r = betweenness(eng, p.get_vertex("source"));
-    QueryPayload out =
-        k > 0 ? QueryPayload::top_k(
-                    top_k_of(r.dependency, static_cast<std::size_t>(k)))
-              : QueryPayload::vertex_doubles(std::move(r.dependency));
-    out.aux = r.levels;
-    return out;
-  };
+  s.params = ParamSchema{{"source", ParamType::Int, std::int64_t{0}},
+                         {"top_k", ParamType::Int, std::int64_t{0}, 0}};
+  s.run = run_bc;
   s.checksum = serial_sum;
   return s;
 }

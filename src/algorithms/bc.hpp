@@ -4,25 +4,13 @@
 // medium/sparse frontiers (paper Table II).
 #pragma once
 
-#include <vector>
-
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
-struct BcResult {
-  std::vector<double> dependency;  ///< Brandes delta per vertex
-  std::vector<double> num_paths;   ///< sigma per vertex
-  int levels = 0;
-};
-
-BcResult betweenness(const Engine& eng, VertexId source);
-
-/// Typed entry point. Params: source (int, 0), top_k (int, 0). Payload:
-/// per-vertex Brandes dependency scores, or the top_k most central
-/// (vertex, score) pairs; aux = BFS levels. Checksum fold = serial
-/// dependency sum.
+/// Params: source (int, 0), top_k (int >= 0, 0). Payload: per-vertex
+/// Brandes dependency scores, or the top_k most central (vertex, score)
+/// pairs; aux = BFS levels. Checksum fold = serial dependency sum.
 AlgorithmSpec bc_spec();
 
 }  // namespace vebo::algo

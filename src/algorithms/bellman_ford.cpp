@@ -54,13 +54,14 @@ static_assert(kBucketWidth == 1.0, "one whole-number label per bucket");
 /// k is final by then, because a relaxation out of bucket k or later
 /// lands past it. A vertex whose label drops again moves to an earlier
 /// bucket, never twice into one; the entry it leaves behind is stale
-/// (its label is below the bucket's) and is skipped.
-BellmanFordResult settle_by_buckets(const Engine& eng, VertexId source) {
+/// (its label is below the bucket's) and is skipped. aux = buckets
+/// settled.
+QueryPayload settle_by_buckets(const Engine& eng, VertexId source) {
   obs::SpanScope pass(obs::SpanKind::Iteration);
   const Graph& g = eng.graph();
-  BellmanFordResult res;
-  std::vector<double>& dist = res.distance;
-  dist.assign(g.num_vertices(), kUnreachable);
+  std::vector<double> dist(g.num_vertices(), kUnreachable);
+  int rounds = 0;
+  VertexId reached = 0;
   std::array<std::vector<VertexId>, kBucketRing> ring;
   dist[source] = 0.0;
   ring[0].push_back(source);
@@ -70,11 +71,11 @@ BellmanFordResult settle_by_buckets(const Engine& eng, VertexId source) {
     if (bucket.empty()) continue;
     eng.poll_cancellation();
     const double lo = static_cast<double>(k) * kBucketWidth;
-    const VertexId settled_before = res.reached;
+    const VertexId settled_before = reached;
     for (const VertexId u : bucket) {  // relaxations land in other slots
       const double du = dist[u];
       if (du < lo) continue;
-      ++res.reached;
+      ++reached;
       for (const VertexId v : g.out_neighbors(u)) {
         const double cand = du + edge_weight(u, v);
         if (cand >= dist[v]) continue;
@@ -86,18 +87,20 @@ BellmanFordResult settle_by_buckets(const Engine& eng, VertexId source) {
     }
     pending -= bucket.size();
     bucket.clear();
-    res.rounds += res.reached != settled_before;
+    rounds += reached != settled_before;
   }
   if (pass.live()) {
-    pass.span().a = static_cast<std::uint64_t>(res.rounds);
-    pass.span().b = res.reached;
+    pass.span().a = static_cast<std::uint64_t>(rounds);
+    pass.span().b = reached;
   }
-  return res;
+  QueryPayload out = QueryPayload::vertex_doubles(std::move(dist));
+  out.aux = rounds;
+  return out;
 }
 
-}  // namespace
-
-BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
+/// Distances from `source`; aux = rounds (buckets on one thread).
+QueryPayload run_bf(const Engine& eng, const QueryParams& p) {
+  const VertexId source = p.get_vertex("source");
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(source < n, "bellman_ford: source out of range");
@@ -112,39 +115,27 @@ BellmanFordResult bellman_ford(const Engine& eng, VertexId source) {
 
   VertexSubset frontier = VertexSubset::single(n, source);
   BfFunctor f{dist.data()};
-  BellmanFordResult res;
+  int rounds = 0;
   // Standard termination: at most n rounds (weights are positive so no
   // negative cycles; the frontier empties much earlier in practice).
-  while (!frontier.empty_set() &&
-         res.rounds < static_cast<int>(n)) {
+  while (!frontier.empty_set() && rounds < static_cast<int>(n)) {
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
-      iter.span().a = static_cast<std::uint64_t>(res.rounds);
+      iter.span().a = static_cast<std::uint64_t>(rounds);
       iter.span().b = frontier.size();
     }
     frontier = edge_map(eng, frontier, f, {.early_exit = false});
-    ++res.rounds;
+    ++rounds;
   }
 
-  res.distance.resize(n);
-  // Parallel copy fused with the reached count (mirrors bfs's tail).
-  res.reached = parallel_reduce<VertexId>(
-      0, n, 0,
-      [&](std::size_t v) {
-        res.distance[v] = dist[v].load(std::memory_order_relaxed);
-        return res.distance[v] != kUnreachable ? 1u : 0u;
-      },
-      [](VertexId a, VertexId b) { return a + b; }, eng.vertex_loop());
-  return res;
-}
-
-namespace {
-
-QueryPayload run_bf_query(const Engine& eng, const QueryParams& p) {
-  BellmanFordResult r = bellman_ford(eng, p.get_vertex("source"));
-  QueryPayload out = QueryPayload::vertex_doubles(std::move(r.distance));
-  out.aux = r.rounds;
-  return out;
+  std::vector<double> out(n);
+  parallel_for(
+      0, n,
+      [&](std::size_t v) { out[v] = dist[v].load(std::memory_order_relaxed); },
+      eng.vertex_loop());
+  QueryPayload payload = QueryPayload::vertex_doubles(std::move(out));
+  payload.aux = rounds;
+  return payload;
 }
 
 }  // namespace
@@ -152,14 +143,8 @@ QueryPayload run_bf_query(const Engine& eng, const QueryParams& p) {
 AlgorithmSpec bellman_ford_spec() {
   AlgorithmSpec s;
   s.code = "BF";
-  s.description = "Bellman-Ford single-source shortest paths";
-  s.edge_oriented = false;
-  s.dense_frontier = false;
-  s.params = ParamSchema{
-      {"source", ParamType::Int, std::int64_t{0}, "start vertex id"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    return run_bf_query(eng, p);
-  };
+  s.params = ParamSchema{{"source", ParamType::Int, std::int64_t{0}}};
+  s.run = run_bf;
   s.refresh = [](const Engine& eng, const QueryParams& p,
                  const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
@@ -168,7 +153,7 @@ AlgorithmSpec bellman_ford_spec() {
         prev.doubles().size() != n || src >= n ||
         prev.doubles()[src] != 0.0 ||
         !refresh_worthwhile(eng, delta, kRefreshRunFallbackFraction))
-      return run_bf_query(eng, p);
+      return run_bf(eng, p);
     // Bit-exact: every distance is a left-folded path sum, and both the
     // scratch relaxation and the repair converge to the minimum over the
     // same candidate set.

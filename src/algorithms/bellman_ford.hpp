@@ -8,29 +8,17 @@
 #pragma once
 
 #include <limits>
-#include <vector>
 
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-struct BellmanFordResult {
-  std::vector<double> distance;  ///< kUnreachable if not reachable
-  /// edge_map rounds; on a one-thread engine, distance buckets settled
-  /// (one per distinct finite distance).
-  int rounds = 0;
-  VertexId reached = 0;
-};
-
-BellmanFordResult bellman_ford(const Engine& eng, VertexId source);
-
-/// Typed entry point. Params: source (int, 0). Payload: per-vertex
-/// shortest-path distances (kUnreachable = +inf); aux = rounds (settled
-/// buckets on a one-thread engine).
-/// Checksum fold = reached (finite-distance) count.
+/// Params: source (int, 0). Payload: per-vertex shortest-path distances
+/// (kUnreachable = +inf); aux = edge_map rounds, or on a one-thread
+/// engine the distance buckets settled (one per distinct finite
+/// distance). Checksum fold = reached (finite-distance) count.
 AlgorithmSpec bellman_ford_spec();
 
 }  // namespace vebo::algo

@@ -34,9 +34,11 @@ struct BfsFunctor {
   }
 };
 
-}  // namespace
-
-BfsResult bfs(const Engine& eng, VertexId source) {
+/// Levels from `source`; aux = rounds. parent[] is the functor's visited
+/// marker: a vertex is claimed once, by the first frontier vertex that
+/// reaches it.
+QueryPayload run_bfs(const Engine& eng, const QueryParams& p) {
+  const VertexId source = p.get_vertex("source");
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(source < n, "bfs: source out of range");
@@ -45,9 +47,8 @@ BfsResult bfs(const Engine& eng, VertexId source) {
   for (auto& p : parent) p.store(kInvalidVertex, std::memory_order_relaxed);
   parent[source].store(source, std::memory_order_relaxed);
 
-  BfsResult res;
-  res.level.assign(n, kInvalidVertex);
-  res.level[source] = 0;
+  std::vector<VertexId> level(n, kInvalidVertex);
+  level[source] = 0;
 
   VertexSubset frontier = VertexSubset::single(n, source);
   BfsFunctor f{parent.data()};
@@ -58,36 +59,15 @@ BfsResult bfs(const Engine& eng, VertexId source) {
       iter.span().a = static_cast<std::uint64_t>(round);
       iter.span().b = frontier.size();
     }
-    // Cached on the subset; edgemap's direction heuristic reuses it.
-    res.active_edges_per_round.push_back(
-        frontier.out_edges(g, eng.vertex_loop()));
-
     VertexSubset next = edge_map(eng, frontier, f);
     ++round;
-    vertex_map(eng, next, [&](VertexId v) {
-      res.level[v] = static_cast<VertexId>(round);
-    });
+    vertex_map(eng, next,
+               [&](VertexId v) { level[v] = static_cast<VertexId>(round); });
     frontier = std::move(next);
   }
 
-  res.parent.resize(n);
-  res.reached = parallel_reduce<VertexId>(
-      0, n, 0,
-      [&](std::size_t v) {
-        res.parent[v] = parent[v].load(std::memory_order_relaxed);
-        return res.parent[v] != kInvalidVertex ? 1u : 0u;
-      },
-      [](VertexId a, VertexId b) { return a + b; }, eng.vertex_loop());
-  res.rounds = round;
-  return res;
-}
-
-namespace {
-
-QueryPayload run_bfs_query(const Engine& eng, const QueryParams& p) {
-  BfsResult r = bfs(eng, p.get_vertex("source"));
-  QueryPayload out = QueryPayload::vertex_ids(std::move(r.level));
-  out.aux = r.rounds;
+  QueryPayload out = QueryPayload::vertex_ids(std::move(level));
+  out.aux = round;
   return out;
 }
 
@@ -96,14 +76,8 @@ QueryPayload run_bfs_query(const Engine& eng, const QueryParams& p) {
 AlgorithmSpec bfs_spec() {
   AlgorithmSpec s;
   s.code = "BFS";
-  s.description = "breadth-first search";
-  s.edge_oriented = false;
-  s.dense_frontier = false;
-  s.params = ParamSchema{
-      {"source", ParamType::Int, std::int64_t{0}, "start vertex id"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    return run_bfs_query(eng, p);
-  };
+  s.params = ParamSchema{{"source", ParamType::Int, std::int64_t{0}}};
+  s.run = run_bfs;
   s.refresh = [](const Engine& eng, const QueryParams& p,
                  const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
@@ -112,7 +86,7 @@ AlgorithmSpec bfs_spec() {
         prev.values_are_vertex_ids() || prev.ids().size() != n || src >= n ||
         prev.ids()[src] != 0 ||
         !refresh_worthwhile(eng, delta, kRefreshRunFallbackFraction))
-      return run_bfs_query(eng, p);
+      return run_bfs(eng, p);
     // Bit-exact: levels have a unique fixed point, reached by the
     // two-phase repair.
     QueryPayload out = QueryPayload::vertex_ids(
@@ -121,8 +95,6 @@ AlgorithmSpec bfs_spec() {
     return out;
   };
   s.checksum = [](const QueryPayload& p) {
-    // level[v] and parent[v] are invalid for exactly the same vertices,
-    // so this reproduces BfsResult::reached.
     double reached = 0;
     for (VertexId l : p.ids())
       if (l != kInvalidVertex) reached += 1;

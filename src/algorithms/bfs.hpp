@@ -3,26 +3,12 @@
 // work is proportional to the frontier, and frontiers are medium/sparse.
 #pragma once
 
-#include <vector>
-
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
-struct BfsResult {
-  std::vector<VertexId> parent;  ///< kInvalidVertex if unreached
-  std::vector<VertexId> level;   ///< kInvalidVertex if unreached
-  VertexId reached = 0;
-  int rounds = 0;
-  /// Active-edge count of each round's frontier (Table IV input).
-  std::vector<EdgeId> active_edges_per_round;
-};
-
-BfsResult bfs(const Engine& eng, VertexId source);
-
-/// Typed entry point. Params: source (int, 0). Payload: per-vertex BFS
-/// levels (kInvalidVertex = unreached); aux = rounds. Checksum fold =
+/// Params: source (int, 0). Payload: per-vertex BFS levels
+/// (kInvalidVertex = unreached); aux = rounds. Checksum fold =
 /// reached-vertex count.
 AlgorithmSpec bfs_spec();
 

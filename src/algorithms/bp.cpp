@@ -8,7 +8,13 @@
 
 namespace vebo::algo {
 
-BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
+namespace {
+
+/// Beliefs after `iterations` synchronous rounds; aux = the last round's
+/// residual.
+QueryPayload run_bp(const Engine& eng, const QueryParams& p) {
+  const auto iterations = static_cast<int>(p.get_int("iterations"));
+  const double coupling = p.get_float("coupling");
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(n > 0, "belief_propagation: empty graph");
@@ -22,8 +28,8 @@ BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
   std::vector<double> incoming(n, 0.0);
   std::vector<double> msg(n, 0.0);  // outgoing message value per source
 
-  BpResult res;
-  for (int it = 0; it < opts.iterations; ++it) {
+  double residual = 0.0;
+  for (int it = 0; it < iterations; ++it) {
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
       iter.span().a = static_cast<std::uint64_t>(it);
@@ -33,7 +39,7 @@ BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
     parallel_for(
         0, n,
         [&](std::size_t u) {
-          msg[u] = opts.coupling * std::tanh(belief[u]);
+          msg[u] = coupling * std::tanh(belief[u]);
         },
         eng.vertex_loop());
 
@@ -55,36 +61,24 @@ BpResult belief_propagation(const Engine& eng, const BpOptions& opts) {
           return ch;
         },
         eng.vertex_loop());
-    res.residual = total_change / static_cast<double>(n);
-    res.iterations = it + 1;
+    residual = total_change / static_cast<double>(n);
   }
-  res.belief = std::move(belief);
-  return res;
+  QueryPayload out = QueryPayload::vertex_doubles(std::move(belief));
+  out.aux = residual;
+  return out;
 }
+
+}  // namespace
 
 AlgorithmSpec bp_spec() {
   AlgorithmSpec s;
   s.code = "BP";
-  s.description = "belief propagation, 10 iterations";
-  s.edge_oriented = true;
-  s.dense_frontier = true;
   s.params = ParamSchema{
-      {"iterations", ParamType::Int, std::int64_t{10}, "sync iterations"},
-      {"coupling", ParamType::Float, 0.5,
-       "edge potential strength in log-odds space"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    BpOptions opts;
-    opts.iterations = static_cast<int>(p.get_int("iterations"));
-    opts.coupling = p.get_float("coupling");
-    VEBO_CHECK(opts.iterations >= 0, "BP: iterations must be >= 0");
-    BpResult r = belief_propagation(eng, opts);
-    QueryPayload out = QueryPayload::vertex_doubles(std::move(r.belief));
-    out.aux = r.residual;
-    return out;
-  };
-  // The legacy value is the last-iteration residual — a convergence
-  // metric the final beliefs cannot reproduce, so the fold reads the
-  // payload's diagnostic scalar.
+      {"iterations", ParamType::Int, std::int64_t{10}, 0, kMaxIterations},
+      {"coupling", ParamType::Float, 0.5}};
+  s.run = run_bp;
+  // The residual is a convergence metric the final beliefs cannot
+  // reproduce, so the fold reads the payload's diagnostic scalar.
   s.checksum = [](const QueryPayload& p) { return p.aux; };
   return s;
 }

@@ -1,36 +1,22 @@
 // Loopy belief propagation (10 iterations), the paper's BP workload: a
 // synchronous message-passing kernel whose per-iteration work is
-// proportional to the edge count, with per-edge state. Messages travel
-// along edge direction; vertex beliefs combine a deterministic prior with
-// incoming messages through a saturating (tanh) coupling — the standard
+// proportional to the edge count, with per-edge state — edge-oriented
+// with a dense frontier (paper Table II). Messages travel along edge
+// direction; vertex beliefs combine a deterministic prior with incoming
+// messages through a saturating (tanh) coupling — the standard
 // binary-state BP update in log-odds form without reverse-message
 // division (exact on trees oriented away from the roots).
 #pragma once
 
-#include <vector>
-
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
-struct BpOptions {
-  int iterations = 10;
-  double coupling = 0.5;  ///< edge potential strength in log-odds space
-};
-
-struct BpResult {
-  std::vector<double> belief;  ///< final log-odds per vertex
-  int iterations = 0;
-  double residual = 0.0;  ///< mean |belief change| in the last iteration
-};
-
-BpResult belief_propagation(const Engine& eng, const BpOptions& opts = {});
-
-/// Typed entry point. Params: iterations (int, 10), coupling (float,
-/// 0.5). Payload: per-vertex log-odds beliefs; aux = final-iteration
-/// residual. Checksum fold = aux (the legacy convergence metric, which
-/// the final beliefs alone cannot encode).
+/// Params: iterations (int in [0, INT_MAX], 10), coupling (float, 0.5:
+/// edge potential strength in log-odds space). Payload: per-vertex
+/// log-odds beliefs; aux = the last iteration's residual (mean |belief
+/// change|). Checksum fold = aux, a convergence metric the final beliefs
+/// alone cannot encode.
 AlgorithmSpec bp_spec();
 
 }  // namespace vebo::algo

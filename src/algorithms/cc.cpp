@@ -19,17 +19,8 @@ bool atomic_write_min(std::atomic<VertexId>& slot, VertexId value) {
   return false;
 }
 
-QueryPayload run_cc_query(const Engine& eng) {
-  CcResult r = connected_components(eng);
-  QueryPayload out = QueryPayload::vertex_ids(std::move(r.label),
-                                              /*values_are_vertex_ids=*/true);
-  out.aux = r.rounds;
-  return out;
-}
-
-}  // namespace
-
-CcResult connected_components(const Engine& eng) {
+/// Component-minimum labels; aux = rounds. No params.
+QueryPayload run_cc(const Engine& eng, const QueryParams&) {
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
 
@@ -99,39 +90,30 @@ CcResult connected_components(const Engine& eng) {
     ++rounds;
   }
 
-  CcResult res;
-  res.label.resize(n);
-  // Parallel copy fused with the component count: converged labels are
-  // component minima, so label[v] == v holds for exactly one vertex per
-  // component (integer sum — deterministic under any schedule).
-  res.num_components = parallel_reduce<VertexId>(
-      0, n, 0,
-      [&](std::size_t v) {
-        res.label[v] = label[v].load(std::memory_order_relaxed);
-        return res.label[v] == static_cast<VertexId>(v) ? 1u : 0u;
-      },
-      [](VertexId a, VertexId b) { return a + b; }, eng.vertex_loop());
-  res.rounds = rounds;
-  return res;
+  std::vector<VertexId> out(n);
+  parallel_for(
+      0, n,
+      [&](std::size_t v) { out[v] = label[v].load(std::memory_order_relaxed); },
+      eng.vertex_loop());
+  QueryPayload payload =
+      QueryPayload::vertex_ids(std::move(out), /*values_are_vertex_ids=*/true);
+  payload.aux = rounds;
+  return payload;
 }
+
+}  // namespace
 
 AlgorithmSpec cc_spec() {
   AlgorithmSpec s;
   s.code = "CC";
-  s.description = "connected components (label propagation)";
-  s.edge_oriented = true;
-  s.dense_frontier = true;
-  s.params = ParamSchema{};
-  s.run = [](const Engine& eng, const QueryParams&) {
-    return run_cc_query(eng);
-  };
-  s.refresh = [](const Engine& eng, const QueryParams&,
+  s.run = run_cc;
+  s.refresh = [](const Engine& eng, const QueryParams& p,
                  const QueryPayload& prev, const EdgeDelta& delta) {
     const VertexId n = eng.graph().num_vertices();
     if (prev.kind() != PayloadKind::VertexIds ||
         !prev.values_are_vertex_ids() || prev.ids().size() != n ||
         !refresh_worthwhile(eng, delta, kRefreshRunFallbackFraction))
-      return run_cc_query(eng);
+      return run_cc(eng, p);
     // Bit-exact: union-find over the delta plus the affected components,
     // relabeled to the component-minimum id label propagation converges
     // to.

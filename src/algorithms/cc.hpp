@@ -1,26 +1,17 @@
-// Connected components by label propagation (the paper's CC). Labels
-// propagate across both edge directions so directed inputs yield weakly
-// connected components, matching the systems' use of symmetrized inputs.
+// Connected components by label propagation (the paper's CC), an
+// edge-oriented algorithm with dense frontiers in the paper's Table II.
+// Labels propagate across both edge directions so directed inputs yield
+// weakly connected components, matching the systems' use of symmetrized
+// inputs.
 #pragma once
 
-#include <vector>
-
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
-struct CcResult {
-  std::vector<VertexId> label;  ///< component id = min vertex id in comp.
-  VertexId num_components = 0;
-  int rounds = 0;
-};
-
-CcResult connected_components(const Engine& eng);
-
-/// Typed entry point. No params. Payload: per-vertex component labels
-/// (id-valued: label = member vertex id, translated with the payload);
-/// aux = rounds. Checksum fold = component count.
+/// No params. Payload: per-vertex component labels (id-valued: label =
+/// the component's minimum member id, translated with the payload); aux
+/// = rounds. Checksum fold = component count.
 AlgorithmSpec cc_spec();
 
 }  // namespace vebo::algo

@@ -11,33 +11,21 @@ namespace vebo::algo {
 
 namespace {
 
-QueryPayload run_pr_query(const Engine& eng, const QueryParams& p) {
-  PageRankOptions opts;
-  opts.iterations = static_cast<int>(p.get_int("iterations"));
-  opts.damping = p.get_float("damping");
-  VEBO_CHECK(opts.iterations >= 0, "PR: iterations must be >= 0");
-  const std::int64_t k = p.get_int("top_k");
-  VEBO_CHECK(k >= 0, "PR: top_k must be >= 0");
-  PageRankResult r = pagerank(eng, opts);
-  QueryPayload out =
-      k > 0 ? QueryPayload::top_k(top_k_of(r.rank, static_cast<std::size_t>(k)))
-            : QueryPayload::vertex_doubles(std::move(r.rank));
-  out.aux = r.total_mass;
-  return out;
-}
-
-}  // namespace
-
-PageRankResult pagerank(const Engine& eng, const PageRankOptions& opts) {
+/// Ranks after `iterations` power steps, or their top_k when top_k > 0;
+/// aux = total mass of the full vector.
+QueryPayload run_pr(const Engine& eng, const QueryParams& p) {
+  const auto iterations = static_cast<int>(p.get_int("iterations"));
+  const double damping = p.get_float("damping");
+  const auto k = static_cast<std::size_t>(p.get_int("top_k"));
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(n > 0, "pagerank: empty graph");
   const double init = 1.0 / static_cast<double>(n);
-  const double base = (1.0 - opts.damping) / static_cast<double>(n);
+  const double base = (1.0 - damping) / static_cast<double>(n);
 
   std::vector<double> rank(n, init), next(n, 0.0), contrib(n, 0.0);
 
-  for (int it = 0; it < opts.iterations; ++it) {
+  for (int it = 0; it < iterations; ++it) {
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
       iter.span().a = static_cast<std::uint64_t>(it);
@@ -58,36 +46,30 @@ PageRankResult pagerank(const Engine& eng, const PageRankOptions& opts) {
     // partition-per-task on the partitioned models.
     edge_fold<double>(
         eng, [&](VertexId u, VertexId) { return contrib[u]; },
-        [&](VertexId v, double acc) { next[v] = base + opts.damping * acc; });
+        [&](VertexId v, double acc) { next[v] = base + damping * acc; });
     rank.swap(next);
   }
 
-  PageRankResult res;
-  res.iterations = opts.iterations;
   // Deterministic block fold: parallel, but a pure function of the rank
-  // vector — block_sum reproduces it exactly from the payload.
-  res.total_mass = deterministic_sum<double>(
+  // vector — block_sum of the full payload is the same value.
+  const double total_mass = deterministic_sum<double>(
       0, n, [&](std::size_t v) { return rank[v]; }, eng.vertex_loop());
-  res.rank = std::move(rank);
-  return res;
+  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
+                           : QueryPayload::vertex_doubles(std::move(rank));
+  out.aux = total_mass;
+  return out;
 }
+
+}  // namespace
 
 AlgorithmSpec pagerank_spec() {
   AlgorithmSpec s;
   s.code = "PR";
-  s.description = "PageRank, power method, 10 iterations";
-  s.edge_oriented = true;
-  s.dense_frontier = true;
   s.params = ParamSchema{
-      {"iterations", ParamType::Int, std::int64_t{10}, "power iterations"},
-      {"damping", ParamType::Float, 0.85, "damping factor"},
-      {"top_k", ParamType::Int, std::int64_t{0},
-       "0 = full rank vector, k > 0 = k highest-ranked vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    return run_pr_query(eng, p);
-  };
-  // Deterministic block fold == legacy total_mass for the full vector
-  // (total_mass is computed with the same deterministic_sum).
+      {"iterations", ParamType::Int, std::int64_t{10}, 0, kMaxIterations},
+      {"damping", ParamType::Float, 0.85},
+      {"top_k", ParamType::Int, std::int64_t{0}, 0}};
+  s.run = run_pr;
   s.checksum = block_sum;
   s.refresh = [](const Engine& eng, const QueryParams& p,
                  const QueryPayload& prev, const EdgeDelta& delta) {
@@ -95,7 +77,7 @@ AlgorithmSpec pagerank_spec() {
     if (p.get_int("top_k") > 0 || prev.kind() != PayloadKind::VertexDoubles ||
         prev.doubles().size() != n ||
         !refresh_worthwhile(eng, delta, kRefreshRunFallbackFraction))
-      return run_pr_query(eng, p);
+      return run_pr(eng, p);
     // Warm-start converges to the power method's fixed point; epsilon is
     // pinned tight so the refreshed vector agrees with a converged
     // scratch run at summation-noise scale. The round cap scales with

@@ -11,31 +11,17 @@ namespace vebo::algo {
 
 namespace {
 
-QueryPayload run_prd_query(const Engine& eng, const QueryParams& p) {
-  PageRankDeltaOptions opts;
-  opts.max_iterations = static_cast<int>(p.get_int("max_iters"));
-  opts.damping = p.get_float("damping");
-  opts.epsilon = p.get_float("epsilon");
-  VEBO_CHECK(opts.max_iterations >= 0, "PRD: max_iters must be >= 0");
-  const std::int64_t k = p.get_int("top_k");
-  VEBO_CHECK(k >= 0, "PRD: top_k must be >= 0");
-  PageRankDeltaResult r = pagerank_delta(eng, opts);
-  QueryPayload out =
-      k > 0 ? QueryPayload::top_k(top_k_of(r.rank, static_cast<std::size_t>(k)))
-            : QueryPayload::vertex_doubles(std::move(r.rank));
-  out.aux = r.iterations;
-  return out;
-}
-
-}  // namespace
-
-PageRankDeltaResult pagerank_delta(const Engine& eng,
-                                   const PageRankDeltaOptions& opts) {
+/// Ranks, or their top_k when top_k > 0; aux = iterations run.
+QueryPayload run_prd(const Engine& eng, const QueryParams& p) {
+  const auto max_iters = static_cast<int>(p.get_int("max_iters"));
+  const double damping = p.get_float("damping");
+  const double epsilon = p.get_float("epsilon");
+  const auto k = static_cast<std::size_t>(p.get_int("top_k"));
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
   VEBO_CHECK(n > 0, "pagerank_delta: empty graph");
   const double one_over_n = 1.0 / static_cast<double>(n);
-  const double base = (1.0 - opts.damping) * one_over_n;
+  const double base = (1.0 - damping) * one_over_n;
 
   // rank accumulates; delta holds the change applied this iteration.
   std::vector<double> rank(n, 0.0);
@@ -44,15 +30,14 @@ PageRankDeltaResult pagerank_delta(const Engine& eng,
   std::vector<double> acc(n, 0.0);
 
   VertexSubset frontier = VertexSubset::all(n);
-  PageRankDeltaResult res;
+  int iterations = 0;
 
-  for (int it = 0; it < opts.max_iterations && !frontier.empty_set(); ++it) {
+  for (int it = 0; it < max_iters && !frontier.empty_set(); ++it) {
     obs::SpanScope iter(obs::SpanKind::Iteration);
     if (iter.live()) {
       iter.span().a = static_cast<std::uint64_t>(it);
       iter.span().b = frontier.size();
     }
-    res.active_per_iteration.push_back(frontier.size());
 
     // contrib[u] = delta[u]/outdeg(u) for active u.
     vertex_map(eng, frontier, [&](VertexId u) {
@@ -79,7 +64,7 @@ PageRankDeltaResult pagerank_delta(const Engine& eng,
         0, n,
         [&](std::size_t i) {
           const VertexId v = static_cast<VertexId>(i);
-          double d = opts.damping * acc[v];
+          double d = damping * acc[v];
           if (it == 0) {
             d += base - one_over_n;     // delta_1 = r_1 - r_0
             rank[v] += d + one_over_n;  // rank becomes r_1
@@ -87,7 +72,7 @@ PageRankDeltaResult pagerank_delta(const Engine& eng,
             rank[v] += d;
           }
           delta[v] =
-              std::abs(d) > opts.epsilon * std::max(rank[v], one_over_n)
+              std::abs(d) > epsilon * std::max(rank[v], one_over_n)
                   ? d
                   : 0.0;
         },
@@ -99,29 +84,26 @@ PageRankDeltaResult pagerank_delta(const Engine& eng,
             [&](std::size_t v) { return static_cast<VertexId>(v); },
             eng.vertex_loop()),
         /*sorted=*/true);
-    res.iterations = it + 1;
+    iterations = it + 1;
   }
 
-  res.rank = std::move(rank);
-  return res;
+  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
+                           : QueryPayload::vertex_doubles(std::move(rank));
+  out.aux = iterations;
+  return out;
 }
+
+}  // namespace
 
 AlgorithmSpec pagerank_delta_spec() {
   AlgorithmSpec s;
   s.code = "PRD";
-  s.description = "PageRank with delta updates";
-  s.edge_oriented = true;
-  s.dense_frontier = false;
   s.params = ParamSchema{
-      {"max_iters", ParamType::Int, std::int64_t{10}, "iteration cap"},
-      {"damping", ParamType::Float, 0.85, "damping factor"},
-      {"epsilon", ParamType::Float, 1e-2,
-       "active while |delta| > epsilon * rank"},
-      {"top_k", ParamType::Int, std::int64_t{0},
-       "0 = full rank vector, k > 0 = k highest-ranked vertices"}};
-  s.run = [](const Engine& eng, const QueryParams& p) {
-    return run_prd_query(eng, p);
-  };
+      {"max_iters", ParamType::Int, std::int64_t{10}, 0, kMaxIterations},
+      {"damping", ParamType::Float, 0.85},
+      {"epsilon", ParamType::Float, 1e-2},
+      {"top_k", ParamType::Int, std::int64_t{0}, 0}};
+  s.run = run_prd;
   s.checksum = serial_sum;
   s.refresh = [](const Engine& eng, const QueryParams& p,
                  const QueryPayload& prev, const EdgeDelta& delta) {
@@ -129,7 +111,7 @@ AlgorithmSpec pagerank_delta_spec() {
     if (p.get_int("top_k") > 0 || prev.kind() != PayloadKind::VertexDoubles ||
         prev.doubles().size() != n ||
         !refresh_worthwhile(eng, delta, kRefreshRunFallbackFraction))
-      return run_prd_query(eng, p);
+      return run_prd(eng, p);
     // Same residual-propagation kernel PRD itself uses, warm-started
     // from the previous epoch's ranks and driven by the entry's own
     // epsilon/max_iters knobs — same stopping rule as a scratch run.

@@ -1,38 +1,21 @@
 // PageRank-Delta (Ligra's PRD): propagates only rank *changes* above a
-// threshold, so the frontier shrinks as vertices converge. This is the
-// algorithm behind the paper's motivating observation — low-degree
-// vertices converge before high-degree ones, so partitions dominated by
-// low-degree vertices fall idle early under edge-only balancing.
+// threshold, so the frontier shrinks as vertices converge. Edge-oriented
+// like PR, but its frontier thins from complete to sparse (paper Table
+// II). This is the algorithm behind the paper's motivating observation —
+// low-degree vertices converge before high-degree ones, so partitions
+// dominated by low-degree vertices fall idle early under edge-only
+// balancing.
 #pragma once
 
-#include <vector>
-
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 
 namespace vebo::algo {
 
-struct PageRankDeltaOptions {
-  int max_iterations = 10;
-  double damping = 0.85;
-  /// A vertex stays active while |delta| > epsilon * rank.
-  double epsilon = 1e-2;
-};
-
-struct PageRankDeltaResult {
-  std::vector<double> rank;
-  int iterations = 0;
-  /// Active-vertex count per iteration (frontier decay diagnostic).
-  std::vector<VertexId> active_per_iteration;
-};
-
-PageRankDeltaResult pagerank_delta(const Engine& eng,
-                                   const PageRankDeltaOptions& opts = {});
-
-/// Typed entry point. Params: max_iters (int, 10), damping (float,
-/// 0.85), epsilon (float, 1e-2), top_k (int, 0). Payload: per-vertex
-/// rank vector or top-k pairs; aux = iterations run. Checksum fold =
-/// serial rank sum.
+/// Params: max_iters (int in [0, INT_MAX], 10), damping (float, 0.85),
+/// epsilon (float, 1e-2: a vertex stays active while |delta| > epsilon *
+/// rank), top_k (int >= 0, 0). Payload: per-vertex rank vector or top-k
+/// pairs; aux = iterations run. Checksum fold = serial rank sum. Each
+/// iteration's Iteration span carries its frontier size (b).
 AlgorithmSpec pagerank_delta_spec();
 
 }  // namespace vebo::algo

@@ -68,6 +68,11 @@ QueryParams ParamSchema::validate(const QueryParams& given) const {
         throw Error("query: parameter \"" + name + "\" must be " +
                     type_name(spec->type) + ", got " +
                     value_type_name(value));
+      if (*i < spec->min || *i > spec->max)
+        throw Error("query: parameter \"" + name + "\" = " +
+                    std::to_string(*i) + " is outside [" +
+                    std::to_string(spec->min) + ", " +
+                    std::to_string(spec->max) + "]");
       out.set(name, *i);
     } else {
       // Widening int -> float is well-defined; accept it so clients can

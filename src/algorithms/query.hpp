@@ -2,10 +2,15 @@
 // per-vertex results, shared by every invocation layer (registry,
 // StreamSession, serve::GraphService).
 //
+// Each algorithm has exactly one entry point, its AlgorithmSpec (see
+// registry.hpp): `spec(code).invoke(eng, params)` runs it, and
+// `spec.checksum(payload)` folds the answer into its one scalar.
+//
 // A query is (algorithm code, QueryParams). Params are a small typed
 // key/value set ("source", "iterations", "damping", ...) validated and
-// default-filled against the algorithm's ParamSchema — unknown names and
-// ill-typed values are rejected with vebo::Error before any work runs.
+// default-filled against the algorithm's ParamSchema — unknown names,
+// ill-typed values and Int values outside their range are rejected with
+// vebo::Error before any work runs.
 // The answer is a QueryPayload: a tagged variant of
 //   * a scalar,
 //   * a per-vertex double vector (ranks, distances, dependencies),
@@ -24,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -49,13 +55,21 @@ enum class ParamType : std::uint8_t { Int, Float };
 /// never silently truncated into an Int param).
 using ParamValue = std::variant<std::int64_t, double>;
 
-/// One parameter an algorithm accepts, with its default.
+/// One parameter an algorithm accepts, with its default. An Int param
+/// also carries its valid range [min, max]: validate() rejects values
+/// outside it, so runs narrow counts to int and sizes to size_t without
+/// checking them again.
 struct ParamSpec {
   std::string name;
   ParamType type = ParamType::Int;
   ParamValue default_value = std::int64_t{0};
-  std::string description;
+  std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  std::int64_t max = std::numeric_limits<std::int64_t>::max();
 };
+
+/// The range of an iteration-count param: a run loops over it as an int.
+inline constexpr std::int64_t kMaxIterations =
+    std::numeric_limits<int>::max();
 
 class QueryParams;
 
@@ -66,15 +80,14 @@ class ParamSchema {
   ParamSchema() = default;
   ParamSchema(std::initializer_list<ParamSpec> specs) : specs_(specs) {}
 
-  const std::vector<ParamSpec>& specs() const { return specs_; }
   /// nullptr when the schema has no such parameter.
   const ParamSpec* find(std::string_view name) const;
 
   /// Checks `given` against the schema and returns the normalized set:
   /// every schema param present (defaults filled), every value carrying
-  /// its schema type. Throws vebo::Error on unknown names and on values
+  /// its schema type. Throws vebo::Error on unknown names, on values
   /// whose type does not match (ints widen to Float params; anything
-  /// else is ill-typed).
+  /// else is ill-typed) and on Int values outside their spec's range.
   QueryParams validate(const QueryParams& given) const;
 
  private:
@@ -167,9 +180,9 @@ class QueryPayload {
   std::size_t num_entries() const;
 
   /// Algorithm-specific diagnostic scalar riding along with the payload
-  /// (BP's residual, PR's iteration count...). Not part of the client
-  /// protocol proper, but checksum folds may read it when the legacy
-  /// value is a convergence metric the payload itself cannot encode.
+  /// (BP's residual, PRD's iteration count...). Not part of the client
+  /// protocol proper, but a checksum fold may read it when its value is
+  /// a convergence metric the payload itself cannot encode (BP).
   double aux = 0.0;
 
  private:
@@ -229,13 +242,12 @@ bool refresh_worthwhile(const Engine& eng, const EdgeDelta& delta,
 
 // ----------------------------------------------------------- entry point
 
-/// One algorithm's typed entry point: schema + spec-based runner + the
-/// deterministic payload fold reproducing the legacy checksum surface.
+/// An algorithm's only entry point: its param schema, its runner and the
+/// deterministic fold of the runner's payload into one scalar. Each
+/// algorithm header declares its spec factory and documents the params,
+/// payload, aux and checksum there.
 struct AlgorithmSpec {
-  std::string code;         ///< paper's code: BC, CC, PR, BFS, PRD, SPMV, BF, BP
-  std::string description;  ///< one-liner from Table II
-  bool edge_oriented = false;   ///< E vs V orientation (Table II)
-  bool dense_frontier = false;  ///< predominantly dense frontiers (Table II)
+  std::string code;  ///< paper's code: BC, CC, PR, BFS, PRD, SPMV, BF, BP
   ParamSchema params;
   /// Runs on *validated* params (every schema key present and typed);
   /// callers go through invoke() or validate explicitly. "source" params
@@ -247,8 +259,9 @@ struct AlgorithmSpec {
   /// iteration loops call eng.poll_cancellation() once per iteration.
   /// With nothing bound the polls are no-ops.
   std::function<QueryPayload(const Engine&, const QueryParams&)> run;
-  /// Deterministic fold of run()'s payload reproducing the pre-protocol
-  /// checksum exactly (serial in-payload-order sums, reached counts...).
+  /// The algorithm's one scalar answer: a fold of run()'s payload in a
+  /// fixed order (serial in-payload-order sums, block sums, reached
+  /// counts).
   std::function<double(const QueryPayload&)> checksum;
   /// Incremental entry point (PR 10): recomputes the answer for the
   /// engine's graph warm-started from `prev` — the previous epoch's
@@ -287,15 +300,13 @@ std::vector<VertexScore> top_k_of(std::span<const double> scores,
                                   std::size_t k);
 
 /// Serial in-payload-order sum (doubles, top-k scores, or the scalar
-/// itself) — the fold behind the sum-style legacy checksums. Summation
-/// order matches the pre-protocol serial loops bit-for-bit.
+/// itself) — the checksum fold of BC and PRD.
 double serial_sum(const QueryPayload& p);
 
 /// Deterministic parallel block fold of a per-vertex double payload (see
-/// deterministic_sum): the fold used by algorithms whose legacy scalar is
-/// itself computed with deterministic_sum (PR's total_mass, SPMV's
-/// checksum), so adapter values stay exactly equal to the in-algorithm
-/// result. Non-VertexDoubles payloads fall back to serial_sum.
+/// deterministic_sum; thread-count independent) — the checksum fold of
+/// PR and SPMV, and the same fold as PR's total-mass aux.
+/// Non-VertexDoubles payloads fall back to serial_sum.
 double block_sum(const QueryPayload& p);
 
 }  // namespace vebo::algo

@@ -2,11 +2,13 @@
 // the typed query protocol (algorithms/query.hpp): each entry is an
 // AlgorithmSpec with a ParamSchema, a run() returning a typed
 // QueryPayload (distances, component labels, rank vectors, top-k lists),
-// and the deterministic checksum fold of that payload. Every caller goes
-// through the spec: the serving layer and parameterized clients run
-// validated params, and checksum callers (the Table III benches sweeping
-// "all algorithms x all graphs x all orderings") fold the payload with
-// `s.checksum(s.invoke(eng, params))`.
+// and the deterministic checksum fold of that payload. The spec is each
+// algorithm's only entry point — the algorithm headers declare nothing
+// else to run — so every caller goes through it: the serving layer,
+// parameterized clients, tests and examples run
+// `spec(code).invoke(eng, params)`, and checksum callers (the Table III
+// benches sweeping "all algorithms x all graphs x all orderings") fold
+// the payload with `s.checksum(s.invoke(eng, params))`.
 //
 // Thread-safety: the tables are immutable after their C++11 magic-static
 // initialization, so every accessor below may be called concurrently with

@@ -1,17 +1,17 @@
 #include "algorithms/spmv.hpp"
 
+#include <algorithm>
+
 #include "framework/edgemap.hpp"
-#include "support/error.hpp"
 
 namespace vebo::algo {
 
-SpmvResult spmv(const Engine& eng, const std::vector<double>& x) {
-  const Graph& g = eng.graph();
-  const VertexId n = g.num_vertices();
-  VEBO_CHECK(x.size() == n, "spmv: x size mismatch");
+namespace {
 
-  SpmvResult res;
-  res.y.assign(n, 0.0);
+QueryPayload run_spmv(const Engine& eng, const QueryParams&) {
+  const VertexId n = eng.graph().num_vertices();
+  const double x = 1.0 / static_cast<double>(std::max<VertexId>(1, n));
+  std::vector<double> y(n, 0.0);
 
   // SpMV is a single superstep; the span makes it show up in traces
   // like every other algorithm's iterations do.
@@ -25,32 +25,18 @@ SpmvResult spmv(const Engine& eng, const std::vector<double>& x) {
   // accumulates its in-edges in ascending source order, so y is
   // bit-identical across Ligra, Polymer and GraphGrind.
   edge_fold<double>(
-      eng, [&](VertexId u, VertexId v) { return edge_weight(u, v) * x[u]; },
-      [&](VertexId v, double a) { res.y[v] = a; });
-  // Deterministic block fold — block_sum reproduces it from the payload.
-  res.checksum = deterministic_sum<double>(
-      0, n, [&](std::size_t v) { return res.y[v]; }, eng.vertex_loop());
-  return res;
+      eng, [&](VertexId u, VertexId v) { return edge_weight(u, v) * x; },
+      [&](VertexId v, double a) { y[v] = a; });
+  return QueryPayload::vertex_doubles(std::move(y));
 }
 
-SpmvResult spmv(const Engine& eng) {
-  const VertexId n = eng.graph().num_vertices();
-  std::vector<double> x(n, 1.0 / static_cast<double>(std::max<VertexId>(1, n)));
-  return spmv(eng, x);
-}
+}  // namespace
 
 AlgorithmSpec spmv_spec() {
   AlgorithmSpec s;
   s.code = "SPMV";
-  s.description = "sparse matrix-vector multiply, 1 iteration";
-  s.edge_oriented = true;
-  s.dense_frontier = true;
-  s.params = ParamSchema{};
-  s.run = [](const Engine& eng, const QueryParams&) {
-    SpmvResult r = spmv(eng);
-    return QueryPayload::vertex_doubles(std::move(r.y));
-  };
-  s.checksum = block_sum;  // == legacy SpmvResult::checksum (same fold)
+  s.run = run_spmv;
+  s.checksum = block_sum;
   return s;
 }
 

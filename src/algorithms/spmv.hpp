@@ -5,10 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "algorithms/query.hpp"
-#include "framework/engine.hpp"
 #include "support/prng.hpp"
 
 namespace vebo::algo {
@@ -30,20 +28,9 @@ inline double edge_weight(VertexId u, VertexId v) {
   return kMinEdgeWeight + static_cast<double>(mix64(key) % kSpan);
 }
 
-struct SpmvResult {
-  std::vector<double> y;
-  double checksum = 0.0;
-};
-
-/// y[v] = sum over in-edges (u, v) of weight(u, v) * x[u].
-SpmvResult spmv(const Engine& eng, const std::vector<double>& x);
-
-/// Convenience: x = 1/n everywhere.
-SpmvResult spmv(const Engine& eng);
-
-/// Typed entry point. No params (x = 1/n). Payload: the per-vertex
-/// product vector y. Checksum fold = block_sum of y, the same
-/// deterministic block fold as SpmvResult::checksum.
+/// No params. Payload: y[v] = sum over in-edges (u, v) of
+/// edge_weight(u, v) * x[u], for x = 1/n everywhere. Checksum fold =
+/// block_sum of y.
 AlgorithmSpec spmv_spec();
 
 }  // namespace vebo::algo

@@ -10,17 +10,13 @@
 #include <cmath>
 #include <cstring>
 
-#include "algorithms/bc.hpp"
 #include "algorithms/bellman_ford.hpp"
-#include "algorithms/bfs.hpp"
-#include "algorithms/bp.hpp"
-#include "algorithms/cc.hpp"
 #include "algorithms/pagerank.hpp"
-#include "algorithms/pagerank_delta.hpp"
 #include "algorithms/reference.hpp"
 #include "algorithms/registry.hpp"
 #include "algorithms/spmv.hpp"
 #include "framework/cancel.hpp"
+#include "framework/engine.hpp"
 #include "gen/erdos.hpp"
 #include "gen/powerlaw.hpp"
 #include "gen/rmat.hpp"
@@ -34,6 +30,24 @@
 
 namespace vebo {
 namespace {
+
+using algo::QueryParams;
+using algo::QueryPayload;
+
+/// Runs the spec registered under `code`: the algorithms' one entry point.
+QueryPayload run(const Engine& eng, const std::string& code,
+                 const QueryParams& params = {}) {
+  return algo::spec(code).invoke(eng, params);
+}
+
+/// The spec's checksum fold of `p` (reached count, component count...).
+double checksum(const std::string& code, const QueryPayload& p) {
+  return algo::spec(code).checksum(p);
+}
+
+QueryParams from(VertexId source) {
+  return QueryParams().set("source", source);
+}
 
 class AlgoModels : public ::testing::TestWithParam<SystemModel> {
  protected:
@@ -60,42 +74,28 @@ INSTANTIATE_TEST_SUITE_P(Models, AlgoModels,
 TEST_P(AlgoModels, BfsMatchesReferenceLevels) {
   const Graph g = gen::rmat(10, 6, 3);
   Engine eng = make_engine(g);
-  const auto res = algo::bfs(eng, 0);
+  const QueryPayload res = run(eng, "BFS", from(0));
   const auto ref = algo::ref::bfs_levels(g, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(res.level[v], ref[v]) << "v=" << v;
-}
-
-TEST_P(AlgoModels, BfsParentsFormValidTree) {
-  const Graph g = gen::rmat(9, 6, 5);
-  Engine eng = make_engine(g);
-  const auto res = algo::bfs(eng, 1);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (res.parent[v] == kInvalidVertex || v == 1) continue;
-    const VertexId p = res.parent[v];
-    // Parent must be exactly one level above and actually adjacent.
-    ASSERT_EQ(res.level[p] + 1, res.level[v]);
-    auto nb = g.out_neighbors(p);
-    ASSERT_TRUE(std::binary_search(nb.begin(), nb.end(), v));
-  }
+    ASSERT_EQ(res.ids()[v], ref[v]) << "v=" << v;
 }
 
 TEST(Bfs, PathGraphLevels) {
   const Graph g = gen::path(10);
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::bfs(eng, 0);
-  for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(res.level[v], v);
-  EXPECT_EQ(res.reached, 10u);
+  const QueryPayload res = run(eng, "BFS", from(0));
+  for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(res.ids()[v], v);
+  EXPECT_EQ(checksum("BFS", res), 10.0);
 }
 
 TEST(Bfs, UnreachableVerticesStayInvalid) {
   EdgeList el(4, {{0, 1}}, true);
   const Graph g = Graph::from_edges(std::move(el));
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::bfs(eng, 0);
-  EXPECT_EQ(res.reached, 2u);
-  EXPECT_EQ(res.level[2], kInvalidVertex);
-  EXPECT_EQ(res.parent[3], kInvalidVertex);
+  const QueryPayload res = run(eng, "BFS", from(0));
+  EXPECT_EQ(checksum("BFS", res), 2.0);
+  EXPECT_EQ(res.ids()[2], kInvalidVertex);
+  EXPECT_EQ(res.ids()[3], kInvalidVertex);
 }
 
 // ------------------------------------------------------------------- CC
@@ -103,20 +103,19 @@ TEST(Bfs, UnreachableVerticesStayInvalid) {
 TEST_P(AlgoModels, CcMatchesUnionFind) {
   const Graph g = gen::erdos_renyi(2000, 3000, 7);  // sparse -> many comps
   Engine eng = make_engine(g);
-  const auto res = algo::connected_components(eng);
   const auto ref = algo::ref::wcc_labels(g);
-  EXPECT_EQ(res.label, ref);
+  EXPECT_EQ(run(eng, "CC").ids(), ref);
 }
 
 TEST(Cc, CountsComponents) {
   EdgeList el(7, {{0, 1}, {1, 2}, {3, 4}}, true);
   const Graph g = Graph::from_edges(std::move(el));
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::connected_components(eng);
-  EXPECT_EQ(res.num_components, 4u);  // {0,1,2}, {3,4}, {5}, {6}
-  EXPECT_EQ(res.label[2], 0u);
-  EXPECT_EQ(res.label[4], 3u);
-  EXPECT_EQ(res.label[5], 5u);
+  const QueryPayload res = run(eng, "CC");
+  EXPECT_EQ(checksum("CC", res), 4.0);  // {0,1,2}, {3,4}, {5}, {6}
+  EXPECT_EQ(res.ids()[2], 0u);
+  EXPECT_EQ(res.ids()[4], 3u);
+  EXPECT_EQ(res.ids()[5], 5u);
 }
 
 // CC's dense rounds run on edge_map's dense scheduler, which on Ligra is
@@ -129,12 +128,12 @@ TEST(Cc, LigraDenseRoundsMatchUnionFindAtEveryWidth) {
     SCOPED_TRACE(pool->num_threads());
     const Engine eng(g, SystemModel::Ligra, {.pool = pool});
     obs::ThreadTrace tt;
-    const auto res = algo::connected_components(eng);
+    const QueryPayload res = run(eng, "CC");
     const obs::Trace t = tt.finish();
-    EXPECT_EQ(res.label, ref);
+    EXPECT_EQ(res.ids(), ref);
     // Round 0's frontier is complete and round 1's alone passes the
     // dense threshold, so both take the dense branch.
-    std::vector<std::uint64_t> frontier(static_cast<std::size_t>(res.rounds));
+    std::vector<std::uint64_t> frontier(static_cast<std::size_t>(res.aux));
     for (const obs::Span& s : t.spans)
       if (s.kind == obs::SpanKind::Iteration) frontier.at(s.a) = s.b;
     ASSERT_GE(frontier.size(), 2u);
@@ -147,8 +146,7 @@ TEST(Cc, DirectedEdgesYieldWeakComponents) {
   // Chain directed one way: still one weak component.
   const Graph g = gen::path(64);
   Engine eng(g, SystemModel::GraphGrind, {.partitions = 8});
-  const auto res = algo::connected_components(eng);
-  EXPECT_EQ(res.num_components, 1u);
+  EXPECT_EQ(checksum("CC", run(eng, "CC")), 1.0);
 }
 
 // ------------------------------------------------------------------- PR
@@ -156,25 +154,27 @@ TEST(Cc, DirectedEdgesYieldWeakComponents) {
 TEST_P(AlgoModels, PagerankMatchesReference) {
   const Graph g = gen::rmat(10, 6, 9);
   Engine eng = make_engine(g);
-  const auto res = algo::pagerank(eng, {.iterations = 10});
+  const QueryPayload res =
+      run(eng, "PR", QueryParams().set("iterations", 10));
   const auto ref = algo::ref::pagerank(g, 10);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(res.rank[v], ref[v], 1e-12) << "v=" << v;
+    ASSERT_NEAR(res.doubles()[v], ref[v], 1e-12) << "v=" << v;
 }
 
 TEST(Pagerank, MassConservedOnCycle) {
   // On a cycle every vertex has out-degree 1: total mass stays 1.
   const Graph g = gen::cycle(100);
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::pagerank(eng, {.iterations = 20});
-  EXPECT_NEAR(res.total_mass, 1.0, 1e-9);
+  const QueryPayload res =
+      run(eng, "PR", QueryParams().set("iterations", 20));
+  EXPECT_NEAR(res.aux, 1.0, 1e-9);  // total mass
 }
 
 TEST(Pagerank, HubReceivesHighestRank) {
   const Graph g = gen::star(50);  // all leaves point at vertex 0
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::pagerank(eng);
-  for (VertexId v = 1; v < 50; ++v) EXPECT_GT(res.rank[0], res.rank[v]);
+  const std::vector<double> rank = run(eng, "PR").doubles();
+  for (VertexId v = 1; v < 50; ++v) EXPECT_GT(rank[0], rank[v]);
 }
 
 TEST(Pagerank, PartitionTimesCoverAllPartitions) {
@@ -192,21 +192,29 @@ TEST_P(AlgoModels, PagerankDeltaWithZeroEpsilonEqualsPowerMethod) {
   // deltas reproduce the power method exactly.
   const Graph g = gen::rmat(9, 6, 6);
   Engine eng = make_engine(g);
-  const auto prd = algo::pagerank_delta(
-      eng, {.max_iterations = 8, .epsilon = 0.0});
+  const QueryPayload prd = run(
+      eng, "PRD", QueryParams().set("max_iters", 8).set("epsilon", 0.0));
   const auto ref = algo::ref::pagerank(g, 8);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(prd.rank[v], ref[v], 1e-10) << "v=" << v;
+    ASSERT_NEAR(prd.doubles()[v], ref[v], 1e-10) << "v=" << v;
 }
 
+// Each traced PRD iteration records its frontier size (b); with epsilon
+// > 0 converged vertices leave, so the last round's frontier is smaller
+// than the first's.
 TEST(PagerankDelta, FrontierShrinks) {
   const Graph g = gen::rmat(10, 6, 7);
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::pagerank_delta(eng, {.max_iterations = 10,
-                                              .epsilon = 1e-2});
-  ASSERT_GE(res.active_per_iteration.size(), 2u);
-  EXPECT_LT(res.active_per_iteration.back(),
-            res.active_per_iteration.front());
+  obs::ThreadTrace tt;
+  const QueryPayload res = run(
+      eng, "PRD", QueryParams().set("max_iters", 10).set("epsilon", 1e-2));
+  const obs::Trace t = tt.finish();
+  std::vector<std::uint64_t> active(static_cast<std::size_t>(res.aux));
+  for (const obs::Span& s : t.spans)
+    if (s.kind == obs::SpanKind::Iteration) active.at(s.a) = s.b;
+  ASSERT_GE(active.size(), 2u);
+  EXPECT_EQ(active.front(), g.num_vertices());
+  EXPECT_LT(active.back(), active.front());
 }
 
 // ----------------------------------------------------------------- SPMV
@@ -214,13 +222,13 @@ TEST(PagerankDelta, FrontierShrinks) {
 TEST_P(AlgoModels, SpmvMatchesReference) {
   const Graph g = gen::rmat(9, 6, 8);
   Engine eng = make_engine(g);
-  std::vector<double> x(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    x[v] = 1.0 + (v % 5) * 0.25;
-  const auto res = algo::spmv(eng, x);
+  // The spec multiplies the uniform vector x = 1/n.
+  const std::vector<double> x(g.num_vertices(),
+                              1.0 / static_cast<double>(g.num_vertices()));
+  const QueryPayload res = run(eng, "SPMV");
   const auto ref = algo::ref::spmv(g, x);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(res.y[v], ref[v], 1e-9);
+    ASSERT_NEAR(res.doubles()[v], ref[v], 1e-9);
 }
 
 // BF's one-thread bucket pass sizes its ring from these bounds and keeps
@@ -265,12 +273,11 @@ TEST(Spmv, EdgeWeightDeterministicAndBounded) {
 TEST_P(AlgoModels, BellmanFordMatchesDijkstra) {
   const Graph g = gen::rmat(9, 6, 4);
   Engine eng = make_engine(g);
-  const auto res = algo::bellman_ford(eng, 1);
-  EXPECT_EQ(res.distance, algo::ref::dijkstra(g, 1));
+  EXPECT_EQ(run(eng, "BF", from(1)).doubles(), algo::ref::dijkstra(g, 1));
 }
 
-VertexId finite_count(const std::vector<double>& dist) {
-  return static_cast<VertexId>(
+double finite_count(const std::vector<double>& dist) {
+  return static_cast<double>(
       std::count_if(dist.begin(), dist.end(),
                     [](double d) { return d != algo::kUnreachable; }));
 }
@@ -284,19 +291,20 @@ TEST_P(AlgoModels, BellmanFordOneThreadSettlesByBucketsAndMatchesFourThreads) {
   Engine eng1(g, GetParam(), {.partitions = 16, .pool = &one});
   Engine eng4(g, GetParam(), {.partitions = 16, .pool = &four});
   obs::ThreadTrace tt;
-  const auto res = algo::bellman_ford(eng1, 1);
+  const QueryPayload res = run(eng1, "BF", from(1));
   const obs::Trace t = tt.finish();
   const auto ref = algo::ref::dijkstra(g, 1);
-  ASSERT_GT(res.reached, g.num_vertices() / 2);
-  EXPECT_EQ(res.distance, ref);
-  EXPECT_EQ(res.reached, finite_count(ref));
+  const double reached = checksum("BF", res);
+  ASSERT_GT(reached, g.num_vertices() / 2);
+  EXPECT_EQ(res.doubles(), ref);
+  EXPECT_EQ(reached, finite_count(ref));
   std::size_t passes = 0;
   for (const obs::Span& s : t.spans) {
     EXPECT_NE(s.kind, obs::SpanKind::EdgeMap);
     if (s.kind != obs::SpanKind::Iteration) continue;
     ++passes;
-    EXPECT_EQ(s.a, static_cast<std::uint64_t>(res.rounds));
-    EXPECT_EQ(s.b, res.reached);
+    EXPECT_EQ(static_cast<double>(s.a), res.aux);  // buckets settled
+    EXPECT_EQ(static_cast<double>(s.b), reached);
   }
   EXPECT_EQ(passes, 1u);
   // Whole-number labels: one settled bucket per distinct distance.
@@ -304,16 +312,16 @@ TEST_P(AlgoModels, BellmanFordOneThreadSettlesByBucketsAndMatchesFourThreads) {
   for (double d : ref)
     if (d != algo::kUnreachable) levels.push_back(d);
   std::sort(levels.begin(), levels.end());
-  EXPECT_EQ(static_cast<std::size_t>(res.rounds),
+  EXPECT_EQ(static_cast<std::size_t>(res.aux),
             static_cast<std::size_t>(
                 std::unique(levels.begin(), levels.end()) - levels.begin()));
 
   // Four threads keep the heuristic, which pulls the dense rounds; both
   // runs converge to the same minimum over path sums.
   obs::ThreadTrace tt4;
-  const auto res4 = algo::bellman_ford(eng4, 1);
+  const QueryPayload res4 = run(eng4, "BF", from(1));
   const obs::Trace t4 = tt4.finish();
-  EXPECT_EQ(res.distance, res4.distance);
+  EXPECT_EQ(res.doubles(), res4.doubles());
   std::size_t pulls = 0;
   for (const obs::Span& s : t4.spans) {
     if (s.kind != obs::SpanKind::EdgeMap) continue;
@@ -332,21 +340,21 @@ TEST_P(AlgoModels, BellmanFordOneThreadEdgeCases) {
   const auto check = [&](const Graph& g, VertexId source) {
     Engine eng1(g, GetParam(), {.partitions = 4, .pool = &one});
     Engine eng4(g, GetParam(), {.partitions = 4, .pool = &four});
-    const auto res = algo::bellman_ford(eng1, source);
+    const QueryPayload res = run(eng1, "BF", from(source));
     const auto ref = algo::ref::dijkstra(g, source);
-    EXPECT_EQ(res.distance, ref) << "source " << source;
-    EXPECT_EQ(res.reached, finite_count(ref)) << "source " << source;
-    EXPECT_EQ(res.distance, algo::bellman_ford(eng4, source).distance)
+    EXPECT_EQ(res.doubles(), ref) << "source " << source;
+    EXPECT_EQ(checksum("BF", res), finite_count(ref)) << "source " << source;
+    EXPECT_EQ(res.doubles(), run(eng4, "BF", from(source)).doubles())
         << "source " << source;
     return res;
   };
 
   const Graph rmat = gen::rmat(9, 6, 4);
   ASSERT_EQ(rmat.out_degree(0), 0u);
-  const auto sink = check(rmat, 0);
-  EXPECT_EQ(sink.reached, 1u);
-  EXPECT_EQ(sink.rounds, 1);
-  EXPECT_LT(check(rmat, 1).reached, rmat.num_vertices());
+  const QueryPayload sink = check(rmat, 0);
+  EXPECT_EQ(checksum("BF", sink), 1.0);
+  EXPECT_EQ(sink.aux, 1.0);  // one settled bucket
+  EXPECT_LT(checksum("BF", check(rmat, 1)), rmat.num_vertices());
 
   // rmat keeps duplicates and self loops unless asked to drop them.
   const Graph multi = gen::rmat(8, 8, 9);
@@ -363,12 +371,11 @@ TEST_P(AlgoModels, BellmanFordOneThreadEdgeCases) {
   for (VertexId s : {VertexId{1}, VertexId{17}, VertexId{200}}) check(multi, s);
 
   const Graph single = Graph::from_edges(EdgeList(1, {{0, 0}}));
-  const auto one_vertex = check(single, 0);
-  EXPECT_EQ(one_vertex.distance, std::vector<double>{0.0});
+  EXPECT_EQ(check(single, 0).doubles(), std::vector<double>{0.0});
 
   const Graph road = gen::road_grid(40, 40, 3);
-  const auto far = check(road, 0);
-  EXPECT_GT(*std::max_element(far.distance.begin(), far.distance.end()),
+  const std::vector<double> far = check(road, 0).doubles();
+  EXPECT_GT(*std::max_element(far.begin(), far.end()),
             8 * algo::kMaxEdgeWeight);
 }
 
@@ -381,15 +388,13 @@ TEST(BellmanFord, OneThreadPassObservesCancellation) {
   src.cancel();
   QueryContext ctx;
   ctx.set_cancel_token(src.token());
-  Engine::ContextBinding bind(eng, ctx);
-  EXPECT_THROW(algo::bellman_ford(eng, 1), CancelledError);
+  EXPECT_THROW(algo::spec("BF").invoke(eng, from(1), ctx), CancelledError);
 }
 
 TEST(BellmanFord, RoadNetwork) {
   const Graph g = gen::road_grid(24, 24, 2);
   Engine eng(g, SystemModel::Polymer, {.partitions = 4});
-  const auto res = algo::bellman_ford(eng, 0);
-  EXPECT_EQ(res.distance, algo::ref::dijkstra(g, 0));
+  EXPECT_EQ(run(eng, "BF", from(0)).doubles(), algo::ref::dijkstra(g, 0));
 }
 
 // ------------------------------------------------------------------- BC
@@ -397,10 +402,10 @@ TEST(BellmanFord, RoadNetwork) {
 TEST_P(AlgoModels, BetweennessMatchesBrandes) {
   const Graph g = gen::rmat(9, 4, 10);
   Engine eng = make_engine(g);
-  const auto res = algo::betweenness(eng, 0);
+  const QueryPayload res = run(eng, "BC", from(0));
   const auto ref = algo::ref::brandes_dependency(g, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(res.dependency[v], ref[v], 1e-6) << "v=" << v;
+    ASSERT_NEAR(res.doubles()[v], ref[v], 1e-6) << "v=" << v;
 }
 
 TEST(Betweenness, PathGraphDependencies) {
@@ -408,12 +413,11 @@ TEST(Betweenness, PathGraphDependencies) {
   // downstream vertices: delta[1]=3, delta[2]=2, delta[3]=1, delta[4]=0.
   const Graph g = gen::path(5);
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::betweenness(eng, 0);
-  EXPECT_NEAR(res.dependency[1], 3.0, 1e-12);
-  EXPECT_NEAR(res.dependency[2], 2.0, 1e-12);
-  EXPECT_NEAR(res.dependency[3], 1.0, 1e-12);
-  EXPECT_NEAR(res.dependency[4], 0.0, 1e-12);
-  EXPECT_NEAR(res.num_paths[4], 1.0, 1e-12);
+  const std::vector<double> dependency = run(eng, "BC", from(0)).doubles();
+  EXPECT_NEAR(dependency[1], 3.0, 1e-12);
+  EXPECT_NEAR(dependency[2], 2.0, 1e-12);
+  EXPECT_NEAR(dependency[3], 1.0, 1e-12);
+  EXPECT_NEAR(dependency[4], 0.0, 1e-12);
 }
 
 // ------------------------------------------------------------------- BP
@@ -421,14 +425,21 @@ TEST(Betweenness, PathGraphDependencies) {
 TEST_P(AlgoModels, BeliefPropagationDeterministicAcrossModels) {
   const Graph g = gen::rmat(9, 5, 11);
   Engine eng = make_engine(g);
-  const auto res = algo::belief_propagation(eng, {.iterations = 10});
-  EXPECT_EQ(res.iterations, 10);
+  const QueryParams ten = QueryParams().set("iterations", 10);
+  obs::ThreadTrace tt;
+  const QueryPayload res = run(eng, "BP", ten);
+  const obs::Trace t = tt.finish();
+  EXPECT_EQ(std::count_if(t.spans.begin(), t.spans.end(),
+                          [](const obs::Span& s) {
+                            return s.kind == obs::SpanKind::Iteration;
+                          }),
+            10);
   // Every model gathers through edge_fold in the same per-destination
   // order, so the Ligra (unpartitioned) engine's answer is exact.
   Engine ligra(g, SystemModel::Ligra);
-  const auto ref = algo::belief_propagation(ligra, {.iterations = 10});
-  EXPECT_EQ(res.belief, ref.belief);
-  EXPECT_EQ(res.residual, ref.residual);
+  const QueryPayload ref = run(ligra, "BP", ten);
+  EXPECT_EQ(res.doubles(), ref.doubles());
+  EXPECT_EQ(res.aux, ref.aux);  // residual
 }
 
 // ------------------------------------------- dense gather, every model
@@ -473,10 +484,10 @@ TEST(DenseGather, SpmvAndBpBitIdenticalAcrossModelsAndWidths) {
 TEST(BeliefPropagation, ConvergesOnTree) {
   const Graph g = gen::path(32);
   Engine eng(g, SystemModel::Ligra);
-  const auto r5 = algo::belief_propagation(eng, {.iterations = 5});
-  const auto r40 = algo::belief_propagation(eng, {.iterations = 40});
-  EXPECT_LT(r40.residual, r5.residual + 1e-9);
-  EXPECT_LT(r40.residual, 1e-6);  // converged on a chain
+  const double r5 = run(eng, "BP", QueryParams().set("iterations", 5)).aux;
+  const double r40 = run(eng, "BP", QueryParams().set("iterations", 40)).aux;
+  EXPECT_LT(r40, r5 + 1e-9);
+  EXPECT_LT(r40, 1e-6);  // converged on a chain
 }
 
 // ----------------------------------------------- reordering invariance
@@ -497,11 +508,11 @@ TEST_P(ReorderInvariance, BfsLevelsTransportThroughVebo) {
   const Graph h = permute(g, r.perm);
   Engine eg(g, GetParam(), {.partitions = 16});
   Engine eh(h, GetParam(), {.partitions = 16});
-  const auto a = algo::bfs(eg, 0);
-  const auto b = algo::bfs(eh, r.perm[0]);
+  const QueryPayload a = run(eg, "BFS", from(0));
+  const QueryPayload b = run(eh, "BFS", from(r.perm[0]));
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(a.level[v], b.level[r.perm[v]]) << "v=" << v;
-  EXPECT_EQ(a.reached, b.reached);
+    ASSERT_EQ(a.ids()[v], b.ids()[r.perm[v]]) << "v=" << v;
+  EXPECT_EQ(checksum("BFS", a), checksum("BFS", b));
 }
 
 TEST_P(ReorderInvariance, PagerankTransportsThroughVebo) {
@@ -510,10 +521,11 @@ TEST_P(ReorderInvariance, PagerankTransportsThroughVebo) {
   const Graph h = permute(g, r.perm);
   Engine eg(g, GetParam(), {.partitions = 16});
   Engine eh(h, GetParam(), {.partitions = 16});
-  const auto a = algo::pagerank(eg, {.iterations = 8});
-  const auto b = algo::pagerank(eh, {.iterations = 8});
+  const QueryParams eight = QueryParams().set("iterations", 8);
+  const QueryPayload a = run(eg, "PR", eight);
+  const QueryPayload b = run(eh, "PR", eight);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(a.rank[v], b.rank[r.perm[v]], 1e-12);
+    ASSERT_NEAR(a.doubles()[v], b.doubles()[r.perm[v]], 1e-12);
 }
 
 TEST_P(ReorderInvariance, CcComponentCountStableUnderVebo) {
@@ -522,8 +534,7 @@ TEST_P(ReorderInvariance, CcComponentCountStableUnderVebo) {
   const Graph h = permute(g, r.perm);
   Engine eg(g, GetParam(), {.partitions = 16});
   Engine eh(h, GetParam(), {.partitions = 16});
-  EXPECT_EQ(algo::connected_components(eg).num_components,
-            algo::connected_components(eh).num_components);
+  EXPECT_EQ(checksum("CC", run(eg, "CC")), checksum("CC", run(eh, "CC")));
 }
 
 // --------------------------------------------------------------- registry
@@ -540,7 +551,6 @@ TEST(Registry, LookupAndRun) {
   const Graph g = gen::rmat(8, 4, 1);
   Engine eng(g, SystemModel::Ligra);
   const auto& pr = algo::spec("PR");
-  EXPECT_TRUE(pr.edge_oriented);
   const double mass = pr.checksum(pr.invoke(eng));
   EXPECT_GT(mass, 0.0);
   EXPECT_THROW(algo::spec("XX"), Error);

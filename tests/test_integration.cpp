@@ -4,9 +4,8 @@
 // correctness transport and the paper's balance claims.
 #include <gtest/gtest.h>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/pagerank.hpp"
 #include "algorithms/registry.hpp"
+#include "framework/engine.hpp"
 #include "gen/datasets.hpp"
 #include "graph/io.hpp"
 #include "graph/permute.hpp"
@@ -49,10 +48,12 @@ TEST_P(OrderingPipeline, PagerankStableUnderEveryOrdering) {
 
   Engine eg(g, SystemModel::GraphGrind, {.partitions = 32});
   Engine eh(h, SystemModel::GraphGrind, {.partitions = 32});
-  const auto a = algo::pagerank(eg, {.iterations = 5});
-  const auto b = algo::pagerank(eh, {.iterations = 5});
+  const algo::AlgorithmSpec& pr = algo::spec("PR");
+  const algo::QueryParams five = algo::QueryParams().set("iterations", 5);
+  const std::vector<double> a = pr.invoke(eg, five).doubles();
+  const std::vector<double> b = pr.invoke(eh, five).doubles();
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_NEAR(a.rank[v], b.rank[perm[v]], 1e-12);
+    ASSERT_NEAR(a[v], b[perm[v]], 1e-12);
 }
 
 TEST_P(OrderingPipeline, BfsReachabilityStable) {
@@ -61,7 +62,12 @@ TEST_P(OrderingPipeline, BfsReachabilityStable) {
   const Graph h = permute(g, perm);
   Engine eg(g, SystemModel::Ligra);
   Engine eh(h, SystemModel::Ligra);
-  EXPECT_EQ(algo::bfs(eg, 0).reached, algo::bfs(eh, perm[0]).reached);
+  const algo::AlgorithmSpec& bfs = algo::spec("BFS");
+  const auto reached = [&](const Engine& eng, VertexId src) {
+    const algo::QueryParams from = algo::QueryParams().set("source", src);
+    return bfs.checksum(bfs.invoke(eng, from));
+  };
+  EXPECT_EQ(reached(eg, 0), reached(eh, perm[0]));
 }
 
 TEST(Pipeline, VeboThenAlgorithm1RecoversVeboPartitions) {
@@ -120,8 +126,9 @@ TEST(Pipeline, ReorderWriteReadRunMatches) {
   const Graph loaded = io::read_adjacency_file(path, h.directed());
   EXPECT_EQ(h.out_csr(), loaded.out_csr());
   Engine eng(loaded, SystemModel::Polymer, {.partitions = 4});
-  const auto pr = algo::pagerank(eng, {.iterations = 3});
-  EXPECT_TRUE(std::isfinite(pr.total_mass));
+  const algo::QueryPayload pr =
+      algo::spec("PR").invoke(eng, algo::QueryParams().set("iterations", 3));
+  EXPECT_TRUE(std::isfinite(pr.aux));  // total mass
   std::remove(path.c_str());
 }
 

@@ -1,28 +1,28 @@
 // Tests for the typed query protocol (algorithms/query.hpp): schema
-// validation, canonical cache-key encoding, payload accessors and
-// permutation translation, the payload-vs-checksum adapter equivalence
-// for all 8 registry algorithms, and the serving layer's CacheKey /
-// ResultCache (LRU) building blocks.
+// validation (types and Int ranges, directly and through a GraphService),
+// canonical cache-key encoding, payload accessors and permutation
+// translation, every spec's checksum fold against the serial oracles, and
+// the serving layer's CacheKey / ResultCache (LRU) building blocks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "algorithms/bellman_ford.hpp"
-#include "algorithms/bc.hpp"
-#include "algorithms/bfs.hpp"
-#include "algorithms/bp.hpp"
-#include "algorithms/cc.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/pagerank_delta.hpp"
+#include "algorithms/reference.hpp"
 #include "algorithms/registry.hpp"
-#include "algorithms/spmv.hpp"
+#include "framework/engine.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
 #include "order/vebo.hpp"
+#include "serve/graph_service.hpp"
 #include "serve/result_cache.hpp"
+#include "serve/service_error.hpp"
+#include "serve/snapshot_store.hpp"
+#include "stream/session.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
@@ -40,8 +40,8 @@ using algo::VertexScore;
 
 ParamSchema demo_schema() {
   return ParamSchema{
-      {"iterations", ParamType::Int, std::int64_t{10}, "iters"},
-      {"damping", ParamType::Float, 0.85, "damping"},
+      {"iterations", ParamType::Int, std::int64_t{10}},
+      {"damping", ParamType::Float, 0.85},
   };
 }
 
@@ -91,10 +91,69 @@ TEST(QuerySchema, SpecInvokeValidates) {
   EXPECT_THROW(
       algo::spec("BFS").invoke(eng, QueryParams().set("source", 0.5)),
       Error);
-  // Valid params run; out-of-range top_k values are rejected by the spec.
+  // Valid params run; out-of-range top_k values are rejected by the
+  // schema.
   EXPECT_THROW(
       algo::spec("PR").invoke(eng, QueryParams().set("top_k", -1)), Error);
   EXPECT_EQ(algo::spec("BFS").invoke(eng).kind(), PayloadKind::VertexIds);
+}
+
+// Int params carry their valid range: counts an algorithm loops over as
+// an int lie in [0, INT_MAX], top_k is >= 0. A value outside is the
+// client's error, rejected before any work runs — never narrowed into a
+// different valid count, never an Internal failure inside the run.
+TEST(QuerySchema, IntParamsOutsideTheirRangeAreRejected) {
+  constexpr std::int64_t kTwo31 = std::int64_t{1} << 31;
+  constexpr std::int64_t kTwo32Plus3 = (std::int64_t{1} << 32) + 3;
+  const struct {
+    const char* code;
+    const char* param;
+    std::int64_t value;
+  } bad[] = {
+      {"PR", "iterations", -1},
+      {"PR", "iterations", kTwo31},
+      {"PR", "iterations", kTwo32Plus3},
+      {"PRD", "max_iters", kTwo32Plus3},
+      {"BP", "iterations", -1},
+      {"BC", "top_k", -1},
+  };
+
+  const Graph g = gen::rmat(7, 4, 1);
+  const Engine eng(g, SystemModel::Ligra);
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::string(b.code) + " " + b.param + "=" +
+                 std::to_string(b.value));
+    EXPECT_THROW(
+        algo::spec(b.code).invoke(eng, QueryParams().set(b.param, b.value)),
+        Error);
+  }
+  // The range ends themselves are valid.
+  EXPECT_NO_THROW(algo::spec("PR").params.validate(
+      QueryParams().set("iterations", kTwo31 - 1)));
+  EXPECT_NO_THROW(
+      algo::spec("PR").invoke(eng, QueryParams().set("iterations", 0)));
+
+  serve::SnapshotStore store;
+  serve::GraphServiceOptions opts;
+  opts.workers = 1;
+  serve::GraphService service(store, opts);
+  stream::StreamSession session(g);
+  service.publish_session(session);
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::string(b.code) + " " + b.param + "=" +
+                 std::to_string(b.value));
+    serve::Query q(b.code);
+    q.params.set(b.param, b.value);
+    try {
+      service.query(q);
+      ADD_FAILURE() << "expected ServiceError";
+    } catch (const serve::ServiceError& e) {
+      EXPECT_EQ(e.code(), serve::ErrorCode::BadRequest);
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.errors(serve::ErrorCode::BadRequest), std::size(bad));
+  EXPECT_EQ(stats.errors(serve::ErrorCode::Internal), 0u);
 }
 
 // ------------------------------------------------- canonical cache keys
@@ -272,70 +331,57 @@ TEST(QueryPayload, TranslationReindexesAndMapsIdValues) {
       Error);
 }
 
-// --------------------------------- adapter equivalence (all 8 algorithms)
+// --------------------------------- checksum folds vs the serial oracles
 
-// A spec's checksum fold of its invoked payload must reproduce the
-// pre-protocol checksums exactly: same algorithm entry points, same serial
-// fold order.
-TEST(AdapterEquivalence, ChecksumFoldsMatchDirectCallsForAll8) {
-  const Graph g = gen::rmat(8, 4, 5);
-  const Engine eng(g, SystemModel::GraphGrind, {.partitions = 8});
-  const VertexId src = 0;
-  const auto checksum = [&](const char* code) {
-    const AlgorithmSpec& s = algo::spec(code);
-    QueryParams p;
-    if (s.params.find("source") != nullptr) p.set("source", src);
-    return s.checksum(s.invoke(eng, p));
+// Each spec's checksum fold is its algorithm's one scalar answer. Pin it
+// to the serial oracles of algorithms/reference.hpp on every model at
+// pool widths 1 and 4 (width 1 runs BF's bucket pass, width 4 its
+// edge_map rounds). PRD and BP have no serial oracle yet.
+TEST(ChecksumFolds, MatchTheSerialOracles) {
+  const Graph g = gen::rmat(9, 6, 4);
+  const VertexId n = g.num_vertices();
+  const auto finite = [](const auto& values, auto unreached) {
+    double count = 0;
+    for (const auto x : values) count += x != unreached;
+    return count;
   };
+  double wcc = 0;
+  const std::vector<VertexId> labels = algo::ref::wcc_labels(g);
+  for (VertexId v = 0; v < n; ++v) wcc += labels[v] == v;
+  const std::vector<double> x(n, 1.0 / static_cast<double>(n));
+  const double spmv = algo::block_sum(
+      QueryPayload::vertex_doubles(algo::ref::spmv(g, x)));
 
-  {  // BC: serial dependency sum
-    const auto r = algo::betweenness(eng, src);
-    double sum = 0;
-    for (double d : r.dependency) sum += d;
-    EXPECT_EQ(checksum("BC"), sum);
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    for (SystemModel m : {SystemModel::Ligra, SystemModel::Polymer,
+                          SystemModel::GraphGrind}) {
+      SCOPED_TRACE(to_string(m) + " x" + std::to_string(pool->num_threads()));
+      const Engine eng(g, m, {.pool = pool});
+      const auto checksum = [&](const char* code, const QueryParams& p = {}) {
+        const AlgorithmSpec& s = algo::spec(code);
+        return s.checksum(s.invoke(eng, p));
+      };
+      // Vertex 0 has no out-edges; source 7 reaches most of the graph.
+      for (VertexId src : {VertexId{0}, VertexId{7}}) {
+        SCOPED_TRACE(src);
+        const QueryParams from = QueryParams().set("source", src);
+        EXPECT_EQ(checksum("BFS", from),
+                  finite(algo::ref::bfs_levels(g, src), kInvalidVertex));
+        EXPECT_EQ(checksum("BF", from),
+                  finite(algo::ref::dijkstra(g, src), algo::kUnreachable));
+        double dependency = 0;
+        for (double d : algo::ref::brandes_dependency(g, src)) dependency += d;
+        EXPECT_NEAR(checksum("BC", from), dependency, 1e-9 * dependency);
+      }
+      EXPECT_EQ(checksum("CC"), wcc);
+      const AlgorithmSpec& pr = algo::spec("PR");
+      const QueryPayload ranks = pr.invoke(eng);
+      EXPECT_EQ(pr.checksum(ranks), ranks.aux);  // the total mass
+      EXPECT_EQ(checksum("SPMV"), spmv);
+    }
   }
-  {  // CC: component count
-    const auto r = algo::connected_components(eng);
-    EXPECT_EQ(checksum("CC"), static_cast<double>(r.num_components));
-  }
-  {  // PR: total mass at 10 iterations
-    EXPECT_EQ(checksum("PR"),
-              algo::pagerank(eng, {.iterations = 10}).total_mass);
-  }
-  {  // BFS: reached count
-    EXPECT_EQ(checksum("BFS"),
-              static_cast<double>(algo::bfs(eng, src).reached));
-  }
-  {  // PRD: serial rank sum
-    const auto r = algo::pagerank_delta(eng);
-    double sum = 0;
-    for (double x : r.rank) sum += x;
-    EXPECT_EQ(checksum("PRD"), sum);
-  }
-  {  // SPMV: y-sum checksum
-    EXPECT_EQ(checksum("SPMV"), algo::spmv(eng).checksum);
-  }
-  {  // BF: reached count
-    EXPECT_EQ(checksum("BF"),
-              static_cast<double>(algo::bellman_ford(eng, src).reached));
-  }
-  {  // BP: last-iteration residual
-    EXPECT_EQ(checksum("BP"), algo::belief_propagation(eng).residual);
-  }
-}
-
-TEST(AdapterEquivalence, InvokeForwardsTheSource) {
-  const Graph g = gen::rmat(9, 6, 6);
-  const Engine eng(g, SystemModel::Polymer);
-  // Source-taking algorithms must not collapse onto source 0.
-  const AlgorithmSpec& bfs = algo::spec("BFS");
-  EXPECT_EQ(bfs.checksum(bfs.invoke(eng, QueryParams().set("source", 7))),
-            static_cast<double>(algo::bfs(eng, 7).reached));
-  // The registry holds the paper's 8 algorithms, in the paper's order.
-  std::vector<std::string> codes;
-  for (const AlgorithmSpec& s : algo::specs()) codes.push_back(s.code);
-  EXPECT_EQ(codes, (std::vector<std::string>{"BC", "CC", "PR", "BFS", "PRD",
-                                             "SPMV", "BF", "BP"}));
+  EXPECT_GT(finite(algo::ref::bfs_levels(g, 7), kInvalidVertex), n / 2);
 }
 
 // -------------------------- permutation round-trip (quickstart workflow)

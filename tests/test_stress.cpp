@@ -6,10 +6,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/cc.hpp"
-#include "algorithms/pagerank.hpp"
 #include "algorithms/reference.hpp"
+#include "algorithms/registry.hpp"
+#include "framework/engine.hpp"
 #include "gen/erdos.hpp"
 #include "gen/rmat.hpp"
 #include "gen/synthetic.hpp"
@@ -21,6 +20,19 @@
 
 namespace vebo {
 namespace {
+
+using algo::QueryParams;
+using algo::QueryPayload;
+
+QueryPayload run(const Engine& eng, const std::string& code,
+                 const QueryParams& params = {}) {
+  return algo::spec(code).invoke(eng, params);
+}
+
+double checksum(const Engine& eng, const std::string& code) {
+  const algo::AlgorithmSpec& s = algo::spec(code);
+  return s.checksum(s.invoke(eng));
+}
 
 // ------------------------------------------------- seed sweeps
 
@@ -35,18 +47,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 TEST_P(SeedSweep, BfsAgreesWithReference) {
   const Graph g = gen::erdos_renyi(700, 2400, GetParam());
   Engine eng(g, SystemModel::Ligra);
-  const auto res = algo::bfs(eng, static_cast<VertexId>(GetParam() % 700));
-  const auto ref =
-      algo::ref::bfs_levels(g, static_cast<VertexId>(GetParam() % 700));
+  const auto src = static_cast<VertexId>(GetParam() % 700);
+  const QueryPayload res = run(eng, "BFS", QueryParams().set("source", src));
+  const auto ref = algo::ref::bfs_levels(g, src);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(res.level[v], ref[v]);
+    ASSERT_EQ(res.ids()[v], ref[v]);
 }
 
 TEST_P(SeedSweep, CcAgreesWithUnionFind) {
   const Graph g = gen::erdos_renyi(600, 700, GetParam());  // fragmented
   Engine eng(g, SystemModel::GraphGrind, {.partitions = 8});
-  EXPECT_EQ(algo::connected_components(eng).label,
-            algo::ref::wcc_labels(g));
+  EXPECT_EQ(run(eng, "CC").ids(), algo::ref::wcc_labels(g));
 }
 
 TEST_P(SeedSweep, VeboAlwaysValidAndConsistent) {
@@ -63,11 +74,11 @@ TEST_P(SeedSweep, VeboAlwaysValidAndConsistent) {
 TEST_P(SeedSweep, PagerankMassBounded) {
   const Graph g = gen::rmat(8, 6, GetParam());
   Engine eng(g, SystemModel::Polymer, {.partitions = 4});
-  const auto pr = algo::pagerank(eng, {.iterations = 15});
+  const QueryPayload pr = run(eng, "PR", QueryParams().set("iterations", 15));
   // Dangling mass leaks (Ligra convention), so total is in (0, 1].
-  EXPECT_GT(pr.total_mass, 0.0);
-  EXPECT_LE(pr.total_mass, 1.0 + 1e-9);
-  for (double r : pr.rank) ASSERT_GE(r, 0.0);
+  EXPECT_GT(pr.aux, 0.0);
+  EXPECT_LE(pr.aux, 1.0 + 1e-9);
+  for (double r : pr.doubles()) ASSERT_GE(r, 0.0);
 }
 
 // ------------------------------------------------- degenerate shapes
@@ -77,8 +88,8 @@ TEST(Degenerate, SingleVertexNoEdges) {
   const auto r = order::vebo(g, 1);
   EXPECT_EQ(r.perm[0], 0u);
   Engine eng(g, SystemModel::Ligra);
-  EXPECT_EQ(algo::bfs(eng, 0).reached, 1u);
-  EXPECT_EQ(algo::connected_components(eng).num_components, 1u);
+  EXPECT_EQ(checksum(eng, "BFS"), 1.0);  // reached
+  EXPECT_EQ(checksum(eng, "CC"), 1.0);   // components
 }
 
 TEST(Degenerate, AllIsolatedVertices) {
@@ -107,7 +118,7 @@ TEST(Degenerate, SelfLoopsSurviveThePipeline) {
   const Graph h = order::vebo_reorder(g, 2);
   EXPECT_EQ(h.num_edges(), 4u);
   Engine eng(h, SystemModel::Ligra);
-  EXPECT_TRUE(std::isfinite(algo::pagerank(eng).total_mass));
+  EXPECT_TRUE(std::isfinite(checksum(eng, "PR")));
 }
 
 TEST(Degenerate, DuplicateEdgesPreserved) {
