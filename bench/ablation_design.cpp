@@ -5,6 +5,7 @@
 //     schedules on original vs VEBO partition times.
 //  3. Frontier density threshold: push/pull switchover sensitivity for
 //     BFS.
+#include <algorithm>
 #include <iostream>
 
 #include "algorithms/pagerank.hpp"
@@ -100,13 +101,16 @@ int main() {
   const algo::QueryParams from = algo::QueryParams().set("source", src);
   for (EdgeId denom : {2u, 5u, 20u, 100u, 1000u}) {
     Engine eng(g, SystemModel::Ligra, {.dense_denominator = denom});
-    int rounds = 0;  // BFS's aux
+    algo::QueryPayload levels;
     const double ms =
-        bench::time_median(
-            [&] { rounds = static_cast<int>(bfs.invoke(eng, from).aux); }, 3) *
-        1e3;
+        bench::time_median([&] { levels = bfs.invoke(eng, from); }, 3) * 1e3;
+    // BFS runs one round per level, plus the last one, which finds no
+    // new vertex: rounds = deepest level + 1.
+    VertexId deepest = 0;
+    for (VertexId l : levels.ids())
+      if (l != kInvalidVertex) deepest = std::max(deepest, l);
     d.add_row({"m/" + std::to_string(denom), Table::num(ms, 2),
-               Table::num(std::size_t(rounds))});
+               Table::num(std::size_t{deepest} + 1)});
   }
   d.print(std::cout);
   std::cout << "Expected: a U-shape around Ligra's m/20 default.\n";

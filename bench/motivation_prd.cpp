@@ -6,8 +6,10 @@
 // We run PRD on the twitter stand-in and report, per iteration, how much
 // of the frontier falls into each in-degree class — plus the resulting
 // active-edge imbalance over edge-balanced (Algorithm 1) partitions vs
-// VEBO partitions.
+// VEBO partitions: per partition, the in-edges whose source is active,
+// max over mean across P = 4 partitions.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iostream>
 
@@ -18,6 +20,8 @@ using namespace vebo;
 
 namespace {
 
+constexpr VertexId kPartitions = 4;
+
 // Degree class of a vertex: 0 = zero, 1 = low (1..7), 2 = mid (8..63),
 // 3 = high (>= 64).
 int degree_class(EdgeId d) {
@@ -25,6 +29,19 @@ int degree_class(EdgeId d) {
   if (d < 8) return 1;
   if (d < 64) return 2;
   return 3;
+}
+
+/// max / mean of per-partition active in-edges; "-" when none is active.
+std::string imbalance(const std::array<EdgeId, kPartitions>& load) {
+  EdgeId total = 0, most = 0;
+  for (EdgeId e : load) {
+    total += e;
+    most = std::max(most, e);
+  }
+  if (total == 0) return "-";
+  return Table::num(static_cast<double>(most) * kPartitions /
+                        static_cast<double>(total),
+                    3);
 }
 
 }  // namespace
@@ -40,11 +57,22 @@ int main() {
   std::size_t population[4] = {0, 0, 0, 0};
   for (VertexId v = 0; v < n; ++v) ++population[degree_class(g.in_degree(v))];
 
+  // The partition owning each destination: Algorithm 1 on the original
+  // order, and VEBO's own partitions, which own v at its new id perm[v].
+  const order::Partitioning alg1 =
+      order::partition_by_destination(g, kPartitions);
+  const order::VeboResult vebo = order::vebo(g, kPartitions);
+  std::vector<VertexId> alg1_owner(n), vebo_owner(n);
+  for (VertexId v = 0; v < n; ++v) {
+    alg1_owner[v] = alg1.owner(v);
+    vebo_owner[v] = vebo.partitioning.owner(vebo.perm[v]);
+  }
+
   // Instrumented PRD: re-run the published algorithm but capture the
   // frontier composition each iteration.
   Table t("active fraction per in-degree class, PRD iterations");
   t.set_header({"iter", "active", "zero-deg", "low(1-7)", "mid(8-63)",
-                "high(64+)"});
+                "high(64+)", "Alg.1 max/mean", "VEBO max/mean"});
 
   // PRD with epsilon > 0 shrinks the frontier. The library's PRD does
   // not export each iteration's frontier members, so replay its
@@ -70,7 +98,6 @@ int main() {
                         ? Table::num(100.0 * per_class[c] / population[c], 1) +
                               "%"
                         : "-");
-    t.add_row(row);
 
     std::vector<bool> active(n, false);
     for (VertexId v : frontier) {
@@ -78,12 +105,25 @@ int main() {
       const EdgeId d = g.out_degree(v);
       contrib[v] = d ? delta[v] / static_cast<double>(d) : 0.0;
     }
+    // The gather visits exactly the in-edges whose source is active: the
+    // work each destination's partition does this iteration.
+    std::array<EdgeId, kPartitions> alg1_load{}, vebo_load{};
     for (VertexId v = 0; v < n; ++v) {
       double a = 0.0;
+      EdgeId active_in = 0;
       for (VertexId u : g.in_neighbors(v))
-        if (active[u]) a += contrib[u];
+        if (active[u]) {
+          a += contrib[u];
+          ++active_in;
+        }
       acc[v] = a;
+      alg1_load[alg1_owner[v]] += active_in;
+      vebo_load[vebo_owner[v]] += active_in;
     }
+    row.push_back(imbalance(alg1_load));
+    row.push_back(imbalance(vebo_load));
+    t.add_row(row);
+
     std::vector<VertexId> next;
     for (VertexId v = 0; v < n; ++v) {
       double d = damping * acc[v];

@@ -27,7 +27,7 @@ struct IterationDist {
 
 std::vector<IterationDist> bfs_distributions(
     const Graph& g, const order::Partitioning& part, VertexId source) {
-  // Re-run a simple BFS frontier evolution (same traversal as algo::bfs)
+  // Re-run a simple BFS frontier evolution (same traversal as BFS's spec)
   // while recording per-iteration frontiers.
   Engine eng(g, SystemModel::Ligra);
   std::vector<IterationDist> out;

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   }
 
   Table t("single-source shortest path (Bellman-Ford)");
-  t.set_header({"Ordering", "time (ms)", "rounds", "distance s->t"});
+  t.set_header({"Ordering", "time (ms)", "distance s->t"});
   const algo::AlgorithmSpec& bf = algo::spec("BF");
   for (auto& v : variants) {
     Engine eng(v.graph, SystemModel::Polymer, {.partitions = 4});
@@ -64,10 +64,8 @@ int main(int argc, char** argv) {
     const double ms = timer.elapsed_ms();
     // Note: edge weights are derived from vertex labels (spmv.hpp), so
     // the distance values differ slightly across orderings; the timing
-    // comparison is the point here. aux counts the rounds.
-    t.add_row({v.name, Table::num(ms, 1),
-               Table::num(static_cast<std::size_t>(res.aux)),
-               Table::num(res.doubles()[v.dst], 1)});
+    // comparison is the point here.
+    t.add_row({v.name, Table::num(ms, 1), Table::num(res.doubles()[v.dst], 1)});
   }
   t.print(std::cout);
   std::cout << "\nTake-away (paper Section V-B): on road networks the\n"

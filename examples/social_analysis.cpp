@@ -42,14 +42,13 @@ int main(int argc, char** argv) {
   opts.explicit_partitioning = &r.partitioning;
   Engine eng(h, SystemModel::GraphGrind, opts);
 
-  // Communities: the checksum fold counts components, aux the rounds.
+  // Communities: the checksum fold counts components.
   Timer t1;
   const algo::AlgorithmSpec& cc = algo::spec("CC");
   const algo::QueryPayload labels = cc.invoke(eng);
   std::cout << "\ncomponents: "
             << static_cast<std::size_t>(cc.checksum(labels)) << " (in "
-            << Table::num(t1.elapsed_ms(), 1) << " ms, "
-            << static_cast<int>(labels.aux) << " rounds)\n";
+            << Table::num(t1.elapsed_ms(), 1) << " ms)\n";
 
   // Influencers: top PageRank vertices, mapped back to original ids.
   Timer t2;
@@ -73,7 +72,7 @@ int main(int argc, char** argv) {
   }
   top.print(std::cout);
 
-  // Brokers: betweenness from the top influencer (aux = BFS levels).
+  // Brokers: betweenness from the top influencer.
   Timer t3;
   const algo::QueryPayload bc = algo::spec("BC").invoke(
       eng, algo::QueryParams().set("source", by_rank[0]));
@@ -86,9 +85,8 @@ int main(int argc, char** argv) {
       best_v = v;
     }
   std::cout << "Betweenness from top influencer ("
-            << Table::num(t3.elapsed_ms(), 1) << " ms, "
-            << static_cast<int>(bc.aux)
-            << " BFS levels): strongest broker is original id "
+            << Table::num(t3.elapsed_ms(), 1)
+            << " ms): strongest broker is original id "
             << inv[best_v] << " with dependency "
             << Table::num(best_dep, 1) << "\n";
   return 0;

@@ -34,8 +34,7 @@ struct ForwardFunctor {
   bool cond(VertexId v) const { return !visited->get(v); }
 };
 
-/// Dependencies from `source`, or their top_k when top_k > 0; aux = BFS
-/// levels.
+/// Dependencies from `source`, or their top_k when top_k > 0.
 QueryPayload run_bc(const Engine& eng, const QueryParams& p) {
   const VertexId source = p.get_vertex("source");
   const auto k = static_cast<std::size_t>(p.get_int("top_k"));
@@ -107,10 +106,8 @@ QueryPayload run_bc(const Engine& eng, const QueryParams& p) {
         eng.vertex_loop());
   }
 
-  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(delta, k))
-                           : QueryPayload::vertex_doubles(std::move(delta));
-  out.aux = static_cast<double>(levels.size());
-  return out;
+  return k > 0 ? QueryPayload::top_k(top_k_of(delta, k))
+               : QueryPayload::vertex_doubles(std::move(delta));
 }
 
 }  // namespace

@@ -10,7 +10,8 @@ namespace vebo::algo {
 
 /// Params: source (int, 0), top_k (int >= 0, 0). Payload: per-vertex
 /// Brandes dependency scores, or the top_k most central (vertex, score)
-/// pairs; aux = BFS levels. Checksum fold = serial dependency sum.
+/// pairs. Checksum fold = serial dependency sum. Each forward level's
+/// Iteration span carries its depth (a) and frontier size (b).
 AlgorithmSpec bc_spec();
 
 }  // namespace vebo::algo

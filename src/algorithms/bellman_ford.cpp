@@ -54,8 +54,7 @@ static_assert(kBucketWidth == 1.0, "one whole-number label per bucket");
 /// k is final by then, because a relaxation out of bucket k or later
 /// lands past it. A vertex whose label drops again moves to an earlier
 /// bucket, never twice into one; the entry it leaves behind is stale
-/// (its label is below the bucket's) and is skipped. aux = buckets
-/// settled.
+/// (its label is below the bucket's) and is skipped.
 QueryPayload settle_by_buckets(const Engine& eng, VertexId source) {
   obs::SpanScope pass(obs::SpanKind::Iteration);
   const Graph& g = eng.graph();
@@ -93,12 +92,10 @@ QueryPayload settle_by_buckets(const Engine& eng, VertexId source) {
     pass.span().a = static_cast<std::uint64_t>(rounds);
     pass.span().b = reached;
   }
-  QueryPayload out = QueryPayload::vertex_doubles(std::move(dist));
-  out.aux = rounds;
-  return out;
+  return QueryPayload::vertex_doubles(std::move(dist));
 }
 
-/// Distances from `source`; aux = rounds (buckets on one thread).
+/// Distances from `source`.
 QueryPayload run_bf(const Engine& eng, const QueryParams& p) {
   const VertexId source = p.get_vertex("source");
   const Graph& g = eng.graph();
@@ -133,9 +130,7 @@ QueryPayload run_bf(const Engine& eng, const QueryParams& p) {
       0, n,
       [&](std::size_t v) { out[v] = dist[v].load(std::memory_order_relaxed); },
       eng.vertex_loop());
-  QueryPayload payload = QueryPayload::vertex_doubles(std::move(out));
-  payload.aux = rounds;
-  return payload;
+  return QueryPayload::vertex_doubles(std::move(out));
 }
 
 }  // namespace
@@ -157,10 +152,8 @@ AlgorithmSpec bellman_ford_spec() {
     // Bit-exact: every distance is a left-folded path sum, and both the
     // scratch relaxation and the repair converge to the minimum over the
     // same candidate set.
-    QueryPayload out = QueryPayload::vertex_doubles(
+    return QueryPayload::vertex_doubles(
         refresh_bf_distances(eng, src, prev.doubles(), delta));
-    out.aux = prev.aux;  // round count of the original run
-    return out;
   };
   // edge_weight(u, v) is a pure function of *snapshot* ids, so a repair
   // against a payload translated across a re-permuting publish would mix

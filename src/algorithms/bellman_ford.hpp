@@ -16,9 +16,11 @@ namespace vebo::algo {
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
 /// Params: source (int, 0). Payload: per-vertex shortest-path distances
-/// (kUnreachable = +inf); aux = edge_map rounds, or on a one-thread
-/// engine the distance buckets settled (one per distinct finite
-/// distance). Checksum fold = reached (finite-distance) count.
+/// (kUnreachable = +inf). Checksum fold = reached (finite-distance)
+/// count. Each edge_map round's Iteration span carries its number (a)
+/// and frontier size (b); on a one-thread engine the pass's one span
+/// carries the distance buckets settled (a, one per distinct finite
+/// distance) and the vertices settled (b).
 AlgorithmSpec bellman_ford_spec();
 
 }  // namespace vebo::algo

@@ -34,9 +34,8 @@ struct BfsFunctor {
   }
 };
 
-/// Levels from `source`; aux = rounds. parent[] is the functor's visited
-/// marker: a vertex is claimed once, by the first frontier vertex that
-/// reaches it.
+/// Levels from `source`. parent[] is the functor's visited marker: a
+/// vertex is claimed once, by the first frontier vertex that reaches it.
 QueryPayload run_bfs(const Engine& eng, const QueryParams& p) {
   const VertexId source = p.get_vertex("source");
   const Graph& g = eng.graph();
@@ -65,10 +64,7 @@ QueryPayload run_bfs(const Engine& eng, const QueryParams& p) {
                [&](VertexId v) { level[v] = static_cast<VertexId>(round); });
     frontier = std::move(next);
   }
-
-  QueryPayload out = QueryPayload::vertex_ids(std::move(level));
-  out.aux = round;
-  return out;
+  return QueryPayload::vertex_ids(std::move(level));
 }
 
 }  // namespace
@@ -89,10 +85,8 @@ AlgorithmSpec bfs_spec() {
       return run_bfs(eng, p);
     // Bit-exact: levels have a unique fixed point, reached by the
     // two-phase repair.
-    QueryPayload out = QueryPayload::vertex_ids(
+    return QueryPayload::vertex_ids(
         refresh_bfs_levels(eng, src, prev.ids(), delta));
-    out.aux = prev.aux;  // round count of the original run
-    return out;
   };
   s.checksum = [](const QueryPayload& p) {
     double reached = 0;

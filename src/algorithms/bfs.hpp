@@ -8,8 +8,9 @@
 namespace vebo::algo {
 
 /// Params: source (int, 0). Payload: per-vertex BFS levels
-/// (kInvalidVertex = unreached); aux = rounds. Checksum fold =
-/// reached-vertex count.
+/// (kInvalidVertex = unreached). Checksum fold = reached-vertex count.
+/// Each round's Iteration span carries its number (a) and frontier
+/// size (b).
 AlgorithmSpec bfs_spec();
 
 }  // namespace vebo::algo

@@ -14,9 +14,7 @@ namespace vebo::algo {
 
 /// Params: iterations (int in [0, INT_MAX], 10), coupling (float, 0.5:
 /// edge potential strength in log-odds space). Payload: per-vertex
-/// log-odds beliefs; aux = the last iteration's residual (mean |belief
-/// change|). Checksum fold = aux, a convergence metric the final beliefs
-/// alone cannot encode.
+/// log-odds beliefs. Checksum fold = block_sum of the beliefs.
 AlgorithmSpec bp_spec();
 
 }  // namespace vebo::algo

@@ -19,7 +19,7 @@ bool atomic_write_min(std::atomic<VertexId>& slot, VertexId value) {
   return false;
 }
 
-/// Component-minimum labels; aux = rounds. No params.
+/// Component-minimum labels. No params.
 QueryPayload run_cc(const Engine& eng, const QueryParams&) {
   const Graph& g = eng.graph();
   const VertexId n = g.num_vertices();
@@ -95,10 +95,8 @@ QueryPayload run_cc(const Engine& eng, const QueryParams&) {
       0, n,
       [&](std::size_t v) { out[v] = label[v].load(std::memory_order_relaxed); },
       eng.vertex_loop());
-  QueryPayload payload =
-      QueryPayload::vertex_ids(std::move(out), /*values_are_vertex_ids=*/true);
-  payload.aux = rounds;
-  return payload;
+  return QueryPayload::vertex_ids(std::move(out),
+                                  /*values_are_vertex_ids=*/true);
 }
 
 }  // namespace
@@ -117,11 +115,9 @@ AlgorithmSpec cc_spec() {
     // Bit-exact: union-find over the delta plus the affected components,
     // relabeled to the component-minimum id label propagation converges
     // to.
-    QueryPayload out = QueryPayload::vertex_ids(
+    return QueryPayload::vertex_ids(
         refresh_components(eng, prev.ids(), delta),
         /*values_are_vertex_ids=*/true);
-    out.aux = prev.aux;  // round count of the original run
-    return out;
   };
   s.checksum = [](const QueryPayload& p) {
     // Labels are the component-minimum vertex id, so each component has

@@ -10,8 +10,9 @@
 namespace vebo::algo {
 
 /// No params. Payload: per-vertex component labels (id-valued: label =
-/// the component's minimum member id, translated with the payload); aux
-/// = rounds. Checksum fold = component count.
+/// the component's minimum member id, translated with the payload).
+/// Checksum fold = component count. Each round's Iteration span carries
+/// its number (a) and frontier size (b).
 AlgorithmSpec cc_spec();
 
 }  // namespace vebo::algo

@@ -1,8 +1,8 @@
 // Incremental (delta-driven) recompute kernels behind the AlgorithmSpec
 // refresh hooks (PR 10). Every function here works entirely in the id
 // space of the engine's CURRENT graph: the caller has already translated
-// the previous epoch's payload (translate_from_original_ids) and the net
-// edge delta into snapshot ids.
+// the previous epoch's payload (translate_to_original_ids under the
+// inverse permutation) and the net edge delta into snapshot ids.
 //
 // Exactness contract (mirrored in ROADMAP "Incremental maintenance"):
 //  * refresh_components / refresh_bfs_levels / refresh_bf_distances are

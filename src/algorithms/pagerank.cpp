@@ -11,8 +11,7 @@ namespace vebo::algo {
 
 namespace {
 
-/// Ranks after `iterations` power steps, or their top_k when top_k > 0;
-/// aux = total mass of the full vector.
+/// Ranks after `iterations` power steps, or their top_k when top_k > 0.
 QueryPayload run_pr(const Engine& eng, const QueryParams& p) {
   const auto iterations = static_cast<int>(p.get_int("iterations"));
   const double damping = p.get_float("damping");
@@ -49,15 +48,8 @@ QueryPayload run_pr(const Engine& eng, const QueryParams& p) {
         [&](VertexId v, double acc) { next[v] = base + damping * acc; });
     rank.swap(next);
   }
-
-  // Deterministic block fold: parallel, but a pure function of the rank
-  // vector — block_sum of the full payload is the same value.
-  const double total_mass = deterministic_sum<double>(
-      0, n, [&](std::size_t v) { return rank[v]; }, eng.vertex_loop());
-  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
-                           : QueryPayload::vertex_doubles(std::move(rank));
-  out.aux = total_mass;
-  return out;
+  return k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
+               : QueryPayload::vertex_doubles(std::move(rank));
 }
 
 }  // namespace
@@ -83,13 +75,10 @@ AlgorithmSpec pagerank_spec() {
     // scratch run at summation-noise scale. The round cap scales with
     // the entry's own iteration budget but never below 32 (a warm start
     // typically needs only a handful of rounds).
-    std::vector<double> rank = refresh_pagerank(
+    return QueryPayload::vertex_doubles(refresh_pagerank(
         eng, prev.doubles(), delta, p.get_float("damping"),
         /*epsilon=*/1e-8,
-        std::max(static_cast<int>(p.get_int("iterations")), 32));
-    QueryPayload out = QueryPayload::vertex_doubles(std::move(rank));
-    out.aux = block_sum(out);  // total_mass: the same deterministic fold
-    return out;
+        std::max(static_cast<int>(p.get_int("iterations")), 32)));
   };
   return s;
 }

@@ -18,9 +18,8 @@ std::vector<double> pagerank_partition_times(const Engine& eng,
 
 /// Params: iterations (int in [0, INT_MAX], 10), damping (float, 0.85),
 /// top_k (int >= 0, 0). Payload: full per-vertex rank vector, or the
-/// top_k highest-ranked (vertex, score) pairs when top_k > 0; aux =
-/// total mass, the block_sum of the full rank vector. Checksum fold =
-/// block_sum of the payload (the total mass when top_k = 0).
+/// top_k highest-ranked (vertex, score) pairs when top_k > 0. Checksum
+/// fold = block_sum of the payload (the total mass when top_k = 0).
 AlgorithmSpec pagerank_spec();
 
 }  // namespace vebo::algo

@@ -11,7 +11,7 @@ namespace vebo::algo {
 
 namespace {
 
-/// Ranks, or their top_k when top_k > 0; aux = iterations run.
+/// Ranks, or their top_k when top_k > 0.
 QueryPayload run_prd(const Engine& eng, const QueryParams& p) {
   const auto max_iters = static_cast<int>(p.get_int("max_iters"));
   const double damping = p.get_float("damping");
@@ -30,7 +30,6 @@ QueryPayload run_prd(const Engine& eng, const QueryParams& p) {
   std::vector<double> acc(n, 0.0);
 
   VertexSubset frontier = VertexSubset::all(n);
-  int iterations = 0;
 
   for (int it = 0; it < max_iters && !frontier.empty_set(); ++it) {
     obs::SpanScope iter(obs::SpanKind::Iteration);
@@ -84,13 +83,9 @@ QueryPayload run_prd(const Engine& eng, const QueryParams& p) {
             [&](std::size_t v) { return static_cast<VertexId>(v); },
             eng.vertex_loop()),
         /*sorted=*/true);
-    iterations = it + 1;
   }
-
-  QueryPayload out = k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
-                           : QueryPayload::vertex_doubles(std::move(rank));
-  out.aux = iterations;
-  return out;
+  return k > 0 ? QueryPayload::top_k(top_k_of(rank, k))
+               : QueryPayload::vertex_doubles(std::move(rank));
 }
 
 }  // namespace
@@ -115,13 +110,10 @@ AlgorithmSpec pagerank_delta_spec() {
     // Same residual-propagation kernel PRD itself uses, warm-started
     // from the previous epoch's ranks and driven by the entry's own
     // epsilon/max_iters knobs — same stopping rule as a scratch run.
-    std::vector<double> rank = refresh_pagerank(
+    return QueryPayload::vertex_doubles(refresh_pagerank(
         eng, prev.doubles(), delta, p.get_float("damping"),
         p.get_float("epsilon"),
-        std::max(static_cast<int>(p.get_int("max_iters")), 32));
-    QueryPayload out = QueryPayload::vertex_doubles(std::move(rank));
-    out.aux = prev.aux;  // iteration count of the original run
-    return out;
+        std::max(static_cast<int>(p.get_int("max_iters")), 32)));
   };
   return s;
 }

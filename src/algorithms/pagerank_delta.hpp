@@ -14,8 +14,8 @@ namespace vebo::algo {
 /// Params: max_iters (int in [0, INT_MAX], 10), damping (float, 0.85),
 /// epsilon (float, 1e-2: a vertex stays active while |delta| > epsilon *
 /// rank), top_k (int >= 0, 0). Payload: per-vertex rank vector or top-k
-/// pairs; aux = iterations run. Checksum fold = serial rank sum. Each
-/// iteration's Iteration span carries its frontier size (b).
+/// pairs. Checksum fold = serial rank sum. Each iteration's Iteration
+/// span carries its number (a) and frontier size (b).
 AlgorithmSpec pagerank_delta_spec();
 
 }  // namespace vebo::algo

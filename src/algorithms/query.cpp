@@ -141,12 +141,6 @@ std::string canonical_query_key(std::string_view code,
 
 // ----------------------------------------------------------- QueryPayload
 
-QueryPayload QueryPayload::scalar(double v) {
-  QueryPayload p;
-  p.data_ = v;
-  return p;
-}
-
 QueryPayload QueryPayload::vertex_doubles(std::vector<double> v) {
   QueryPayload p;
   p.data_ = std::move(v);
@@ -165,11 +159,6 @@ QueryPayload QueryPayload::top_k(std::vector<VertexScore> v) {
   QueryPayload p;
   p.data_ = std::move(v);
   return p;
-}
-
-double QueryPayload::scalar_value() const {
-  VEBO_CHECK(kind() == PayloadKind::Scalar, "payload is not a scalar");
-  return std::get<double>(data_);
 }
 
 const std::vector<double>& QueryPayload::doubles() const {
@@ -191,7 +180,6 @@ const std::vector<VertexScore>& QueryPayload::top() const {
 
 std::size_t QueryPayload::num_entries() const {
   switch (kind()) {
-    case PayloadKind::Scalar: return 1;
     case PayloadKind::VertexDoubles:
       return std::get<std::vector<double>>(data_).size();
     case PayloadKind::VertexIds:
@@ -206,20 +194,13 @@ QueryPayload translate_to_original_ids(const QueryPayload& p,
                                        std::span<const VertexId> perm) {
   const auto n = static_cast<VertexId>(perm.size());
   switch (p.kind()) {
-    case PayloadKind::Scalar: {
-      QueryPayload out = QueryPayload::scalar(p.scalar_value());
-      out.aux = p.aux;
-      return out;
-    }
     case PayloadKind::VertexDoubles: {
       const std::vector<double>& in = p.doubles();
       VEBO_CHECK(in.size() == perm.size(),
                  "translate: payload/permutation size mismatch");
       std::vector<double> re(in.size());
       for (VertexId v = 0; v < n; ++v) re[v] = in[perm[v]];
-      QueryPayload out = QueryPayload::vertex_doubles(std::move(re));
-      out.aux = p.aux;
-      return out;
+      return QueryPayload::vertex_doubles(std::move(re));
     }
     case PayloadKind::VertexIds: {
       const std::vector<VertexId>& in = p.ids();
@@ -233,15 +214,14 @@ QueryPayload translate_to_original_ids(const QueryPayload& p,
         for (VertexId v = 0; v < n; ++v) inv[perm[v]] = v;
         for (VertexId v = 0; v < n; ++v) {
           const VertexId val = in[perm[v]];
+          VEBO_CHECK(val == kInvalidVertex || val < n,
+                     "translate: id value out of range");
           re[v] = val == kInvalidVertex ? kInvalidVertex : inv[val];
         }
       } else {
         for (VertexId v = 0; v < n; ++v) re[v] = in[perm[v]];
       }
-      QueryPayload out =
-          QueryPayload::vertex_ids(std::move(re), p.values_are_vertex_ids());
-      out.aux = p.aux;
-      return out;
+      return QueryPayload::vertex_ids(std::move(re), p.values_are_vertex_ids());
     }
     case PayloadKind::TopK: {
       std::vector<VertexId> inv(perm.size());
@@ -251,62 +231,7 @@ QueryPayload translate_to_original_ids(const QueryPayload& p,
         VEBO_CHECK(e.vertex < n, "translate: top-k vertex out of range");
         e.vertex = inv[e.vertex];
       }
-      QueryPayload out = QueryPayload::top_k(std::move(re));
-      out.aux = p.aux;
-      return out;
-    }
-  }
-  return p;
-}
-
-QueryPayload translate_from_original_ids(const QueryPayload& p,
-                                         std::span<const VertexId> perm) {
-  const auto n = static_cast<VertexId>(perm.size());
-  switch (p.kind()) {
-    case PayloadKind::Scalar: {
-      QueryPayload out = QueryPayload::scalar(p.scalar_value());
-      out.aux = p.aux;
-      return out;
-    }
-    case PayloadKind::VertexDoubles: {
-      const std::vector<double>& in = p.doubles();
-      VEBO_CHECK(in.size() == perm.size(),
-                 "translate: payload/permutation size mismatch");
-      std::vector<double> re(in.size());
-      for (VertexId v = 0; v < n; ++v) re[perm[v]] = in[v];
-      QueryPayload out = QueryPayload::vertex_doubles(std::move(re));
-      out.aux = p.aux;
-      return out;
-    }
-    case PayloadKind::VertexIds: {
-      const std::vector<VertexId>& in = p.ids();
-      VEBO_CHECK(in.size() == perm.size(),
-                 "translate: payload/permutation size mismatch");
-      std::vector<VertexId> re(in.size());
-      if (p.values_are_vertex_ids()) {
-        for (VertexId v = 0; v < n; ++v) {
-          const VertexId val = in[v];
-          VEBO_CHECK(val == kInvalidVertex || val < n,
-                     "translate: id value out of range");
-          re[perm[v]] = val == kInvalidVertex ? kInvalidVertex : perm[val];
-        }
-      } else {
-        for (VertexId v = 0; v < n; ++v) re[perm[v]] = in[v];
-      }
-      QueryPayload out =
-          QueryPayload::vertex_ids(std::move(re), p.values_are_vertex_ids());
-      out.aux = p.aux;
-      return out;
-    }
-    case PayloadKind::TopK: {
-      std::vector<VertexScore> re = p.top();
-      for (VertexScore& e : re) {
-        VEBO_CHECK(e.vertex < n, "translate: top-k vertex out of range");
-        e.vertex = perm[e.vertex];
-      }
-      QueryPayload out = QueryPayload::top_k(std::move(re));
-      out.aux = p.aux;
-      return out;
+      return QueryPayload::top_k(std::move(re));
     }
   }
   return p;
@@ -322,7 +247,6 @@ bool refresh_worthwhile(const Engine& eng, const EdgeDelta& delta,
 double serial_sum(const QueryPayload& p) {
   double sum = 0.0;
   switch (p.kind()) {
-    case PayloadKind::Scalar: return p.scalar_value();
     case PayloadKind::VertexDoubles:
       for (double v : p.doubles()) sum += v;
       return sum;

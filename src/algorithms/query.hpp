@@ -11,8 +11,8 @@
 // default-filled against the algorithm's ParamSchema — unknown names,
 // ill-typed values and Int values outside their range are rejected with
 // vebo::Error before any work runs.
-// The answer is a QueryPayload: a tagged variant of
-//   * a scalar,
+// The answer is a QueryPayload, exactly what the algorithm computed: a
+// tagged variant of
 //   * a per-vertex double vector (ranks, distances, dependencies),
 //   * a per-vertex id vector (BFS levels, CC component labels),
 //   * a top-k (vertex, score) list,
@@ -141,10 +141,9 @@ std::string canonical_query_key(std::string_view code,
 // ---------------------------------------------------------------- payload
 
 enum class PayloadKind : std::uint8_t {
-  Scalar = 0,         ///< one double
-  VertexDoubles = 1,  ///< value per vertex (ranks, distances, beliefs)
-  VertexIds = 2,      ///< id-typed value per vertex (levels, labels)
-  TopK = 3,           ///< ranked (vertex, score) list
+  VertexDoubles = 0,  ///< value per vertex (ranks, distances, beliefs)
+  VertexIds = 1,      ///< id-typed value per vertex (levels, labels)
+  TopK = 2,           ///< ranked (vertex, score) list
 };
 
 struct VertexScore {
@@ -155,11 +154,9 @@ struct VertexScore {
 
 /// The typed result of one algorithm run. Vertex indices and id values
 /// refer to the graph the engine ran on; see translate_to_original_ids().
+/// A default payload is an empty per-vertex double vector.
 class QueryPayload {
  public:
-  QueryPayload() : data_(0.0) {}
-
-  static QueryPayload scalar(double v);
   static QueryPayload vertex_doubles(std::vector<double> v);
   /// `values_are_vertex_ids`: the vector's *values* name vertices (CC
   /// labels) rather than counts (BFS levels), so translation must map
@@ -170,23 +167,18 @@ class QueryPayload {
 
   PayloadKind kind() const { return static_cast<PayloadKind>(data_.index()); }
   /// Accessors throw vebo::Error on a kind mismatch.
-  double scalar_value() const;
   const std::vector<double>& doubles() const;
   const std::vector<VertexId>& ids() const;
   const std::vector<VertexScore>& top() const;
   bool values_are_vertex_ids() const { return values_are_vertex_ids_; }
 
-  /// Entries in the payload (1 for a scalar).
+  /// Entries in the payload.
   std::size_t num_entries() const;
 
-  /// Algorithm-specific diagnostic scalar riding along with the payload
-  /// (BP's residual, PRD's iteration count...). Not part of the client
-  /// protocol proper, but a checksum fold may read it when its value is
-  /// a convergence metric the payload itself cannot encode (BP).
-  double aux = 0.0;
+  friend bool operator==(const QueryPayload&, const QueryPayload&) = default;
 
  private:
-  std::variant<double, std::vector<double>, std::vector<VertexId>,
+  std::variant<std::vector<double>, std::vector<VertexId>,
                std::vector<VertexScore>>
       data_;
   bool values_are_vertex_ids_ = false;
@@ -195,20 +187,15 @@ class QueryPayload {
 /// Maps a payload computed on a reordered snapshot back to original
 /// vertex ids; `perm` is the published original-id -> snapshot-position
 /// permutation. Per-vertex vectors are reindexed (out[v] = in[perm[v]]),
-/// id values and top-k vertices are mapped through the inverse. Scalars
-/// pass through untouched. Per-vertex payload sizes must equal
-/// perm.size().
+/// id values and top-k vertices are mapped through the inverse; one
+/// outside [0, perm.size()) throws (kInvalidVertex values pass through).
+/// Per-vertex payload sizes must equal perm.size().
+/// Under invert(perm) the same map runs the other way: a payload held
+/// in original ids lands in the snapshot's id space. Publish-time
+/// refresh warm-starts that way, carrying a cached original-id payload
+/// into the NEW epoch's snapshot space before the hook runs on it.
 QueryPayload translate_to_original_ids(const QueryPayload& p,
                                        std::span<const VertexId> perm);
-
-/// The exact inverse of translate_to_original_ids: re-expresses a
-/// payload held in original vertex ids in the id space of a (possibly
-/// different) snapshot permutation — out[perm[v]] = in[v], id values and
-/// top-k vertices mapped forward through perm. This is how publish-time
-/// refresh warm-starts: a cached original-id payload is carried into the
-/// NEW epoch's snapshot space before the incremental hook runs on it.
-QueryPayload translate_from_original_ids(const QueryPayload& p,
-                                         std::span<const VertexId> perm);
 
 // ------------------------------------------------------ incremental delta
 
@@ -245,7 +232,7 @@ bool refresh_worthwhile(const Engine& eng, const EdgeDelta& delta,
 /// An algorithm's only entry point: its param schema, its runner and the
 /// deterministic fold of the runner's payload into one scalar. Each
 /// algorithm header declares its spec factory and documents the params,
-/// payload, aux and checksum there.
+/// payload and checksum there.
 struct AlgorithmSpec {
   std::string code;  ///< paper's code: BC, CC, PR, BFS, PRD, SPMV, BF, BP
   ParamSchema params;
@@ -263,17 +250,19 @@ struct AlgorithmSpec {
   /// fixed order (serial in-payload-order sums, block sums, reached
   /// counts).
   std::function<double(const QueryPayload&)> checksum;
-  /// Incremental entry point (PR 10): recomputes the answer for the
-  /// engine's graph warm-started from `prev` — the previous epoch's
-  /// payload already re-expressed in THIS engine's id space (see
-  /// translate_from_original_ids) — plus the net edge delta between the
+  /// Incremental entry point: recomputes the answer for the engine's
+  /// graph warm-started from `prev` — the previous epoch's payload
+  /// already re-expressed in THIS engine's id space (see
+  /// translate_to_original_ids) — plus the net edge delta between the
   /// two snapshots, also in this engine's id space. Implementations fall
   /// back to a full run() internally when the delta is too large
   /// (kRefreshRunFallbackFraction), the payload shape cannot seed a warm
-  /// start (top-k, scalar, stale vertex count), or the previous answer
-  /// is otherwise unusable — the hook always returns a payload valid for
-  /// the engine's current graph. Null when the algorithm has no
-  /// incremental form (the serving layer then invalidates as before).
+  /// start (top-k, stale vertex count), or the previous answer is
+  /// otherwise unusable — the hook returns the payload run() would
+  /// return on the engine's current graph (bit for bit for CC, BFS and
+  /// BF; at convergence scale for PR and PRD). Null when the algorithm
+  /// has no incremental form (the serving layer then invalidates as
+  /// before).
   /// Cancellation reaches it through the engine, as for run().
   std::function<QueryPayload(const Engine&, const QueryParams&,
                              const QueryPayload& prev, const EdgeDelta&)>
@@ -299,14 +288,13 @@ struct AlgorithmSpec {
 std::vector<VertexScore> top_k_of(std::span<const double> scores,
                                   std::size_t k);
 
-/// Serial in-payload-order sum (doubles, top-k scores, or the scalar
-/// itself) — the checksum fold of BC and PRD.
+/// Serial in-payload-order sum (doubles, ids or top-k scores) — the
+/// checksum fold of BC and PRD.
 double serial_sum(const QueryPayload& p);
 
 /// Deterministic parallel block fold of a per-vertex double payload (see
 /// deterministic_sum; thread-count independent) — the checksum fold of
-/// PR and SPMV, and the same fold as PR's total-mass aux.
-/// Non-VertexDoubles payloads fall back to serial_sum.
+/// PR, SPMV and BP. Non-VertexDoubles payloads fall back to serial_sum.
 double block_sum(const QueryPayload& p);
 
 }  // namespace vebo::algo

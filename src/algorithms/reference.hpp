@@ -17,7 +17,7 @@ std::vector<VertexId> bfs_levels(const Graph& g, VertexId source);
 std::vector<VertexId> wcc_labels(const Graph& g);
 
 /// PageRank by `iterations` power-method steps (same damping convention
-/// as algo::pagerank: dangling vertices contribute nothing).
+/// as the PR spec: dangling vertices contribute nothing).
 std::vector<double> pagerank(const Graph& g, int iterations,
                              double damping = 0.85);
 

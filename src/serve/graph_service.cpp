@@ -763,6 +763,10 @@ GraphService::CacheTurnover GraphService::refresh_cache(
     };
     std::ranges::stable_sort(by_cost, std::greater<>{}, cost);
   }
+  // Translating under the inverse permutation carries a cached
+  // original-id payload into this snapshot's ids; every task shares it.
+  const Permutation inv =
+      perm != nullptr && !tasks.empty() ? invert(*perm) : Permutation{};
   const auto run = [&](Task& t) {
     try {
       EnginePool::Lease lease = pool_.lease(snap);
@@ -778,7 +782,7 @@ GraphService::CacheTurnover GraphService::refresh_cache(
       // cached original-id payload.
       std::optional<algo::QueryPayload> prev_snap;
       if (perm != nullptr) {
-        prev_snap = algo::translate_from_original_ids(*t.old.payload, *perm);
+        prev_snap = algo::translate_to_original_ids(*t.old.payload, inv);
         t.old.payload.reset();
       }
       algo::QueryPayload out = [&] {

@@ -3,13 +3,16 @@
 // Graph::from_edges, permute and DeltaGraph::snapshot) is checked
 // against. It shares no code with the kernel: edges are comparison-sorted
 // and rows are cut from the sorted runs. Also the relabelling oracles the
-// ordering and serving suites check reordered graphs with.
+// ordering and serving suites check reordered graphs with, and the serial
+// belief-propagation oracle the BP spec is checked against.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -67,6 +70,36 @@ inline void expect_same_graph(const Graph& g, const ReferenceGraph& ref) {
   EXPECT_EQ(g.in_csr(), ref.in);
   EXPECT_TRUE(std::ranges::equal(g.coo().edges(), ref.coo));
   EXPECT_EQ(g.coo().num_vertices(), g.num_vertices());
+}
+
+/// Byte equality: bit-identical doubles, not merely == (which would let
+/// -0.0 pass for 0.0).
+inline bool same_bytes(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// BP's beliefs after `iterations` synchronous rounds, serially: prior
+/// (mix64(v) % 2001 - 1000) / 1000, message coupling * tanh(belief), and
+/// each destination's messages summed over its in-neighbors in ascending
+/// id order, the order edge_fold pins on every model and width.
+inline std::vector<double> reference_bp(const Graph& g, int iterations,
+                                        double coupling = 0.5) {
+  const VertexId n = g.num_vertices();
+  std::vector<double> prior(n);
+  for (VertexId v = 0; v < n; ++v)
+    prior[v] = (static_cast<double>(mix64(v) % 2001) - 1000.0) / 1000.0;
+  std::vector<double> belief = prior, msg(n);
+  for (int it = 0; it < iterations; ++it) {
+    for (VertexId u = 0; u < n; ++u) msg[u] = coupling * std::tanh(belief[u]);
+    for (VertexId v = 0; v < n; ++v) {
+      double incoming = 0.0;
+      for (VertexId u : g.in_neighbors(v)) incoming += msg[u];
+      belief[v] = prior[v] + incoming;
+    }
+  }
+  return belief;
 }
 
 }  // namespace vebo::oracle

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 
 #include "algorithms/bellman_ford.hpp"
 #include "algorithms/pagerank.hpp"
@@ -23,6 +22,7 @@
 #include "gen/road.hpp"
 #include "gen/synthetic.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "obs/trace.hpp"
 #include "order/vebo.hpp"
 #include "support/error.hpp"
@@ -47,6 +47,19 @@ double checksum(const std::string& code, const QueryPayload& p) {
 
 QueryParams from(VertexId source) {
   return QueryParams().set("source", source);
+}
+
+/// Each Iteration span's frontier size (b), indexed by its round (a). The
+/// table has one slot per span, so the rounds must number 0..count-1.
+std::vector<std::uint64_t> frontier_by_round(const obs::Trace& t) {
+  const auto iteration = [](const obs::Span& s) {
+    return s.kind == obs::SpanKind::Iteration;
+  };
+  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(
+      std::count_if(t.spans.begin(), t.spans.end(), iteration)));
+  for (const obs::Span& s : t.spans)
+    if (iteration(s)) sizes.at(s.a) = s.b;
+  return sizes;
 }
 
 class AlgoModels : public ::testing::TestWithParam<SystemModel> {
@@ -133,9 +146,7 @@ TEST(Cc, LigraDenseRoundsMatchUnionFindAtEveryWidth) {
     EXPECT_EQ(res.ids(), ref);
     // Round 0's frontier is complete and round 1's alone passes the
     // dense threshold, so both take the dense branch.
-    std::vector<std::uint64_t> frontier(static_cast<std::size_t>(res.aux));
-    for (const obs::Span& s : t.spans)
-      if (s.kind == obs::SpanKind::Iteration) frontier.at(s.a) = s.b;
+    const std::vector<std::uint64_t> frontier = frontier_by_round(t);
     ASSERT_GE(frontier.size(), 2u);
     EXPECT_EQ(frontier[0], g.num_vertices());
     EXPECT_GT(frontier[1], eng.dense_threshold());
@@ -167,7 +178,7 @@ TEST(Pagerank, MassConservedOnCycle) {
   Engine eng(g, SystemModel::Ligra);
   const QueryPayload res =
       run(eng, "PR", QueryParams().set("iterations", 20));
-  EXPECT_NEAR(res.aux, 1.0, 1e-9);  // total mass
+  EXPECT_NEAR(checksum("PR", res), 1.0, 1e-9);  // total mass
 }
 
 TEST(Pagerank, HubReceivesHighestRank) {
@@ -206,12 +217,8 @@ TEST(PagerankDelta, FrontierShrinks) {
   const Graph g = gen::rmat(10, 6, 7);
   Engine eng(g, SystemModel::Ligra);
   obs::ThreadTrace tt;
-  const QueryPayload res = run(
-      eng, "PRD", QueryParams().set("max_iters", 10).set("epsilon", 1e-2));
-  const obs::Trace t = tt.finish();
-  std::vector<std::uint64_t> active(static_cast<std::size_t>(res.aux));
-  for (const obs::Span& s : t.spans)
-    if (s.kind == obs::SpanKind::Iteration) active.at(s.a) = s.b;
+  run(eng, "PRD", QueryParams().set("max_iters", 10).set("epsilon", 1e-2));
+  const std::vector<std::uint64_t> active = frontier_by_round(tt.finish());
   ASSERT_GE(active.size(), 2u);
   EXPECT_EQ(active.front(), g.num_vertices());
   EXPECT_LT(active.back(), active.front());
@@ -298,23 +305,22 @@ TEST_P(AlgoModels, BellmanFordOneThreadSettlesByBucketsAndMatchesFourThreads) {
   ASSERT_GT(reached, g.num_vertices() / 2);
   EXPECT_EQ(res.doubles(), ref);
   EXPECT_EQ(reached, finite_count(ref));
-  std::size_t passes = 0;
-  for (const obs::Span& s : t.spans) {
-    EXPECT_NE(s.kind, obs::SpanKind::EdgeMap);
-    if (s.kind != obs::SpanKind::Iteration) continue;
-    ++passes;
-    EXPECT_EQ(static_cast<double>(s.a), res.aux);  // buckets settled
-    EXPECT_EQ(static_cast<double>(s.b), reached);
-  }
-  EXPECT_EQ(passes, 1u);
   // Whole-number labels: one settled bucket per distinct distance.
   std::vector<double> levels;
   for (double d : ref)
     if (d != algo::kUnreachable) levels.push_back(d);
   std::sort(levels.begin(), levels.end());
-  EXPECT_EQ(static_cast<std::size_t>(res.aux),
-            static_cast<std::size_t>(
-                std::unique(levels.begin(), levels.end()) - levels.begin()));
+  const auto buckets = static_cast<std::uint64_t>(
+      std::unique(levels.begin(), levels.end()) - levels.begin());
+  std::size_t passes = 0;
+  for (const obs::Span& s : t.spans) {
+    EXPECT_NE(s.kind, obs::SpanKind::EdgeMap);
+    if (s.kind != obs::SpanKind::Iteration) continue;
+    ++passes;
+    EXPECT_EQ(s.a, buckets);  // buckets settled
+    EXPECT_EQ(static_cast<double>(s.b), reached);
+  }
+  EXPECT_EQ(passes, 1u);
 
   // Four threads keep the heuristic, which pulls the dense rounds; both
   // runs converge to the same minimum over path sums.
@@ -351,9 +357,20 @@ TEST_P(AlgoModels, BellmanFordOneThreadEdgeCases) {
 
   const Graph rmat = gen::rmat(9, 6, 4);
   ASSERT_EQ(rmat.out_degree(0), 0u);
-  const QueryPayload sink = check(rmat, 0);
-  EXPECT_EQ(checksum("BF", sink), 1.0);
-  EXPECT_EQ(sink.aux, 1.0);  // one settled bucket
+  EXPECT_EQ(checksum("BF", check(rmat, 0)), 1.0);
+  {  // The sink's pass settles one bucket.
+    const Engine eng1(rmat, GetParam(), {.partitions = 4, .pool = &one});
+    obs::ThreadTrace tt;
+    run(eng1, "BF", from(0));
+    const obs::Trace t = tt.finish();
+    std::size_t passes = 0;
+    for (const obs::Span& s : t.spans) {
+      if (s.kind != obs::SpanKind::Iteration) continue;
+      ++passes;
+      EXPECT_EQ(s.a, 1u);
+    }
+    EXPECT_EQ(passes, 1u);
+  }
   EXPECT_LT(checksum("BF", check(rmat, 1)), rmat.num_vertices());
 
   // rmat keeps duplicates and self loops unless asked to drop them.
@@ -437,19 +454,10 @@ TEST_P(AlgoModels, BeliefPropagationDeterministicAcrossModels) {
   // Every model gathers through edge_fold in the same per-destination
   // order, so the Ligra (unpartitioned) engine's answer is exact.
   Engine ligra(g, SystemModel::Ligra);
-  const QueryPayload ref = run(ligra, "BP", ten);
-  EXPECT_EQ(res.doubles(), ref.doubles());
-  EXPECT_EQ(res.aux, ref.aux);  // residual
+  EXPECT_EQ(res.doubles(), run(ligra, "BP", ten).doubles());
 }
 
 // ------------------------------------------- dense gather, every model
-
-/// Byte equality: bit-identical doubles, not merely == (which would let
-/// -0.0 pass for 0.0).
-bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
 
 // SpMV and BP gather through edge_fold on every model, and the fold adds
 // each destination's in-edges in ascending source order whatever the
@@ -474,20 +482,67 @@ TEST(DenseGather, SpmvAndBpBitIdenticalAcrossModelsAndWidths) {
                      std::to_string(pool->num_threads()));
         const Engine eng(g, m, {.pool = pool});
         const algo::QueryPayload got = s.invoke(eng);
-        EXPECT_TRUE(same_bytes(got.doubles(), want.doubles()));
-        EXPECT_EQ(got.aux, want.aux);
+        EXPECT_TRUE(oracle::same_bytes(got.doubles(), want.doubles()));
       }
     }
   }
 }
 
+// Round k's residual is the mean |belief change| between the beliefs
+// after k - 1 and after k rounds.
 TEST(BeliefPropagation, ConvergesOnTree) {
   const Graph g = gen::path(32);
   Engine eng(g, SystemModel::Ligra);
-  const double r5 = run(eng, "BP", QueryParams().set("iterations", 5)).aux;
-  const double r40 = run(eng, "BP", QueryParams().set("iterations", 40)).aux;
+  const auto residual = [&](int k) {
+    const std::vector<double> before =
+        run(eng, "BP", QueryParams().set("iterations", k - 1)).doubles();
+    const std::vector<double> after =
+        run(eng, "BP", QueryParams().set("iterations", k)).doubles();
+    double change = 0;
+    for (std::size_t v = 0; v < after.size(); ++v)
+      change += std::abs(after[v] - before[v]);
+    return change / static_cast<double>(after.size());
+  };
+  const double r5 = residual(5);
+  const double r40 = residual(40);
   EXPECT_LT(r40, r5 + 1e-9);
   EXPECT_LT(r40, 1e-6);  // converged on a chain
+}
+
+// ---------------------------------------------- repeated-run determinism
+
+// A payload is the answer alone, so rerunning a query on the same engine
+// returns an equal payload for every spec, on every model, at pool widths
+// 1, 2 and 4, even where the schedule varies the rounds a run takes (CC's
+// and BF's pushes at widths 2 and 4). Graphs are relabelled by VEBO with
+// P = 4, and Polymer runs on VEBO's own partitions.
+TEST(PayloadDeterminism, RepeatedRunsAreIdentical) {
+  ThreadPool one(1), two(2), four(4);
+  const auto check = [&](const Graph& base) {
+    const order::VeboResult r = order::vebo(base, 4);
+    const Graph g = permute(base, r.perm);
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      for (SystemModel m : {SystemModel::Ligra, SystemModel::Polymer,
+                            SystemModel::GraphGrind}) {
+        EngineOptions eo;
+        eo.pool = pool;
+        if (m == SystemModel::Polymer)
+          eo.explicit_partitioning = &r.partitioning;
+        const Engine eng(g, m, eo);
+        for (const algo::AlgorithmSpec& s : algo::specs()) {
+          SCOPED_TRACE(s.code + " " + to_string(m) + " x" +
+                       std::to_string(pool->num_threads()));
+          QueryParams params;
+          if (s.params.find("source") != nullptr) params.set("source", 7);
+          const QueryPayload first = s.invoke(eng, params);
+          for (int rerun = 1; rerun < 7; ++rerun)
+            EXPECT_TRUE(s.invoke(eng, params) == first) << "rerun " << rerun;
+        }
+      }
+    }
+  };
+  check(gen::rmat(12, 8, 5));
+  check(gen::road_grid(64, 64, 3));
 }
 
 // ----------------------------------------------- reordering invariance

@@ -128,7 +128,7 @@ TEST(Pipeline, ReorderWriteReadRunMatches) {
   Engine eng(loaded, SystemModel::Polymer, {.partitions = 4});
   const algo::QueryPayload pr =
       algo::spec("PR").invoke(eng, algo::QueryParams().set("iterations", 3));
-  EXPECT_TRUE(std::isfinite(pr.aux));  // total mass
+  EXPECT_TRUE(std::isfinite(algo::spec("PR").checksum(pr)));  // total mass
   std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
 #include "framework/engine.hpp"
 #include "gen/rmat.hpp"
 #include "graph/permute.hpp"
+#include "graph_reference.hpp"
 #include "order/vebo.hpp"
 #include "serve/graph_service.hpp"
 #include "serve/result_cache.hpp"
@@ -271,18 +272,15 @@ TEST(ResultCache, HitsMarkReadAndDrainKeepsRecencyOrder) {
 // ----------------------------------------------------- payload mechanics
 
 TEST(QueryPayload, AccessorsThrowOnKindMismatch) {
-  const QueryPayload s = QueryPayload::scalar(3.5);
-  EXPECT_EQ(s.kind(), PayloadKind::Scalar);
-  EXPECT_EQ(s.scalar_value(), 3.5);
-  EXPECT_EQ(s.num_entries(), 1u);
-  EXPECT_THROW(s.doubles(), Error);
-  EXPECT_THROW(s.ids(), Error);
-  EXPECT_THROW(s.top(), Error);
-
   const QueryPayload v = QueryPayload::vertex_doubles({1.0, 2.0});
   EXPECT_EQ(v.kind(), PayloadKind::VertexDoubles);
   EXPECT_EQ(v.num_entries(), 2u);
-  EXPECT_THROW(v.scalar_value(), Error);
+  EXPECT_THROW(v.ids(), Error);
+  EXPECT_THROW(v.top(), Error);
+
+  const QueryPayload empty;
+  EXPECT_EQ(empty.kind(), PayloadKind::VertexDoubles);
+  EXPECT_EQ(empty.num_entries(), 0u);
 }
 
 TEST(QueryPayload, TopKOfIsDeterministicWithTieBreak) {
@@ -325,18 +323,32 @@ TEST(QueryPayload, TranslationReindexesAndMapsIdValues) {
   EXPECT_EQ(tkt.top()[0], (VertexScore{0, 9.0}));
   EXPECT_EQ(tkt.top()[1], (VertexScore{1, 5.0}));
 
-  // Size mismatches are caught, not silently misindexed.
+  // Size mismatches are caught, not silently misindexed, and so is an
+  // id value that names no vertex.
   EXPECT_THROW(
       translate_to_original_ids(QueryPayload::vertex_doubles({1.0}), perm),
       Error);
+  EXPECT_THROW(translate_to_original_ids(
+                   QueryPayload::vertex_ids({0, 0, 4, 0},
+                                            /*values_are_vertex_ids=*/true),
+                   perm),
+               Error);
+
+  // Under the inverse permutation the map runs the other way (the
+  // refresh path's warm start), so the round trip is the identity.
+  const Permutation inv = invert(perm);
+  for (const QueryPayload& p : {doubles, lv, labels, tk})
+    EXPECT_TRUE(translate_to_original_ids(translate_to_original_ids(p, perm),
+                                          inv) == p);
 }
 
 // --------------------------------- checksum folds vs the serial oracles
 
 // Each spec's checksum fold is its algorithm's one scalar answer. Pin it
-// to the serial oracles of algorithms/reference.hpp on every model at
-// pool widths 1 and 4 (width 1 runs BF's bucket pass, width 4 its
-// edge_map rounds). PRD and BP have no serial oracle yet.
+// to the serial oracles of algorithms/reference.hpp, and BP's beliefs to
+// the serial oracle of graph_reference.hpp, on every model at pool
+// widths 1 and 4 (width 1 runs BF's bucket pass, width 4 its edge_map
+// rounds). PRD has no serial oracle yet.
 TEST(ChecksumFolds, MatchTheSerialOracles) {
   const Graph g = gen::rmat(9, 6, 4);
   const VertexId n = g.num_vertices();
@@ -351,6 +363,10 @@ TEST(ChecksumFolds, MatchTheSerialOracles) {
   const std::vector<double> x(n, 1.0 / static_cast<double>(n));
   const double spmv = algo::block_sum(
       QueryPayload::vertex_doubles(algo::ref::spmv(g, x)));
+  const double mass = algo::block_sum(
+      QueryPayload::vertex_doubles(algo::ref::pagerank(g, 10)));
+  const std::vector<double> beliefs = oracle::reference_bp(g, 10);
+  const double bp = algo::block_sum(QueryPayload::vertex_doubles(beliefs));
 
   ThreadPool one(1), four(4);
   for (ThreadPool* pool : {&one, &four}) {
@@ -375,10 +391,12 @@ TEST(ChecksumFolds, MatchTheSerialOracles) {
         EXPECT_NEAR(checksum("BC", from), dependency, 1e-9 * dependency);
       }
       EXPECT_EQ(checksum("CC"), wcc);
-      const AlgorithmSpec& pr = algo::spec("PR");
-      const QueryPayload ranks = pr.invoke(eng);
-      EXPECT_EQ(pr.checksum(ranks), ranks.aux);  // the total mass
+      EXPECT_NEAR(checksum("PR"), mass, 1e-12 * mass);  // the total mass
       EXPECT_EQ(checksum("SPMV"), spmv);
+      const AlgorithmSpec& bp_spec = algo::spec("BP");
+      const QueryPayload bp_payload = bp_spec.invoke(eng);
+      EXPECT_TRUE(oracle::same_bytes(bp_payload.doubles(), beliefs));
+      EXPECT_EQ(bp_spec.checksum(bp_payload), bp);
     }
   }
   EXPECT_GT(finite(algo::ref::bfs_levels(g, 7), kInvalidVertex), n / 2);
