@@ -118,17 +118,6 @@ void pagerank_iteration_seed(const Engine& eng, const std::vector<double>& contr
       eng.vertex_loop());
 }
 
-double time_median_ms(int reps, const std::function<void()>& fn) {
-  std::vector<double> t;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    t.push_back(timer.elapsed_ms());
-  }
-  std::sort(t.begin(), t.end());
-  return t[t.size() / 2];
-}
-
 struct DensityPoint {
   double density = 0;
   VertexId frontier_size = 0;
@@ -181,18 +170,18 @@ GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
     p.frontier_size = base.size();
     PrStyleFunctor f{contrib.data(), acc.data(), seen.data()};
 
-    p.seed_ms = time_median_ms(reps, [&] {
+    p.seed_ms = 1e3 * bench::time_median([&] {
       reset();
       VertexSubset frontier = base;
       edge_map_pull_seed(eng, frontier, f);
-    });
-    p.new_out_ms = time_median_ms(reps, [&] {
+    }, reps);
+    p.new_out_ms = 1e3 * bench::time_median([&] {
       reset();
       VertexSubset frontier = base;
       edge_map(eng, frontier, f,
                {.direction = Direction::Pull, .early_exit = false});
-    });
-    p.new_fold_ms = time_median_ms(reps, [&] {
+    }, reps);
+    p.new_fold_ms = 1e3 * bench::time_median([&] {
       // What PageRank-delta's dense round actually runs now: no output,
       // register accumulation, probe-free when the frontier is complete.
       VertexSubset frontier = base;
@@ -200,7 +189,7 @@ GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
           eng, frontier,
           [&](VertexId u, VertexId) { return contrib[u]; },
           [&](VertexId v, double a) { acc[v] = a; });
-    });
+    }, reps);
     p.speedup_out = p.new_out_ms > 0 ? p.seed_ms / p.new_out_ms : 0;
     p.speedup_fold = p.new_fold_ms > 0 ? p.seed_ms / p.new_fold_ms : 0;
     rep.points.push_back(p);
@@ -253,14 +242,14 @@ int main() {
   all.to_dense();
   const DynamicBitset& fbits = all.bits();
 
-  const double flag_seed_ms = time_median_ms(reps, [&] {
+  const double flag_seed_ms = 1e3 * bench::time_median([&] {
     reset();
     VertexSubset frontier = all;
     edge_map_pull_seed(eng, frontier, f);
-  });
+  }, reps);
   // Probing kernel, striped (non-atomic) output, edge-balanced chunks:
   // isolates scheduling + stripe wins from the probe win.
-  const double flag_probe_stripe_ms = time_median_ms(reps, [&] {
+  const double flag_probe_stripe_ms = 1e3 * bench::time_median([&] {
     reset();
     DynamicBitset next(n);
     const BitsetProbe probe{fbits};
@@ -269,19 +258,19 @@ int main() {
       edge_map_pull_range(g, f, probe, sink, lo, hi, false);
     });
     VertexSubset::from_bitset(std::move(next), eng.vertex_loop());
-  });
-  const double flag_complete_stripe_ms = time_median_ms(reps, [&] {
+  }, reps);
+  const double flag_complete_stripe_ms = 1e3 * bench::time_median([&] {
     reset();
     VertexSubset frontier = all;
     edge_map(eng, frontier, f,
              {.direction = Direction::Pull, .early_exit = false});
-  });
-  const double flag_complete_fold_ms = time_median_ms(reps, [&] {
+  }, reps);
+  const double flag_complete_fold_ms = 1e3 * bench::time_median([&] {
     VertexSubset frontier = all;
     edge_fold<double>(
         eng, frontier, [&](VertexId u, VertexId) { return contrib[u]; },
         [&](VertexId v, double a) { acc[v] = a; });
-  });
+  }, reps);
   std::cout << "flags (rmat, complete): seed=" << flag_seed_ms
             << "ms probe+stripe=" << flag_probe_stripe_ms
             << "ms complete+stripe=" << flag_complete_stripe_ms
@@ -291,14 +280,14 @@ int main() {
   // ---- end-to-end PageRank iteration, old hand loop vs edge_fold.
   std::vector<double> next(n, 0.0);
   const double base = 0.15 / static_cast<double>(n);
-  const double pr_seed_ms = time_median_ms(reps, [&] {
+  const double pr_seed_ms = 1e3 * bench::time_median([&] {
     pagerank_iteration_seed(eng, contrib, next, base, 0.85);
-  });
-  const double pr_new_ms = time_median_ms(reps, [&] {
+  }, reps);
+  const double pr_new_ms = 1e3 * bench::time_median([&] {
     edge_fold<double>(
         eng, [&](VertexId u, VertexId) { return contrib[u]; },
         [&](VertexId v, double a) { next[v] = base + 0.85 * a; });
-  });
+  }, reps);
   std::cout << "pagerank iteration: seed=" << pr_seed_ms
             << "ms new=" << pr_new_ms << "ms" << std::endl;
 

@@ -62,17 +62,6 @@ VertexSubset edge_map_push_seed(const Engine& eng, VertexSubset& frontier,
   return VertexSubset::from_sparse(n, std::move(out));
 }
 
-double time_median_ms(int reps, const std::function<void()>& fn) {
-  std::vector<double> t;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    t.push_back(timer.elapsed_ms());
-  }
-  std::sort(t.begin(), t.end());
-  return t[t.size() / 2];
-}
-
 struct Point {
   std::size_t frontier_size = 0;
   EdgeId frontier_edges = 0;
@@ -115,35 +104,35 @@ int main() {
     p.frontier_edges = base.out_edges(g);
     TouchFunctor f;
 
-    p.new_ms = time_median_ms(reps, [&] {
+    p.new_ms = 1e3 * bench::time_median([&] {
       VertexSubset frontier = base;  // copy: edge_map may convert in place
       VertexSubset out =
           edge_map(eng, frontier, f, {.direction = Direction::Push});
       p.out_size = out.size();
-    });
-    p.seed_ms = time_median_ms(reps, [&] {
+    }, reps);
+    p.seed_ms = 1e3 * bench::time_median([&] {
       VertexSubset frontier = base;
       VertexSubset out = edge_map_push_seed(eng, frontier, f);
       p.out_size = out.size();
-    });
+    }, reps);
     p.speedup = p.new_ms > 0 ? p.seed_ms / p.new_ms : 0.0;
 
     // Representation-conversion cost in isolation (fresh subsets each
     // rep so the dual-representation cache cannot short-circuit).
-    p.to_dense_ms = time_median_ms(reps, [&] {
+    p.to_dense_ms = 1e3 * bench::time_median([&] {
       VertexSubset s =
           VertexSubset::from_packed(n,
                                     {base.vertices().begin(),
                                      base.vertices().end()},
                                     /*sorted=*/true);
       s.to_dense();
-    });
+    }, reps);
     VertexSubset dense = base;
     dense.to_dense();
-    p.to_sparse_ms = time_median_ms(reps, [&] {
+    p.to_sparse_ms = 1e3 * bench::time_median([&] {
       VertexSubset s = VertexSubset::from_bitset(dense.bits());
       s.to_sparse();
-    });
+    }, reps);
 
     points.push_back(p);
     std::cout << "frontier=" << p.frontier_size

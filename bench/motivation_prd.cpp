@@ -7,11 +7,13 @@
 // of the frontier falls into each in-degree class — plus the resulting
 // active-edge imbalance over edge-balanced (Algorithm 1) partitions vs
 // VEBO partitions: per partition, the in-edges whose source is active,
-// max over mean across P = 4 partitions.
+// max over mean across P = 4 and the paper's P = 384 partitions.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "algorithms/registry.hpp"
 #include "bench_common.hpp"
@@ -20,7 +22,8 @@ using namespace vebo;
 
 namespace {
 
-constexpr VertexId kPartitions = 4;
+constexpr std::array<VertexId, 2> kPartitions = {4,
+                                                 bench::kPaperPartitions};
 
 // Degree class of a vertex: 0 = zero, 1 = low (1..7), 2 = mid (8..63),
 // 3 = high (>= 64).
@@ -32,17 +35,26 @@ int degree_class(EdgeId d) {
 }
 
 /// max / mean of per-partition active in-edges; "-" when none is active.
-std::string imbalance(const std::array<EdgeId, kPartitions>& load) {
+std::string imbalance(const std::vector<EdgeId>& load) {
   EdgeId total = 0, most = 0;
   for (EdgeId e : load) {
     total += e;
     most = std::max(most, e);
   }
   if (total == 0) return "-";
-  return Table::num(static_cast<double>(most) * kPartitions /
+  return Table::num(static_cast<double>(most) *
+                        static_cast<double>(load.size()) /
                         static_cast<double>(total),
                     3);
 }
+
+/// The partition owning each destination under one partition count:
+/// Algorithm 1 on the original order, and VEBO's own partitions, which own
+/// v at its new id perm[v].
+struct Owners {
+  VertexId P;
+  std::vector<VertexId> alg1, vebo;
+};
 
 }  // namespace
 
@@ -57,22 +69,29 @@ int main() {
   std::size_t population[4] = {0, 0, 0, 0};
   for (VertexId v = 0; v < n; ++v) ++population[degree_class(g.in_degree(v))];
 
-  // The partition owning each destination: Algorithm 1 on the original
-  // order, and VEBO's own partitions, which own v at its new id perm[v].
-  const order::Partitioning alg1 =
-      order::partition_by_destination(g, kPartitions);
-  const order::VeboResult vebo = order::vebo(g, kPartitions);
-  std::vector<VertexId> alg1_owner(n), vebo_owner(n);
-  for (VertexId v = 0; v < n; ++v) {
-    alg1_owner[v] = alg1.owner(v);
-    vebo_owner[v] = vebo.partitioning.owner(vebo.perm[v]);
+  std::vector<Owners> owners;
+  for (VertexId P : kPartitions) {
+    const order::Partitioning alg1 = order::partition_by_destination(g, P);
+    const order::VeboResult vebo = order::vebo(g, P);
+    Owners& o = owners.emplace_back(Owners{P, std::vector<VertexId>(n),
+                                           std::vector<VertexId>(n)});
+    for (VertexId v = 0; v < n; ++v) {
+      o.alg1[v] = alg1.owner(v);
+      o.vebo[v] = vebo.partitioning.owner(vebo.perm[v]);
+    }
   }
 
   // Instrumented PRD: re-run the published algorithm but capture the
   // frontier composition each iteration.
   Table t("active fraction per in-degree class, PRD iterations");
-  t.set_header({"iter", "active", "zero-deg", "low(1-7)", "mid(8-63)",
-                "high(64+)", "Alg.1 max/mean", "VEBO max/mean"});
+  std::vector<std::string> header = {"iter",     "active",   "zero-deg",
+                                     "low(1-7)", "mid(8-63)", "high(64+)"};
+  for (const Owners& o : owners) {
+    const std::string p = " P=" + std::to_string(o.P);
+    header.push_back("Alg.1 max/mean" + p);
+    header.push_back("VEBO max/mean" + p);
+  }
+  t.set_header(header);
 
   // PRD with epsilon > 0 shrinks the frontier. The library's PRD does
   // not export each iteration's frontier members, so replay its
@@ -107,7 +126,11 @@ int main() {
     }
     // The gather visits exactly the in-edges whose source is active: the
     // work each destination's partition does this iteration.
-    std::array<EdgeId, kPartitions> alg1_load{}, vebo_load{};
+    std::vector<std::vector<EdgeId>> alg1_load, vebo_load;
+    for (const Owners& o : owners) {
+      alg1_load.emplace_back(o.P, 0);
+      vebo_load.emplace_back(o.P, 0);
+    }
     for (VertexId v = 0; v < n; ++v) {
       double a = 0.0;
       EdgeId active_in = 0;
@@ -117,11 +140,15 @@ int main() {
           ++active_in;
         }
       acc[v] = a;
-      alg1_load[alg1_owner[v]] += active_in;
-      vebo_load[vebo_owner[v]] += active_in;
+      for (std::size_t i = 0; i < owners.size(); ++i) {
+        alg1_load[i][owners[i].alg1[v]] += active_in;
+        vebo_load[i][owners[i].vebo[v]] += active_in;
+      }
     }
-    row.push_back(imbalance(alg1_load));
-    row.push_back(imbalance(vebo_load));
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      row.push_back(imbalance(alg1_load[i]));
+      row.push_back(imbalance(vebo_load[i]));
+    }
     t.add_row(row);
 
     std::vector<VertexId> next;

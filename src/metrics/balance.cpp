@@ -1,31 +1,40 @@
 #include "metrics/balance.hpp"
 
-#include <algorithm>
+#include "support/bitset.hpp"
 
 namespace vebo::metrics {
 
 EdgeId PartitionProfile::edge_imbalance() const {
-  if (edges.empty()) return 0;
-  const auto [lo, hi] = std::minmax_element(edges.begin(), edges.end());
-  return *hi - *lo;
+  return order::imbalance(edges);
 }
 
 VertexId PartitionProfile::vertex_imbalance() const {
-  if (vertices.empty()) return 0;
-  const auto [lo, hi] = std::minmax_element(vertices.begin(), vertices.end());
-  return *hi - *lo;
+  return order::imbalance(vertices);
 }
 
 PartitionProfile profile_partitions(const Graph& g,
                                     const order::Partitioning& part) {
-  PartitionProfile p;
-  p.edges = order::edges_per_partition(g, part);
-  p.dests = order::destinations_per_partition(g, part);
-  p.sources = order::sources_per_partition(g, part);
   const VertexId P = part.num_partitions();
-  p.vertices.resize(P);
-  for (VertexId q = 0; q < P; ++q) p.vertices[q] = part.vertices_in(q);
-  return p;
+  PartitionProfile prof;
+  prof.edges.assign(P, 0);
+  prof.vertices.assign(P, 0);
+  prof.dests.assign(P, 0);
+  prof.sources.assign(P, 0);
+  DynamicBitset seen(g.num_vertices());
+  for (VertexId p = 0; p < P; ++p) {
+    prof.vertices[p] = part.vertices_in(p);
+    seen.reset();
+    for (VertexId v = part.begin(p); v < part.end(p); ++v) {
+      prof.edges[p] += g.in_degree(v);
+      if (g.in_degree(v) > 0) ++prof.dests[p];
+      for (VertexId u : g.in_neighbors(v))
+        if (!seen.get(u)) {
+          seen.set(u);
+          ++prof.sources[p];
+        }
+    }
+  }
+  return prof;
 }
 
 std::vector<EdgeId> active_edges_per_partition(

@@ -59,13 +59,11 @@ LdgResult ldg(const Graph& g, VertexId P, const LdgOptions& opts) {
 
   // Relabel so each partition is a contiguous chunk (stable within a
   // partition to keep streaming locality).
-  std::vector<VertexId> counts(fill.begin(), fill.end());
-  res.partitioning = partition_from_counts(counts);
-  std::vector<VertexId> cursor(P);
-  for (VertexId p = 0; p < P; ++p) cursor[p] = res.partitioning.begin(p);
-  res.perm.resize(n);
-  for (VertexId v = 0; v < n; ++v)
-    res.perm[v] = cursor[res.assignment[v]]++;
+  res.partitioning = partition_from_counts(fill);
+  res.perm = number_by_partition(res.partitioning, res.assignment,
+                                 [&](auto&& number) {
+                                   for (VertexId v = 0; v < n; ++v) number(v);
+                                 });
   return res;
 }
 

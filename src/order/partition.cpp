@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bitset.hpp"
 #include "support/error.hpp"
 
 namespace vebo::order {
@@ -67,45 +66,6 @@ Partitioning partition_from_counts(const std::vector<VertexId>& counts) {
   for (std::size_t p = 0; p < counts.size(); ++p)
     part.boundaries[p + 1] = part.boundaries[p] + counts[p];
   return part;
-}
-
-std::vector<EdgeId> edges_per_partition(const Graph& g,
-                                        const Partitioning& part) {
-  const VertexId P = part.num_partitions();
-  std::vector<EdgeId> edges(P, 0);
-  for (VertexId p = 0; p < P; ++p)
-    for (VertexId v = part.begin(p); v < part.end(p); ++v)
-      edges[p] += g.in_degree(v);
-  return edges;
-}
-
-std::vector<VertexId> destinations_per_partition(const Graph& g,
-                                                 const Partitioning& part) {
-  const VertexId P = part.num_partitions();
-  std::vector<VertexId> dests(P, 0);
-  for (VertexId p = 0; p < P; ++p)
-    for (VertexId v = part.begin(p); v < part.end(p); ++v)
-      if (g.in_degree(v) > 0) ++dests[p];
-  return dests;
-}
-
-std::vector<VertexId> sources_per_partition(const Graph& g,
-                                            const Partitioning& part) {
-  const VertexId P = part.num_partitions();
-  std::vector<VertexId> sources(P, 0);
-  DynamicBitset seen(g.num_vertices());
-  for (VertexId p = 0; p < P; ++p) {
-    seen.reset();
-    VertexId count = 0;
-    for (VertexId v = part.begin(p); v < part.end(p); ++v)
-      for (VertexId u : g.in_neighbors(v))
-        if (!seen.get(u)) {
-          seen.set(u);
-          ++count;
-        }
-    sources[p] = count;
-  }
-  return sources;
 }
 
 }  // namespace vebo::order

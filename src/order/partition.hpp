@@ -5,9 +5,14 @@
 // this partitioner produces optimally balanced partitions.
 #pragma once
 
+#include <algorithm>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/permute.hpp"
+#include "support/error.hpp"
 
 namespace vebo::order {
 
@@ -46,17 +51,29 @@ Partitioning partition_by_degrees(const std::vector<EdgeId>& in_degree,
 /// by VEBO, whose phase 3 determines the chunk sizes directly).
 Partitioning partition_from_counts(const std::vector<VertexId>& counts);
 
-/// Per-partition in-edge counts under a partitioning.
-std::vector<EdgeId> edges_per_partition(const Graph& g,
-                                        const Partitioning& part);
+/// Phase 3 of Algorithm 2: partition p's vertices (assign[v] == p) take
+/// the ids of chunk p in the order `visit` hands them over. `visit(place)`
+/// must call place(v) once for every vertex; every chunk must fill exactly.
+template <typename Visit>
+Permutation number_by_partition(const Partitioning& part,
+                                std::span<const VertexId> assign,
+                                Visit&& visit) {
+  std::vector<VertexId> cursor(part.boundaries.begin(),
+                               part.boundaries.end() - 1);
+  Permutation perm(assign.size(), kInvalidVertex);
+  visit([&](VertexId v) { perm[v] = cursor[assign[v]]++; });
+  for (VertexId p = 0; p < part.num_partitions(); ++p)
+    VEBO_ASSERT(cursor[p] == part.end(p));
+  return perm;
+}
 
-/// Per-partition count of destination vertices with at least one in-edge
-/// ("unique destinations" in the paper's Figure 1).
-std::vector<VertexId> destinations_per_partition(const Graph& g,
-                                                 const Partitioning& part);
-
-/// Per-partition count of distinct source vertices feeding the partition.
-std::vector<VertexId> sources_per_partition(const Graph& g,
-                                            const Partitioning& part);
+/// Δ or δ of per-partition loads: max - min, 0 when there are no
+/// partitions.
+template <std::ranges::contiguous_range Loads>
+std::ranges::range_value_t<Loads> imbalance(const Loads& loads) {
+  if (std::ranges::empty(loads)) return 0;
+  const auto [lo, hi] = std::ranges::minmax_element(loads);
+  return *hi - *lo;
+}
 
 }  // namespace vebo::order

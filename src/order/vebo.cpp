@@ -8,18 +8,59 @@
 
 namespace vebo::order {
 
-EdgeId VeboResult::edge_imbalance() const {
-  if (part_edges.empty()) return 0;
-  const auto [lo, hi] =
-      std::minmax_element(part_edges.begin(), part_edges.end());
-  return *hi - *lo;
+namespace {
+
+// Phases 1-2 of Algorithm 2, from the loads `w` (in-edges) and `u`
+// (vertices) already on the partitions. `queue` lists the vertices to
+// place, non-zero degrees first by decreasing degree: each of those goes
+// to the partition with the fewest in-edges, each zero-degree vertex after
+// them to the partition with the fewest vertices (ties -> lowest partition
+// id).
+void place(std::span<const VertexId> queue,
+           const std::vector<EdgeId>& in_degree, std::vector<VertexId>& assign,
+           std::vector<EdgeId>& w, std::vector<VertexId>& u) {
+  const VertexId P = static_cast<VertexId>(w.size());
+  IndexedMinHeap<4> heap(P);
+  for (VertexId p = 0; p < P; ++p) heap.update(p, w[p]);
+  std::size_t t = 0;
+  for (; t < queue.size() && in_degree[queue[t]] > 0; ++t) {
+    const VertexId v = queue[t];
+    const auto p = heap.top();
+    assign[v] = static_cast<VertexId>(p);
+    heap.increase(p, in_degree[v]);
+    w[p] += in_degree[v];
+    ++u[p];
+  }
+  for (VertexId p = 0; p < P; ++p) heap.update(p, u[p]);
+  for (; t < queue.size(); ++t) {
+    const VertexId v = queue[t];
+    const auto p = heap.top();
+    assign[v] = static_cast<VertexId>(p);
+    heap.increase(p, 1);
+    ++u[p];
+  }
 }
 
+// Phase 3 plus the loads: `visit` hands every vertex over in the order it
+// takes the next id of its partition's chunk.
+template <typename Visit>
+VeboResult make_result(std::span<const VertexId> assign,
+                       std::vector<EdgeId> w, std::vector<VertexId> u,
+                       Visit&& visit) {
+  VeboResult res;
+  res.partitioning = partition_from_counts(u);
+  res.perm = number_by_partition(res.partitioning, assign, visit);
+  res.part_edges = std::move(w);
+  res.part_vertices = std::move(u);
+  return res;
+}
+
+}  // namespace
+
+EdgeId VeboResult::edge_imbalance() const { return imbalance(part_edges); }
+
 VertexId VeboResult::vertex_imbalance() const {
-  if (part_vertices.empty()) return 0;
-  const auto [lo, hi] =
-      std::minmax_element(part_vertices.begin(), part_vertices.end());
-  return *hi - *lo;
+  return imbalance(part_vertices);
 }
 
 VeboResult vebo_from_degrees(const std::vector<EdgeId>& in_degree,
@@ -33,42 +74,10 @@ VeboResult vebo_from_degrees(const std::vector<EdgeId>& in_degree,
   // original-id order — the property the blocked variant relies on.
   const std::vector<VertexId> sorted = vertices_by_decreasing_degree(in_degree);
 
-  // m = number of vertices with non-zero degree; they form the prefix of
-  // `sorted`.
-  VertexId m = n;
-  while (m > 0 && in_degree[sorted[m - 1]] == 0) --m;
-
   std::vector<VertexId> assign(n, 0);  // a[v]
   std::vector<EdgeId> w(P, 0);         // edge count per partition
   std::vector<VertexId> u(P, 0);       // vertex count per partition
-
-  // Phase 1: non-zero-degree vertices by decreasing degree onto the
-  // partition with minimum edge weight (ties -> lowest partition id).
-  {
-    IndexedMinHeap<4> heap(P);
-    for (VertexId t = 0; t < m; ++t) {
-      const VertexId v = sorted[t];
-      const auto p = heap.top();
-      assign[v] = static_cast<VertexId>(p);
-      heap.increase(p, in_degree[v]);
-      w[p] += in_degree[v];
-      ++u[p];
-    }
-  }
-
-  // Phase 2: zero-degree vertices onto the partition with minimum vertex
-  // count.
-  {
-    IndexedMinHeap<4> heap(P);
-    for (VertexId p = 0; p < P; ++p) heap.update(p, u[p]);
-    for (VertexId t = m; t < n; ++t) {
-      const VertexId v = sorted[t];
-      const auto p = heap.top();
-      assign[v] = static_cast<VertexId>(p);
-      heap.increase(p, 1);
-      ++u[p];
-    }
-  }
+  place(sorted, in_degree, assign, w, u);
 
   if (opts.blocked) {
     // Locality-preserving adjustment: within each run of equal degree in
@@ -92,21 +101,11 @@ VeboResult vebo_from_degrees(const std::vector<EdgeId>& in_degree,
     }
   }
 
-  // Phase 3: new sequence numbers; partition p occupies
-  // [sum u[0..p-1], sum u[0..p]). Scanning `sorted` in processing order
-  // gives decreasing degree within each partition.
-  VeboResult res;
-  res.part_vertices = u;
-  res.part_edges = w;
-  res.partitioning = partition_from_counts(u);
-  res.perm.assign(n, kInvalidVertex);
-  std::vector<VertexId> cursor(P);
-  for (VertexId p = 0; p < P; ++p) cursor[p] = res.partitioning.begin(p);
-  for (VertexId t = 0; t < n; ++t) {
-    const VertexId v = sorted[t];
-    res.perm[v] = cursor[assign[v]]++;
-  }
-  return res;
+  // Phase 3: partition p occupies [sum u[0..p-1], sum u[0..p]). Numbering
+  // in processing order gives decreasing degree within each partition.
+  return make_result(assign, std::move(w), std::move(u), [&](auto&& number) {
+    for (VertexId v : sorted) number(v);
+  });
 }
 
 VeboResult vebo(const Graph& g, VertexId P, const VeboOptions& opts) {
@@ -117,23 +116,27 @@ Graph vebo_reorder(const Graph& g, VertexId P, const VeboOptions& opts) {
   return permute(g, vebo(g, P, opts).perm);
 }
 
-VeboResult vebo_refine(const std::vector<EdgeId>& old_in_degree,
-                       const std::vector<EdgeId>& in_degree,
+VeboResult vebo_refine(const std::vector<EdgeId>& in_degree,
                        const VeboResult& prev,
                        std::span<const VertexId> dirty) {
   const VertexId old_n = static_cast<VertexId>(prev.perm.size());
   const VertexId n = static_cast<VertexId>(in_degree.size());
   const VertexId P = prev.num_partitions();
   VEBO_CHECK(P >= 1, "vebo_refine: previous result has no partitions");
-  VEBO_CHECK(old_in_degree.size() == prev.perm.size(),
-             "vebo_refine: old degree array size mismatch");
   VEBO_CHECK(n >= old_n, "vebo_refine: vertex set shrank");
 
   // Current partition of every old vertex, derived from the previous
-  // permutation (partitions are contiguous id ranges in the new space).
+  // permutation (partitions are contiguous id ranges in the new space),
+  // and the partition loads under the live degrees.
   std::vector<VertexId> assign(n, kInvalidVertex);
-  for (VertexId v = 0; v < old_n; ++v)
-    assign[v] = prev.partitioning.owner(prev.perm[v]);
+  std::vector<EdgeId> w(P, 0);
+  std::vector<VertexId> u(P, 0);
+  for (VertexId v = 0; v < old_n; ++v) {
+    const VertexId p = prev.partitioning.owner(prev.perm[v]);
+    assign[v] = p;
+    w[p] += in_degree[v];
+    ++u[p];
+  }
 
   // Dirty set = caller's list (deduped) plus all new vertices.
   std::vector<bool> is_dirty(n, false);
@@ -152,12 +155,10 @@ VeboResult vebo_refine(const std::vector<EdgeId>& old_in_degree,
       work.push_back(v);
     }
 
-  // Remove dirty old vertices from their partitions at their *old* weight.
-  std::vector<EdgeId> w = prev.part_edges;
-  std::vector<VertexId> u = prev.part_vertices;
+  // Take the dirty old vertices off their partitions.
   for (VertexId v : work)
     if (v < old_n) {
-      w[assign[v]] -= old_in_degree[v];
+      w[assign[v]] -= in_degree[v];
       --u[assign[v]];
     }
 
@@ -167,31 +168,7 @@ VeboResult vebo_refine(const std::vector<EdgeId>& old_in_degree,
     if (in_degree[a] != in_degree[b]) return in_degree[a] > in_degree[b];
     return a < b;
   });
-  std::size_t nz = work.size();
-  while (nz > 0 && in_degree[work[nz - 1]] == 0) --nz;
-  {
-    IndexedMinHeap<4> heap(P);
-    for (VertexId p = 0; p < P; ++p) heap.update(p, w[p]);
-    for (std::size_t t = 0; t < nz; ++t) {
-      const VertexId v = work[t];
-      const auto p = heap.top();
-      assign[v] = static_cast<VertexId>(p);
-      heap.increase(p, in_degree[v]);
-      w[p] += in_degree[v];
-      ++u[p];
-    }
-  }
-  {
-    IndexedMinHeap<4> heap(P);
-    for (VertexId p = 0; p < P; ++p) heap.update(p, u[p]);
-    for (std::size_t t = nz; t < work.size(); ++t) {
-      const VertexId v = work[t];
-      const auto p = heap.top();
-      assign[v] = static_cast<VertexId>(p);
-      heap.increase(p, 1);
-      ++u[p];
-    }
-  }
+  place(work, in_degree, assign, w, u);
 
   // Vertex-count repair: the edge-weight placement above can leave
   // partitions short on vertices (full VEBO equalizes vertex counts with
@@ -227,48 +204,12 @@ VeboResult vebo_refine(const std::vector<EdgeId>& old_in_degree,
 
   // Renumber: non-dirty vertices keep their previous relative order within
   // each partition; re-placed vertices follow in placement order.
-  VeboResult res;
-  res.part_vertices = u;
-  res.part_edges = w;
-  res.partitioning = partition_from_counts(u);
-  res.perm.assign(n, kInvalidVertex);
-  std::vector<VertexId> cursor(P);
-  for (VertexId p = 0; p < P; ++p) cursor[p] = res.partitioning.begin(p);
-  {
-    // Old vertices in previous position order.
-    std::vector<VertexId> at_pos(old_n, kInvalidVertex);
-    for (VertexId v = 0; v < old_n; ++v) at_pos[prev.perm[v]] = v;
-    for (VertexId pos = 0; pos < old_n; ++pos) {
-      const VertexId v = at_pos[pos];
-      if (v != kInvalidVertex && !is_dirty[v])
-        res.perm[v] = cursor[assign[v]]++;
-    }
-  }
-  for (VertexId v : work) res.perm[v] = cursor[assign[v]]++;
-  for (VertexId p = 0; p < P; ++p)
-    VEBO_ASSERT(cursor[p] == res.partitioning.end(p));
-  return res;
-}
-
-std::vector<PlacementStep> vebo_placement_trace(
-    const std::vector<EdgeId>& in_degree, VertexId P) {
-  VEBO_CHECK(P >= 1, "vebo_placement_trace: P must be >= 1");
-  const std::vector<VertexId> sorted =
-      vertices_by_decreasing_degree(in_degree);
-  std::vector<EdgeId> w(P, 0);
-  IndexedMinHeap<4> heap(P);
-  std::vector<PlacementStep> trace;
-  trace.reserve(sorted.size());
-  for (VertexId v : sorted) {
-    const EdgeId d = in_degree[v];
-    if (d == 0) break;  // phase 1 covers non-zero degrees only
-    const auto p = heap.top();
-    heap.increase(p, d);
-    w[p] += d;
-    const auto [lo, hi] = std::minmax_element(w.begin(), w.end());
-    trace.push_back({d, *hi - *lo, *hi});
-  }
-  return trace;
+  return make_result(assign, std::move(w), std::move(u), [&](auto&& number) {
+    const Permutation at_pos = invert(prev.perm);
+    for (VertexId v : at_pos)
+      if (!is_dirty[v]) number(v);
+    for (VertexId v : work) number(v);
+  });
 }
 
 }  // namespace vebo::order

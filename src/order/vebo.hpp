@@ -57,33 +57,19 @@ VeboResult vebo(const Graph& g, VertexId P, const VeboOptions& opts = {});
 Graph vebo_reorder(const Graph& g, VertexId P, const VeboOptions& opts = {});
 
 /// Incremental refinement of a previous VEBO result after degree drift
-/// (the streaming subsystem's rebalance step). Only the vertices listed in
-/// `dirty` — plus any new vertices beyond `prev.perm.size()` — are
-/// re-placed: each is first removed from its partition (using its degree
-/// in `old_in_degree`, the sequence `prev` was built from), then placed
-/// onto the currently least-loaded partition in decreasing-degree order
-/// (zero-degree vertices onto the fewest-vertices partition, mirroring
-/// phases 1-2 of Algorithm 2). Placement costs O(|dirty| log(|dirty|·P));
-/// the contiguous renumbering is O(n) and keeps every non-dirty vertex in
-/// its previous relative order, so partition-interior locality survives.
-/// Unlike the full run, degrees within a partition are no longer strictly
-/// decreasing — balance bounds are what the refinement maintains.
-VeboResult vebo_refine(const std::vector<EdgeId>& old_in_degree,
-                       const std::vector<EdgeId>& in_degree,
+/// (the streaming subsystem's rebalance step). The partition loads are
+/// recounted from `in_degree`, so they match the graph whatever `dirty`
+/// holds. Only the vertices listed in `dirty` — plus any new vertices
+/// beyond `prev.perm.size()` — are re-placed, by phases 1-2 of Algorithm 2
+/// run from the loads the other vertices leave; zero-degree vertices may
+/// then move to repair vertex counts. Placement costs
+/// O(|dirty| log(|dirty|·P)); the contiguous renumbering is O(n) and keeps
+/// every non-dirty vertex in its previous relative order, so
+/// partition-interior locality survives. Unlike the full run, degrees
+/// within a partition are no longer strictly decreasing — balance bounds
+/// are what the refinement maintains.
+VeboResult vebo_refine(const std::vector<EdgeId>& in_degree,
                        const VeboResult& prev,
                        std::span<const VertexId> dirty);
-
-/// One step of the phase-1 placement trace (used to validate Lemma 1).
-struct PlacementStep {
-  EdgeId degree;         ///< d(t): degree of the vertex placed
-  EdgeId imbalance;      ///< Δ(t+1): edge imbalance after the placement
-  EdgeId max_weight;     ///< ω(t+1)
-};
-
-/// Replays phase 1 of Algorithm 2 recording Δ(t) and ω(t) after every
-/// placement. Lemma 1 asserts: if d(t) <= Δ(t) then Δ(t+1) <= Δ(t) and
-/// ω(t+1) = ω(t); otherwise Δ(t+1) <= d(t) and ω(t+1) > ω(t).
-std::vector<PlacementStep> vebo_placement_trace(
-    const std::vector<EdgeId>& in_degree, VertexId P);
 
 }  // namespace vebo::order

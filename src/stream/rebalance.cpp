@@ -7,6 +7,14 @@
 
 namespace vebo::stream {
 
+namespace {
+
+/// Past this dirty-vertex fraction, skip refinement and re-run full VEBO:
+/// the incremental path no longer saves work.
+constexpr double kFullRebuildFraction = 0.25;
+
+}  // namespace
+
 VeboMaintainer::VeboMaintainer(const DeltaGraph& g, RebalanceOptions opts)
     : opts_(opts) {
   VEBO_CHECK(opts_.partitions >= 1, "rebalance: partitions must be >= 1");
@@ -16,19 +24,12 @@ VeboMaintainer::VeboMaintainer(const DeltaGraph& g, RebalanceOptions opts)
   stats_.full = 0;
 }
 
-metrics::PartitionProfile VeboMaintainer::tracked_profile() const {
-  metrics::PartitionProfile prof;
-  prof.edges = live_edges_;
-  prof.vertices = current_.part_vertices;
-  return prof;
-}
-
 EdgeId VeboMaintainer::edge_imbalance() const {
-  return tracked_profile().edge_imbalance();
+  return order::imbalance(live_edges_);
 }
 
 VertexId VeboMaintainer::vertex_imbalance() const {
-  return tracked_profile().vertex_imbalance();
+  return current_.vertex_imbalance();
 }
 
 EdgeId VeboMaintainer::edge_bound(const DeltaGraph& g) const {
@@ -63,14 +64,12 @@ void VeboMaintainer::observe(const ApplyResult& applied) {
 
 bool VeboMaintainer::drifted(const DeltaGraph& g) const {
   if (g.num_vertices() > current_.perm.size()) return true;
-  const metrics::PartitionProfile prof = tracked_profile();
-  return prof.edge_imbalance() > base_edge_imb_ + edge_bound(g) ||
-         prof.vertex_imbalance() > base_vertex_imb_ + vertex_bound(g);
+  return edge_imbalance() > base_edge_imb_ + edge_bound(g) ||
+         vertex_imbalance() > base_vertex_imb_ + vertex_bound(g);
 }
 
 void VeboMaintainer::adopt(order::VeboResult next, const DeltaGraph& g) {
   current_ = std::move(next);
-  degrees_at_build_ = g.in_degrees();
   live_edges_ = current_.part_edges;
   dirty_.clear();
   dirty_mark_.assign(g.num_vertices(), false);
@@ -81,9 +80,7 @@ void VeboMaintainer::adopt(order::VeboResult next, const DeltaGraph& g) {
 }
 
 void VeboMaintainer::run_full(const DeltaGraph& g) {
-  adopt(order::vebo_from_degrees(g.in_degrees(), opts_.partitions,
-                                 opts_.vebo),
-        g);
+  adopt(order::vebo_from_degrees(g.in_degrees(), opts_.partitions), g);
   ++stats_.full;
 }
 
@@ -104,7 +101,7 @@ RebalanceAction VeboMaintainer::maybe_rebalance(const DeltaGraph& g) {
         n > current_.perm.size() ? n - current_.perm.size() : 0;
     const double dirty_fraction =
         static_cast<double>(dirty_.size() + new_vertices) / n;
-    if (dirty_fraction > opts_.full_rebuild_fraction) {
+    if (dirty_fraction > kFullRebuildFraction) {
       run_full(g);
       return RebalanceAction::Full;
     }
@@ -114,8 +111,8 @@ RebalanceAction VeboMaintainer::maybe_rebalance(const DeltaGraph& g) {
     // whichever is looser. On skewed graphs where a hub makes the absolute
     // bound unattainable, matching the previous baseline is the achievable
     // target; anything worse falls through to the full re-run.
-    order::VeboResult refined = order::vebo_refine(
-        degrees_at_build_, g.in_degrees(), current_, dirty_);
+    order::VeboResult refined =
+        order::vebo_refine(g.in_degrees(), current_, dirty_);
     if (refined.edge_imbalance() <= std::max(edge_bound(g), base_edge_imb_) &&
         refined.vertex_imbalance() <=
             std::max(vertex_bound(g), base_vertex_imb_)) {

@@ -1,16 +1,20 @@
 // VeboMaintainer: keeps a VEBO ordering healthy while the graph mutates.
 //
-// The maintainer tracks per-partition vertex/edge loads against the
-// current `order::Partitioning` as batches change in-degrees (the paper's
-// balance objective is over in-edges of destination partitions). Drift is
-// measured with the same Δ/δ imbalance measures `metrics/balance` reports
-// (a PartitionProfile over the tracked loads), compared against bounds
-// proportional to the per-partition averages. When a bound is exceeded the
-// maintainer first tries `order::vebo_refine` — re-placing only the
-// vertices whose degree actually changed, least-loaded-first — and falls
-// back to a full `order::vebo_from_degrees` re-run when the dirty fraction
-// passes `full_rebuild_fraction` or the refinement cannot restore the
-// bounds.
+// The maintainer tracks per-partition in-edge loads against the current
+// `order::Partitioning` as batches change in-degrees (the paper's balance
+// objective is over in-edges of destination partitions), and measures Δ/δ
+// on them with `order::imbalance`. The rule it applies after each batch:
+//  - Drift: rebalance when new vertices await placement, when Δ exceeds
+//    the Δ the last adopted ordering achieved by more than
+//    max(1, edge_drift·m/P), or when δ exceeds the achieved δ by more than
+//    max(1, vertex_drift·n/P).
+//  - Past a 25% dirty fraction (changed plus new vertices over n), re-run
+//    `order::vebo_from_degrees` in full.
+//  - Otherwise run `order::vebo_refine`, which re-places only the dirty
+//    vertices, and adopt it when its Δ and δ are each within the looser of
+//    the drift bound and the achieved baseline; else re-run in full.
+// A full re-run adopts whatever balance Algorithm 2 achieves, which may
+// exceed the drift bounds (e.g. on a star).
 //
 // Thread-safety annotations (support/annotated_mutex.hpp): none, on
 // purpose — a maintainer is owned by a single StreamSession and inherits
@@ -21,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "metrics/balance.hpp"
 #include "order/vebo.hpp"
 #include "stream/delta_graph.hpp"
 #include "stream/update.hpp"
@@ -39,11 +42,6 @@ struct RebalanceOptions {
   double edge_drift = 0.10;
   /// Same for δ (max-min partition vertices) with `vertex_drift * n / P`.
   double vertex_drift = 0.10;
-  /// Past this dirty-vertex fraction, skip refinement and re-run full
-  /// VEBO — the incremental path no longer saves work.
-  double full_rebuild_fraction = 0.25;
-  /// Options forwarded to full VEBO runs.
-  order::VeboOptions vebo{};
 };
 
 enum class RebalanceAction { None, Incremental, Full };
@@ -90,15 +88,11 @@ class VeboMaintainer {
   const RebalanceStats& stats() const { return stats_; }
 
  private:
-  metrics::PartitionProfile tracked_profile() const;
   void adopt(order::VeboResult next, const DeltaGraph& g);
   void run_full(const DeltaGraph& g);
 
   RebalanceOptions opts_;
   order::VeboResult current_;
-  /// In-degree sequence `current_` was balanced against (old weights for
-  /// vebo_refine's removal step).
-  std::vector<EdgeId> degrees_at_build_;
   /// Live per-partition in-edge loads (part_edges + observed deltas).
   std::vector<EdgeId> live_edges_;
   /// Imbalances achieved by the last adopted (re)balance — the baseline

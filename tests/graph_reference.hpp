@@ -3,8 +3,9 @@
 // Graph::from_edges, permute and DeltaGraph::snapshot) is checked
 // against. It shares no code with the kernel: edges are comparison-sorted
 // and rows are cut from the sorted runs. Also the relabelling oracles the
-// ordering and serving suites check reordered graphs with, and the serial
-// belief-propagation oracle the BP spec is checked against.
+// ordering and serving suites check reordered graphs with, the serial
+// belief-propagation oracle the BP spec is checked against, and Algorithm
+// 2 (VEBO) by definition, which order::vebo is checked against.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -100,6 +102,64 @@ inline std::vector<double> reference_bp(const Graph& g, int iterations,
     }
   }
   return belief;
+}
+
+/// One phase-1 step of Algorithm 2: the degree d(t) placed, then Δ(t+1)
+/// and ω(t+1), the max - min and the max of the partition in-edges.
+struct PhaseOneStep {
+  EdgeId degree;
+  EdgeId imbalance;
+  EdgeId max_weight;
+};
+
+struct ReferenceVebo {
+  Permutation perm;
+  std::vector<EdgeId> part_edges;
+  std::vector<VertexId> part_vertices;
+  std::vector<VertexId> boundaries;  ///< chunk p is [b[p], b[p+1])
+};
+
+/// Algorithm 2 (the exact variant) by definition, serially: vertices
+/// stable-sorted by decreasing degree; each non-zero-degree vertex onto
+/// the partition with the fewest in-edges, each zero-degree one onto the
+/// partition with the fewest vertices, both by a linear argmin scan with
+/// ties to the lowest partition id; then each partition's vertices
+/// numbered contiguously in placement order. `trace`, when given,
+/// receives every phase-1 step.
+inline ReferenceVebo reference_vebo(
+    const std::vector<EdgeId>& deg, VertexId P,
+    std::vector<PhaseOneStep>* trace = nullptr) {
+  const VertexId n = static_cast<VertexId>(deg.size());
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](VertexId a, VertexId b) { return deg[a] > deg[b]; });
+  ReferenceVebo r;
+  r.part_edges.assign(P, 0);
+  r.part_vertices.assign(P, 0);
+  std::vector<VertexId> assign(n);
+  for (VertexId v : order) {
+    VertexId best = 0;
+    for (VertexId p = 1; p < P; ++p)
+      if (deg[v] > 0 ? r.part_edges[p] < r.part_edges[best]
+                     : r.part_vertices[p] < r.part_vertices[best])
+        best = p;
+    assign[v] = best;
+    r.part_edges[best] += deg[v];
+    ++r.part_vertices[best];
+    if (trace != nullptr && deg[v] > 0) {
+      const auto [lo, hi] =
+          std::minmax_element(r.part_edges.begin(), r.part_edges.end());
+      trace->push_back({deg[v], *hi - *lo, *hi});
+    }
+  }
+  r.boundaries.assign(static_cast<std::size_t>(P) + 1, 0);
+  for (VertexId p = 0; p < P; ++p)
+    r.boundaries[p + 1] = r.boundaries[p] + r.part_vertices[p];
+  std::vector<VertexId> next(r.boundaries.begin(), r.boundaries.end() - 1);
+  r.perm.assign(n, 0);
+  for (VertexId v : order) r.perm[v] = next[assign[v]]++;
+  return r;
 }
 
 }  // namespace vebo::oracle

@@ -78,7 +78,7 @@ TEST(Pipeline, VeboThenAlgorithm1RecoversVeboPartitions) {
   const auto r = order::vebo(g, 48);
   const Graph h = permute(g, r.perm);
   const auto part = order::partition_by_destination(h, 48);
-  const auto edges = order::edges_per_partition(h, part);
+  const auto edges = metrics::profile_partitions(h, part).edges;
   const auto intended = r.part_edges;
   // Same total, and per-chunk counts within a small relative band.
   EdgeId total = 0;

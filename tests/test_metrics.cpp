@@ -195,10 +195,12 @@ TEST(Makespan, VeboImprovesStaticMakespanModel) {
     return t;
   };
   const auto orig =
-      order::edges_per_partition(g, order::partition_by_destination(g, P));
+      metrics::profile_partitions(g, order::partition_by_destination(g, P))
+          .edges;
   const Graph h = order::vebo_reorder(g, P);
   const auto veb =
-      order::edges_per_partition(h, order::partition_by_destination(h, P));
+      metrics::profile_partitions(h, order::partition_by_destination(h, P))
+          .edges;
   EXPECT_LE(metrics::makespan_static(to_times(veb), P),
             metrics::makespan_static(to_times(orig), P));
 }

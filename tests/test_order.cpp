@@ -13,6 +13,7 @@
 #include "gen/synthetic.hpp"
 #include "graph/permute.hpp"
 #include "graph_reference.hpp"
+#include "metrics/balance.hpp"
 #include "order/gorder.hpp"
 #include "order/hilbert.hpp"
 #include "order/partition.hpp"
@@ -58,7 +59,7 @@ TEST(Partition, OwnerMatchesBoundaries) {
 TEST(Partition, EdgeCountsSumToTotal) {
   const Graph g = gen::rmat(10, 8, 3);
   const auto part = order::partition_by_destination(g, 12);
-  const auto edges = order::edges_per_partition(g, part);
+  const auto edges = metrics::profile_partitions(g, part).edges;
   EdgeId total = 0;
   for (EdgeId e : edges) total += e;
   EXPECT_EQ(total, g.num_edges());
@@ -68,7 +69,7 @@ TEST(Partition, ApproximatesEdgeBalanceOnUniformDegrees) {
   // On a cycle (all in-degree 1) Algorithm 1 is perfectly balanced.
   const Graph g = gen::cycle(100);
   const auto part = order::partition_by_destination(g, 10);
-  const auto edges = order::edges_per_partition(g, part);
+  const auto edges = metrics::profile_partitions(g, part).edges;
   for (EdgeId e : edges) EXPECT_EQ(e, 10u);
 }
 
@@ -82,13 +83,12 @@ TEST(Partition, FromCounts) {
 TEST(Partition, DestinationAndSourceCounts) {
   const Graph g = gen::figure3_example();
   const auto part = order::partition_from_counts({3, 3});
-  const auto dests = order::destinations_per_partition(g, part);
+  const auto prof = metrics::profile_partitions(g, part);
   // Vertices 0,1,2 all have in-edges; 3,4,5 all have in-edges.
-  EXPECT_EQ(dests[0], 3u);
-  EXPECT_EQ(dests[1], 3u);
-  const auto srcs = order::sources_per_partition(g, part);
-  EXPECT_GT(srcs[0], 0u);
-  EXPECT_GT(srcs[1], 0u);
+  EXPECT_EQ(prof.dests[0], 3u);
+  EXPECT_EQ(prof.dests[1], 3u);
+  EXPECT_GT(prof.sources[0], 0u);
+  EXPECT_GT(prof.sources[1], 0u);
 }
 
 TEST(Partition, RejectsZeroPartitions) {

@@ -380,7 +380,7 @@ TEST(VeboRefine, RePlacesDirtyVerticesWithinBounds) {
     dirty.push_back(v);
   }
   const order::VeboResult refined =
-      order::vebo_refine(deg, drifted, base, dirty);
+      order::vebo_refine(drifted, base, dirty);
 
   ASSERT_TRUE(is_permutation(refined.perm));
   ASSERT_EQ(refined.num_partitions(), P);
@@ -420,7 +420,7 @@ TEST(VeboRefine, PreservesRelativeOrderOfCleanVertices) {
   std::vector<EdgeId> drifted = deg;
   drifted[5] = 9;
   const order::VeboResult refined =
-      order::vebo_refine(deg, drifted, base, std::vector<VertexId>{5});
+      order::vebo_refine(drifted, base, std::vector<VertexId>{5});
   ASSERT_TRUE(is_permutation(refined.perm));
   // Clean vertices sharing a partition keep their previous relative order.
   for (VertexId a = 0; a < deg.size(); ++a)
@@ -443,7 +443,7 @@ TEST(VeboRefine, PlacesNewVertices) {
   const order::VeboResult base = order::vebo_from_degrees(deg, 2);
   std::vector<EdgeId> grown = {3, 2, 2, 1, 4, 0};
   const order::VeboResult refined =
-      order::vebo_refine(deg, grown, base, {});
+      order::vebo_refine(grown, base, {});
   ASSERT_EQ(refined.perm.size(), 6u);
   ASSERT_TRUE(is_permutation(refined.perm));
   EdgeId total = 0;
@@ -452,6 +452,22 @@ TEST(VeboRefine, PlacesNewVertices) {
   VertexId vtotal = 0;
   for (VertexId u : refined.part_vertices) vtotal += u;
   EXPECT_EQ(vtotal, 6u);
+}
+
+TEST(VeboRefine, LoadsMatchTheLiveDegreesWhateverTheDirtyList) {
+  const std::vector<EdgeId> deg = {5, 4, 3, 3, 2, 1, 0, 0, 6, 2};
+  const order::VeboResult base = order::vebo_from_degrees(deg, 2);
+  // Vertex 5 drifts and is listed; vertex 8 drifts and is not.
+  std::vector<EdgeId> live = deg;
+  live[5] = 9;
+  live[8] = 1;
+  const order::VeboResult refined =
+      order::vebo_refine(live, base, std::vector<VertexId>{5});
+  ASSERT_TRUE(is_permutation(refined.perm));
+  std::vector<EdgeId> recount(2, 0);
+  for (VertexId v = 0; v < live.size(); ++v)
+    recount[refined.partitioning.owner(refined.perm[v])] += live[v];
+  EXPECT_EQ(refined.part_edges, recount);
 }
 
 // ------------------------------------------------------- VeboMaintainer
@@ -524,17 +540,19 @@ TEST(Maintainer, HeavyChurnFallsBackToFullRebuild) {
   RebalanceOptions opts;
   opts.partitions = 4;
   opts.edge_drift = 0.001;
-  opts.full_rebuild_fraction = 0.01;  // anything sizable goes full
   VeboMaintainer m(dg, opts);
 
+  // Destinations drawn from half of the 512 vertices: far past the 25%
+  // dirty fraction at which the maintainer skips refinement.
   Xoshiro256 rng(31);
   std::vector<EdgeUpdate> batch;
   for (int i = 0; i < 4000; ++i)
     batch.push_back(EdgeUpdate::insert(
         static_cast<VertexId>(rng.next_below(dg.num_vertices())),
-        static_cast<VertexId>(rng.next_below(64))));
+        static_cast<VertexId>(rng.next_below(256))));
   const ApplyResult r = dg.apply_batch(batch);
   m.observe(r);
+  ASSERT_GT(m.dirty_count(), dg.num_vertices() / 4);
   EXPECT_EQ(m.maybe_rebalance(dg), RebalanceAction::Full);
   EXPECT_EQ(m.dirty_count(), 0u);  // state reset after rebuild
 }

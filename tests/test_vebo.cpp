@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/datasets.hpp"
 #include "gen/erdos.hpp"
@@ -276,12 +278,20 @@ TEST(Vebo, DeterministicAcrossRuns) {
   EXPECT_EQ(vebo(g, 48).perm, vebo(g, 48).perm);
 }
 
+// Phase 1 as the paper states it, replayed by the serial oracle, which
+// VeboOracle pins order::vebo to.
+std::vector<oracle::PhaseOneStep> phase_one_trace(const Graph& g,
+                                                  VertexId P) {
+  std::vector<oracle::PhaseOneStep> trace;
+  oracle::reference_vebo(in_degrees(g), P, &trace);
+  return trace;
+}
+
 TEST(VeboLemma1, TraceSatisfiesBothCases) {
   // Empirical validation of Lemma 1 on a real degree sequence: whenever
   // d(t) <= Delta(t), Delta must not grow and omega must stay put;
   // otherwise Delta(t+1) <= d(t) and omega strictly grows.
-  const Graph g = gen::rmat(11, 8, 21);
-  const auto trace = order::vebo_placement_trace(in_degrees(g), 48);
+  const auto trace = phase_one_trace(gen::rmat(11, 8, 21), 48);
   ASSERT_GT(trace.size(), 100u);
   for (std::size_t t = 1; t < trace.size(); ++t) {
     const auto& prev = trace[t - 1];
@@ -300,16 +310,42 @@ TEST(VeboLemma1, ImbalanceShrinksTowardsTail) {
   // Because degrees are processed in decreasing order, the imbalance at
   // the end of phase 1 is bounded by the last (smallest) degree placed
   // after the final omega increase — for Zipf inputs that is 1.
-  const Graph g = gen::zipf_directed(20000, 77, {.s = 1.0, .ranks = 256});
-  const auto trace = order::vebo_placement_trace(in_degrees(g), 48);
+  const auto trace = phase_one_trace(
+      gen::zipf_directed(20000, 77, {.s = 1.0, .ranks = 256}), 48);
   ASSERT_FALSE(trace.empty());
   EXPECT_LE(trace.back().imbalance, 1u);
 }
 
 TEST(VeboLemma1, SinglePartitionTraceDegenerate) {
-  const Graph g = gen::figure3_example();
-  const auto trace = order::vebo_placement_trace(in_degrees(g), 1);
+  const auto trace = phase_one_trace(gen::figure3_example(), 1);
   for (const auto& step : trace) EXPECT_EQ(step.imbalance, 0u);
+}
+
+TEST(VeboOracle, BothVariantsMatchTheSerialArgminPlacement) {
+  // The exact variant is Algorithm 2 to the byte. The blocked one only
+  // swaps partition labels within runs of equal degree, so its loads and
+  // chunks are the oracle's too.
+  const std::pair<const char*, Graph> graphs[] = {
+      {"rmat", gen::rmat(11, 8, 21)},
+      {"zipf", gen::zipf_directed(20000, 77, {.s = 1.0, .ranks = 256})},
+      {"road", gen::road_grid(40, 40, 3)},
+      {"figure3", gen::figure3_example()},
+  };
+  for (const auto& [name, g] : graphs)
+    for (VertexId P : {1u, 4u, 48u, 384u}) {
+      if (P > g.num_vertices()) continue;
+      SCOPED_TRACE(std::string(name) + " P=" + std::to_string(P));
+      const oracle::ReferenceVebo ref =
+          oracle::reference_vebo(in_degrees(g), P);
+      const VeboResult exact = vebo(g, P, {.blocked = false});
+      EXPECT_EQ(exact.perm, ref.perm);
+      const VeboResult blocked = vebo(g, P, {.blocked = true});
+      for (const VeboResult* r : {&exact, &blocked}) {
+        EXPECT_EQ(r->part_edges, ref.part_edges);
+        EXPECT_EQ(r->part_vertices, ref.part_vertices);
+        EXPECT_EQ(r->partitioning.boundaries, ref.boundaries);
+      }
+    }
 }
 
 TEST(Vebo, Idempotent) {
