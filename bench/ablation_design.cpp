@@ -103,7 +103,7 @@ int main() {
     Engine eng(g, SystemModel::Ligra, {.dense_denominator = denom});
     algo::QueryPayload levels;
     const double ms =
-        bench::time_median([&] { levels = bfs.invoke(eng, from); }, 3) * 1e3;
+        bench::sample_ms([&] { levels = bfs.invoke(eng, from); }, 3).median;
     // BFS runs one round per level, plus the last one, which finds no
     // new vertex: rounds = deepest level + 1.
     VertexId deepest = 0;

@@ -82,8 +82,10 @@ int main() {
       const double mk =
           metrics::makespan_static(times, bench::kPaperThreads);
       const algo::QueryParams five = algo::QueryParams().set("iterations", 5);
-      const double pr_s = bench::time_median(
-          [&] { algo::spec("PR").invoke(eng, five); }, 3);
+      const double pr_s =
+          bench::sample_ms([&] { algo::spec("PR").invoke(eng, five); }, 3)
+              .median /
+          1e3;
       t.add_row({o.name, Table::num(order_ms, 1),
                  Table::num(std::size_t{prof.edge_imbalance()}),
                  Table::num(std::size_t{prof.vertex_imbalance()}),

@@ -4,10 +4,14 @@
 #pragma once
 
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gen/datasets.hpp"
@@ -16,7 +20,9 @@
 #include "order/rcm.hpp"
 #include "order/sort_order.hpp"
 #include "order/vebo.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/error.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
@@ -63,44 +69,171 @@ inline Permutation compute_ordering(const std::string& name, const Graph& g,
   throw Error("unknown ordering: " + name);
 }
 
-/// A graph together with all reordered variants (computed once).
-struct OrderedGraphSet {
-  std::string dataset;
-  Graph original;
-  std::map<std::string, Graph> by_order;       ///< ordering -> graph
-  std::map<std::string, double> order_seconds; ///< reordering cost
-};
-
-inline OrderedGraphSet build_ordered_set(
-    const std::string& dataset, double scale,
-    const std::vector<std::string>& orderings = ordering_names()) {
-  OrderedGraphSet set;
-  set.dataset = dataset;
-  set.original = gen::make_dataset(dataset, scale, /*seed=*/42);
-  for (const auto& name : orderings) {
-    Timer t;
-    const Permutation perm = compute_ordering(name, set.original);
-    const double dt = t.elapsed();
-    set.order_seconds[name] = dt;
-    set.by_order.emplace(name,
-                         name == "Orig."
-                             ? Graph::from_edges(set.original.coo())
-                             : permute(set.original, perm));
-  }
-  return set;
+/// g's edges in out-CSR order: by source, then by target.
+inline std::vector<Edge> edges_of(const Graph& g) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
+  g.for_each_edge([&](VertexId u, VertexId v) { edges.push_back({u, v}); });
+  return edges;
 }
 
-/// Times `fn()` and returns seconds (median of `repeats` runs).
-inline double time_median(const std::function<void()>& fn, int repeats = 3) {
-  std::vector<double> times;
-  for (int r = 0; r < repeats; ++r) {
+/// Runs `fn` `reps` times and summarizes its wall time in milliseconds.
+inline Summary sample_ms(const std::function<void()>& fn, int reps) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
     Timer t;
     fn();
-    times.push_back(t.elapsed());
+    ms.push_back(t.elapsed_ms());
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return summarize(ms);
 }
+
+/// num / den, or 0 when den is not positive.
+inline double ratio(double num, double den) { return den > 0 ? num / den : 0; }
+
+/// Writes `text` to `path`, replacing the file.
+inline void write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  f << text;
+  f.close();
+  if (!f) throw Error("cannot write " + path);
+}
+
+/// One JSON object of a bench record, fields in insertion order. A
+/// measured value is a Summary, written as {median, min, max, n}; a
+/// count, a label or a ratio of medians is a plain scalar.
+class Fields {
+ public:
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Fields& set(const std::string& key, T v) {
+    std::ostringstream os;
+    if constexpr (std::is_same_v<T, bool>)
+      os << (v ? "true" : "false");
+    else
+      os << v;
+    return add(key, os.str());
+  }
+  Fields& set(const std::string& key, const std::string& label) {
+    return add(key, "\"" + label + "\"");
+  }
+  Fields& set(const std::string& key, const Summary& s) {
+    return set(key, Fields()
+                        .set("median", s.median)
+                        .set("min", s.min)
+                        .set("max", s.max)
+                        .set("n", s.count));
+  }
+  Fields& set(const std::string& key, const Fields& object) {
+    return add(key, object.text());
+  }
+  /// A list, one element per line.
+  Fields& set(const std::string& key, const std::vector<Fields>& list) {
+    std::string t = "[";
+    for (std::size_t i = 0; i < list.size(); ++i)
+      t += "\n  " + indented(list[i].text()) +
+           (i + 1 < list.size() ? "," : "");
+    return add(key, t + (list.empty() ? "]" : "\n]"));
+  }
+
+  /// The object on one line, except that each list element takes a line.
+  std::string text() const {
+    std::string t = "{";
+    for (const auto& [key, value] : fields_)
+      t += (t.size() > 1 ? ", \"" : "\"") + key + "\": " + value;
+    return t + "}";
+  }
+
+ protected:
+  /// `t` with every line after the first indented two more spaces.
+  static std::string indented(const std::string& t) {
+    std::string out;
+    for (char c : t)
+      out += c == '\n' ? std::string("\n  ") : std::string(1, c);
+    return out;
+  }
+
+  std::vector<std::pair<std::string, std::string>> fields_;  ///< key, JSON
+
+ private:
+  Fields& add(const std::string& key, std::string json) {
+    fields_.emplace_back(key, std::move(json));
+    return *this;
+  }
+};
+
+/// A bench's committed record, BENCH_<name>.json in the working
+/// directory, and its one writer. The bench reads its env knobs through
+/// knob(), so the settings block holds every knob's resolved value plus
+/// the global pool's width. lock_settings() closes that block before
+/// anything is timed: if the file exists and its settings line differs
+/// from this run's, or it has none, the bench prints both lines and exits
+/// 2, leaving the file as it is. To smoke-run, run from another
+/// directory; to re-record at new settings, delete the file.
+class Record : public Fields {
+ public:
+  explicit Record(const std::string& name)
+      : name_(name), path_("BENCH_" + name + ".json") {}
+
+  /// Reads an env knob (see env_knob) into the settings block.
+  template <typename T>
+  T knob(const char* env, T def) {
+    VEBO_CHECK(!locked_, "bench::Record: knob read after lock_settings()");
+    const T v = env_knob(env, def);
+    settings_.set(env, v);
+    return v;
+  }
+
+  /// Closes the settings block; exits 2 when the existing file was
+  /// recorded at other settings.
+  void lock_settings() {
+    settings_.set("threads", ThreadPool::global_threads());
+    locked_ = true;
+    std::ifstream in(path_);
+    if (!in) return;
+    const std::string mine = "  " + settings_line() + ",";
+    std::string line, recorded = "(no settings block)";
+    while (std::getline(in, line))
+      if (line.starts_with("  \"settings\": ")) {
+        recorded = line;
+        break;
+      }
+    if (recorded == mine) return;
+    std::cerr << path_
+              << " was recorded at other settings; it is left as it is.\n"
+              << "  recorded: " << recorded << "\n"
+              << "  this run: " << mine << "\n"
+              << "Run from another directory to smoke-run, or delete "
+              << path_ << " to re-record." << std::endl;
+    std::exit(2);
+  }
+
+  /// The record's one headline, written last.
+  void op_point(const Fields& headline) { op_point_ = headline; }
+
+  void write() const {
+    VEBO_CHECK(locked_ && op_point_.has_value(),
+               "bench::Record: write() needs lock_settings() and an op_point");
+    std::string t =
+        "{\n  \"bench\": \"" + name_ + "\",\n  " + settings_line();
+    for (const auto& [key, value] : fields_)
+      t += ",\n  \"" + key + "\": " + indented(value);
+    t += ",\n  \"op_point\": " + op_point_->text() + "\n}\n";
+    write_file(path_, t);
+    std::cout << "Wrote " << path_ << ", op_point " << op_point_->text()
+              << std::endl;
+  }
+
+ private:
+  std::string settings_line() const {
+    return "\"settings\": " + settings_.text();
+  }
+
+  std::string name_, path_;
+  Fields settings_;
+  bool locked_ = false;
+  std::optional<Fields> op_point_;
+};
 
 inline void print_header(const std::string& what) {
   std::cout << "\n################################################\n"

@@ -18,14 +18,13 @@
 //   * through edge_fold,
 // plus a per-cost breakdown at the complete-frontier point and the
 // end-to-end PageRank iteration time old vs new. Results land in
-// BENCH_dense.json; the headline acceptance point is the complete-
-// frontier PageRank-style iteration, old probing/atomic pull vs the
-// probe-free fold kernel.
+// BENCH_dense.json (bench::Record); the headline acceptance point is the
+// complete-frontier PageRank-style iteration, old probing/atomic pull vs
+// the probe-free fold kernel.
 //
 // Knobs: VEBO_DENSE_SCALE (log2 vertices, default 20; CI smoke uses 14),
-// VEBO_DENSE_REPS (median-of reps, default 5).
+// VEBO_DENSE_REPS (timed reps per value, default 5).
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -118,29 +117,11 @@ void pagerank_iteration_seed(const Engine& eng, const std::vector<double>& contr
       eng.vertex_loop());
 }
 
-struct DensityPoint {
-  double density = 0;
-  VertexId frontier_size = 0;
-  double seed_ms = 0;      // probing/atomic pull replica
-  double new_out_ms = 0;   // edge_map pull, striped output
-  double new_fold_ms = 0;  // edge_fold: no output, register accumulation
-  double speedup_out = 0, speedup_fold = 0;
-};
-
-struct GraphReport {
-  std::string name;
-  VertexId n = 0;
-  EdgeId m = 0;
-  std::vector<DensityPoint> points;
-};
-
-GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
+/// Times the dense paths on `g` at each frontier density.
+bench::Fields run_graph(const std::string& name, const Graph& g, int reps) {
   const VertexId n = g.num_vertices();
   Engine eng(g, SystemModel::Ligra);
-  GraphReport rep;
-  rep.name = name;
-  rep.n = n;
-  rep.m = g.num_edges();
+  std::vector<bench::Fields> points;
 
   std::vector<double> contrib(n), acc(n, 0.0);
   std::vector<std::uint8_t> seen(n, 0);
@@ -165,23 +146,20 @@ GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
     }();
     base.to_dense();
 
-    DensityPoint p;
-    p.density = d;
-    p.frontier_size = base.size();
     PrStyleFunctor f{contrib.data(), acc.data(), seen.data()};
 
-    p.seed_ms = 1e3 * bench::time_median([&] {
+    const Summary seed_ms = bench::sample_ms([&] {
       reset();
       VertexSubset frontier = base;
       edge_map_pull_seed(eng, frontier, f);
     }, reps);
-    p.new_out_ms = 1e3 * bench::time_median([&] {
+    const Summary new_out_ms = bench::sample_ms([&] {
       reset();
       VertexSubset frontier = base;
       edge_map(eng, frontier, f,
                {.direction = Direction::Pull, .early_exit = false});
     }, reps);
-    p.new_fold_ms = 1e3 * bench::time_median([&] {
+    const Summary new_fold_ms = bench::sample_ms([&] {
       // What PageRank-delta's dense round actually runs now: no output,
       // register accumulation, probe-free when the frontier is complete.
       VertexSubset frontier = base;
@@ -190,23 +168,38 @@ GraphReport run_graph(const std::string& name, const Graph& g, int reps) {
           [&](VertexId u, VertexId) { return contrib[u]; },
           [&](VertexId v, double a) { acc[v] = a; });
     }, reps);
-    p.speedup_out = p.new_out_ms > 0 ? p.seed_ms / p.new_out_ms : 0;
-    p.speedup_fold = p.new_fold_ms > 0 ? p.seed_ms / p.new_fold_ms : 0;
-    rep.points.push_back(p);
-    std::cout << name << " density=" << d << " frontier=" << p.frontier_size
-              << "  seed=" << p.seed_ms << "ms new(out)=" << p.new_out_ms
-              << "ms new(fold)=" << p.new_fold_ms << "ms  speedup "
-              << p.speedup_out << "x / " << p.speedup_fold << "x"
-              << std::endl;
+    const double speedup_out =
+        bench::ratio(seed_ms.median, new_out_ms.median);
+    const double speedup_fold =
+        bench::ratio(seed_ms.median, new_fold_ms.median);
+    points.push_back(bench::Fields()
+                         .set("density", d)
+                         .set("frontier", base.size())
+                         .set("seed_ms", seed_ms)
+                         .set("new_out_ms", new_out_ms)
+                         .set("new_fold_ms", new_fold_ms)
+                         .set("speedup_out", speedup_out)
+                         .set("speedup_fold", speedup_fold));
+    std::cout << name << " density=" << d << " frontier=" << base.size()
+              << "  seed=" << seed_ms.median
+              << "ms new(out)=" << new_out_ms.median
+              << "ms new(fold)=" << new_fold_ms.median << "ms  speedup "
+              << speedup_out << "x / " << speedup_fold << "x" << std::endl;
   }
-  return rep;
+  return bench::Fields()
+      .set("graph", name)
+      .set("n", n)
+      .set("m", g.num_edges())
+      .set("points", points);
 }
 
 }  // namespace
 
 int main() {
-  const int scale = bench::env_knob("VEBO_DENSE_SCALE", 20);
-  const int reps = bench::env_knob("VEBO_DENSE_REPS", 5);
+  bench::Record rec("dense");
+  const int scale = rec.knob("VEBO_DENSE_SCALE", 20);
+  const int reps = rec.knob("VEBO_DENSE_REPS", 5);
+  rec.lock_settings();
   const EdgeId edge_factor = 8;
 
   std::cout << "Building graphs, scale=" << scale << " ..." << std::endl;
@@ -220,9 +213,8 @@ int main() {
   std::cout << rmat.describe("rmat") << "\n"
             << pl.describe("powerlaw") << std::endl;
 
-  std::vector<GraphReport> reports;
-  reports.push_back(run_graph("rmat", rmat, reps));
-  reports.push_back(run_graph("powerlaw", pl, reps));
+  rec.set("graphs", std::vector{run_graph("rmat", rmat, reps),
+                                run_graph("powerlaw", pl, reps)});
 
   // ---- per-cost breakdown at the complete-frontier point (rmat).
   // Each step removes one cost: probe, atomic output, output entirely.
@@ -242,14 +234,14 @@ int main() {
   all.to_dense();
   const DynamicBitset& fbits = all.bits();
 
-  const double flag_seed_ms = 1e3 * bench::time_median([&] {
+  const Summary flag_seed_ms = bench::sample_ms([&] {
     reset();
     VertexSubset frontier = all;
     edge_map_pull_seed(eng, frontier, f);
   }, reps);
   // Probing kernel, striped (non-atomic) output, edge-balanced chunks:
   // isolates scheduling + stripe wins from the probe win.
-  const double flag_probe_stripe_ms = 1e3 * bench::time_median([&] {
+  const Summary flag_probe_stripe_ms = bench::sample_ms([&] {
     reset();
     DynamicBitset next(n);
     const BitsetProbe probe{fbits};
@@ -259,79 +251,63 @@ int main() {
     });
     VertexSubset::from_bitset(std::move(next), eng.vertex_loop());
   }, reps);
-  const double flag_complete_stripe_ms = 1e3 * bench::time_median([&] {
+  const Summary flag_complete_stripe_ms = bench::sample_ms([&] {
     reset();
     VertexSubset frontier = all;
     edge_map(eng, frontier, f,
              {.direction = Direction::Pull, .early_exit = false});
   }, reps);
-  const double flag_complete_fold_ms = 1e3 * bench::time_median([&] {
+  const Summary flag_complete_fold_ms = bench::sample_ms([&] {
     VertexSubset frontier = all;
     edge_fold<double>(
         eng, frontier, [&](VertexId u, VertexId) { return contrib[u]; },
         [&](VertexId v, double a) { acc[v] = a; });
   }, reps);
-  std::cout << "flags (rmat, complete): seed=" << flag_seed_ms
-            << "ms probe+stripe=" << flag_probe_stripe_ms
-            << "ms complete+stripe=" << flag_complete_stripe_ms
-            << "ms complete+fold=" << flag_complete_fold_ms << "ms"
+  std::cout << "flags (rmat, complete): seed=" << flag_seed_ms.median
+            << "ms probe+stripe=" << flag_probe_stripe_ms.median
+            << "ms complete+stripe=" << flag_complete_stripe_ms.median
+            << "ms complete+fold=" << flag_complete_fold_ms.median << "ms"
             << std::endl;
+  rec.set("flag_breakdown", bench::Fields()
+                                .set("graph", "rmat")
+                                .set("density", 1.0)
+                                .set("seed_ms", flag_seed_ms)
+                                .set("probe_stripe_ms", flag_probe_stripe_ms)
+                                .set("complete_stripe_ms",
+                                     flag_complete_stripe_ms)
+                                .set("complete_fold_ms",
+                                     flag_complete_fold_ms));
 
   // ---- end-to-end PageRank iteration, old hand loop vs edge_fold.
   std::vector<double> next(n, 0.0);
   const double base = 0.15 / static_cast<double>(n);
-  const double pr_seed_ms = 1e3 * bench::time_median([&] {
+  const Summary pr_seed_ms = bench::sample_ms([&] {
     pagerank_iteration_seed(eng, contrib, next, base, 0.85);
   }, reps);
-  const double pr_new_ms = 1e3 * bench::time_median([&] {
+  const Summary pr_new_ms = bench::sample_ms([&] {
     edge_fold<double>(
         eng, [&](VertexId u, VertexId) { return contrib[u]; },
         [&](VertexId v, double a) { next[v] = base + 0.85 * a; });
   }, reps);
-  std::cout << "pagerank iteration: seed=" << pr_seed_ms
-            << "ms new=" << pr_new_ms << "ms" << std::endl;
+  std::cout << "pagerank iteration: seed=" << pr_seed_ms.median
+            << "ms new=" << pr_new_ms.median << "ms" << std::endl;
+  rec.set("pagerank_iteration",
+          bench::Fields()
+              .set("seed_ms", pr_seed_ms)
+              .set("new_ms", pr_new_ms)
+              .set("speedup", bench::ratio(pr_seed_ms.median,
+                                           pr_new_ms.median)));
 
   // Headline acceptance point: complete-frontier PageRank-style dense
   // iteration, probing/atomic pull vs the probe-free fold kernel (what
   // the PageRank-family dense rounds run now).
-  const double op_speedup =
-      flag_complete_fold_ms > 0 ? flag_seed_ms / flag_complete_fold_ms : 0;
-
-  std::ofstream json("BENCH_dense.json");
-  json << "{\n  \"bench\": \"dense_path\",\n"
-       << "  \"threads\": " << ThreadPool::global_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n  \"graphs\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const GraphReport& r = reports[i];
-    json << "    {\"graph\": \"" << r.name << "\", \"n\": " << r.n
-         << ", \"m\": " << r.m << ", \"points\": [\n";
-    for (std::size_t j = 0; j < r.points.size(); ++j) {
-      const DensityPoint& p = r.points[j];
-      json << "      {\"density\": " << p.density
-           << ", \"frontier\": " << p.frontier_size
-           << ", \"seed_ms\": " << p.seed_ms
-           << ", \"new_out_ms\": " << p.new_out_ms
-           << ", \"new_fold_ms\": " << p.new_fold_ms
-           << ", \"speedup_out\": " << p.speedup_out
-           << ", \"speedup_fold\": " << p.speedup_fold << "}"
-           << (j + 1 < r.points.size() ? "," : "") << "\n";
-    }
-    json << "    ]}" << (i + 1 < reports.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"flag_breakdown\": {\"graph\": \"rmat\", "
-       << "\"density\": 1.0, \"seed_ms\": " << flag_seed_ms
-       << ", \"probe_stripe_ms\": " << flag_probe_stripe_ms
-       << ", \"complete_stripe_ms\": " << flag_complete_stripe_ms
-       << ", \"complete_fold_ms\": " << flag_complete_fold_ms << "},\n"
-       << "  \"pagerank_iteration\": {\"seed_ms\": " << pr_seed_ms
-       << ", \"new_ms\": " << pr_new_ms << ", \"speedup\": "
-       << (pr_new_ms > 0 ? pr_seed_ms / pr_new_ms : 0) << "},\n"
-       << "  \"op_point\": {\"graph\": \"rmat\", \"density\": 1.0"
-       << ", \"seed_ms\": " << flag_seed_ms
-       << ", \"new_ms\": " << flag_complete_fold_ms
-       << ", \"speedup\": " << op_speedup << "}\n}\n";
-  json.close();
-  std::cout << "Wrote BENCH_dense.json (op-point speedup " << op_speedup
-            << "x)" << std::endl;
+  rec.op_point(bench::Fields()
+                   .set("graph", "rmat")
+                   .set("density", 1.0)
+                   .set("seed_ms", flag_seed_ms)
+                   .set("new_ms", flag_complete_fold_ms)
+                   .set("speedup", bench::ratio(flag_seed_ms.median,
+                                                flag_complete_fold_ms.median)));
+  rec.write();
   return 0;
 }

@@ -30,16 +30,15 @@ std::vector<Variant> make_variants(const Graph& g) {
   std::vector<Variant> out;
   const VertexId P = bench::kPaperPartitions;
 
-  out.push_back({"Original", Graph::from_edges(g.coo()),
-                 order::partition_by_destination(g, P), false});
+  out.push_back({"Original", g, order::partition_by_destination(g, P), false});
 
   const auto rv = order::vebo(g, P);
   out.push_back({"VEBO", permute(g, rv.perm), rv.partitioning, true});
 
   const Permutation rnd = order::random_order(g.num_vertices(), 7);
   const Graph grnd = permute(g, rnd);
-  out.push_back({"Random", Graph::from_edges(grnd.coo()),
-                 order::partition_by_destination(grnd, P), false});
+  out.push_back(
+      {"Random", grnd, order::partition_by_destination(grnd, P), false});
 
   const auto rrv = order::vebo(grnd, P);
   out.push_back({"Random+VEBO", permute(grnd, rrv.perm), rrv.partitioning,
@@ -61,7 +60,7 @@ int main() {
     t.set_header({"Algo", "Original", "VEBO", "Random", "Random+VEBO"});
     for (const char* code : {"PRD", "PR", "CC", "BFS"}) {
       const auto& a = algo::spec(code);
-      std::map<std::string, double> secs;
+      std::map<std::string, double> ms;
       for (auto& v : variants) {
         EngineOptions opts;
         if (v.explicit_part)
@@ -69,14 +68,14 @@ int main() {
         else
           opts.partitions = bench::kPaperPartitions;
         Engine eng(v.graph, SystemModel::GraphGrind, opts);
-        secs[v.name] =
-            bench::time_median([&] { a.checksum(a.invoke(eng)); }, 3);
+        ms[v.name] =
+            bench::sample_ms([&] { a.checksum(a.invoke(eng)); }, 3).median;
       }
-      const double base = secs["Original"];
+      const double base = ms["Original"];
       t.add_row({code, "1.000",
-                 Table::num(base / secs["VEBO"], 3),
-                 Table::num(base / secs["Random"], 3),
-                 Table::num(base / secs["Random+VEBO"], 3)});
+                 Table::num(base / ms["VEBO"], 3),
+                 Table::num(base / ms["Random"], 3),
+                 Table::num(base / ms["Random+VEBO"], 3)});
     }
     t.print(std::cout);
 

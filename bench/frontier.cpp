@@ -8,13 +8,13 @@
 //   * the new scan-compacted edge_map (forced Push), and
 //   * a faithful replica of the seed's push path (parallel push into an
 //     atomic bitset, then a serial 0..n scan + sort-based from_sparse),
-// and record both plus their ratio in BENCH_frontier.json. The headline
-// acceptance point is a ~1k-vertex frontier on a 2^20-vertex graph.
+// and record both plus the ratio of their medians in BENCH_frontier.json
+// (bench::Record). The headline acceptance point is a ~1k-vertex frontier
+// on a 2^20-vertex graph.
 //
 // Knobs: VEBO_FRONTIER_SCALE (log2 vertices, default 20; CI smoke uses
-// 14), VEBO_FRONTIER_REPS (median-of reps, default 5).
+// 14), VEBO_FRONTIER_REPS (timed reps per value, default 5).
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -62,19 +62,13 @@ VertexSubset edge_map_push_seed(const Engine& eng, VertexSubset& frontier,
   return VertexSubset::from_sparse(n, std::move(out));
 }
 
-struct Point {
-  std::size_t frontier_size = 0;
-  EdgeId frontier_edges = 0;
-  VertexId out_size = 0;
-  double new_ms = 0, seed_ms = 0, speedup = 0;
-  double to_dense_ms = 0, to_sparse_ms = 0;
-};
-
 }  // namespace
 
 int main() {
-  const int scale = bench::env_knob("VEBO_FRONTIER_SCALE", 20);
-  const int reps = bench::env_knob("VEBO_FRONTIER_REPS", 5);
+  bench::Record rec("frontier");
+  const int scale = rec.knob("VEBO_FRONTIER_SCALE", 20);
+  const int reps = rec.knob("VEBO_FRONTIER_REPS", 5);
+  rec.lock_settings();
   const EdgeId edge_factor = 8;
 
   std::cout << "Building rmat graph, scale=" << scale << " ..." << std::endl;
@@ -89,7 +83,7 @@ int main() {
     return 1;
   }
   Xoshiro256 rng(7);
-  std::vector<Point> points;
+  std::vector<bench::Fields> points;
   for (std::size_t fsz = 256; fsz <= static_cast<std::size_t>(n) / 8;
        fsz *= 4) {
     // Random frontier of ~fsz distinct vertices.
@@ -99,27 +93,25 @@ int main() {
       ids.push_back(static_cast<VertexId>(rng.next_below(n)));
     VertexSubset base = VertexSubset::from_sparse(n, std::move(ids));
 
-    Point p;
-    p.frontier_size = base.size();
-    p.frontier_edges = base.out_edges(g);
+    const EdgeId frontier_edges = base.out_edges(g);
+    VertexId out_size = 0;
     TouchFunctor f;
-
-    p.new_ms = 1e3 * bench::time_median([&] {
+    const Summary new_ms = bench::sample_ms([&] {
       VertexSubset frontier = base;  // copy: edge_map may convert in place
       VertexSubset out =
           edge_map(eng, frontier, f, {.direction = Direction::Push});
-      p.out_size = out.size();
+      out_size = out.size();
     }, reps);
-    p.seed_ms = 1e3 * bench::time_median([&] {
+    const Summary seed_ms = bench::sample_ms([&] {
       VertexSubset frontier = base;
       VertexSubset out = edge_map_push_seed(eng, frontier, f);
-      p.out_size = out.size();
+      out_size = out.size();
     }, reps);
-    p.speedup = p.new_ms > 0 ? p.seed_ms / p.new_ms : 0.0;
+    const double speedup = bench::ratio(seed_ms.median, new_ms.median);
 
     // Representation-conversion cost in isolation (fresh subsets each
     // rep so the dual-representation cache cannot short-circuit).
-    p.to_dense_ms = 1e3 * bench::time_median([&] {
+    const Summary to_dense_ms = bench::sample_ms([&] {
       VertexSubset s =
           VertexSubset::from_packed(n,
                                     {base.vertices().begin(),
@@ -129,41 +121,30 @@ int main() {
     }, reps);
     VertexSubset dense = base;
     dense.to_dense();
-    p.to_sparse_ms = 1e3 * bench::time_median([&] {
+    const Summary to_sparse_ms = bench::sample_ms([&] {
       VertexSubset s = VertexSubset::from_bitset(dense.bits());
       s.to_sparse();
     }, reps);
 
-    points.push_back(p);
-    std::cout << "frontier=" << p.frontier_size
-              << " edges=" << p.frontier_edges << " out=" << p.out_size
-              << "  new=" << p.new_ms << "ms seed=" << p.seed_ms
-              << "ms speedup=" << p.speedup << "x" << std::endl;
+    points.push_back(bench::Fields()
+                         .set("frontier", base.size())
+                         .set("frontier_edges", frontier_edges)
+                         .set("out", out_size)
+                         .set("new_ms", new_ms)
+                         .set("seed_ms", seed_ms)
+                         .set("speedup", speedup)
+                         .set("to_dense_ms", to_dense_ms)
+                         .set("to_sparse_ms", to_sparse_ms));
+    std::cout << "frontier=" << base.size()
+              << " edges=" << frontier_edges << " out=" << out_size
+              << "  new=" << new_ms.median << "ms seed=" << seed_ms.median
+              << "ms speedup=" << speedup << "x" << std::endl;
   }
 
-  std::ofstream json("BENCH_frontier.json");
-  json << "{\n  \"bench\": \"frontier_pipeline\",\n"
-       << "  \"graph\": \"rmat\",\n"
-       << "  \"n\": " << n << ",\n  \"m\": " << g.num_edges() << ",\n"
-       << "  \"threads\": " << ThreadPool::global_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    json << "    {\"frontier\": " << p.frontier_size
-         << ", \"frontier_edges\": " << p.frontier_edges
-         << ", \"out\": " << p.out_size << ", \"new_ms\": " << p.new_ms
-         << ", \"seed_ms\": " << p.seed_ms << ", \"speedup\": " << p.speedup
-         << ", \"to_dense_ms\": " << p.to_dense_ms
-         << ", \"to_sparse_ms\": " << p.to_sparse_ms << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-  }
+  rec.set("graph", "rmat").set("n", n).set("m", g.num_edges());
+  rec.set("points", points);
   // Headline acceptance point: the ~1k frontier (second point).
-  const Point& op = points.size() > 1 ? points[1] : points[0];
-  json << "  ],\n  \"op_point\": {\"frontier\": " << op.frontier_size
-       << ", \"new_ms\": " << op.new_ms << ", \"seed_ms\": " << op.seed_ms
-       << ", \"speedup\": " << op.speedup << "}\n}\n";
-  json.close();
-  std::cout << "Wrote BENCH_frontier.json (op-point speedup " << op.speedup
-            << "x)" << std::endl;
+  rec.op_point(points.size() > 1 ? points[1] : points[0]);
+  rec.write();
   return 0;
 }

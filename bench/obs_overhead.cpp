@@ -22,8 +22,8 @@
 //
 // Both points must stay within the 3% budget (kMaxOverheadPct); the
 // bench exits 1 otherwise so CI fails loudly. Results land in
-// BENCH_obs.json; the example armed trace (one traced PageRank query
-// through the service) lands in TRACE_obs_example.json.
+// BENCH_obs.json (bench::Record); the example armed trace (one traced
+// PageRank query through the service) lands in TRACE_obs_example.json.
 //
 // Knobs: VEBO_OBS_SCALE (log2 vertices, default 18, which CI runs too;
 // at 14 one fold takes ~0.08 ms and the budget sits inside the noise),
@@ -33,7 +33,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -67,11 +66,11 @@ constexpr double kMaxOverheadPct = 3.0;
 // ---- op point 1: complete-frontier dense fold, raw vs disarmed vs armed.
 
 struct DensePoint {
-  double baseline_ms = 0;  ///< raw kernel, no instrumentation site
-  double disarmed_ms = 0;  ///< edge_fold, nothing armed (PR 7 number)
-  double armed_ms = 0;     ///< edge_fold, thread trace open + recorder armed
-  double disarmed_overhead_pct = 0;
-  double armed_overhead_pct = 0;
+  Summary baseline_ms;  ///< raw kernel, no instrumentation site
+  Summary disarmed_ms;  ///< edge_fold, nothing armed (PR 7 number)
+  Summary armed_ms;     ///< edge_fold, thread trace open + recorder armed
+  double disarmed_overhead_pct = 0;  ///< of the mins
+  double armed_overhead_pct = 0;     ///< of the mins
 };
 
 DensePoint run_dense(const Graph& g, int reps) {
@@ -100,29 +99,29 @@ DensePoint run_dense(const Graph& g, int reps) {
     fn();
     return t.elapsed_ms();
   };
+  std::vector<double> base_ms, disarmed_ms, armed_ms;
   for (int r = 0; r < reps; ++r) {
-    const double base = time_one([&] {
+    base_ms.push_back(time_one([&] {
       // The exact kernel edge_fold dispatches to, minus the span site.
       eng.poll_cancellation();
       detail::edge_fold_ranges<double>(eng, CompleteProbe{}, value, commit);
-    });
-    const double disarmed = time_one([&] {
+    }));
+    disarmed_ms.push_back(time_one([&] {
       edge_fold<double>(eng, value, commit);
-    });
+    }));
     obs::FlightRecorder::instance().arm();
     obs::Tracer::begin_reusing(/*capacity=*/4096);
-    const double armed = time_one([&] {
+    armed_ms.push_back(time_one([&] {
       edge_fold<double>(eng, value, commit);
-    });
+    }));
     obs::Tracer::end_reusing(/*keep=*/false);
     obs::FlightRecorder::instance().disarm();
-    if (r == 0 || base < p.baseline_ms) p.baseline_ms = base;
-    if (r == 0 || disarmed < p.disarmed_ms) p.disarmed_ms = disarmed;
-    if (r == 0 || armed < p.armed_ms) p.armed_ms = armed;
   }
-  const auto pct = [&](double ms) {
-    return p.baseline_ms > 0 ? (ms - p.baseline_ms) / p.baseline_ms * 100.0
-                             : 0;
+  p.baseline_ms = summarize(base_ms);
+  p.disarmed_ms = summarize(disarmed_ms);
+  p.armed_ms = summarize(armed_ms);
+  const auto pct = [&](const Summary& ms) {
+    return bench::ratio(ms.min - p.baseline_ms.min, p.baseline_ms.min) * 100.0;
   };
   p.disarmed_overhead_pct = pct(p.disarmed_ms);
   p.armed_overhead_pct = pct(p.armed_ms);
@@ -166,9 +165,9 @@ double run_serving_qps(GraphService& service, const std::vector<Query>& w,
 struct ServingPoint {
   std::size_t clients = 8;
   std::size_t queries = 0;
-  double telemetry_off_qps = 0;  ///< tail sampling + window off, disarmed
-  double production_qps = 0;     ///< sampling + window on, recorder armed
-  double overhead_pct = 0;       ///< always-on cost at the hot point
+  Summary telemetry_off_qps;  ///< tail sampling + window off, disarmed
+  Summary production_qps;     ///< sampling + window on, recorder armed
+  double overhead_pct = 0;    ///< always-on cost at the hot point, medians
   std::uint64_t traces_captured = 0;  ///< keepers during the armed reps
 };
 
@@ -214,8 +213,7 @@ ServingPoint run_serving(StreamSession& session, std::size_t count,
   // (off/prod/prod/off then prod/off/off/prod), so first-runner
   // advantage AND any slow periodic drift correlated with the block
   // cadence cancel; the medians over 2*sreps samples per mode shed the
-  // reps a hiccup lands on. The qps fields stay best-of (the
-  // human-meaningful throughput numbers).
+  // reps a hiccup lands on.
   std::vector<double> off_samples, prod_samples;
   const auto off_rep = [&] {
     off_samples.push_back(run_serving_qps(off_service, w, p.clients));
@@ -233,21 +231,12 @@ ServingPoint run_serving(StreamSession& session, std::size_t count,
     }
   }
   p.traces_captured = prod_service.trace_store().captured();
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-  };
-  if (!off_samples.empty() && !prod_samples.empty()) {
-    for (double s : off_samples)
-      p.telemetry_off_qps = std::max(p.telemetry_off_qps, s);
-    for (double s : prod_samples)
-      p.production_qps = std::max(p.production_qps, s);
-    const double off_med = median(off_samples);
-    const double prod_med = median(prod_samples);
-    if (off_med > 0)
-      p.overhead_pct = (off_med - prod_med) / off_med * 100.0;
-  }
+  p.telemetry_off_qps = summarize(off_samples);
+  p.production_qps = summarize(prod_samples);
+  p.overhead_pct = bench::ratio(p.telemetry_off_qps.median -
+                                    p.production_qps.median,
+                                p.telemetry_off_qps.median) *
+                   100.0;
   return p;
 }
 
@@ -270,10 +259,12 @@ std::string example_trace(StreamSession& session) {
 }  // namespace
 
 int main() {
-  const int scale = bench::env_knob("VEBO_OBS_SCALE", 18);
-  const int reps = bench::env_knob("VEBO_OBS_REPS", 7);
+  bench::Record rec("obs");
+  const int scale = rec.knob("VEBO_OBS_SCALE", 18);
+  const int reps = rec.knob("VEBO_OBS_REPS", 7);
   const std::size_t queries =
-      bench::env_knob<std::size_t>("VEBO_OBS_QUERIES", 20000);
+      rec.knob<std::size_t>("VEBO_OBS_QUERIES", 20000);
+  rec.lock_settings();
 
   std::cout << "obs overhead: scale=" << scale << " reps=" << reps
             << " queries=" << queries << " budget=" << kMaxOverheadPct << "%"
@@ -300,9 +291,9 @@ int main() {
     ++serving_attempts;
   }
   std::cout << "serving 8-client hot: telemetry-off="
-            << serving.telemetry_off_qps
+            << serving.telemetry_off_qps.median
             << "qps production(sampling+window+recorder)="
-            << serving.production_qps << "qps overhead="
+            << serving.production_qps.median << "qps overhead="
             << serving.overhead_pct << "% traces_captured="
             << serving.traces_captured << std::endl;
 
@@ -323,17 +314,16 @@ int main() {
       dense = retry;
     ++dense_attempts;
   }
-  std::cout << "dense complete-frontier fold: baseline=" << dense.baseline_ms
-            << "ms disarmed=" << dense.disarmed_ms << "ms ("
-            << dense.disarmed_overhead_pct << "%) armed=" << dense.armed_ms
-            << "ms (" << dense.armed_overhead_pct << "%)" << std::endl;
+  std::cout << "dense complete-frontier fold (min of reps): baseline="
+            << dense.baseline_ms.min << "ms disarmed="
+            << dense.disarmed_ms.min << "ms ("
+            << dense.disarmed_overhead_pct << "%) armed="
+            << dense.armed_ms.min << "ms (" << dense.armed_overhead_pct
+            << "%)" << std::endl;
 
   StreamSession trace_session(gen::rmat(10, 6, /*seed=*/3));
   const std::string trace_json = example_trace(trace_session);
-  {
-    std::ofstream f("TRACE_obs_example.json");
-    f << trace_json << "\n";
-  }
+  bench::write_file("TRACE_obs_example.json", trace_json + "\n");
   std::cout << "Wrote TRACE_obs_example.json (" << trace_json.size()
             << " bytes)" << std::endl;
 
@@ -341,32 +331,36 @@ int main() {
                           dense.armed_overhead_pct <= kMaxOverheadPct;
   const bool serving_pass = serving.overhead_pct <= kMaxOverheadPct;
 
-  std::ofstream json("BENCH_obs.json");
-  json << "{\n  \"bench\": \"obs_overhead\",\n"
-       << "  \"threads\": " << ThreadPool::global_threads() << ",\n"
-       << "  \"scale\": " << scale << ",\n  \"reps\": " << reps << ",\n"
-       << "  \"max_overhead_pct\": " << kMaxOverheadPct << ",\n"
-       << "  \"armed_config\": \"tail_sampling + sliding_window + "
-          "flight_recorder\",\n"
-       << "  \"dense_op_point\": {\"graph\": \"rmat\", \"density\": 1.0"
-       << ", \"baseline_ms\": " << dense.baseline_ms
-       << ", \"disarmed_ms\": " << dense.disarmed_ms
-       << ", \"armed_ms\": " << dense.armed_ms
-       << ", \"disarmed_overhead_pct\": " << dense.disarmed_overhead_pct
-       << ", \"armed_overhead_pct\": " << dense.armed_overhead_pct
-       << ", \"pass\": " << (dense_pass ? "true" : "false") << "},\n"
-       << "  \"serving_op_point\": {\"clients\": " << serving.clients
-       << ", \"queries\": " << serving.queries
-       << ", \"telemetry_off_qps\": " << serving.telemetry_off_qps
-       << ", \"production_qps\": " << serving.production_qps
-       << ", \"overhead_pct\": " << serving.overhead_pct
-       << ", \"traces_captured\": " << serving.traces_captured
-       << ", \"pass\": " << (serving_pass ? "true" : "false") << "},\n"
-       << "  \"pass\": "
-       << (dense_pass && serving_pass ? "true" : "false") << "\n}\n";
-  json.close();
-  std::cout << "Wrote BENCH_obs.json (dense "
-            << (dense_pass ? "PASS" : "FAIL") << ", serving "
-            << (serving_pass ? "PASS" : "FAIL") << ")" << std::endl;
+  rec.set("armed_config", "tail_sampling + sliding_window + flight_recorder");
+  rec.set("dense", bench::Fields()
+                       .set("graph", "rmat")
+                       .set("density", 1.0)
+                       .set("attempts", dense_attempts)
+                       .set("baseline_ms", dense.baseline_ms)
+                       .set("disarmed_ms", dense.disarmed_ms)
+                       .set("armed_ms", dense.armed_ms)
+                       .set("disarmed_overhead_pct",
+                            dense.disarmed_overhead_pct)
+                       .set("armed_overhead_pct", dense.armed_overhead_pct)
+                       .set("pass", dense_pass));
+  rec.set("serving", bench::Fields()
+                         .set("clients", serving.clients)
+                         .set("queries", serving.queries)
+                         .set("attempts", serving_attempts)
+                         .set("telemetry_off_qps", serving.telemetry_off_qps)
+                         .set("production_qps", serving.production_qps)
+                         .set("overhead_pct", serving.overhead_pct)
+                         .set("traces_captured", serving.traces_captured)
+                         .set("pass", serving_pass));
+  rec.op_point(bench::Fields()
+                   .set("max_overhead_pct", kMaxOverheadPct)
+                   .set("dense_disarmed_overhead_pct",
+                        dense.disarmed_overhead_pct)
+                   .set("dense_armed_overhead_pct", dense.armed_overhead_pct)
+                   .set("serving_overhead_pct", serving.overhead_pct)
+                   .set("pass", dense_pass && serving_pass));
+  rec.write();
+  std::cout << "dense " << (dense_pass ? "PASS" : "FAIL") << ", serving "
+            << (serving_pass ? "PASS" : "FAIL") << std::endl;
   return dense_pass && serving_pass ? 0 : 1;
 }

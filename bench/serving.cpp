@@ -19,8 +19,9 @@
 // answered as a checksum scalar vs. a full per-vertex payload vs. a
 // top-k list, hot (cached — payload handout is a shared_ptr copy) and
 // cold (per-miss payload translation included).
-// Everything lands in BENCH_serving.json; the headline op point is the
-// 8-client hot ratio over the serialized baseline.
+// Everything lands in BENCH_serving.json (bench::Record); each qps is one
+// closed-loop run (n = 1), and the headline op point is the 8-client hot
+// ratio over the serialized baseline.
 //
 // Knobs: VEBO_SERVE_SCALE (dataset scale, default bench_scale()),
 // VEBO_SERVE_QUERIES (queries per measurement, default 400),
@@ -28,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -50,22 +50,8 @@ using stream::StreamSession;
 
 namespace {
 
-struct Point {
-  std::size_t clients = 0;
-  std::size_t queries = 0;
-  double qps = 0;
-  double ratio = 0;  ///< qps / serialized baseline qps (same workload)
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0;
-  double cache_hit_rate = 0;
-  std::uint64_t engines = 0;
-};
-
-struct WriterSide {
-  std::uint64_t publishes = 0;
-  double publish_ms_mean = 0;
-  std::uint64_t acquires_sampled = 0;
-  double acquire_us_max = 0;  ///< reader-side worst case during churn
-};
+/// A value measured once, as a record value.
+Summary once(double v) { return summarize(std::vector{v}); }
 
 std::vector<Query> make_workload(const std::string& kind, std::size_t count,
                                  VertexId n) {
@@ -105,9 +91,11 @@ double run_serialized(StreamSession& session, const std::vector<Query>& w) {
   return static_cast<double>(w.size()) / t.elapsed();
 }
 
-Point run_service(StreamSession& session, const std::vector<Query>& w,
-                  std::size_t clients, double baseline_qps,
-                  WriterSide* writer_out = nullptr,
+/// One closed-loop measurement: prints its line and returns its record
+/// fields (ratio = qps / serialized baseline qps on the same workload).
+bench::Fields run_service(const std::string& kind, StreamSession& session,
+                  const std::vector<Query>& w, std::size_t clients,
+                  double baseline_qps, bench::Fields* writer_out = nullptr,
                   std::vector<EdgeUpdate>* updates = nullptr,
                   std::size_t writer_batch = 0) {
   SnapshotStore store;
@@ -120,10 +108,8 @@ Point run_service(StreamSession& session, const std::vector<Query>& w,
 
   std::atomic<bool> writer_done{false};
   std::thread writer, sampler;
-  std::atomic<std::uint64_t> publishes{0};
-  std::atomic<std::uint64_t> acquires{0};
-  double publish_ms_total = 0;
-  std::atomic<std::uint64_t> acquire_ns_max{0};
+  std::vector<double> publish_ms;  // written by the writer thread only
+  std::vector<double> acquire_us;  // written by the sampler thread only
   if (writer_out != nullptr) {
     // A bounded number of apply+publish cycles; the clients keep querying
     // until the last epoch lands, so the measurement spans every swap.
@@ -137,8 +123,7 @@ Point run_service(StreamSession& session, const std::vector<Query>& w,
         off += writer_batch;
         Timer t;
         service.publish_session(session);
-        publish_ms_total += t.elapsed_ms();
-        publishes.fetch_add(1);
+        publish_ms.push_back(t.elapsed_ms());
       }
       writer_done.store(true, std::memory_order_release);
     });
@@ -146,13 +131,8 @@ Point run_service(StreamSession& session, const std::vector<Query>& w,
       while (!writer_done.load(std::memory_order_acquire)) {
         Timer t;
         const auto ref = store.acquire();
-        const auto ns = static_cast<std::uint64_t>(t.elapsed() * 1e9);
+        acquire_us.push_back(t.elapsed() * 1e6);
         (void)ref;
-        std::uint64_t cur = acquire_ns_max.load(std::memory_order_relaxed);
-        while (ns > cur &&
-               !acquire_ns_max.compare_exchange_weak(cur, ns)) {
-        }
-        acquires.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
@@ -183,40 +163,43 @@ Point run_service(StreamSession& session, const std::vector<Query>& w,
   if (writer_out != nullptr) {
     writer.join();
     sampler.join();
-    writer_out->publishes = publishes.load();
-    writer_out->publish_ms_mean =
-        publishes.load() ? publish_ms_total / double(publishes.load()) : 0;
-    writer_out->acquires_sampled = acquires.load();
-    writer_out->acquire_us_max = double(acquire_ns_max.load()) / 1e3;
   }
 
-  Point p;
-  p.clients = clients;
-  p.queries = issued.load();
-  p.qps = static_cast<double>(issued.load()) / secs;
-  p.ratio = baseline_qps > 0 ? p.qps / baseline_qps : 0;
+  const double qps = static_cast<double>(issued.load()) / secs;
+  const double ratio = bench::ratio(qps, baseline_qps);
   const auto lat = service.latency();
-  p.p50_ms = lat.p50_ms;
-  p.p95_ms = lat.p95_ms;
-  p.p99_ms = lat.p99_ms;
   const auto s = service.stats();
-  p.cache_hit_rate =
-      s.completed ? double(s.cache_hits) / double(s.completed) : 0;
-  p.engines = service.engine_pool().stats().created;
-  return p;
+  const double hit_rate =
+      bench::ratio(double(s.cache_hits), double(s.completed));
+  const auto engines = service.engine_pool().stats().created;
+  std::cout << "  " << kind << " clients=" << clients << ": " << qps
+            << " q/s (" << ratio << "x serial), p50/p95/p99="
+            << lat.p50_ms << "/" << lat.p95_ms << "/" << lat.p99_ms
+            << "ms, cache=" << hit_rate * 100 << "%, engines=" << engines
+            << std::endl;
+  if (writer_out != nullptr) {
+    const Summary publish = summarize(publish_ms);
+    const Summary acquire = summarize(acquire_us);
+    writer_out->set("publish_ms", publish).set("reader_acquire_us", acquire);
+    std::cout << "  writer: " << publish.count << " publishes ("
+              << publish.median << "ms median), reader acquire max="
+              << acquire.max << "us over " << acquire.count << " samples\n";
+  }
+  return bench::Fields()
+      .set("clients", clients)
+      .set("queries", issued.load())
+      .set("qps", once(qps))
+      .set("ratio", ratio)
+      .set("p50_ms", lat.p50_ms)
+      .set("p95_ms", lat.p95_ms)
+      .set("p99_ms", lat.p99_ms)
+      .set("cache_hit_rate", hit_rate)
+      .set("engines", engines);
 }
 
 // ---- typed-payload overhead: scalar vs per-vertex vs top-k answers.
 
-struct PayloadCompare {
-  double hot_scalar_qps = 0, hot_payload_qps = 0;
-  double cold_scalar_qps = 0, cold_payload_qps = 0;
-  double topk_qps = 0;
-  double hot_overhead = 0;   ///< hot_scalar_qps / hot_payload_qps
-  double cold_overhead = 0;  ///< cold_scalar_qps / cold_payload_qps
-};
-
-PayloadCompare run_payload_overhead(const Graph& seed, std::size_t count) {
+bench::Fields run_payload_overhead(const Graph& seed, std::size_t count) {
   StreamSession session(seed);
   const auto measure = [&](GraphService& service, std::size_t n,
                            serve::ResultKind kind, std::int64_t top_k) {
@@ -230,7 +213,8 @@ PayloadCompare run_payload_overhead(const Graph& seed, std::size_t count) {
     return static_cast<double>(n) / t.elapsed();
   };
 
-  PayloadCompare pc;
+  double hot_scalar_qps = 0, hot_payload_qps = 0, topk_qps = 0;
+  double cold_scalar_qps = 0, cold_payload_qps = 0;
   {
     // Hot (cache on): the same canonical key every time, so this pair
     // compares the hit paths — returning the cached checksum vs handing
@@ -242,11 +226,9 @@ PayloadCompare run_payload_overhead(const Graph& seed, std::size_t count) {
     opts.engine.model = SystemModel::Polymer;
     GraphService service(store, opts);
     service.publish_session(session);
-    pc.hot_scalar_qps =
-        measure(service, count, serve::ResultKind::Checksum, 0);
-    pc.hot_payload_qps =
-        measure(service, count, serve::ResultKind::Payload, 0);
-    pc.topk_qps = measure(service, count, serve::ResultKind::Payload, 8);
+    hot_scalar_qps = measure(service, count, serve::ResultKind::Checksum, 0);
+    hot_payload_qps = measure(service, count, serve::ResultKind::Payload, 0);
+    topk_qps = measure(service, count, serve::ResultKind::Payload, 8);
   }
   {
     // Cold (cache off): every query recomputes, so this pair isolates
@@ -260,44 +242,42 @@ PayloadCompare run_payload_overhead(const Graph& seed, std::size_t count) {
     GraphService service(store, opts);
     service.publish_session(session);
     const std::size_t cold_count = std::max<std::size_t>(8, count / 8);
-    pc.cold_scalar_qps =
+    cold_scalar_qps =
         measure(service, cold_count, serve::ResultKind::Checksum, 0);
-    pc.cold_payload_qps =
+    cold_payload_qps =
         measure(service, cold_count, serve::ResultKind::Payload, 0);
   }
-  pc.hot_overhead =
-      pc.hot_payload_qps > 0 ? pc.hot_scalar_qps / pc.hot_payload_qps : 0;
-  pc.cold_overhead =
-      pc.cold_payload_qps > 0 ? pc.cold_scalar_qps / pc.cold_payload_qps : 0;
-  return pc;
+  const double hot_overhead = bench::ratio(hot_scalar_qps, hot_payload_qps);
+  const double cold_overhead =
+      bench::ratio(cold_scalar_qps, cold_payload_qps);
+  std::cout << "  payload: hot scalar=" << hot_scalar_qps
+            << " q/s vs per-vertex=" << hot_payload_qps << " q/s ("
+            << hot_overhead << "x), top-8=" << topk_qps
+            << " q/s; cold scalar=" << cold_scalar_qps
+            << " q/s vs per-vertex=" << cold_payload_qps << " q/s ("
+            << cold_overhead << "x)\n";
+  return bench::Fields()
+      .set("algo", "PR")
+      .set("clients", 1)
+      .set("hot_scalar_qps", once(hot_scalar_qps))
+      .set("hot_payload_qps", once(hot_payload_qps))
+      .set("hot_overhead", hot_overhead)
+      .set("topk_qps", once(topk_qps))
+      .set("cold_scalar_qps", once(cold_scalar_qps))
+      .set("cold_payload_qps", once(cold_payload_qps))
+      .set("cold_overhead", cold_overhead);
 }
 
-void print_point(const std::string& kind, const Point& p) {
-  std::cout << "  " << kind << " clients=" << p.clients << ": "
-            << p.qps << " q/s (" << p.ratio << "x serial), p50/p95/p99="
-            << p.p50_ms << "/" << p.p95_ms << "/" << p.p99_ms
-            << "ms, cache=" << p.cache_hit_rate * 100 << "%, engines="
-            << p.engines << std::endl;
-}
-
-void json_point(std::ofstream& json, const Point& p, bool last) {
-  json << "      {\"clients\": " << p.clients << ", \"queries\": "
-       << p.queries << ", \"qps\": " << p.qps << ", \"ratio\": " << p.ratio
-       << ", \"p50_ms\": " << p.p50_ms << ", \"p95_ms\": " << p.p95_ms
-       << ", \"p99_ms\": " << p.p99_ms << ", \"cache_hit_rate\": "
-       << p.cache_hit_rate << ", \"engines\": " << p.engines << "}"
-       << (last ? "" : ",") << "\n";
-}
 
 }  // namespace
 
 int main() {
-  const double scale = bench::env_knob("VEBO_SERVE_SCALE",
-                                       bench::bench_scale());
-  const auto nqueries =
-      bench::env_knob<std::size_t>("VEBO_SERVE_QUERIES", 400);
-  const auto writer_batch =
-      bench::env_knob<std::size_t>("VEBO_SERVE_BATCH", 1024);
+  bench::Record rec("serving");
+  const double scale =
+      rec.knob("VEBO_SERVE_SCALE", bench::bench_scale());
+  const auto nqueries = rec.knob<std::size_t>("VEBO_SERVE_QUERIES", 400);
+  const auto writer_batch = rec.knob<std::size_t>("VEBO_SERVE_BATCH", 1024);
+  rec.lock_settings();
   const std::vector<std::size_t> client_counts = {1, 2, 4, 8};
 
   bench::print_header("serving: GraphService concurrent clients vs "
@@ -306,7 +286,7 @@ int main() {
   // 80/20 split exactly like the streaming bench: the final 20% is the
   // update stream the with-writer run feeds.
   const Graph full = gen::make_dataset("rmat27", scale, /*seed=*/42);
-  const auto all = full.coo().edges();
+  const std::vector<Edge> all = bench::edges_of(full);
   const std::size_t seed_count = all.size() * 8 / 10;
   std::vector<Edge> seed_edges(
       all.begin(), all.begin() + static_cast<std::ptrdiff_t>(seed_count));
@@ -330,77 +310,44 @@ int main() {
             << " q/s, cold=" << serial_cold_qps << " q/s\n";
 
   // ---- service, no writer.
-  std::vector<Point> hot_points, cold_points;
+  std::vector<bench::Fields> hot_points, cold_points;
   for (std::size_t c : client_counts) {
     StreamSession session(seed);
-    hot_points.push_back(run_service(session, hot, c, serial_hot_qps));
-    print_point("hot ", hot_points.back());
+    hot_points.push_back(
+        run_service("hot ", session, hot, c, serial_hot_qps));
   }
   for (std::size_t c : client_counts) {
     StreamSession session(seed);
-    cold_points.push_back(run_service(session, cold, c, serial_cold_qps));
-    print_point("cold", cold_points.back());
+    cold_points.push_back(
+        run_service("cold", session, cold, c, serial_cold_qps));
   }
 
   // ---- 8 clients with a concurrent writer publishing epochs (clients
   // cycle the workload until the writer's 6th publish lands, so the
   // measurement spans several epoch swaps and cache invalidations).
-  WriterSide ws;
+  bench::Fields writer;
   StreamSession writer_session(seed);
-  const Point with_writer = run_service(writer_session, hot, 8,
-                                        serial_hot_qps, &ws, &updates,
-                                        writer_batch);
-  print_point("hot+writer", with_writer);
-  std::cout << "  writer: " << ws.publishes << " publishes ("
-            << ws.publish_ms_mean << "ms mean), reader acquire max="
-            << ws.acquire_us_max << "us over " << ws.acquires_sampled
-            << " samples\n";
-
+  const bench::Fields with_writer =
+      run_service("hot+writer", writer_session, hot, 8, serial_hot_qps,
+                  &writer, &updates, writer_batch);
+  rec.set("graph", bench::Fields()
+                       .set("name", "rmat")
+                       .set("n", seed.num_vertices())
+                       .set("m", seed.num_edges()));
+  rec.set("baseline", bench::Fields()
+                          .set("hot_qps", once(serial_hot_qps))
+                          .set("cold_qps", once(serial_cold_qps)));
+  rec.set("hot", hot_points);
+  rec.set("cold", cold_points);
+  rec.set("hot_with_writer", with_writer);
+  rec.set("writer", writer);
   // ---- typed-payload overhead vs the checksum scalar (1 client, PR).
-  const PayloadCompare pc = run_payload_overhead(seed, nqueries);
-  std::cout << "  payload: hot scalar=" << pc.hot_scalar_qps
-            << " q/s vs per-vertex=" << pc.hot_payload_qps << " q/s ("
-            << pc.hot_overhead << "x), top-8=" << pc.topk_qps
-            << " q/s; cold scalar=" << pc.cold_scalar_qps
-            << " q/s vs per-vertex=" << pc.cold_payload_qps << " q/s ("
-            << pc.cold_overhead << "x)\n";
+  rec.set("payload_overhead", run_payload_overhead(seed, nqueries));
 
-  const Point& op = hot_points.back();  // 8 clients, hot
-  std::ofstream json("BENCH_serving.json");
-  json << "{\n  \"bench\": \"serving\",\n  \"scale\": " << scale
-       << ",\n  \"threads\": " << ThreadPool::global_threads()
-       << ",\n  \"graph\": {\"name\": \"rmat\", \"n\": "
-       << seed.num_vertices() << ", \"m\": " << seed.num_edges()
-       << "},\n  \"queries\": " << nqueries
-       << ",\n  \"baseline\": {\"hot_qps\": " << serial_hot_qps
-       << ", \"cold_qps\": " << serial_cold_qps << "},\n"
-       << "  \"hot\": [\n";
-  for (std::size_t i = 0; i < hot_points.size(); ++i)
-    json_point(json, hot_points[i], i + 1 == hot_points.size());
-  json << "  ],\n  \"cold\": [\n";
-  for (std::size_t i = 0; i < cold_points.size(); ++i)
-    json_point(json, cold_points[i], i + 1 == cold_points.size());
-  json << "  ],\n  \"hot_with_writer\": [\n";
-  json_point(json, with_writer, true);
-  json << "  ],\n  \"payload_overhead\": {\"algo\": \"PR\", \"clients\": 1"
-       << ", \"hot_scalar_qps\": " << pc.hot_scalar_qps
-       << ", \"hot_payload_qps\": " << pc.hot_payload_qps
-       << ", \"hot_overhead\": " << pc.hot_overhead
-       << ", \"topk_qps\": " << pc.topk_qps
-       << ", \"cold_scalar_qps\": " << pc.cold_scalar_qps
-       << ", \"cold_payload_qps\": " << pc.cold_payload_qps
-       << ", \"cold_overhead\": " << pc.cold_overhead << "},\n"
-       << "  \"writer\": {\"publishes\": " << ws.publishes
-       << ", \"publish_ms_mean\": " << ws.publish_ms_mean
-       << ", \"reader_acquire_us_max\": " << ws.acquire_us_max
-       << ", \"acquires_sampled\": " << ws.acquires_sampled << "},\n"
-       << "  \"op_point\": {\"clients\": " << op.clients
-       << ", \"workload\": \"hot\", \"qps\": " << op.qps
-       << ", \"serial_qps\": " << serial_hot_qps
-       << ", \"ratio\": " << op.ratio << "}\n}\n";
-  json.close();
-  std::cout << "\nWrote BENCH_serving.json (8-client hot ratio "
-            << op.ratio << "x, cold " << cold_points.back().ratio
-            << "x)" << std::endl;
+  // Headline: the 8-client hot point against the serialized baseline.
+  rec.op_point(bench::Fields(hot_points.back())
+                   .set("workload", "hot")
+                   .set("serial_qps", once(serial_hot_qps)));
+  rec.write();
   return 0;
 }

@@ -12,15 +12,16 @@
 //     full order::vebo run (what a static pipeline must redo per batch),
 // and the first-query / steady-query latency on both paths. Each op point
 // runs kRuns times, and every timed value lands in BENCH_streaming.json
-// as {median, min, max} over the runs; the headline op point is the
-// smallest batch size on rmat, whose acceptance floor is 5x.
+// (bench::Record) as {median, min, max, n} over the runs; the headline op
+// point is the smallest batch size on rmat, whose acceptance floor is 5x
+// on the ratio of the medians.
 //
 // Knobs: VEBO_STREAM_SCALE (dataset scale, default bench_scale()),
 // VEBO_STREAM_REBUILD_BATCHES (rebuild timings per op point, default 3).
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -47,7 +48,7 @@ struct Point {
   std::size_t updates = 0;
   std::uint64_t rebalance_incremental = 0;
   std::uint64_t rebalance_full = 0;
-  std::vector<double> stream_ms_per_batch, rebuild_ms_per_batch, speedup,
+  std::vector<double> stream_ms_per_batch, rebuild_ms_per_batch,
       stream_updates_per_s;
   std::vector<double> stream_first_query_ms;   ///< includes snapshot + reorder
   std::vector<double> stream_steady_query_ms;  ///< cached snapshot
@@ -59,7 +60,7 @@ struct Point {
 /// same version, one sample per run of the section.
 struct IncrAlgo {
   std::string code;
-  std::vector<double> refresh_ms, recompute_ms, speedup;
+  std::vector<double> refresh_ms, recompute_ms;
 };
 
 struct IncrSection {
@@ -73,34 +74,14 @@ struct IncrSection {
 /// is written as the median of the runs with their min and max.
 constexpr int kRuns = 5;
 
-struct Spread {
-  double median = 0, min = 0, max = 0;
-};
-
-Spread spread_of(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return {xs[xs.size() / 2], xs.front(), xs.back()};
-}
-
-/// JSON: {"median": .., "min": .., "max": ..}.
-std::ostream& operator<<(std::ostream& os, const Spread& s) {
-  return os << "{\"median\": " << s.median << ", \"min\": " << s.min
-            << ", \"max\": " << s.max << "}";
-}
-
-struct DatasetRun {
-  std::string name;
-  VertexId n = 0;
-  EdgeId m = 0;
-  std::vector<Point> points;
-  IncrSection inc;
-};
+/// The median of `xs`.
+double median(const std::vector<double>& xs) { return summarize(xs).median; }
 
 // Times one run of an op point and appends one sample per timed value to
 // `p`; every run replays the same seed graph and update stream.
 void run_point(const Graph& full, std::size_t batch_size,
                int rebuild_batches, Point& p) {
-  const auto all = full.coo().edges();
+  const std::vector<Edge> all = bench::edges_of(full);
   const std::size_t seed_count = all.size() * 8 / 10;
 
   // Seed graph: first 80% of the edge list (deduped by from_edges? no —
@@ -172,7 +153,7 @@ void run_point(const Graph& full, std::size_t batch_size,
   session.query("PR");
   p.stream_first_query_ms.push_back(fq.elapsed_ms());
   p.stream_steady_query_ms.push_back(
-      bench::time_median([&] { session.query("PR"); }) * 1e3);
+      bench::sample_ms([&] { session.query("PR"); }, 3).median);
 
   // ---- rebuild path: from_edges + full VEBO per batch (timed on the
   // first `rebuild_batches` batches; the cost is flat in the batch index
@@ -182,7 +163,7 @@ void run_point(const Graph& full, std::size_t batch_size,
   // and only the work a static pipeline must redo (flatten + from_edges
   // + full VEBO + reorder) is measured.
   std::set<std::pair<VertexId, VertexId>> live;
-  for (const Edge& e : seed.coo().edges()) live.insert({e.src, e.dst});
+  seed.for_each_edge([&](VertexId u, VertexId v) { live.insert({u, v}); });
   const auto apply_to_live = [&](const EdgeUpdate& u) {
     for (int side = 0; side < (full.directed() ? 1 : 2); ++side) {
       const std::pair<VertexId, VertexId> e =
@@ -212,11 +193,7 @@ void run_point(const Graph& full, std::size_t batch_size,
     Graph g = rebuild_from_live();
     rebuild_ms.push_back(t.elapsed_ms());
   }
-  const double rebuild_ms_per_batch = spread_of(rebuild_ms).median;
-  p.rebuild_ms_per_batch.push_back(rebuild_ms_per_batch);
-  p.speedup.push_back(stream_ms_per_batch > 0
-                          ? rebuild_ms_per_batch / stream_ms_per_batch
-                          : 0);
+  p.rebuild_ms_per_batch.push_back(median(rebuild_ms));
 
   // Query comparison must run on the final graph on both sides: apply the
   // unmeasured tail of the stream and rebuild once more (untimed).
@@ -228,7 +205,7 @@ void run_point(const Graph& full, std::size_t batch_size,
   Engine reb_eng(rebuilt, SystemModel::Polymer);
   const algo::AlgorithmSpec& pr = algo::spec("PR");
   p.rebuild_query_ms.push_back(
-      bench::time_median([&] { pr.checksum(pr.invoke(reb_eng)); }) * 1e3);
+      bench::sample_ms([&] { pr.checksum(pr.invoke(reb_eng)); }, 3).median);
 }
 
 // The PR 10 measurement: a service in refresh_on_publish mode over a
@@ -243,9 +220,7 @@ void run_point(const Graph& full, std::size_t batch_size,
 // sample per value to `sec`.
 void run_incremental(const Graph& full, std::size_t batch_size,
                      IncrSection& sec) {
-  const auto all = full.coo().edges();
-  EdgeList el(full.num_vertices(), std::vector<Edge>(all.begin(), all.end()),
-              full.directed());
+  EdgeList el(full.num_vertices(), bench::edges_of(full), full.directed());
   el.remove_duplicates();
   const Graph seed = Graph::from_edges(el);
   const VertexId n = seed.num_vertices();
@@ -317,13 +292,11 @@ void run_incremental(const Graph& full, std::size_t batch_size,
       for (const auto& rl : service.refresh_latency())
         if (rl.algo == code && rl.count > 0)
           refresh_ms = rl.total_ms / static_cast<double>(rl.count);
-      const double recompute_ms = bench::time_median([&] {
-                                    (void)session.query_typed(code, params);
-                                  }) *
-                                  1e3;
       a.refresh_ms.push_back(refresh_ms);
-      a.recompute_ms.push_back(recompute_ms);
-      a.speedup.push_back(refresh_ms > 0 ? recompute_ms / refresh_ms : 0);
+      a.recompute_ms.push_back(
+          bench::sample_ms([&] { (void)session.query_typed(code, params); },
+                           3)
+              .median);
     }
   }
 
@@ -339,141 +312,117 @@ void run_incremental(const Graph& full, std::size_t batch_size,
     serve::GraphService service(store, o);
     service.publish_session(session);
     (void)service.query({"PR", 0});  // create the pool's engine once
-    std::vector<double> lat;
     for (int r = 0; r < 5; ++r) {
       session.apply(make_batch(std::min<std::size_t>(batch_size, 1000)));
       service.publish_session(session);
       Timer t;
       (void)service.query({"PR", 0});
-      lat.push_back(t.elapsed_ms());
+      sec.first_query_ms.push_back(t.elapsed_ms());
     }
-    std::sort(lat.begin(), lat.end());
-    sec.first_query_ms.push_back(lat[lat.size() / 2]);
   }
 }
 
 }  // namespace
 
 int main() {
-  const double scale =
-      bench::env_knob("VEBO_STREAM_SCALE", bench::bench_scale());
-  const int rebuild_batches = bench::env_knob("VEBO_STREAM_REBUILD_BATCHES", 3);
+  bench::Record rec("streaming");
+  const double scale = rec.knob("VEBO_STREAM_SCALE", bench::bench_scale());
+  const int rebuild_batches = rec.knob("VEBO_STREAM_REBUILD_BATCHES", 3);
+  rec.lock_settings();
   const std::vector<std::size_t> batch_sizes = {1000, 10000, 100000};
 
   bench::print_header("streaming: batch-apply + incremental VEBO vs "
                       "rebuild + full VEBO");
 
-  std::vector<DatasetRun> runs;
+  std::vector<bench::Fields> graphs;
   for (const std::string& name : {std::string("rmat27"),
                                   std::string("powerlaw")}) {
     const Graph full = gen::make_dataset(name, scale, /*seed=*/42);
-    DatasetRun run;
-    run.name = name;
-    run.n = full.num_vertices();
-    run.m = full.num_edges();
     std::cout << "\n" << full.describe(name) << "\n";
+    std::vector<Point> points;
+    std::vector<bench::Fields> point_fields;
     for (std::size_t bsz : batch_sizes) {
       // Batch sizes beyond the stream length clamp to the same effective
       // size; skip duplicates instead of re-measuring an identical point
       // (the update-stream length is fixed per dataset).
-      if (!run.points.empty() &&
-          std::min<std::size_t>(bsz, run.points.back().updates) ==
-              run.points.back().batch_size)
+      if (!points.empty() &&
+          std::min<std::size_t>(bsz, points.back().updates) ==
+              points.back().batch_size)
         continue;
       Point p;
       for (int r = 0; r < kRuns; ++r) run_point(full, bsz, rebuild_batches, p);
+      const double speedup = bench::ratio(median(p.rebuild_ms_per_batch),
+                                          median(p.stream_ms_per_batch));
       std::cout << "  batch=" << p.batch_size << " (" << p.batches
                 << " batches, medians of " << kRuns << " runs): stream="
-                << spread_of(p.stream_ms_per_batch).median << "ms/batch ("
-                << spread_of(p.stream_updates_per_s).median / 1e6
-                << "M upd/s), rebuild="
-                << spread_of(p.rebuild_ms_per_batch).median
-                << "ms/batch, speedup=" << spread_of(p.speedup).median
+                << median(p.stream_ms_per_batch) << "ms/batch ("
+                << median(p.stream_updates_per_s) / 1e6
+                << "M upd/s), rebuild=" << median(p.rebuild_ms_per_batch)
+                << "ms/batch, speedup=" << speedup
                 << "x, query stream/rebuild="
-                << spread_of(p.stream_steady_query_ms).median << "/"
-                << spread_of(p.rebuild_query_ms).median
+                << median(p.stream_steady_query_ms) << "/"
+                << median(p.rebuild_query_ms)
                 << "ms, rebalance inc/full=" << p.rebalance_incremental << "/"
                 << p.rebalance_full << std::endl;
-      run.points.push_back(std::move(p));
+      point_fields.push_back(
+          bench::Fields()
+              .set("batch_size", p.batch_size)
+              .set("batches", p.batches)
+              .set("updates", p.updates)
+              .set("stream_ms_per_batch", summarize(p.stream_ms_per_batch))
+              .set("rebuild_ms_per_batch", summarize(p.rebuild_ms_per_batch))
+              .set("speedup", speedup)
+              .set("stream_updates_per_s", summarize(p.stream_updates_per_s))
+              .set("stream_first_query_ms",
+                   summarize(p.stream_first_query_ms))
+              .set("stream_steady_query_ms",
+                   summarize(p.stream_steady_query_ms))
+              .set("rebuild_query_ms", summarize(p.rebuild_query_ms))
+              .set("rebalance_incremental", p.rebalance_incremental)
+              .set("rebalance_full", p.rebalance_full));
+      points.push_back(std::move(p));
     }
     // Refresh-on-publish steady state at the smallest batch size.
-    for (int r = 0; r < kRuns; ++r)
-      run_incremental(full, batch_sizes[0], run.inc);
-    std::cout << "  refresh-on-publish (batch=" << run.inc.batch_size
+    IncrSection inc;
+    for (int r = 0; r < kRuns; ++r) run_incremental(full, batch_sizes[0], inc);
+    std::cout << "  refresh-on-publish (batch=" << inc.batch_size
               << ", medians of " << kRuns << " runs):";
-    for (const IncrAlgo& a : run.inc.algos)
-      std::cout << " " << a.code << " " << spread_of(a.refresh_ms).median
-                << "/" << spread_of(a.recompute_ms).median << "ms ("
-                << spread_of(a.speedup).median << "x)";
+    std::vector<bench::Fields> algos;
+    std::map<std::string, double> refresh_speedup;
+    for (const IncrAlgo& a : inc.algos) {
+      const double speedup =
+          bench::ratio(median(a.recompute_ms), median(a.refresh_ms));
+      std::cout << " " << a.code << " " << median(a.refresh_ms) << "/"
+                << median(a.recompute_ms) << "ms (" << speedup << "x)";
+      algos.push_back(bench::Fields()
+                          .set("algo", a.code)
+                          .set("refresh_ms", summarize(a.refresh_ms))
+                          .set("recompute_ms", summarize(a.recompute_ms))
+                          .set("speedup", speedup));
+      refresh_speedup[a.code] = speedup;
+    }
     std::cout << "\n  first query after publish: "
-              << spread_of(run.inc.first_query_ms).median << "ms"
-              << std::endl;
-    runs.push_back(run);
+              << median(inc.first_query_ms) << "ms" << std::endl;
+    graphs.push_back(
+        bench::Fields()
+            .set("name", name)
+            .set("n", full.num_vertices())
+            .set("m", full.num_edges())
+            .set("points", point_fields)
+            .set("incremental",
+                 bench::Fields()
+                     .set("batch_size", inc.batch_size)
+                     .set("first_query_after_publish_ms",
+                          summarize(inc.first_query_ms))
+                     .set("algos", algos)));
+    // Headline: the smallest batch size on the first (rmat) dataset.
+    if (graphs.size() == 1)
+      rec.op_point(bench::Fields(point_fields.front())
+                       .set("graph", name)
+                       .set("prd_refresh_speedup", refresh_speedup["PRD"])
+                       .set("cc_refresh_speedup", refresh_speedup["CC"]));
   }
-
-  std::ofstream json("BENCH_streaming.json");
-  json << "{\n  \"bench\": \"streaming\",\n  \"scale\": " << scale
-       << ",\n  \"threads\": " << ThreadPool::global_threads()
-       << ",\n  \"runs\": " << kRuns << ",\n  \"graphs\": [\n";
-  for (std::size_t gi = 0; gi < runs.size(); ++gi) {
-    const DatasetRun& run = runs[gi];
-    json << "    {\"name\": \"" << run.name << "\", \"n\": " << run.n
-         << ", \"m\": " << run.m << ", \"points\": [\n";
-    for (std::size_t i = 0; i < run.points.size(); ++i) {
-      const Point& p = run.points[i];
-      json << "      {\"batch_size\": " << p.batch_size
-           << ", \"batches\": " << p.batches
-           << ", \"updates\": " << p.updates
-           << ", \"stream_ms_per_batch\": " << spread_of(p.stream_ms_per_batch)
-           << ", \"rebuild_ms_per_batch\": "
-           << spread_of(p.rebuild_ms_per_batch)
-           << ", \"speedup\": " << spread_of(p.speedup)
-           << ", \"stream_updates_per_s\": "
-           << spread_of(p.stream_updates_per_s)
-           << ", \"stream_first_query_ms\": "
-           << spread_of(p.stream_first_query_ms)
-           << ", \"stream_steady_query_ms\": "
-           << spread_of(p.stream_steady_query_ms)
-           << ", \"rebuild_query_ms\": " << spread_of(p.rebuild_query_ms)
-           << ", \"rebalance_incremental\": " << p.rebalance_incremental
-           << ", \"rebalance_full\": " << p.rebalance_full << "}"
-           << (i + 1 < run.points.size() ? "," : "") << "\n";
-    }
-    json << "    ],\n     \"incremental\": {\"batch_size\": "
-         << run.inc.batch_size << ", \"runs\": " << kRuns
-         << ", \"first_query_after_publish_ms\": "
-         << spread_of(run.inc.first_query_ms) << ", \"algos\": [\n";
-    for (std::size_t i = 0; i < run.inc.algos.size(); ++i) {
-      const IncrAlgo& a = run.inc.algos[i];
-      json << "       {\"algo\": \"" << a.code
-           << "\", \"refresh_ms\": " << spread_of(a.refresh_ms)
-           << ", \"recompute_ms\": " << spread_of(a.recompute_ms)
-           << ", \"speedup\": " << spread_of(a.speedup) << "}"
-           << (i + 1 < run.inc.algos.size() ? "," : "") << "\n";
-    }
-    json << "     ]}}" << (gi + 1 < runs.size() ? "," : "") << "\n";
-  }
-  // Headline: smallest batch size on the first (rmat) dataset, as the
-  // medians of its runs.
-  const Point& op = runs[0].points[0];
-  const double op_speedup = spread_of(op.speedup).median;
-  auto inc_speedup = [&](const char* code) {
-    for (const IncrAlgo& a : runs[0].inc.algos)
-      if (a.code == code) return spread_of(a.speedup).median;
-    return 0.0;
-  };
-  json << "  ],\n  \"op_point\": {\"graph\": \"" << runs[0].name
-       << "\", \"batch_size\": " << op.batch_size
-       << ", \"stream_ms_per_batch\": "
-       << spread_of(op.stream_ms_per_batch).median
-       << ", \"rebuild_ms_per_batch\": "
-       << spread_of(op.rebuild_ms_per_batch).median
-       << ", \"speedup\": " << op_speedup
-       << ", \"prd_refresh_speedup\": " << inc_speedup("PRD")
-       << ", \"cc_refresh_speedup\": " << inc_speedup("CC") << "}\n}\n";
-  json.close();
-  std::cout << "\nWrote BENCH_streaming.json (op-point speedup " << op_speedup
-            << "x, refresh PRD " << inc_speedup("PRD") << "x / CC "
-            << inc_speedup("CC") << "x)" << std::endl;
+  rec.set("graphs", graphs);
+  rec.write();
   return 0;
 }

@@ -36,7 +36,7 @@ double run_algo(const algo::AlgorithmSpec& a, const Graph& g,
   EngineOptions opts;
   opts.explicit_partitioning = explicit_part;
   Engine eng(g, model, opts);
-  return bench::time_median([&] { a.checksum(a.invoke(eng)); }, 3);
+  return bench::sample_ms([&] { a.checksum(a.invoke(eng)); }, 3).median / 1e3;
 }
 
 }  // namespace
@@ -66,9 +66,8 @@ int main() {
     std::map<std::string, Graph> ordered;
     for (const auto& oname : {"Orig.", "RCM", "Gorder"}) {
       const Permutation perm = bench::compute_ordering(oname, g);
-      ordered.emplace(oname, oname == std::string("Orig.")
-                                 ? Graph::from_edges(g.coo())
-                                 : permute(g, perm));
+      ordered.emplace(oname,
+                      oname == std::string("Orig.") ? g : permute(g, perm));
     }
 
     for (const auto& sys : systems) {

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
     VertexId dst;
   };
   std::vector<Variant> variants;
-  variants.push_back({"original (row-major)", Graph::from_edges(g.coo()),
-                      source, target});
+  variants.push_back({"original (row-major)", g, source, target});
   {
     const auto r = order::vebo(g, 48);
     variants.push_back(

@@ -1,6 +1,10 @@
 // Streaming demo: a social graph absorbing follow/unfollow traffic while
 // analytics queries keep running — batched updates through StreamSession,
-// with the incremental VEBO maintainer keeping partitions balanced.
+// whose VEBO maintainer rebalances the partitions when they drift; each
+// batch prints its rebalance action. At the defaults every rebalance is a
+// full VEBO run (6 of 20 batches): by the time the partitions drift past
+// the bound, more than a quarter of the vertices are dirty, too many for
+// an incremental refinement.
 //
 //   ./example_streaming_demo [batches=20] [batch_size=2000]
 #include <cstdlib>

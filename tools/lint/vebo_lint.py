@@ -27,6 +27,10 @@ compile-time drift in:
                   `dense_chunks()` — dense loops go through
                   `for_dense_ranges` or `edge_fold`, so there is one dense
                   scheduler.
+  bench-record    No file in bench/ outside bench/bench_common.hpp opens a
+                  `std::ofstream` — a bench writes its BENCH_*.json through
+                  bench::Record and any other file through
+                  bench::write_file, so there is one writer.
 
 Suppression: append on the offending line (or the line directly above)
 
@@ -53,6 +57,7 @@ RULE_IDS = (
     "kernel-purity",
     "metric-names",
     "dense-scheduling",
+    "bench-record",
 )
 
 # --- per-rule configuration (paths are repo-root-relative) -----------------
@@ -104,6 +109,10 @@ DENSE_SCHED_HOME = "src/framework/"
 DENSE_SCHED_RE = re.compile(
     r"\b(?:partition_loop|dense_chunk_loop|dense_chunks)\s*\("
 )
+
+# The one home of bench output files: bench::Record and bench::write_file.
+BENCH_RECORD_HOME = "bench/bench_common.hpp"
+BENCH_RECORD_RE = re.compile(r"\bstd::(?:w|basic_)?o?fstream\b")
 
 SUPPRESS_RE = re.compile(
     r"//\s*vebo-lint:\s*disable=([a-z-]+)\s*(?:--\s*(.*\S)?)?\s*$"
@@ -282,6 +291,19 @@ def rule_dense_scheduling(rel, lines):
     return out
 
 
+def rule_bench_record(rel, lines):
+    if rel == BENCH_RECORD_HOME:
+        return []
+    out = []
+    for i, line in enumerate(lines, 1):
+        if BENCH_RECORD_RE.search(line.split("//")[0]):
+            out.append(Finding(
+                "bench-record", rel, i,
+                "file writer in bench/ outside bench/bench_common.hpp; "
+                "write through bench::Record or bench::write_file"))
+    return out
+
+
 # --- driver ----------------------------------------------------------------
 
 CXX_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx", ".hh")
@@ -311,6 +333,8 @@ def lint_file(root, path, pinned, fixture_mode=False):
         findings += rule_raw_mutex(rel, lines)
         findings += rule_metric_names(rel, lines, pinned)
         findings += rule_dense_scheduling(rel, lines)
+    if rel.startswith("bench/") or fixture_mode:
+        findings += rule_bench_record(rel, lines)
     findings += rule_hot_atomics(rel, lines, raw)
     findings += rule_kernel_purity(rel, lines)
     return _apply_suppressions(lines, raw, findings)
