@@ -235,11 +235,13 @@ class Record : public Fields {
   std::optional<Fields> op_point_;
 };
 
-inline void print_header(const std::string& what) {
+/// Prints a bench's banner with the dataset scale it runs at and the knob
+/// that sets it; a bench with its own scale knob passes both.
+inline void print_header(const std::string& what, double scale = bench_scale(),
+                         const std::string& knob = "VEBO_BENCH_SCALE") {
   std::cout << "\n################################################\n"
             << "# " << what << "\n"
-            << "# scale=" << bench_scale()
-            << "  (set VEBO_BENCH_SCALE to change)\n"
+            << "# scale=" << scale << "  (set " << knob << " to change)\n"
             << "################################################\n";
 }
 

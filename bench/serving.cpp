@@ -281,7 +281,8 @@ int main() {
   const std::vector<std::size_t> client_counts = {1, 2, 4, 8};
 
   bench::print_header("serving: GraphService concurrent clients vs "
-                      "serialized StreamSession baseline");
+                      "serialized StreamSession baseline",
+                      scale, "VEBO_SERVE_SCALE");
 
   // 80/20 split exactly like the streaming bench: the final 20% is the
   // update stream the with-writer run feeds.

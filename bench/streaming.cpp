@@ -332,7 +332,8 @@ int main() {
   const std::vector<std::size_t> batch_sizes = {1000, 10000, 100000};
 
   bench::print_header("streaming: batch-apply + incremental VEBO vs "
-                      "rebuild + full VEBO");
+                      "rebuild + full VEBO",
+                      scale, "VEBO_STREAM_SCALE");
 
   std::vector<bench::Fields> graphs;
   for (const std::string& name : {std::string("rmat27"),

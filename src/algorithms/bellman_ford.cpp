@@ -3,9 +3,10 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 #include "algorithms/incremental.hpp"
-#include "algorithms/spmv.hpp"  // edge_weight
+#include "algorithms/spmv.hpp"  // edge_weight, edge_weight_int
 #include "framework/edgemap.hpp"
 #include "support/error.hpp"
 
@@ -35,56 +36,86 @@ struct BfFunctor {
   bool cond(VertexId) const { return true; }
 };
 
-// Dial's bucket queue: bucket k holds labels in [k, k+1) * kBucketWidth.
+// Dial's bucket queue over whole-number labels: bucket k holds label k.
 // A relaxation adds between kMinEdgeWeight and kMaxEdgeWeight, so out of
-// bucket k it lands in buckets k+1 .. k + kMaxEdgeWeight/kMinEdgeWeight:
-// a ring one slot longer than that span holds every pending label, and
-// no two pending buckets share a slot. Labels are sums of whole-number
-// weights, so a bucket of width 1 holds a single label.
-constexpr double kBucketWidth = kMinEdgeWeight;
-constexpr std::size_t kBucketRing =
-    static_cast<std::size_t>(kMaxEdgeWeight / kMinEdgeWeight) + 1;
-static_assert(static_cast<double>(kBucketRing - 1) * kBucketWidth >=
-                  kMaxEdgeWeight,
-              "the bucket ring must span kMaxEdgeWeight / kMinEdgeWeight");
-static_assert(kBucketWidth == 1.0, "one whole-number label per bucket");
+// bucket k it lands in buckets k + 1 .. k + kMaxEdgeWeight: a ring one
+// slot longer than kMaxEdgeWeight holds every pending label, and no two
+// pending buckets share a slot.
+constexpr auto kMaxWeight = static_cast<std::uint32_t>(kMaxEdgeWeight);
+constexpr std::size_t kBucketRing = std::size_t{kMaxWeight} + 1;
+static_assert(kMinEdgeWeight >= 1.0, "a relaxation leaves its bucket");
+
+// The pass keeps 32-bit labels, all ones for "unreached": that halves the
+// array it reads at random. A label it stores is a simple path's sum, at
+// most (n - 1) * kMaxEdgeWeight, so it stays below kUnreached on graphs
+// of up to kBucketPassMaxVertices vertices and no more.
+using Label = std::uint32_t;
+constexpr Label kUnreached = ~Label{0};
+constexpr VertexId kBucketPassMaxVertices = VertexId{1} << 27;
+static_assert(std::uint64_t{kBucketPassMaxVertices - 1} * kMaxWeight <
+                  kUnreached,
+              "every label of the largest graph the pass takes fits");
+static_assert(std::uint64_t{kBucketPassMaxVertices} * kMaxWeight >=
+                  kUnreached,
+              "one vertex more and a label could reach the sentinel");
+
+// The pass visits vertices in distance order, not id order, so each
+// entry's label, row offsets and row are cache misses. While it scans
+// entry i it requests the label and offsets of entry i + kLookAheadFar,
+// and the row of entry i + kLookAheadNear, whose offsets it requested
+// kLookAheadFar - kLookAheadNear entries earlier.
+constexpr std::size_t kLookAheadFar = 16;
+constexpr std::size_t kLookAheadNear = 8;
 
 /// The one-thread pass: settles each reached vertex the first time its
 /// bucket comes up and relaxes its out-edges once. Every label in bucket
 /// k is final by then, because a relaxation out of bucket k or later
 /// lands past it. A vertex whose label drops again moves to an earlier
 /// bucket, never twice into one; the entry it leaves behind is stale
-/// (its label is below the bucket's) and is skipped.
+/// (its label is below the bucket's) and is skipped. A candidate is
+/// summed in 64 bits, where du + w cannot wrap; one that beats a label
+/// extends u's shortest path by a vertex not on it (those are settled
+/// below du), so it is a simple path's sum.
 QueryPayload settle_by_buckets(const Engine& eng, VertexId source) {
   obs::SpanScope pass(obs::SpanKind::Iteration);
   const Graph& g = eng.graph();
-  std::vector<double> dist(g.num_vertices(), kUnreachable);
+  const EdgeId* offsets = g.out_csr().offsets().data();
+  const VertexId* targets = g.out_csr().neighbor_array().data();
+  std::vector<Label> dist(g.num_vertices(), kUnreached);
   int rounds = 0;
   VertexId reached = 0;
   std::array<std::vector<VertexId>, kBucketRing> ring;
-  dist[source] = 0.0;
+  dist[source] = 0;
   ring[0].push_back(source);
   std::size_t pending = 1;  // entries across the ring
-  for (std::size_t k = 0; pending > 0; ++k) {
+  for (std::uint64_t k = 0; pending > 0; ++k) {
+    // Relaxations land in other slots, so `bucket` holds still.
     std::vector<VertexId>& bucket = ring[k % kBucketRing];
     if (bucket.empty()) continue;
     eng.poll_cancellation();
-    const double lo = static_cast<double>(k) * kBucketWidth;
     const VertexId settled_before = reached;
-    for (const VertexId u : bucket) {  // relaxations land in other slots
-      const double du = dist[u];
-      if (du < lo) continue;
+    const std::size_t size = bucket.size();
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i + kLookAheadFar < size) {
+        const VertexId far = bucket[i + kLookAheadFar];
+        __builtin_prefetch(&dist[far]);
+        __builtin_prefetch(&offsets[far]);
+      }
+      if (i + kLookAheadNear < size)
+        __builtin_prefetch(targets + offsets[bucket[i + kLookAheadNear]]);
+      const VertexId u = bucket[i];
+      const Label du = dist[u];
+      if (du < k) continue;
       ++reached;
       for (const VertexId v : g.out_neighbors(u)) {
-        const double cand = du + edge_weight(u, v);
+        const std::uint64_t cand = std::uint64_t{du} + edge_weight_int(u, v);
         if (cand >= dist[v]) continue;
-        dist[v] = cand;
-        ring[static_cast<std::size_t>(cand / kBucketWidth) % kBucketRing]
-            .push_back(v);
+        dist[v] = static_cast<Label>(cand);
+        ring[cand % kBucketRing].push_back(v);
         ++pending;
       }
     }
-    pending -= bucket.size();
+    pending -= size;
     bucket.clear();
     rounds += reached != settled_before;
   }
@@ -92,7 +123,11 @@ QueryPayload settle_by_buckets(const Engine& eng, VertexId source) {
     pass.span().a = static_cast<std::uint64_t>(rounds);
     pass.span().b = reached;
   }
-  return QueryPayload::vertex_doubles(std::move(dist));
+  std::vector<double> out(dist.size());
+  for (std::size_t v = 0; v < dist.size(); ++v)
+    out[v] = dist[v] == kUnreached ? kUnreachable
+                                   : static_cast<double>(dist[v]);
+  return QueryPayload::vertex_doubles(std::move(out));
 }
 
 /// Distances from `source`.
@@ -103,8 +138,10 @@ QueryPayload run_bf(const Engine& eng, const QueryParams& p) {
   VEBO_CHECK(source < n, "bellman_ford: source out of range");
   // One thread has nothing to balance, so it takes the serial pass, which
   // settles each vertex once; the paper's rounds exist for the balanced
-  // parallel supersteps below.
-  if (eng.pool().num_threads() == 1) return settle_by_buckets(eng, source);
+  // parallel supersteps below. A graph too large for the pass's 32-bit
+  // labels takes the rounds.
+  if (eng.pool().num_threads() == 1 && n <= kBucketPassMaxVertices)
+    return settle_by_buckets(eng, source);
 
   std::vector<std::atomic<double>> dist(n);
   for (auto& d : dist) d.store(kUnreachable, std::memory_order_relaxed);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
 
 #include "algorithms/bellman_ford.hpp"
 #include "algorithms/pagerank.hpp"
@@ -240,7 +241,7 @@ TEST_P(AlgoModels, SpmvMatchesReference) {
 
 // BF's one-thread bucket pass sizes its ring from these bounds and keeps
 // one label per bucket, so it relies on every weight being a whole number
-// inside them.
+// inside them; it sums the integer form, which must be the same weight.
 TEST(Spmv, EdgeWeightDeterministicAndBounded) {
   const auto check = [](VertexId u, VertexId v) {
     const double w = algo::edge_weight(u, v);
@@ -248,6 +249,8 @@ TEST(Spmv, EdgeWeightDeterministicAndBounded) {
     ASSERT_LE(w, algo::kMaxEdgeWeight) << u << "->" << v;
     ASSERT_EQ(w, std::floor(w)) << u << "->" << v;
     ASSERT_EQ(w, algo::edge_weight(u, v));
+    ASSERT_EQ(w, static_cast<double>(algo::edge_weight_int(u, v)))
+        << u << "->" << v;
   };
   for (VertexId u = 0; u < 50; ++u)
     for (VertexId v = 0; v < 50; v += 7) check(u, v);
@@ -394,6 +397,36 @@ TEST_P(AlgoModels, BellmanFordOneThreadEdgeCases) {
   const std::vector<double> far = check(road, 0).doubles();
   EXPECT_GT(*std::max_element(far.begin(), far.end()),
             8 * algo::kMaxEdgeWeight);
+}
+
+// While it scans bucket entry i, the pass requests the label and offsets
+// of entry i + 16 and the row of entry i + 8, whose offsets it requested
+// eight entries earlier. An entry goes through both stages only in a
+// bucket of more than 16 entries, and both stages run in one step only
+// from entry 8 of a bucket of more than 24. The other BF tests' graphs
+// hold at most 23 vertices per distance; rmat(14, 8, 3) relabelled by
+// VEBO holds up to 802 from source 1, and a bucket holds at least its
+// distance's vertices.
+TEST_P(AlgoModels, BellmanFordOneThreadLongBuckets) {
+  const Graph raw = gen::rmat(14, 8, 3);
+  const Graph g = permute(raw, order::vebo(raw, 4).perm);
+  ThreadPool one(1), four(4);
+  Engine eng1(g, GetParam(), {.partitions = 4, .pool = &one});
+  Engine eng4(g, GetParam(), {.partitions = 4, .pool = &four});
+  obs::ThreadTrace tt;
+  const std::vector<double> dist = run(eng1, "BF", from(1)).doubles();
+  const obs::Trace t = tt.finish();
+  for (const obs::Span& s : t.spans)
+    EXPECT_NE(s.kind, obs::SpanKind::EdgeMap);  // the bucket pass ran
+  EXPECT_EQ(dist, algo::ref::dijkstra(g, 1));
+  EXPECT_EQ(dist, run(eng4, "BF", from(1)).doubles());
+  std::map<double, std::size_t> per_distance;
+  for (const double d : dist)
+    if (d != algo::kUnreachable) ++per_distance[d];
+  std::size_t largest = 0;
+  for (const auto& [d, count] : per_distance)
+    largest = std::max(largest, count);
+  EXPECT_GT(largest, 24u);
 }
 
 // The pass polls the bound query context once per bucket.
