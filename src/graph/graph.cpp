@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
@@ -31,22 +30,19 @@ Graph Graph::from_parts(Csr out, Csr in, bool directed) {
              "from_parts: CSR/CSC vertex counts disagree");
   VEBO_CHECK(out.num_edges() == in.num_edges(),
              "from_parts: CSR/CSC edge counts disagree");
-  const VertexId n = out.num_vertices();
-  std::vector<Edge> edges(out.num_edges());
-  const auto offsets = out.offsets();
-  parallel_for(0, n, [&](std::size_t v) {
-    EdgeId e = offsets[v];
-    for (VertexId w : out.neighbors(static_cast<VertexId>(v)))
-      edges[e++] = {static_cast<VertexId>(v), w};
-  });
   Graph g;
-  g.n_ = n;
+  g.n_ = out.num_vertices();
   g.m_ = out.num_edges();
   g.directed_ = directed;
   g.out_ = std::move(out);
   g.in_ = std::move(in);
-  g.coo_ = EdgeList(n, std::move(edges), directed);
   return g;
+}
+
+Graph::CooView::operator EdgeList() const {
+  const auto e = edges();
+  return EdgeList(g_->n_, std::vector<Edge>(e.begin(), e.end()),
+                  g_->directed_);
 }
 
 EdgeId Graph::max_in_degree() const {

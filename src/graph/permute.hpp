@@ -30,7 +30,7 @@ Permutation compose(std::span<const VertexId> outer,
 /// Identity permutation of size n.
 Permutation identity_permutation(VertexId n);
 
-/// Relabels the graph: (u,v) -> (perm[u], perm[v]), CSR + CSC + COO.
+/// Relabels the graph: (u,v) -> (perm[u], perm[v]), CSR + CSC.
 Graph permute(const Graph& g, std::span<const VertexId> perm);
 
 /// The relabelling core behind permute() and DeltaGraph::snapshot(perm),

@@ -13,7 +13,7 @@
 // `apply_batch` ingests a span of EdgeUpdates in O(B log B) for the batch
 // dedup sort plus O(touched-source delta blocks) for the parallel
 // per-source merges — it never rebuilds the base. `snapshot(perm)` turns
-// base+deltas into an immutable, relabelled `Graph` (CSR + CSC + COO) in
+// base+deltas into an immutable, relabelled `Graph` (CSR + CSC) in
 // O(n + m) without a comparison sort (permute_rows: one scatter of the
 // live out-rows, one transpose), so every engine and algorithm runs
 // unchanged on any version of the graph. While the permutation holds,
@@ -69,7 +69,7 @@ class DeltaGraph {
   ApplyResult apply_batch(std::span<const EdgeUpdate> batch);
 
   /// The live graph relabelled by `perm` (new_id = perm[old_id]) as an
-  /// immutable Graph (CSR, CSC, COO): byte-identical to
+  /// immutable Graph (CSR and CSC): byte-identical to
   /// permute(Graph::from_edges(live edges), perm), but each live out-row
   /// is read once and no original-id graph is built.
   Graph snapshot(std::span<const VertexId> perm) const;

@@ -294,7 +294,7 @@ TEST(Hilbert, OrderForCoversN) {
 
 TEST(Hilbert, SortKeepsMultisetOfEdges) {
   const Graph g = gen::rmat(8, 4, 3);
-  EdgeList el = g.coo();
+  EdgeList el(g.num_vertices(), walked_edges(g), g.directed());
   auto before = std::vector<Edge>(el.edges().begin(), el.edges().end());
   order::sort_edges_hilbert(el);
   auto after = std::vector<Edge>(el.edges().begin(), el.edges().end());

@@ -308,7 +308,7 @@ TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
 // engines, matching the from_edges rebuild.
 TEST(DeltaGraph, AlgorithmsAgreeOnSnapshotAcrossEngines) {
   const Graph full = gen::rmat(10, 8, /*seed=*/3);
-  const auto all = full.coo().edges();
+  const std::vector<Edge> all = walked_edges(full);
 
   // Seed a DeltaGraph with the first half, stream the second half in
   // batches, delete a scattering of seeded edges again.
@@ -586,7 +586,7 @@ TEST(Maintainer, UnattainableBoundDoesNotRebalanceEveryBatch) {
 
 TEST(Session, InterleavedUpdatesAndQueriesMatchStaticRebuild) {
   const Graph full = gen::rmat(10, 6, 17);
-  const auto all = full.coo().edges();
+  const std::vector<Edge> all = walked_edges(full);
   const std::size_t half = all.size() / 2;
 
   EdgeSet ref;
@@ -649,7 +649,7 @@ TEST(Session, AllThreeModelsAgree) {
 // ------------------------------------------------- patched snapshots
 
 /// The session's snapshot is byte-identical to the full relabel of its
-/// DeltaGraph under the maintained ordering: CSR, CSC and COO.
+/// DeltaGraph under the maintained ordering: CSR, CSC and edge walk.
 void expect_same_as_full_relabel(StreamSession& session) {
   const Graph& got = session.snapshot();
   const Graph full =
@@ -657,7 +657,7 @@ void expect_same_as_full_relabel(StreamSession& session) {
   EXPECT_EQ(got.directed(), full.directed());
   EXPECT_EQ(got.out_csr(), full.out_csr());
   EXPECT_EQ(got.in_csr(), full.in_csr());
-  EXPECT_TRUE(std::ranges::equal(got.coo().edges(), full.coo().edges()));
+  EXPECT_EQ(walked_edges(got), walked_edges(full));
 }
 
 /// Bounds no drift reaches: only vertex growth rebalances.

@@ -11,6 +11,12 @@ long stamp_us() {
       .count();
 }
 
+template <typename Graph>
+bool has_edges(const Graph& g) {
+  // vebo-lint: disable=coo-readers -- fixture demonstrating a pinned reader
+  return !g.coo().edges().empty();
+}
+
 const char* stage_label() {
   // vebo-lint: disable=metric-names -- span stage label, not a metric
   return "vebo_unpinned_stage_label";

@@ -31,6 +31,10 @@ compile-time drift in:
                   `std::ofstream` — a bench writes its BENCH_*.json through
                   bench::Record and any other file through
                   bench::write_file, so there is one writer.
+  coo-readers     No file in src/, bench/ or tests/ calls `.coo()`. A Graph
+                  stores only its CSR and CSC; `Graph::coo()` is a view of
+                  the out-CSR kept for perfbench's workload inputs alone,
+                  and everything else walks `for_each_edge`.
 
 Suppression: append on the offending line (or the line directly above)
 
@@ -58,6 +62,7 @@ RULE_IDS = (
     "metric-names",
     "dense-scheduling",
     "bench-record",
+    "coo-readers",
 )
 
 # --- per-rule configuration (paths are repo-root-relative) -----------------
@@ -113,6 +118,9 @@ DENSE_SCHED_RE = re.compile(
 # The one home of bench output files: bench::Record and bench::write_file.
 BENCH_RECORD_HOME = "bench/bench_common.hpp"
 BENCH_RECORD_RE = re.compile(r"\bstd::(?:w|basic_)?o?fstream\b")
+
+# A call of Graph::coo(), the view only perfbench reads.
+COO_CALL_RE = re.compile(r"(?:\.|->)\s*coo\s*\(")
 
 SUPPRESS_RE = re.compile(
     r"//\s*vebo-lint:\s*disable=([a-z-]+)\s*(?:--\s*(.*\S)?)?\s*$"
@@ -304,6 +312,17 @@ def rule_bench_record(rel, lines):
     return out
 
 
+def rule_coo_readers(rel, lines):
+    out = []
+    for i, line in enumerate(lines, 1):
+        if COO_CALL_RE.search(line.split("//")[0]):
+            out.append(Finding(
+                "coo-readers", rel, i,
+                "Graph::coo() read outside perfbench; walk the edges with "
+                "Graph::for_each_edge"))
+    return out
+
+
 # --- driver ----------------------------------------------------------------
 
 CXX_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx", ".hh")
@@ -335,6 +354,8 @@ def lint_file(root, path, pinned, fixture_mode=False):
         findings += rule_dense_scheduling(rel, lines)
     if rel.startswith("bench/") or fixture_mode:
         findings += rule_bench_record(rel, lines)
+    if rel.startswith(("src/", "bench/", "tests/")) or fixture_mode:
+        findings += rule_coo_readers(rel, lines)
     findings += rule_hot_atomics(rel, lines, raw)
     findings += rule_kernel_purity(rel, lines)
     return _apply_suppressions(lines, raw, findings)
