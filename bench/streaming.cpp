@@ -1,20 +1,22 @@
-// Streaming benchmark: batched edge updates + incremental VEBO
-// rebalancing vs. the static alternative (rebuild-from-scratch + full
-// VEBO) — the ISSUE-2 acceptance numbers.
+// Streaming benchmark: batched edge updates through StreamSession vs. the
+// static alternative (rebuild-from-scratch + full VEBO).
 //
 // For each dataset (rmat / powerlaw stand-ins) the final edge set is
 // split: 80% seeds the graph, 20% streams in as insert batches (spiced
 // with ~10% deletions of seeded edges) at >=3 batch-size op points. Per
 // op point we measure
 //   * streaming: StreamSession::apply — DeltaGraph batch-apply plus the
-//     drift-triggered incremental rebalance,
+//     maintainer's drift check, which re-runs VEBO in full once the
+//     partitions drift past its bound (`rebalances` counts those runs),
 //   * rebuild: Graph::from_edges over the accumulated edge set plus a
 //     full order::vebo run (what a static pipeline must redo per batch),
 // and the first-query / steady-query latency on both paths. Each op point
 // runs kRuns times, and every timed value lands in BENCH_streaming.json
 // (bench::Record) as {median, min, max, n} over the runs; the headline op
 // point is the smallest batch size on rmat, whose acceptance floor is 5x
-// on the ratio of the medians.
+// on the ratio of the medians. At the default scale only the powerlaw
+// points rebalance: the rmat points, the headline included, time
+// ingestion and the drift check alone.
 //
 // Knobs: VEBO_STREAM_SCALE (dataset scale, default bench_scale()),
 // VEBO_STREAM_REBUILD_BATCHES (rebuild timings per op point, default 3).
@@ -46,8 +48,7 @@ struct Point {
   std::size_t batch_size = 0;
   std::size_t batches = 0;
   std::size_t updates = 0;
-  std::uint64_t rebalance_incremental = 0;
-  std::uint64_t rebalance_full = 0;
+  std::uint64_t rebalances = 0;  ///< full VEBO runs during the stream
   std::vector<double> stream_ms_per_batch, rebuild_ms_per_batch,
       stream_updates_per_s;
   std::vector<double> stream_first_query_ms;   ///< includes snapshot + reorder
@@ -112,9 +113,9 @@ void run_point(const Graph& full, std::size_t batch_size,
   const std::size_t bsz = std::min(batch_size, updates.size());
   const std::size_t nbatches = (updates.size() + bsz - 1) / bsz;
 
-  // ---- streaming path: batch-apply + incremental rebalance. A tight
-  // drift bound makes the maintainer actually fire during the 20% stream
-  // so the measured path includes rebalancing work, not just ingestion.
+  // ---- streaming path: batch-apply + the drift check. The bound is tight
+  // (1% of m/P); the powerlaw stream crosses it and re-runs VEBO, the
+  // rmat stream does not.
   stream::SessionOptions sopts;
   sopts.rebalance.edge_drift = 0.01;
   stream::StreamSession session(seed, sopts);
@@ -135,18 +136,16 @@ void run_point(const Graph& full, std::size_t batch_size,
 
   // The counts do not depend on timing: every run must reproduce the
   // first run's.
-  const auto& rebalances = session.maintainer().stats();
+  const std::uint64_t rebalances = session.maintainer().stats().full;
   if (p.stream_ms_per_batch.size() == 1) {
     p.batch_size = bsz;
     p.batches = nbatches;
     p.updates = updates.size();
-    p.rebalance_incremental = rebalances.incremental;
-    p.rebalance_full = rebalances.full;
+    p.rebalances = rebalances;
   }
   VEBO_CHECK(p.batch_size == bsz && p.batches == nbatches &&
                  p.updates == updates.size() &&
-                 p.rebalance_incremental == rebalances.incremental &&
-                 p.rebalance_full == rebalances.full,
+                 p.rebalances == rebalances,
              "bench_streaming: op-point counts differ between runs");
 
   Timer fq;
@@ -331,7 +330,7 @@ int main() {
   rec.lock_settings();
   const std::vector<std::size_t> batch_sizes = {1000, 10000, 100000};
 
-  bench::print_header("streaming: batch-apply + incremental VEBO vs "
+  bench::print_header("streaming: batch-apply + drift-checked VEBO vs "
                       "rebuild + full VEBO",
                       scale, "VEBO_STREAM_SCALE");
 
@@ -363,8 +362,7 @@ int main() {
                 << "x, query stream/rebuild="
                 << median(p.stream_steady_query_ms) << "/"
                 << median(p.rebuild_query_ms)
-                << "ms, rebalance inc/full=" << p.rebalance_incremental << "/"
-                << p.rebalance_full << std::endl;
+                << "ms, rebalances=" << p.rebalances << std::endl;
       point_fields.push_back(
           bench::Fields()
               .set("batch_size", p.batch_size)
@@ -379,8 +377,7 @@ int main() {
               .set("stream_steady_query_ms",
                    summarize(p.stream_steady_query_ms))
               .set("rebuild_query_ms", summarize(p.rebuild_query_ms))
-              .set("rebalance_incremental", p.rebalance_incremental)
-              .set("rebalance_full", p.rebalance_full));
+              .set("rebalances", p.rebalances));
       points.push_back(std::move(p));
     }
     // Refresh-on-publish steady state at the smallest batch size.

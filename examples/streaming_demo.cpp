@@ -1,10 +1,8 @@
 // Streaming demo: a social graph absorbing follow/unfollow traffic while
 // analytics queries keep running — batched updates through StreamSession,
-// whose VEBO maintainer rebalances the partitions when they drift; each
-// batch prints its rebalance action. At the defaults every rebalance is a
-// full VEBO run (6 of 20 batches): by the time the partitions drift past
-// the bound, more than a quarter of the vertices are dirty, too many for
-// an incremental refinement.
+// whose VEBO maintainer re-runs VEBO when the partitions drift. Each batch
+// prints whether it rebalanced, and the summary counts the rebalances (6
+// of the 20 batches at the defaults).
 //
 //   ./example_streaming_demo [batches=20] [batch_size=2000]
 #include <cstdlib>
@@ -50,11 +48,8 @@ int main(int argc, char** argv) {
     const auto out = session.apply(batch);
     std::cout << "batch " << b << ": +" << out.applied.inserted << " -"
               << out.applied.removed << " edges, rebalance="
-              << (out.rebalance == stream::RebalanceAction::None
-                      ? "none"
-                      : out.rebalance == stream::RebalanceAction::Incremental
-                            ? "incremental"
-                            : "FULL")
+              << (out.rebalance == stream::RebalanceAction::None ? "none"
+                                                                 : "FULL")
               << ", |E|=" << session.delta().num_edges();
     if (b % 5 == 4) {
       const double comps = session.query("CC");
@@ -69,8 +64,8 @@ int main(int argc, char** argv) {
   const auto& rb = session.maintainer().stats();
   std::cout << "\napplied " << st.batches << " batches (+" << st.inserted
             << "/-" << st.removed << "), " << st.queries << " queries over "
-            << st.snapshots << " snapshots, rebalances: " << rb.incremental
-            << " incremental / " << rb.full << " full, final imbalance Δ="
+            << st.snapshots << " snapshots, rebalances: " << rb.full
+            << ", final imbalance Δ="
             << session.maintainer().edge_imbalance()
             << " δ=" << session.maintainer().vertex_imbalance() << "\n";
   return 0;

@@ -5,7 +5,7 @@
 // go" — it needs a query to point at. The flight recorder inverts that:
 // once armed it continuously records COARSE spans (serve/stream stage
 // granularity only — queue wait, cache probe, engine lease, execute,
-// translate, apply_batch, snapshot, compact, vebo_refine, publish;
+// translate, apply_batch, snapshot, compact, rebalance, publish;
 // NEVER framework steps inside dense kernels) from every thread into
 // small per-thread rings that hold the last few seconds. Nothing is
 // exported until something goes wrong: an anomaly trigger (error-rate

@@ -79,8 +79,7 @@ const char* to_string(SpanKind k) {
     case SpanKind::ApplyBatch: return "apply_batch";
     case SpanKind::Snapshot: return "snapshot";
     case SpanKind::Compact: return "compact";
-    // vebo-lint: disable=metric-names -- span stage label, not a metric
-    case SpanKind::VeboRefine: return "vebo_refine";
+    case SpanKind::Rebalance: return "rebalance";
     case SpanKind::Publish: return "publish";
     case SpanKind::Refresh: return "refresh";
   }
@@ -311,10 +310,10 @@ void append_chrome_event(std::ostringstream& os, const Span& s,
       arg_u64(os, first, "grew_vertices", s.c);
       break;
     case SpanKind::Compact: break;
-    case SpanKind::VeboRefine:
-      arg_str(os, first, "action",
-              s.a == 2 ? "full" : (s.a == 1 ? "incremental" : "none"));
-      arg_u64(os, first, "dirty", s.b);
+    case SpanKind::Rebalance:
+      arg_str(os, first, "action", s.a != 0 ? "full" : "none");
+      arg_u64(os, first, "edge_imbalance", s.b);
+      arg_u64(os, first, "vertex_imbalance", s.c);
       break;
   }
   os << "}}";

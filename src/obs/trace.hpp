@@ -12,7 +12,7 @@
 //  * algorithm iteration tops (one Span per hand-rolled superstep);
 //  * serve-path stages (queue wait, engine lease, cache probe, execute,
 //    payload translation) and stream-path stages (apply_batch,
-//    snapshot, compact, vebo_refine, publish).
+//    snapshot, compact, rebalance, publish).
 // Each Span carries its measured duration; a framework span's args say
 // why the engine chose what it ran.
 //
@@ -66,7 +66,7 @@ enum class SpanKind : std::uint8_t {
   ApplyBatch,
   Snapshot,
   Compact,
-  VeboRefine,
+  Rebalance,
   Publish,
   Refresh,  ///< serve path: one cache entry recomputed across a publish
 };
@@ -101,7 +101,9 @@ const char* to_string(KernelVariant v);
 ///  * QueueWait: (none). EngineLease/Execute: a = snapshot version.
 ///  * CacheProbe: a = 1 on hit. Translate: a = payload vertex count.
 ///  * ApplyBatch: a = inserted, b = removed, c = vertices grown.
-///  * VeboRefine: a = RebalanceAction, b = dirty vertex count.
+///  * Rebalance: a = 1 when the drift check re-ran VEBO (0 = no drift),
+///    b = Δ and c = δ (partition in-edge and vertex imbalance) as the
+///    check read them.
 ///  * Publish: a = version (0 when unversioned), b = cache entries
 ///    refreshed into the new epoch, c = cache entries dropped.
 ///  * Snapshot: a = version (0 when unversioned), b = 1 when patched

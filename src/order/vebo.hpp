@@ -13,9 +13,12 @@
 // the input graph's spatial locality; the per-partition vertex and edge
 // counts — and hence the balance guarantees — are identical to the exact
 // variant.
+//
+// Every VEBO ordering comes from a full run, the streaming subsystem's
+// too: when the partitions drift, stream::VeboMaintainer re-runs
+// `vebo_from_degrees` on the live in-degrees.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -55,21 +58,5 @@ VeboResult vebo(const Graph& g, VertexId P, const VeboOptions& opts = {});
 
 /// Convenience: VEBO-reordered copy of the graph.
 Graph vebo_reorder(const Graph& g, VertexId P, const VeboOptions& opts = {});
-
-/// Incremental refinement of a previous VEBO result after degree drift
-/// (the streaming subsystem's rebalance step). The partition loads are
-/// recounted from `in_degree`, so they match the graph whatever `dirty`
-/// holds. Only the vertices listed in `dirty` — plus any new vertices
-/// beyond `prev.perm.size()` — are re-placed, by phases 1-2 of Algorithm 2
-/// run from the loads the other vertices leave; zero-degree vertices may
-/// then move to repair vertex counts. Placement costs
-/// O(|dirty| log(|dirty|·P)); the contiguous renumbering is O(n) and keeps
-/// every non-dirty vertex in its previous relative order, so
-/// partition-interior locality survives. Unlike the full run, degrees
-/// within a partition are no longer strictly decreasing — balance bounds
-/// are what the refinement maintains.
-VeboResult vebo_refine(const std::vector<EdgeId>& in_degree,
-                       const VeboResult& prev,
-                       std::span<const VertexId> dirty);
 
 }  // namespace vebo::order

@@ -191,7 +191,7 @@ ApplyResult DeltaGraph::apply_batch(std::span<const EdgeUpdate> batch) {
   // The effective arcs, and their (dst, +-1) pairs for the in-degree
   // fold: sorted by destination and summed per destination, zero sums
   // dropped, so `in_degree_delta` lists each changed vertex once in
-  // ascending order (the order vebo_refine's dirty list takes them in).
+  // ascending order (DeltaGraph.RandomBatchesSnapshotEquivalence pins it).
   std::vector<std::pair<VertexId, std::int64_t>> by_dst;
   for (std::size_t i = 0; i < effect.size(); ++i) {
     if (effect[i] == 0) continue;

@@ -7,21 +7,11 @@
 
 namespace vebo::stream {
 
-namespace {
-
-/// Past this dirty-vertex fraction, skip refinement and re-run full VEBO:
-/// the incremental path no longer saves work.
-constexpr double kFullRebuildFraction = 0.25;
-
-}  // namespace
-
 VeboMaintainer::VeboMaintainer(const DeltaGraph& g, RebalanceOptions opts)
     : opts_(opts) {
   VEBO_CHECK(opts_.partitions >= 1, "rebalance: partitions must be >= 1");
   VEBO_CHECK(g.num_vertices() > 0, "rebalance: empty graph");
-  run_full(g);
-  // Construction is not a rebalance event.
-  stats_.full = 0;
+  run_full(g);  // construction is not a rebalance event
 }
 
 EdgeId VeboMaintainer::edge_imbalance() const {
@@ -53,12 +43,6 @@ void VeboMaintainer::observe(const ApplyResult& applied) {
     const VertexId p = current_.partitioning.owner(current_.perm[v]);
     live_edges_[p] = static_cast<EdgeId>(
         static_cast<std::int64_t>(live_edges_[p]) + d);
-    // adopt() sizes dirty_mark_ to the full vertex count and v < placed_n.
-    VEBO_ASSERT(v < dirty_mark_.size());
-    if (!dirty_mark_[v]) {
-      dirty_mark_[v] = true;
-      dirty_.push_back(v);
-    }
   }
 }
 
@@ -68,69 +52,34 @@ bool VeboMaintainer::drifted(const DeltaGraph& g) const {
          vertex_imbalance() > base_vertex_imb_ + vertex_bound(g);
 }
 
-void VeboMaintainer::adopt(order::VeboResult next, const DeltaGraph& g) {
-  current_ = std::move(next);
+void VeboMaintainer::run_full(const DeltaGraph& g) {
+  current_ = order::vebo_from_degrees(g.in_degrees(), opts_.partitions);
   live_edges_ = current_.part_edges;
-  dirty_.clear();
-  dirty_mark_.assign(g.num_vertices(), false);
   base_edge_imb_ = current_.edge_imbalance();
   base_vertex_imb_ = current_.vertex_imbalance();
   stats_.last_edge_imbalance = base_edge_imb_;
   stats_.last_vertex_imbalance = base_vertex_imb_;
 }
 
-void VeboMaintainer::run_full(const DeltaGraph& g) {
-  adopt(order::vebo_from_degrees(g.in_degrees(), opts_.partitions), g);
-  ++stats_.full;
-}
-
 RebalanceAction VeboMaintainer::maybe_rebalance(const DeltaGraph& g) {
-  // Stream-path span: the drift check plus whatever maintenance it
-  // triggers. a = action taken, b = dirty vertices pending at entry.
-  obs::StageScope span(obs::SpanKind::VeboRefine);
-  const std::uint64_t dirty_before = dirty_.size();
-  const RebalanceAction action = [&]() -> RebalanceAction {
-    if (!drifted(g)) {
-      stats_.last_edge_imbalance = edge_imbalance();
-      stats_.last_vertex_imbalance = vertex_imbalance();
-      return RebalanceAction::None;
-    }
-
-    const VertexId n = g.num_vertices();
-    const std::size_t new_vertices =
-        n > current_.perm.size() ? n - current_.perm.size() : 0;
-    const double dirty_fraction =
-        static_cast<double>(dirty_.size() + new_vertices) / n;
-    if (dirty_fraction > kFullRebuildFraction) {
-      run_full(g);
-      return RebalanceAction::Full;
-    }
-
-    // Accept the refinement when it restores balance to the absolute bound
-    // or to the quality the previous (full-quality) ordering achieved —
-    // whichever is looser. On skewed graphs where a hub makes the absolute
-    // bound unattainable, matching the previous baseline is the achievable
-    // target; anything worse falls through to the full re-run.
-    order::VeboResult refined =
-        order::vebo_refine(g.in_degrees(), current_, dirty_);
-    if (refined.edge_imbalance() <= std::max(edge_bound(g), base_edge_imb_) &&
-        refined.vertex_imbalance() <=
-            std::max(vertex_bound(g), base_vertex_imb_)) {
-      adopt(std::move(refined), g);
-      ++stats_.incremental;
-      return RebalanceAction::Incremental;
-    }
-
-    // Refinement could not restore the bounds: past the drift bound, fall
-    // back to the full Algorithm-2 re-run.
-    run_full(g);
-    return RebalanceAction::Full;
-  }();
+  // Stream-path span: the drift check plus the full run it triggers.
+  // a = 1 when the check rebalanced, b = Δ and c = δ as the check read
+  // them.
+  obs::StageScope span(obs::SpanKind::Rebalance);
+  const bool drift = drifted(g);
   if (span.live()) {
-    span.span().a = static_cast<std::uint64_t>(action);
-    span.span().b = dirty_before;
+    span.span().a = drift ? 1 : 0;
+    span.span().b = edge_imbalance();
+    span.span().c = vertex_imbalance();
   }
-  return action;
+  if (!drift) {
+    stats_.last_edge_imbalance = edge_imbalance();
+    stats_.last_vertex_imbalance = vertex_imbalance();
+    return RebalanceAction::None;
+  }
+  run_full(g);
+  ++stats_.full;
+  return RebalanceAction::Full;
 }
 
 }  // namespace vebo::stream

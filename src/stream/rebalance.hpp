@@ -3,18 +3,14 @@
 // The maintainer tracks per-partition in-edge loads against the current
 // `order::Partitioning` as batches change in-degrees (the paper's balance
 // objective is over in-edges of destination partitions), and measures Δ/δ
-// on them with `order::imbalance`. The rule it applies after each batch:
-//  - Drift: rebalance when new vertices await placement, when Δ exceeds
-//    the Δ the last adopted ordering achieved by more than
-//    max(1, edge_drift·m/P), or when δ exceeds the achieved δ by more than
-//    max(1, vertex_drift·n/P).
-//  - Past a 25% dirty fraction (changed plus new vertices over n), re-run
-//    `order::vebo_from_degrees` in full.
-//  - Otherwise run `order::vebo_refine`, which re-places only the dirty
-//    vertices, and adopt it when its Δ and δ are each within the looser of
-//    the drift bound and the achieved baseline; else re-run in full.
-// A full re-run adopts whatever balance Algorithm 2 achieves, which may
-// exceed the drift bounds (e.g. on a star).
+// on them with `order::imbalance`. After each batch it checks for drift:
+// new vertices await placement, Δ exceeds the Δ the current ordering
+// achieved by more than max(1, edge_drift·m/P), or δ exceeds the achieved
+// δ by more than max(1, vertex_drift·n/P). On drift it re-runs
+// `order::vebo_from_degrees` on the live in-degrees and adopts the result,
+// so every ordering it holds is exactly Algorithm 2's, decreasing degree
+// within each partition included. The run's own Δ/δ become the new
+// baseline, even where they exceed the drift bounds (e.g. on a star).
 //
 // Thread-safety annotations (support/annotated_mutex.hpp): none, on
 // purpose — a maintainer is owned by a single StreamSession and inherits
@@ -44,12 +40,14 @@ struct RebalanceOptions {
   double vertex_drift = 0.10;
 };
 
-enum class RebalanceAction { None, Incremental, Full };
+enum class RebalanceAction { None, Full };
 
 struct RebalanceStats {
   std::uint64_t batches_observed = 0;
-  std::uint64_t incremental = 0;  ///< refinements adopted
-  std::uint64_t full = 0;         ///< full re-runs (excluding construction)
+  /// Always 0: every rebalance is a full run. perfbench/ still reports it
+  /// as `stream.rebalances.incremental`.
+  std::uint64_t incremental = 0;
+  std::uint64_t full = 0;  ///< full re-runs (excluding construction)
   EdgeId last_edge_imbalance = 0;
   VertexId last_vertex_imbalance = 0;
 };
@@ -59,11 +57,12 @@ class VeboMaintainer {
   /// Builds the initial ordering with a full VEBO run over `g`.
   explicit VeboMaintainer(const DeltaGraph& g, RebalanceOptions opts = {});
 
-  /// Folds one applied batch into the tracked per-partition loads and the
-  /// dirty set. O(changed vertices).
+  /// Folds one applied batch into the tracked per-partition loads.
+  /// O(changed vertices).
   void observe(const ApplyResult& applied);
 
-  /// Checks drift and rebalances if needed. Returns what was done.
+  /// Checks drift and, on drift, re-runs VEBO in full. Returns what was
+  /// done.
   RebalanceAction maybe_rebalance(const DeltaGraph& g);
 
   /// True iff the tracked loads have drifted more than a bound past the
@@ -84,25 +83,20 @@ class VeboMaintainer {
   EdgeId edge_bound(const DeltaGraph& g) const;
   VertexId vertex_bound(const DeltaGraph& g) const;
 
-  std::size_t dirty_count() const { return dirty_.size(); }
   const RebalanceStats& stats() const { return stats_; }
 
  private:
-  void adopt(order::VeboResult next, const DeltaGraph& g);
+  /// Runs VEBO on the live in-degrees and makes its Δ/δ the baseline.
   void run_full(const DeltaGraph& g);
 
   RebalanceOptions opts_;
   order::VeboResult current_;
   /// Live per-partition in-edge loads (part_edges + observed deltas).
   std::vector<EdgeId> live_edges_;
-  /// Imbalances achieved by the last adopted (re)balance — the baseline
-  /// the drift bounds are measured against.
+  /// Imbalances the last full run achieved — the baseline the drift
+  /// bounds are measured against.
   EdgeId base_edge_imb_ = 0;
   VertexId base_vertex_imb_ = 0;
-  /// Vertices (placed ones) whose in-degree changed since the last
-  /// rebalance.
-  std::vector<VertexId> dirty_;
-  std::vector<bool> dirty_mark_;
   RebalanceStats stats_;
 };
 

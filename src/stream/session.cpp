@@ -66,7 +66,7 @@ StreamSession::BatchOutcome StreamSession::apply(
   fold(pending_delta_);
 
   maintainer_.observe(out.applied);
-  // maybe_rebalance records its own VeboRefine span.
+  // maybe_rebalance records its own Rebalance span.
   out.rebalance = maintainer_.maybe_rebalance(delta_);
 
   if (out.applied.inserted > 0 || out.applied.removed > 0 ||
@@ -231,9 +231,6 @@ void StreamSession::collect_metrics(
   emit(MetricType::Counter, "vebo_rebalance_batches_observed_total",
        "batches folded into the maintainer",
        static_cast<double>(rs.batches_observed));
-  emit(MetricType::Counter, "vebo_rebalance_incremental_total",
-       "vebo_refine refinements adopted",
-       static_cast<double>(rs.incremental));
   emit(MetricType::Counter, "vebo_rebalance_full_total",
        "full VEBO re-runs", static_cast<double>(rs.full));
   emit(MetricType::Gauge, "vebo_rebalance_edge_imbalance",
@@ -242,9 +239,6 @@ void StreamSession::collect_metrics(
   emit(MetricType::Gauge, "vebo_rebalance_vertex_imbalance",
        "last observed max-min partition vertices",
        static_cast<double>(rs.last_vertex_imbalance));
-  emit(MetricType::Gauge, "vebo_rebalance_dirty_vertices",
-       "vertices whose degree changed since the last rebalance",
-       static_cast<double>(maintainer_.dirty_count()));
 }
 
 }  // namespace vebo::stream

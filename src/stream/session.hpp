@@ -2,7 +2,7 @@
 // with algorithm queries — the paper-faithful way to show VEBO's static
 // scheduling staying competitive while the graph mutates.
 //
-// Each session owns the mutable DeltaGraph, the incremental VEBO
+// Each session owns the mutable DeltaGraph, the drift-checking VEBO
 // maintainer, and a cached query context (reordered snapshot + Engine).
 // `apply` ingests a batch, folds its degree deltas into the maintainer,
 // and rebalances if the drift bounds are exceeded. `query` runs any

@@ -37,8 +37,9 @@ struct ApplyResult {
   EdgeId inserted = 0;       ///< edges that became live
   EdgeId removed = 0;        ///< edges that became dead
   VertexId grew_vertices = 0;  ///< vertex-set growth caused by the batch
-  /// Vertices whose in-degree changed, with the signed change. This is the
-  /// dirty set the incremental VEBO maintainer re-places.
+  /// Vertices whose in-degree changed, with the signed change, once each
+  /// in ascending order. The VEBO maintainer folds it into its partition
+  /// loads.
   std::vector<std::pair<VertexId, std::int64_t>> in_degree_delta;
   /// The effective per-batch edge delta: every (src, dst) arc that became
   /// live / dead, post-dedup (set-semantics no-ops excluded). Undirected

@@ -840,6 +840,67 @@ TEST(TracedPublish, CountsRefreshedAndDroppedEntries) {
   EXPECT_EQ(args->find("dropped")->number(), 1.0);
 }
 
+// The Rebalance span records the drift check's inputs and outcome:
+// a = 1 when it re-ran VEBO, b = Δ and c = δ as the check read them,
+// exported as "action" / "edge_imbalance" / "vertex_imbalance".
+TEST(TracedRebalance, SpanRecordsTheDriftCheck) {
+  // A directed 8-cycle: every in-degree is 1, so VEBO at P = 2 puts four
+  // vertices and four in-edges on each side (Δ₀ = δ₀ = 0), and both drift
+  // bounds are max(1, 0.1 · 8 / 2) = 1.
+  std::vector<Edge> cycle;
+  for (VertexId v = 0; v < 8; ++v) cycle.push_back({v, (v + 1) % 8});
+  stream::SessionOptions opts;
+  opts.rebalance.partitions = 2;
+  StreamSession session(Graph::from_edges(EdgeList(8, cycle, true)), opts);
+
+  Trace t;
+  {
+    ThreadTrace tt;
+    // Vertex 2 gains one in-edge: Δ = 1, within the bound.
+    EXPECT_EQ(session
+                  .apply(std::vector<stream::EdgeUpdate>{
+                      stream::EdgeUpdate::insert(0, 2)})
+                  .rebalance,
+              stream::RebalanceAction::None);
+    // Two more: Δ = 3 crosses it, and the maintainer re-runs VEBO.
+    EXPECT_EQ(session
+                  .apply(std::vector<stream::EdgeUpdate>{
+                      stream::EdgeUpdate::insert(3, 2),
+                      stream::EdgeUpdate::insert(4, 2)})
+                  .rebalance,
+              stream::RebalanceAction::Full);
+    t = tt.finish();
+  }
+  std::vector<Span> checks;
+  for (const Span& s : t.spans)
+    if (s.kind == SpanKind::Rebalance) checks.push_back(s);
+  ASSERT_EQ(checks.size(), 2u);
+  EXPECT_EQ(checks[0].a, 0u);
+  EXPECT_EQ(checks[0].b, 1u);
+  EXPECT_EQ(checks[0].c, 0u);
+  EXPECT_EQ(checks[1].a, 1u);
+  EXPECT_EQ(checks[1].b, 3u);
+  EXPECT_EQ(checks[1].c, 0u);
+
+  const JsonValue root = JsonParser(to_chrome_trace_json(t)).parse();
+  std::vector<const JsonValue*> args;
+  for (const JsonValue& e : root.find("traceEvents")->array())
+    if (e.find("name") != nullptr && e.find("name")->str() == "rebalance")
+      args.push_back(e.find("args"));
+  ASSERT_EQ(args.size(), 2u);
+  const char* actions[] = {"none", "full"};
+  const double edge_imbalance[] = {1.0, 3.0};
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_NE(args[i], nullptr);
+    ASSERT_NE(args[i]->find("action"), nullptr);
+    ASSERT_NE(args[i]->find("edge_imbalance"), nullptr);
+    ASSERT_NE(args[i]->find("vertex_imbalance"), nullptr);
+    EXPECT_EQ(args[i]->find("action")->str(), actions[i]);
+    EXPECT_EQ(args[i]->find("edge_imbalance")->number(), edge_imbalance[i]);
+    EXPECT_EQ(args[i]->find("vertex_imbalance")->number(), 0.0);
+  }
+}
+
 TEST(MetricsPlane, StreamSessionStatsAreExposed) {
   MetricsRegistry reg;
   stream::SessionOptions sopts;
@@ -862,9 +923,8 @@ TEST(MetricsPlane, StreamSessionStatsAreExposed) {
            "vebo_stream_snapshots_patched_total",
            "vebo_stream_compactions_total",
            "vebo_rebalance_batches_observed_total",
-           "vebo_rebalance_incremental_total", "vebo_rebalance_full_total",
-           "vebo_rebalance_edge_imbalance", "vebo_rebalance_vertex_imbalance",
-           "vebo_rebalance_dirty_vertices",
+           "vebo_rebalance_full_total", "vebo_rebalance_edge_imbalance",
+           "vebo_rebalance_vertex_imbalance",
        })
     EXPECT_NE(text.find(name), std::string::npos) << name;
   EXPECT_NE(text.find("vebo_stream_batches_total 1"), std::string::npos);

@@ -1,7 +1,7 @@
 // Tests for the streaming subsystem: DeltaGraph batch semantics and
-// snapshot equivalence, incremental VEBO refinement, the drift-triggered
-// maintainer, and the StreamSession driver interleaving updates with
-// queries across all three system models.
+// snapshot equivalence, the drift-triggered VEBO maintainer, and
+// StreamSession interleaving updates with queries across all three system
+// models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -362,114 +362,6 @@ TEST(DeltaGraph, AlgorithmsAgreeOnSnapshotAcrossEngines) {
   }
 }
 
-// ---------------------------------------------------------- vebo_refine
-
-TEST(VeboRefine, RePlacesDirtyVerticesWithinBounds) {
-  const VertexId n = 4000, P = 8;
-  Xoshiro256 rng(7);
-  std::vector<EdgeId> deg(n);
-  for (auto& d : deg) d = rng.next_below(12);
-  const order::VeboResult base = order::vebo_from_degrees(deg, P);
-
-  // Drift: a handful of vertices gain or lose a lot of degree.
-  std::vector<EdgeId> drifted = deg;
-  std::vector<VertexId> dirty;
-  for (int i = 0; i < 60; ++i) {
-    const VertexId v = static_cast<VertexId>(rng.next_below(n));
-    drifted[v] = rng.next_below(400);
-    dirty.push_back(v);
-  }
-  const order::VeboResult refined =
-      order::vebo_refine(drifted, base, dirty);
-
-  ASSERT_TRUE(is_permutation(refined.perm));
-  ASSERT_EQ(refined.num_partitions(), P);
-  // Tracked per-partition loads must equal a from-scratch recount.
-  std::vector<EdgeId> recount(P, 0);
-  std::vector<VertexId> vcount(P, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId p = refined.partitioning.owner(refined.perm[v]);
-    recount[p] += drifted[v];
-    ++vcount[p];
-  }
-  for (VertexId p = 0; p < P; ++p) {
-    EXPECT_EQ(recount[p], refined.part_edges[p]) << "p=" << p;
-    EXPECT_EQ(vcount[p], refined.part_vertices[p]) << "p=" << p;
-  }
-  // Greedy min-heap placement guarantee (Lemma-1 style): the final edge
-  // imbalance is at most max(Δ_residual, d_max), where Δ_residual is the
-  // imbalance right after the dirty vertices were pulled out and d_max is
-  // the largest degree re-placed.
-  std::vector<EdgeId> residual = base.part_edges;
-  std::vector<bool> seen(n, false);
-  EdgeId max_d = 0;
-  for (VertexId v : dirty) {
-    if (seen[v]) continue;
-    seen[v] = true;
-    residual[base.partitioning.owner(base.perm[v])] -= deg[v];
-    max_d = std::max(max_d, drifted[v]);
-  }
-  const auto [rlo, rhi] =
-      std::minmax_element(residual.begin(), residual.end());
-  EXPECT_LE(refined.edge_imbalance(), std::max<EdgeId>(*rhi - *rlo, max_d));
-}
-
-TEST(VeboRefine, PreservesRelativeOrderOfCleanVertices) {
-  std::vector<EdgeId> deg = {5, 4, 3, 3, 2, 1, 0, 0};
-  const order::VeboResult base = order::vebo_from_degrees(deg, 2);
-  std::vector<EdgeId> drifted = deg;
-  drifted[5] = 9;
-  const order::VeboResult refined =
-      order::vebo_refine(drifted, base, std::vector<VertexId>{5});
-  ASSERT_TRUE(is_permutation(refined.perm));
-  // Clean vertices sharing a partition keep their previous relative order.
-  for (VertexId a = 0; a < deg.size(); ++a)
-    for (VertexId b = 0; b < deg.size(); ++b) {
-      if (a == 5 || b == 5) continue;
-      const VertexId pa = refined.partitioning.owner(refined.perm[a]);
-      const VertexId pb = refined.partitioning.owner(refined.perm[b]);
-      const VertexId qa = base.partitioning.owner(base.perm[a]);
-      const VertexId qb = base.partitioning.owner(base.perm[b]);
-      if (pa == pb && qa == qb && pa == qa) {
-        EXPECT_EQ(base.perm[a] < base.perm[b],
-                  refined.perm[a] < refined.perm[b])
-            << "a=" << a << " b=" << b;
-      }
-    }
-}
-
-TEST(VeboRefine, PlacesNewVertices) {
-  std::vector<EdgeId> deg = {3, 2, 2, 1};
-  const order::VeboResult base = order::vebo_from_degrees(deg, 2);
-  std::vector<EdgeId> grown = {3, 2, 2, 1, 4, 0};
-  const order::VeboResult refined =
-      order::vebo_refine(grown, base, {});
-  ASSERT_EQ(refined.perm.size(), 6u);
-  ASSERT_TRUE(is_permutation(refined.perm));
-  EdgeId total = 0;
-  for (EdgeId w : refined.part_edges) total += w;
-  EXPECT_EQ(total, 12u);
-  VertexId vtotal = 0;
-  for (VertexId u : refined.part_vertices) vtotal += u;
-  EXPECT_EQ(vtotal, 6u);
-}
-
-TEST(VeboRefine, LoadsMatchTheLiveDegreesWhateverTheDirtyList) {
-  const std::vector<EdgeId> deg = {5, 4, 3, 3, 2, 1, 0, 0, 6, 2};
-  const order::VeboResult base = order::vebo_from_degrees(deg, 2);
-  // Vertex 5 drifts and is listed; vertex 8 drifts and is not.
-  std::vector<EdgeId> live = deg;
-  live[5] = 9;
-  live[8] = 1;
-  const order::VeboResult refined =
-      order::vebo_refine(live, base, std::vector<VertexId>{5});
-  ASSERT_TRUE(is_permutation(refined.perm));
-  std::vector<EdgeId> recount(2, 0);
-  for (VertexId v = 0; v < live.size(); ++v)
-    recount[refined.partitioning.owner(refined.perm[v])] += live[v];
-  EXPECT_EQ(refined.part_edges, recount);
-}
-
 // ------------------------------------------------------- VeboMaintainer
 
 TEST(Maintainer, NoActionWithoutDrift) {
@@ -480,34 +372,28 @@ TEST(Maintainer, NoActionWithoutDrift) {
       dg.apply_batch(std::vector<EdgeUpdate>{EdgeUpdate::insert(1, 2)});
   m.observe(r);
   EXPECT_EQ(m.maybe_rebalance(dg), RebalanceAction::None);
-  EXPECT_EQ(m.stats().incremental, 0u);
   EXPECT_EQ(m.stats().full, 0u);
 }
 
-TEST(Maintainer, DriftTriggersIncrementalAndRestoresBounds) {
-  const Graph base = gen::rmat(10, 8, 11);
-  DeltaGraph dg(base);
-  RebalanceOptions opts;
-  opts.partitions = 4;
-  opts.edge_drift = 0.02;
-  VeboMaintainer m(dg, opts);
-
-  // Hammer in-edges onto the low-degree tail of partition 0 (the last
-  // positions of its contiguous range hold its smallest in-degrees after
-  // a full VEBO run). All drift lands in one partition, so the tracked
-  // edge imbalance must cross the bound; the drifted vertices stay
-  // low-degree, so the refinement can redistribute them finely.
+/// Hammers in-edges onto the `count` vertices at the low-degree tail of
+/// partition 0 (the last positions of its contiguous range hold its
+/// smallest in-degrees after a full VEBO run), 64 per batch from random
+/// sources, until the maintainer rebalances or 50 batches pass. All
+/// drift lands in one partition, so the tracked edge imbalance must
+/// cross the bound. Returns the last batch's action; `changed`, when
+/// given, collects every vertex whose in-degree moved.
+RebalanceAction drift_onto_partition0_tail(
+    DeltaGraph& dg, VeboMaintainer& m, std::size_t count, std::uint64_t seed,
+    std::set<VertexId>* changed = nullptr) {
   std::vector<VertexId> targets;
   {
     const auto& ord = m.ordering();
-    const VertexId end0 = ord.partitioning.end(0);
-    const VertexId begin0 = ord.partitioning.begin(0);
     const Permutation inv = invert(ord.perm);
-    for (VertexId pos = end0; pos-- > begin0 && targets.size() < 200;)
+    for (VertexId pos = ord.partitioning.end(0);
+         pos-- > ord.partitioning.begin(0) && targets.size() < count;)
       targets.push_back(inv[pos]);
   }
-
-  Xoshiro256 rng(21);
+  Xoshiro256 rng(seed);
   RebalanceAction action = RebalanceAction::None;
   for (int round = 0; round < 50 && action == RebalanceAction::None;
        ++round) {
@@ -519,10 +405,27 @@ TEST(Maintainer, DriftTriggersIncrementalAndRestoresBounds) {
       batch.push_back(EdgeUpdate::insert(s, d));
     }
     const ApplyResult r = dg.apply_batch(batch);
+    if (changed != nullptr)
+      for (const auto& [v, delta] : r.in_degree_delta) changed->insert(v);
     m.observe(r);
     action = m.maybe_rebalance(dg);
   }
-  EXPECT_EQ(action, RebalanceAction::Incremental);
+  return action;
+}
+
+TEST(Maintainer, DriftTriggersAFullRunAndRestoresBounds) {
+  const Graph base = gen::rmat(10, 8, 11);
+  DeltaGraph dg(base);
+  RebalanceOptions opts;
+  opts.partitions = 4;
+  opts.edge_drift = 0.02;
+  VeboMaintainer m(dg, opts);
+
+  // 200 targets: the drifted vertices stay low-degree, so the full run
+  // can spread them finely.
+  EXPECT_EQ(drift_onto_partition0_tail(dg, m, 200, 21),
+            RebalanceAction::Full);
+  EXPECT_EQ(m.stats().full, 1u);
   EXPECT_LE(m.edge_imbalance(), m.edge_bound(dg));
   EXPECT_LE(m.vertex_imbalance(), m.vertex_bound(dg));
 
@@ -534,27 +437,47 @@ TEST(Maintainer, DriftTriggersIncrementalAndRestoresBounds) {
   EXPECT_LE(prof.edge_imbalance(), m.edge_bound(dg));
 }
 
-TEST(Maintainer, HeavyChurnFallsBackToFullRebuild) {
-  const Graph base = gen::rmat(9, 4, 13);
+/// The maintainer holds exactly Algorithm 2's ordering of the live
+/// in-degrees: the perm, loads and partitioning of a fresh full run.
+void expect_full_run(const VeboMaintainer& m, const DeltaGraph& dg,
+                     VertexId P) {
+  const order::VeboResult fresh =
+      order::vebo_from_degrees(dg.in_degrees(), P);
+  EXPECT_EQ(m.ordering().perm, fresh.perm);
+  EXPECT_EQ(m.ordering().part_edges, fresh.part_edges);
+  EXPECT_EQ(m.ordering().part_vertices, fresh.part_vertices);
+  EXPECT_EQ(m.partitioning().boundaries, fresh.partitioning.boundaries);
+}
+
+// Every ordering the maintainer adopts is a full run: after drift
+// concentrated on a few vertices, and after the vertex set grows.
+TEST(Maintainer, RebalanceAdoptsTheFullRun) {
+  const VertexId P = 4;
+  const Graph base = gen::rmat(10, 8, 11);
   DeltaGraph dg(base);
   RebalanceOptions opts;
-  opts.partitions = 4;
-  opts.edge_drift = 0.001;
+  opts.partitions = P;
+  opts.edge_drift = 0.02;
   VeboMaintainer m(dg, opts);
+  expect_full_run(m, dg, P);
 
-  // Destinations drawn from half of the 512 vertices: far past the 25%
-  // dirty fraction at which the maintainer skips refinement.
-  Xoshiro256 rng(31);
-  std::vector<EdgeUpdate> batch;
-  for (int i = 0; i < 4000; ++i)
-    batch.push_back(EdgeUpdate::insert(
-        static_cast<VertexId>(rng.next_below(dg.num_vertices())),
-        static_cast<VertexId>(rng.next_below(256))));
-  const ApplyResult r = dg.apply_batch(batch);
-  m.observe(r);
-  ASSERT_GT(m.dirty_count(), dg.num_vertices() / 4);
-  EXPECT_EQ(m.maybe_rebalance(dg), RebalanceAction::Full);
-  EXPECT_EQ(m.dirty_count(), 0u);  // state reset after rebuild
+  // 16 targets: Δ crosses the bound while under 2% of the vertices have
+  // changed.
+  std::set<VertexId> changed;
+  ASSERT_NE(drift_onto_partition0_tail(dg, m, 16, 5, &changed),
+            RebalanceAction::None);
+  EXPECT_LE(changed.size(), 16u);
+  expect_full_run(m, dg, P);
+
+  // Growth: one batch reaches two ids past the vertex count.
+  const VertexId n = dg.num_vertices();
+  const ApplyResult grown = dg.apply_batch(std::vector<EdgeUpdate>{
+      EdgeUpdate::insert(n + 1, 0), EdgeUpdate::insert(3, n)});
+  ASSERT_EQ(dg.num_vertices(), n + 2);
+  m.observe(grown);
+  EXPECT_NE(m.maybe_rebalance(dg), RebalanceAction::None);
+  expect_full_run(m, dg, P);
+  EXPECT_EQ(m.stats().full, 2u);
 }
 
 TEST(Maintainer, UnattainableBoundDoesNotRebalanceEveryBatch) {
@@ -579,7 +502,6 @@ TEST(Maintainer, UnattainableBoundDoesNotRebalanceEveryBatch) {
     EXPECT_EQ(m.maybe_rebalance(dg), RebalanceAction::None) << "batch " << b;
   }
   EXPECT_EQ(m.stats().full, 0u);
-  EXPECT_EQ(m.stats().incremental, 0u);
 }
 
 // --------------------------------------------------------- StreamSession
